@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet stress crash wal serve shard apicheck bench bench-short coldbench coldbench-short nouring ci
+.PHONY: build test race vet stress crash wal serve shard apicheck bench bench-short bench-smoke nouring ci
 
 build:
 	$(GO) build ./...
@@ -42,41 +42,30 @@ wal:
 	$(GO) test -race -count=1 ./internal/wal/
 	$(GO) test -race -count=1 -run 'WAL' . ./internal/faultfs/ ./internal/server/
 
-# Read-path performance trajectory: the go-test micro-benchmarks (node
-# decode, point lookup, the four facade query shapes) plus the readbench
-# suite, which writes BENCH_read.json (queries/sec, ns/op, allocs/op per
-# query shape, node cache on vs. off).
+# Read-path micro-benchmarks (go test): node decode, point lookup, the four
+# facade query shapes. The engine's end-to-end benchmark is `bash
+# bench/run.sh` (BENCHMARK.json, bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery(Exact|Range|Subtree|Parscan)' -benchmem .
 	$(GO) test -run '^$$' -bench 'DecodeNode|TreeGet' -benchmem ./internal/btree/
-	$(GO) run ./cmd/uindexbench -readbench -benchjson BENCH_read.json
 
-# bench in short mode: same code paths at smoke scale, single benchmark
-# iterations, JSON discarded. CI runs this so the benchmarks can't bit-rot.
+# bench in short mode: same code paths, single benchmark iterations.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery(Exact|Range|Subtree|Parscan)' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'DecodeNode|TreeGet' -benchtime 1x -benchmem ./internal/btree/
-	$(GO) run ./cmd/uindexbench -readbench -short -benchjson /tmp/BENCH_read.json
 
-# Cold-cache benchmark: disk-backed databases, node caches + buffer pools +
-# OS page cache dropped before every timed query, prefetch off vs. on per
-# query shape. Writes BENCH_cold.json (median ns/op, per-iteration samples,
-# logical page counts, prefetch counters, io_uring availability).
-coldbench:
-	$(GO) run ./cmd/uindexbench -readbench -cold -benchjson BENCH_cold.json
-
-# coldbench at smoke scale: tiny database, one pass through the same
-# eviction and measurement code paths, JSON discarded. CI runs this so the
-# cold path can't bit-rot.
-coldbench-short:
-	$(GO) run ./cmd/uindexbench -readbench -cold -short -benchjson /tmp/BENCH_cold.json
+# The benchmark harness is its own module (bench/go.mod), so the root
+# `go test ./...` never reaches it: CI runs its tests here, which also keeps
+# every public name it compiles against from drifting.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # The portable batched-read fallback: build and test the storage stack with
 # io_uring compiled out (-tags nouring), so the bounded-goroutine preadv
 # path stays honest on the platforms (and kernels) that need it.
 nouring:
 	$(GO) build -tags nouring ./...
-	$(GO) test -tags nouring -count=1 ./internal/pager/ ./internal/bufferpool/ ./internal/btree/ ./internal/experiments/parallel/
+	$(GO) test -tags nouring -count=1 ./internal/pager/ ./internal/bufferpool/ ./internal/btree/
 
 # Network-subsystem check, race-enabled and uncached: the wire-protocol
 # round trips, the server/client integration suite (concurrent sessions,
@@ -84,7 +73,7 @@ nouring:
 # registry, and the session/metrics satellites on the facade.
 serve:
 	$(GO) test -race -count=1 ./internal/server/ ./internal/obs/
-	$(GO) test -race -count=1 -run 'Metrics|QueryParallelCancellation|CloseReleasesSnapshots|NetShapes' . ./internal/experiments/parallel/
+	$(GO) test -race -count=1 -run 'Metrics|QueryParallelCancellation|CloseReleasesSnapshots' .
 
 # Sharding check, race-enabled and uncached: the shard-invariance suite
 # (sharded results identical to flat under every layout), the batched write
@@ -93,17 +82,17 @@ serve:
 shard:
 	$(GO) test -race -count=1 -run 'Shard|ApplyBatch' . ./internal/core/ ./internal/pager/ ./internal/faultfs/
 
-# API-surface check: vet plus a grep that keeps the removed query wrappers
-# (QueryWith/QueryString) from creeping back anywhere — they were deleted in
-# favor of Query with options, and the batched write surface (Apply) is the
-# only multi-mutation entry point.
+# API-surface check: vet plus a grep that keeps removed API from creeping
+# back anywhere — the query wrappers (QueryWith/QueryString), deleted in favor
+# of Query with options, and DurabilitySync, deleted in favor of
+# DurabilityWAL.
 apicheck: vet
-	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(' . || true); \
+	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync' . || true); \
 	if [ -n "$$deprecated" ]; then \
-		echo "removed query API referenced:"; \
+		echo "removed API referenced:"; \
 		echo "$$deprecated"; \
 		exit 1; \
 	fi
 	@echo "apicheck: ok"
 
-ci: build apicheck test race stress crash wal serve shard nouring coldbench-short
+ci: build apicheck test race stress crash wal serve shard nouring bench-short bench-smoke

@@ -9,17 +9,10 @@
 //	uindexbench -exp fig5 -quick         # one figure, scaled down
 //	uindexbench -exp fig6 -extended      # add CH-tree and H-tree curves
 //	uindexbench -exp table1 -seed 7
-//	uindexbench -parallel 8              # concurrent query throughput
-//	uindexbench -mixed                   # read throughput vs. concurrent writers
-//	uindexbench -mixed -writers 4 -shards 4 -writerate -1 -benchjson BENCH_shard.json
-//	                                     # per-shard writer scaling + distribution
-//	uindexbench -readbench -benchjson BENCH_read.json   # read-path ns/op + allocs/op
-//	uindexbench -readbench -cold -benchjson BENCH_cold.json  # cold-cache latency, prefetch off vs. on
-//	uindexbench -readbench -addr self    # same suite over the wire (loopback uindexd)
-//	uindexbench -readbench -addr host:9040   # against a running uindexd
 //	uindexbench -exp fig5 -cpuprofile cpu.out -memprofile mem.out
 //
-// Experiments: table1, fig5, fig6, fig7, fig8, all.
+// Experiments: table1, fig5, fig6, fig7, fig8, storage, updates, all. The
+// engine's performance benchmark is `bash bench/run.sh` (see bench/README.md).
 //
 // Any run accepts -cpuprofile/-memprofile; inspect the output with
 // `go tool pprof`.
@@ -34,9 +27,7 @@ import (
 	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/experiments"
-	parbench "repro/internal/experiments/parallel"
 )
 
 func main() {
@@ -52,48 +43,18 @@ func fail(format string, args ...any) int {
 
 func run() int {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|fig5|fig6|fig7|fig8|storage|updates|all")
-		objects    = flag.Int("objects", 150000, "objects in the large database")
-		reps       = flag.Int("reps", 100, "repetitions per measured point")
-		seed       = flag.Int64("seed", 1996, "random seed")
-		quick      = flag.Bool("quick", false, "scaled-down grid (12,000 objects, 15 reps)")
-		extended   = flag.Bool("extended", false, "also measure CH-tree and H-tree curves")
-		poolPages  = flag.Int("poolpages", 0, "run page files through a buffer pool with this many frames (0 = off); adds a physical-I/O column, logical counts are unchanged")
-		policy     = flag.String("policy", "clock", "buffer-pool replacement policy: clock or lru")
-		parallel   = flag.Int("parallel", 0, "run the concurrent-throughput benchmark with this many worker goroutines instead of an experiment")
-		jobs       = flag.Int("jobs", 400, "queries in the -parallel batch")
-		mixed      = flag.Bool("mixed", false, "run the mixed read/write throughput benchmark: read throughput alone vs. with concurrent writers")
-		dir        = flag.String("dir", "", "back -mixed/-parallel index trees with disk files in this directory (empty = in-memory)")
-		durstr     = flag.String("durability", "checkpoint", "durability mode for -dir: none, checkpoint, sync, or wal (sync exposes per-mutation fsync cost in -mixed; wal shows group-commit fsync amortization)")
-		walDelay   = flag.Duration("walmaxdelay", 2*time.Millisecond, "group-commit linger under -durability wal: the log daemon waits this long after the first committer before fsyncing so concurrent commits share the fsync (0 = flush immediately)")
-		writers    = flag.Int("writers", 1, "writer goroutines in the -mixed benchmark")
-		writerate  = flag.Int("writerate", 500, "paced mutations/sec per -mixed writer (-1 = unthrottled)")
-		shards     = flag.Int("shards", 0, "partition each index into this many class-code shards with independent writer locks (0/1 = unsharded); applies to -mixed and -parallel")
-		writebatch = flag.Int("writebatch", 0, "group each -mixed writer's mutations into Apply batches of this size (<=1 = individual Insert/Set calls)")
-		duration   = flag.Duration("duration", 2*time.Second, "length of each -mixed phase")
-		readbench  = flag.Bool("readbench", false, "run the read-path benchmark suite (ns/op, allocs/op, queries/sec per query shape, node cache on vs. off)")
-		cold       = flag.Bool("cold", false, "with -readbench: measure cold-cache latency instead — node caches, buffer pools, and the OS page cache are dropped before every timed query; pairs prefetch off vs. on")
-		benchjson  = flag.String("benchjson", "", "write -readbench or -mixed results as JSON to this file (e.g. BENCH_read.json, BENCH_shard.json)")
-		short      = flag.Bool("short", false, "smoke scale for -readbench: small database, same code paths")
-		addr       = flag.String("addr", "", "measure -readbench over the network: 'self' serves the benchmark database on an in-process loopback uindexd, host:port dials a running uindexd")
-		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof    = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		exp       = flag.String("exp", "all", "experiment: table1|fig5|fig6|fig7|fig8|storage|updates|all")
+		objects   = flag.Int("objects", 150000, "objects in the large database")
+		reps      = flag.Int("reps", 100, "repetitions per measured point")
+		seed      = flag.Int64("seed", 1996, "random seed")
+		quick     = flag.Bool("quick", false, "scaled-down grid (12,000 objects, 15 reps)")
+		extended  = flag.Bool("extended", false, "also measure CH-tree and H-tree curves")
+		poolPages = flag.Int("poolpages", 0, "run page files through a buffer pool with this many frames (0 = off); adds a physical-I/O column, logical counts are unchanged")
+		policy    = flag.String("policy", "clock", "buffer-pool replacement policy: clock or lru")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-
-	var durability uindex.Durability
-	switch *durstr {
-	case "none":
-		durability = uindex.DurabilityNone
-	case "checkpoint":
-		durability = uindex.DurabilityCheckpoint
-	case "sync":
-		durability = uindex.DurabilitySync
-	case "wal":
-		durability = uindex.DurabilityWAL
-	default:
-		return fail("uindexbench: unknown durability %q (want none, checkpoint, sync, or wal)", *durstr)
-	}
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
@@ -119,147 +80,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "uindexbench: memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if *readbench && *cold {
-		benchObjects := *objects
-		if benchObjects == 150000 { // flag default is experiment-scale
-			benchObjects = 0 // RunCold's default scale
-		}
-		r, err := parbench.RunCold(parbench.ColdConfig{
-			Objects: benchObjects, Seed: *seed, Short: *short,
-			Dir: *dir, PoolPages: *poolPages,
-		})
-		if err != nil {
-			return fail("uindexbench: coldbench: %v", err)
-		}
-		parbench.RenderCold(os.Stdout, r)
-		if *benchjson != "" {
-			f, err := os.Create(*benchjson)
-			if err != nil {
-				return fail("uindexbench: benchjson: %v", err)
-			}
-			err = parbench.WriteColdJSON(f, r)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fail("uindexbench: benchjson: %v", err)
-			}
-			fmt.Printf("wrote %s\n", *benchjson)
-		}
-		return 0
-	}
-
-	if *readbench {
-		benchObjects := *objects
-		if benchObjects == 150000 { // flag default is experiment-scale
-			benchObjects = 0 // RunRead's default scale
-		}
-		rcfg := parbench.ReadConfig{Objects: benchObjects, Seed: *seed, Short: *short}
-		var r *parbench.ReadResult
-		var err error
-		if *addr != "" {
-			r, err = parbench.RunReadNet(rcfg, *addr)
-		} else {
-			r, err = parbench.RunRead(rcfg)
-		}
-		if err != nil {
-			return fail("uindexbench: readbench: %v", err)
-		}
-		parbench.RenderRead(os.Stdout, r)
-		if *benchjson != "" {
-			f, err := os.Create(*benchjson)
-			if err != nil {
-				return fail("uindexbench: benchjson: %v", err)
-			}
-			err = parbench.WriteReadJSON(f, r)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fail("uindexbench: benchjson: %v", err)
-			}
-			fmt.Printf("wrote %s\n", *benchjson)
-		}
-		return 0
-	}
-
-	if *mixed {
-		pool := *poolPages
-		if pool == 0 {
-			pool = 256
-		}
-		benchObjects := 0 // RunMixed's default scale
-		if *quick {
-			benchObjects = 2000
-		}
-		r, err := parbench.RunMixed(parbench.MixedConfig{
-			Config: parbench.Config{
-				Workers:     *parallel,
-				Jobs:        *jobs,
-				Objects:     benchObjects,
-				PoolPages:   pool,
-				Policy:      *policy,
-				Seed:        *seed,
-				Dir:         *dir,
-				Durability:  durability,
-				WALMaxDelay: *walDelay,
-				Shards:      *shards,
-			},
-			Duration:   *duration,
-			Writers:    *writers,
-			WriteRate:  *writerate,
-			WriteBatch: *writebatch,
-		})
-		if err != nil {
-			return fail("uindexbench: mixed: %v", err)
-		}
-		parbench.RenderMixed(os.Stdout, r)
-		if *benchjson != "" {
-			f, err := os.Create(*benchjson)
-			if err != nil {
-				return fail("uindexbench: benchjson: %v", err)
-			}
-			err = parbench.WriteMixedJSON(f, r)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fail("uindexbench: benchjson: %v", err)
-			}
-			fmt.Printf("wrote %s\n", *benchjson)
-		}
-		return 0
-	}
-
-	if *parallel > 0 {
-		pool := *poolPages
-		if pool == 0 {
-			// The throughput benchmark always reports pool hit/miss
-			// counters, so it defaults to a pool when none is requested.
-			pool = 256
-		}
-		benchObjects := 0 // RunParallel's default scale
-		if *quick {
-			benchObjects = 2000
-		}
-		r, err := parbench.RunParallel(parbench.Config{
-			Workers:    *parallel,
-			Jobs:       *jobs,
-			Objects:    benchObjects,
-			PoolPages:  pool,
-			Policy:     *policy,
-			Seed:       *seed,
-			Dir:        *dir,
-			Durability: durability,
-			Shards:     *shards,
-		})
-		if err != nil {
-			return fail("uindexbench: parallel: %v", err)
-		}
-		parbench.Render(os.Stdout, r)
-		return 0
 	}
 
 	cfg := experiments.GridConfig{Objects: *objects, Reps: *reps, Seed: *seed, Extended: *extended}

@@ -35,7 +35,7 @@ func main() {
 		poolPages  = flag.Int("poolpages", 0, "buffer-pool frames per index (0 = no pool)")
 		policy     = flag.String("policy", "clock", "buffer-pool replacement policy: clock or lru")
 		dir        = flag.String("dir", "", "directory for disk-backed index files (empty = in-memory)")
-		durability = flag.String("durability", "checkpoint", "durability mode for -dir: none, checkpoint, or sync")
+		durability = flag.String("durability", "checkpoint", "durability mode for -dir: none, checkpoint, or wal")
 	)
 	flag.Parse()
 	dur, err := demo.ParseDurability(*durability)

@@ -2,15 +2,10 @@ package uindex
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/btree"
-	"repro/internal/pager"
 )
 
 // vehicleSchema is a minimal hierarchy for the durability tests.
@@ -172,57 +167,6 @@ func TestDurabilityNoneDiscardsOnClose(t *testing.T) {
 	}
 	if err := db2.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDurabilitySyncSurvivesCrash: with DurabilitySync every mutation is
-// durable when it returns. A byte-for-byte copy of the live file (the state
-// a crash would leave) recovers to all inserts so far without any Close or
-// explicit Checkpoint.
-func TestDurabilitySyncSurvivesCrash(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Dir: dir, PoolPages: 16, Durability: DurabilitySync}
-
-	db, err := NewDatabaseWith(vehicleSchema(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.CreateIndex(colorSpec); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range testColors {
-		if _, err := db.Insert("Automobile", Attrs{"Color": c}); err != nil {
-			t.Fatal(err)
-		}
-		// Snapshot the file as a crash at this instant would leave it.
-		raw, err := os.ReadFile(filepath.Join(dir, "color.uidx"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		copyPath := filepath.Join(dir, fmt.Sprintf("crash%d.uidx", i))
-		if err := os.WriteFile(copyPath, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		df, err := pager.OpenDiskFile(copyPath)
-		if err != nil {
-			t.Fatalf("after insert %d: recovering crash image: %v", i, err)
-		}
-		pl := df.Payload()
-		if len(pl) != 4 {
-			t.Fatalf("after insert %d: payload length %d", i, len(pl))
-		}
-		tr, err := btree.Open(df, pager.PageID(binary.BigEndian.Uint32(pl)))
-		if err != nil {
-			t.Fatalf("after insert %d: opening recovered tree: %v", i, err)
-		}
-		if tr.Len() != i+1 {
-			t.Fatalf("after insert %d: recovered tree has %d entries, want %d", i, tr.Len(), i+1)
-		}
-		if err := tr.Check(); err != nil {
-			t.Fatalf("after insert %d: %v", i, err)
-		}
-		df.CloseDiscard()
 	}
 }
 

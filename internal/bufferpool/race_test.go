@@ -16,7 +16,7 @@ import (
 func TestStatsRaceWithEvictions(t *testing.T) {
 	const (
 		pages   = 64
-		frames  = 4
+		frames  = 8 // one per reader: a Read pins a frame, and a pool with fewer frames than concurrent pins fails with "all frames pinned"
 		readers = 8
 		rounds  = 200
 	)

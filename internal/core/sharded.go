@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/btree"
@@ -59,36 +60,36 @@ func (sh *Sharded) Map() *ShardMap { return sh.smap }
 // Covers reports whether an object of the given class can participate.
 func (sh *Sharded) Covers(class string) bool { return sh.shards[0].Covers(class) }
 
-// WriteShards returns the ascending shard indices whose writer locks a
+// AllShards returns the set of every shard as a bit mask (bit i = shard i;
+// pager.MaxShards keeps the count below 64).
+func (sh *Sharded) AllShards() uint64 { return 1<<len(sh.shards) - 1 }
+
+// WriteShards returns, as a bit mask, the shards whose writer locks a
 // mutation of an object of the given class must hold; see the type comment
 // for the single-shard vs. all-shards rule.
-func (sh *Sharded) WriteShards(class string) []int {
+func (sh *Sharded) WriteShards(class string) uint64 {
 	proto := sh.shards[0]
 	if len(sh.shards) > 1 && len(proto.pathCls) == 1 {
 		if code, ok := proto.coding.Code(class); ok {
-			return []int{sh.smap.ShardOf(code)}
+			return 1 << sh.smap.ShardOf(code)
 		}
 	}
-	all := make([]int, len(sh.shards))
-	for i := range all {
-		all[i] = i
-	}
-	return all
+	return sh.AllShards()
 }
 
-// LockShards acquires the writer locks of the given shards, which must be
-// ascending — the global lock order (group creation order, then shard index)
-// keeps multi-index writers deadlock-free.
-func (sh *Sharded) LockShards(ids []int) {
-	for _, i := range ids {
-		sh.shards[i].LockWrite()
+// LockShards acquires the writer locks of the shards in the mask, ascending
+// — the global lock order (group creation order, then shard index) keeps
+// multi-index writers deadlock-free.
+func (sh *Sharded) LockShards(mask uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		sh.shards[bits.TrailingZeros64(mask)].LockWrite()
 	}
 }
 
-// UnlockShards releases the writer locks of the given shards.
-func (sh *Sharded) UnlockShards(ids []int) {
-	for _, i := range ids {
-		sh.shards[i].UnlockWrite()
+// UnlockShards releases the writer locks of the shards in the mask.
+func (sh *Sharded) UnlockShards(mask uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		sh.shards[bits.TrailingZeros64(mask)].UnlockWrite()
 	}
 }
 
@@ -107,49 +108,16 @@ func (sh *Sharded) routeKey(k []byte) (*Index, error) {
 	return sh.shards[i], nil
 }
 
-// Add inserts the index entries of an object, each routed to its shard. The
-// caller holds the WriteShards locks.
-func (sh *Sharded) Add(oid store.OID) error {
-	keys, err := sh.shards[0].EntriesFor(oid)
-	if err != nil {
-		return err
-	}
-	for _, k := range keys {
-		ix, err := sh.routeKey(k)
-		if err != nil {
-			return err
-		}
-		if err := ix.tree.Insert(k, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Remove deletes the index entries of an object from their shards. The
-// caller holds the WriteShards locks.
-func (sh *Sharded) Remove(oid store.OID) error {
-	keys, err := sh.shards[0].EntriesFor(oid)
-	if err != nil {
-		return err
-	}
-	for _, k := range keys {
-		ix, err := sh.routeKey(k)
-		if err != nil {
-			return err
-		}
-		if _, err := ix.tree.Delete(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // DiffKeys reduces an old/new entry-set pair to the deletions and
-// insertions that turn one into the other, skipping the intersection; both
-// outputs come back sorted. It is the pure half of ApplyDiff, exported so a
-// logical log can record the exact key edits a mutation performed.
+// insertions that turn one into the other — the paper's Section 3.5 update,
+// and exactly what a logical log records. With both sides present the
+// intersection is skipped and both outputs come back sorted (the batch-update
+// clustering of Index.ApplyDiff); with either side empty there is nothing to
+// intersect and the other side passes through in enumeration order.
 func DiffKeys(oldKeys, newKeys [][]byte) (dels, ins [][]byte) {
+	if len(oldKeys) == 0 || len(newKeys) == 0 {
+		return oldKeys, newKeys
+	}
 	olds := keySet(oldKeys)
 	news := keySet(newKeys)
 	for k, b := range olds {
@@ -165,14 +133,6 @@ func DiffKeys(oldKeys, newKeys [][]byte) (dels, ins [][]byte) {
 	sortKeys(dels)
 	sortKeys(ins)
 	return dels, ins
-}
-
-// ApplyDiff removes the old keys and inserts the new ones, skipping the
-// intersection, each key routed to its shard; deletions and insertions are
-// applied in sorted order as in Index.ApplyDiff.
-func (sh *Sharded) ApplyDiff(oldKeys, newKeys [][]byte) error {
-	dels, ins := DiffKeys(oldKeys, newKeys)
-	return sh.ApplyKeys(dels, ins)
 }
 
 // ApplyKeys applies pre-computed key edits — deletions first, then

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -214,9 +215,18 @@ func TestShardedSinglePageCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedMutationRouting: incremental Add/Remove/ApplyDiff through the
-// sharded group keeps every shard's subset disjoint and the union equal to a
-// freshly built unsharded index.
+// applyLocked routes one old→new entry-set change through the group under
+// the given shard locks — EntriesFor + DiffKeys + ApplyKeys, the facade's
+// whole index-maintenance step.
+func applyLocked(sh *Sharded, mask uint64, olds, news [][]byte) error {
+	sh.LockShards(mask)
+	defer sh.UnlockShards(mask)
+	return sh.ApplyKeys(DiffKeys(olds, news))
+}
+
+// TestShardedMutationRouting: incremental insert/diff/remove edits through
+// the sharded group keep every shard's subset disjoint and the union equal to
+// a freshly built unsharded index.
 func TestShardedMutationRouting(t *testing.T) {
 	f := newFixture(t)
 	spec := Spec{Name: "c-mut", Root: "Vehicle", Attr: "Color"}
@@ -227,25 +237,19 @@ func TestShardedMutationRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := sh.WriteShards("Truck")
-	if len(all) != 1 {
-		t.Fatalf("WriteShards(CH class) = %v, want a single shard", all)
+	if bits.OnesCount64(all) != 1 {
+		t.Fatalf("WriteShards(CH class) = %b, want a single shard", all)
 	}
-	sh.LockShards(all)
-	err = sh.Add(oid)
-	sh.UnlockShards(all)
-	if err != nil {
+	old, _ := sh.EntriesFor(oid)
+	if err := applyLocked(sh, all, nil, old); err != nil {
 		t.Fatal(err)
 	}
-	// Recolor via ApplyDiff routing.
-	old, _ := sh.EntriesFor(oid)
+	// Recolor via diff routing.
 	if _, err := f.st.SetAttr(oid, "Color", "Red"); err != nil {
 		t.Fatal(err)
 	}
 	nw, _ := sh.EntriesFor(oid)
-	sh.LockShards(all)
-	err = sh.ApplyDiff(old, nw)
-	sh.UnlockShards(all)
-	if err != nil {
+	if err := applyLocked(sh, all, old, nw); err != nil {
 		t.Fatal(err)
 	}
 
@@ -274,10 +278,7 @@ func TestShardedMutationRouting(t *testing.T) {
 	}
 
 	// Remove and re-verify shard disjointness via total length.
-	sh.LockShards(all)
-	err = sh.Remove(oid)
-	sh.UnlockShards(all)
-	if err != nil {
+	if err := applyLocked(sh, all, nw, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.st.Delete(oid); err != nil {
@@ -301,11 +302,11 @@ func TestShardedSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := sh.WriteShards("Automobile")
-	sh.LockShards(ws)
-	err = sh.Add(oid)
-	sh.UnlockShards(ws)
+	keys, err := sh.EntriesFor(oid)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := applyLocked(sh, sh.WriteShards("Automobile"), nil, keys); err != nil {
 		t.Fatal(err)
 	}
 

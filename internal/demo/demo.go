@@ -109,10 +109,8 @@ func ParseDurability(s string) (uindex.Durability, error) {
 		return uindex.DurabilityNone, nil
 	case "checkpoint":
 		return uindex.DurabilityCheckpoint, nil
-	case "sync":
-		return uindex.DurabilitySync, nil
 	case "wal":
 		return uindex.DurabilityWAL, nil
 	}
-	return 0, fmt.Errorf("unknown durability %q (want none, checkpoint, sync, or wal)", s)
+	return 0, fmt.Errorf("unknown durability %q (want none, checkpoint, or wal)", s)
 }

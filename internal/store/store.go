@@ -23,9 +23,21 @@ var ErrUnknownClass = errors.New("store: unknown class")
 type OID = encoding.OID
 
 // Attrs is the attribute assignment of one object. Scalar attributes hold
-// uint64/int64/float64/string (int accepted for the integer types);
-// reference attributes hold an OID, or []OID when declared Multi.
+// uint64/int64/float64/string (int accepted for the integer types, and uint
+// for uint64 attributes — stored as uint64, see canonical); reference
+// attributes hold an OID, or []OID when declared Multi.
 type Attrs map[string]any
+
+// canonical maps an accepted value onto its stored form. A uint is the one
+// type validation accepts that neither the snapshot nor the log codec writes,
+// so it is kept as the uint64 it indexes as: the set of stored value types
+// equals the set every codec handles.
+func canonical(v any) any {
+	if u, ok := v.(uint); ok {
+		return uint64(u)
+	}
+	return v
+}
 
 // Object is one stored object instance.
 type Object struct {
@@ -103,7 +115,7 @@ func (st *Store) Insert(class string, attrs Attrs) (OID, error) {
 	st.nextOID++
 	o := &Object{OID: oid, Class: class, attrs: make(Attrs, len(attrs))}
 	for k, v := range attrs {
-		o.attrs[k] = v
+		o.attrs[k] = canonical(v)
 		st.linkRefs(oid, k, v)
 	}
 	st.objects[oid] = o
@@ -213,7 +225,7 @@ func (st *Store) SetAttr(oid OID, name string, v any) (any, error) {
 	}
 	old := o.attrs[name]
 	st.unlinkRefs(oid, name, old)
-	o.attrs[name] = v
+	o.attrs[name] = canonical(v)
 	st.linkRefs(oid, name, v)
 	return old, nil
 }

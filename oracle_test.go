@@ -5,12 +5,19 @@ package uindex
 // result — under BOTH retrieval algorithms — against a brute-force
 // evaluation over the object store. This is the end-to-end counterpart of
 // the per-package property tests.
+//
+// There is one write pipeline, so one generated history must mean the same
+// thing however it reaches it: the history runs in every cell of {1, 4
+// shards} x {in-memory, DurabilityCheckpoint, DurabilityWAL}, once through
+// Insert/Set/Delete and once through Apply batches, and every run must
+// produce the same match lists, byte for byte, and the same op counters.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -22,9 +29,26 @@ type oracleWorld struct {
 	companies []OID
 	vehicles  []OID
 	colors    []string
+
+	// batched routes mutations through Apply in batches of up to
+	// oracleBatchOps instead of through Insert/Set/Delete. next is the OID
+	// the next insert will be assigned (the store numbers from 1), which
+	// lets a batch name its own inserts in later reference attributes;
+	// pending are the OIDs the open batch is expected to assign.
+	batched bool
+	batch   Batch
+	next    OID
+	pending []OID
+
+	// transcript accumulates every checked match list, for comparison
+	// across runs; rebuilds numbers the throwaway consistency indexes.
+	transcript strings.Builder
+	rebuilds   int
 }
 
-func newOracleWorld(t *testing.T, seed int64) *oracleWorld {
+const oracleBatchOps = 16
+
+func newOracleWorld(t *testing.T, seed int64, opts Options, batched bool) *oracleWorld {
 	t.Helper()
 	s := NewSchema()
 	must := func(err error) {
@@ -42,58 +66,111 @@ func newOracleWorld(t *testing.T, seed int64) *oracleWorld {
 	must(s.AddClass("Automobile", "Vehicle"))
 	must(s.AddClass("CompactAutomobile", "Automobile"))
 	must(s.AddClass("Truck", "Vehicle"))
-	db, err := NewDatabase(s)
+	db, err := NewDatabaseWith(s, opts)
 	must(err)
 	must(db.CreateIndex(IndexSpec{Name: "color", Root: "Vehicle", Attr: "Color"}))
 	must(db.CreateIndex(IndexSpec{
 		Name: "age", Root: "Vehicle", Refs: []string{"ManufacturedBy", "President"}, Attr: "Age"}))
 	return &oracleWorld{
 		t: t, db: db, rng: rand.New(rand.NewSource(seed)),
-		colors: []string{"Red", "Blue", "Green", "White"},
+		colors:  []string{"Red", "Blue", "Green", "White"},
+		batched: batched, next: 1,
 	}
+}
+
+// insert, set and del issue one mutation of the history through the run's
+// route and return as soon as it is issued (batched) or applied (direct).
+func (w *oracleWorld) insert(class string, attrs Attrs) OID {
+	w.t.Helper()
+	oid := w.next
+	w.next++
+	if !w.batched {
+		got, err := w.db.Insert(class, attrs)
+		if err != nil || got != oid {
+			w.t.Fatalf("Insert(%s) = %d, %v; want oid %d", class, got, err, oid)
+		}
+		return oid
+	}
+	w.batch.Insert(class, attrs)
+	w.pending = append(w.pending, oid)
+	w.flushAt(oracleBatchOps)
+	return oid
+}
+
+func (w *oracleWorld) set(oid OID, attr string, v any) {
+	w.t.Helper()
+	if !w.batched {
+		if err := w.db.Set(oid, attr, v); err != nil {
+			w.t.Fatal(err)
+		}
+		return
+	}
+	w.flushIfPending(oid)
+	w.batch.Set(oid, attr, v)
+	w.flushAt(oracleBatchOps)
+}
+
+func (w *oracleWorld) del(oid OID) {
+	w.t.Helper()
+	if !w.batched {
+		if err := w.db.Delete(oid); err != nil {
+			w.t.Fatal(err)
+		}
+		return
+	}
+	w.flushIfPending(oid)
+	w.batch.Delete(oid)
+	w.flushAt(oracleBatchOps)
+}
+
+// flushIfPending applies the open batch when oid is one of its own inserts:
+// a batch's Set and Delete operations must name objects that already exist.
+func (w *oracleWorld) flushIfPending(oid OID) {
+	w.t.Helper()
+	if len(w.pending) > 0 && oid >= w.pending[0] {
+		w.flushAt(0)
+	}
+}
+
+// flushAt applies the open batch once it holds at least n operations (and is
+// not empty), checking that its inserts received the predicted OIDs.
+func (w *oracleWorld) flushAt(n int) {
+	w.t.Helper()
+	if w.batch.Len() == 0 || w.batch.Len() < n {
+		return
+	}
+	res, err := w.db.Apply(context.Background(), &w.batch)
+	if err != nil || res.Applied != w.batch.Len() {
+		w.t.Fatalf("Apply = %+v, %v; want %d applied", res, err, w.batch.Len())
+	}
+	if fmt.Sprint(res.OIDs) != fmt.Sprint(w.pending) {
+		w.t.Fatalf("Apply assigned %v, predicted %v", res.OIDs, w.pending)
+	}
+	w.batch.Reset()
+	w.pending = w.pending[:0]
 }
 
 func (w *oracleWorld) step() {
 	switch op := w.rng.Intn(20); {
 	case op < 3 || len(w.employees) == 0: // new employee
-		oid, err := w.db.Insert("Employee", Attrs{"Age": 30 + w.rng.Intn(8)})
-		if err != nil {
-			w.t.Fatal(err)
-		}
-		w.employees = append(w.employees, oid)
+		w.employees = append(w.employees, w.insert("Employee", Attrs{"Age": 30 + w.rng.Intn(8)}))
 	case op < 6 || len(w.companies) == 0: // new company
 		class := []string{"Company", "AutoCompany"}[w.rng.Intn(2)]
-		oid, err := w.db.Insert(class, Attrs{"President": w.pick(w.employees)})
-		if err != nil {
-			w.t.Fatal(err)
-		}
-		w.companies = append(w.companies, oid)
+		w.companies = append(w.companies, w.insert(class, Attrs{"President": w.pick(w.employees)}))
 	case op < 13: // new vehicle
 		class := []string{"Vehicle", "Automobile", "CompactAutomobile", "Truck"}[w.rng.Intn(4)]
-		oid, err := w.db.Insert(class, Attrs{
+		w.vehicles = append(w.vehicles, w.insert(class, Attrs{
 			"Color":          w.colors[w.rng.Intn(len(w.colors))],
-			"ManufacturedBy": w.pick(w.companies)})
-		if err != nil {
-			w.t.Fatal(err)
-		}
-		w.vehicles = append(w.vehicles, oid)
+			"ManufacturedBy": w.pick(w.companies)}))
 	case op < 15 && len(w.vehicles) > 0: // recolor a vehicle
-		if err := w.db.Set(w.pick(w.vehicles), "Color", w.colors[w.rng.Intn(len(w.colors))]); err != nil {
-			w.t.Fatal(err)
-		}
+		w.set(w.pick(w.vehicles), "Color", w.colors[w.rng.Intn(len(w.colors))])
 	case op < 17 && len(w.companies) > 0: // president switch
-		if err := w.db.Set(w.pick(w.companies), "President", w.pick(w.employees)); err != nil {
-			w.t.Fatal(err)
-		}
+		w.set(w.pick(w.companies), "President", w.pick(w.employees))
 	case op < 18 && len(w.employees) > 0: // age change
-		if err := w.db.Set(w.pick(w.employees), "Age", 30+w.rng.Intn(8)); err != nil {
-			w.t.Fatal(err)
-		}
+		w.set(w.pick(w.employees), "Age", 30+w.rng.Intn(8))
 	case len(w.vehicles) > 0: // delete a vehicle
 		i := w.rng.Intn(len(w.vehicles))
-		if err := w.db.Delete(w.vehicles[i]); err != nil {
-			w.t.Fatal(err)
-		}
+		w.del(w.vehicles[i])
 		w.vehicles = append(w.vehicles[:i], w.vehicles[i+1:]...)
 	}
 }
@@ -148,6 +225,7 @@ func (w *oracleWorld) checkColorQuery() {
 		if err != nil {
 			w.t.Fatal(err)
 		}
+		fmt.Fprintf(&w.transcript, "color %v %v\n", alg, ms)
 		got := map[OID]bool{}
 		for _, m := range ms {
 			got[m.Path[0].OID] = true
@@ -206,6 +284,7 @@ func (w *oracleWorld) checkAgeQuery() {
 		if err != nil {
 			w.t.Fatal(err)
 		}
+		fmt.Fprintf(&w.transcript, "age %v %v\n", alg, ms)
 		if distinct {
 			got := map[prefix]bool{}
 			for _, m := range ms {
@@ -238,71 +317,156 @@ func (w *oracleWorld) checkAgeQuery() {
 	}
 }
 
+// indexLen totals an index's entries over its shards.
+func (w *oracleWorld) indexLen(name string) int {
+	w.t.Helper()
+	stats, ok := w.db.ShardStats(name)
+	if !ok {
+		w.t.Fatalf("no index %q", name)
+	}
+	n := 0
+	for _, s := range stats {
+		n += s.Entries
+	}
+	return n
+}
+
 // checkIndexConsistency rebuilds both indexes from scratch and compares
-// entry counts against the incrementally maintained ones.
+// entry counts against the incrementally maintained ones. Each rebuild gets a
+// fresh name: a dropped disk-backed index leaves its files behind, and a
+// later CreateIndex under the same name would reattach them, not rebuild.
 func (w *oracleWorld) checkIndexConsistency() {
 	w.t.Helper()
 	for _, name := range w.db.Indexes() {
 		ix, _ := w.db.Index(name)
 		spec := ix.Spec()
-		spec.Name = spec.Name + "-rebuild"
-		rebuilt, err := rebuildIndex(w.db, spec)
-		if err != nil {
+		w.rebuilds++
+		spec.Name = fmt.Sprintf("%s-rebuild%d", name, w.rebuilds)
+		if err := w.db.CreateIndex(spec); err != nil {
 			w.t.Fatal(err)
 		}
-		if rebuilt != ix.Len() {
-			w.t.Fatalf("index %q: incremental %d entries, rebuild %d", name, ix.Len(), rebuilt)
+		rebuilt := w.indexLen(spec.Name)
+		if err := w.db.DropIndex(spec.Name); err != nil {
+			w.t.Fatal(err)
+		}
+		if got := w.indexLen(name); rebuilt != got {
+			w.t.Fatalf("index %q: incremental %d entries, rebuild %d", name, got, rebuilt)
 		}
 	}
 }
 
-func rebuildIndex(db *Database, spec IndexSpec) (int, error) {
-	// Build a throwaway index over the same store via the internal API
-	// surface exposed through the facade: CreateIndex + DropIndex.
-	if err := db.CreateIndex(spec); err != nil {
-		return 0, err
+// check flushes the open batch and runs one round of oracle checks.
+func (w *oracleWorld) check(consistency bool) {
+	w.t.Helper()
+	w.flushAt(0)
+	w.checkColorQuery()
+	w.checkAgeQuery()
+	if consistency {
+		w.checkIndexConsistency()
 	}
-	ix, _ := db.Index(spec.Name)
-	n := ix.Len()
-	return n, db.DropIndex(spec.Name)
+}
+
+// opCounters is the part of Metrics both routes must agree on.
+func opCounters(m Metrics) [4]uint64 {
+	return [4]uint64{m.Inserts, m.Sets, m.Deletes, m.WriteErrors}
+}
+
+// runOracleHistory applies one seeded history in one cell through one route
+// and returns the transcript of every checked match list plus the op
+// counters. WAL cells end with Close + Open and one more round of checks
+// against the recovered database.
+func runOracleHistory(t *testing.T, seed int64, opts Options, disk, batched bool) (string, [4]uint64) {
+	t.Helper()
+	if disk {
+		opts.Dir = t.TempDir()
+	}
+	w := newOracleWorld(t, seed, opts, batched)
+	defer func() { w.db.Close() }()
+	for round := 0; round < 12; round++ {
+		for i := 0; i < 60; i++ {
+			w.step()
+		}
+		w.check(round%4 == 3)
+	}
+	// Final invariant check on the underlying trees.
+	for _, name := range w.db.Indexes() {
+		g := w.db.groups[name]
+		for i := 0; i < g.sharded.NumShards(); i++ {
+			if err := g.sharded.Shard(i).Tree().Check(); err != nil {
+				t.Fatalf("index %q shard %d tree invariants: %v", name, i, err)
+			}
+		}
+	}
+	m := w.db.Metrics()
+	if (m.Batches > 0) != batched {
+		t.Fatalf("batched=%v run counted %d batches", batched, m.Batches)
+	}
+	counters := opCounters(m)
+
+	if opts.Durability == DurabilityWAL {
+		if err := w.db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Open(opts.Dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.db = rec
+		w.check(true)
+	}
+
+	// Drain: delete every vehicle and confirm the indexes empty.
+	vehicles := append([]OID(nil), w.vehicles...)
+	sort.Slice(vehicles, func(i, j int) bool { return vehicles[i] < vehicles[j] })
+	for _, v := range vehicles {
+		w.del(v)
+	}
+	w.flushAt(0)
+	for _, name := range w.db.Indexes() {
+		if n := w.indexLen(name); n != 0 {
+			t.Fatalf("index %q has %d entries after deleting every vehicle", name, n)
+		}
+	}
+	return w.transcript.String(), counters
 }
 
 func TestOracleRandomizedWorkload(t *testing.T) {
+	type cell struct {
+		name   string
+		shards int
+		disk   bool
+		dur    Durability
+	}
+	var cells []cell
+	for _, shards := range []int{1, 4} {
+		cells = append(cells,
+			cell{fmt.Sprintf("shards%d/memory", shards), shards, false, DurabilityCheckpoint},
+			cell{fmt.Sprintf("shards%d/checkpoint", shards), shards, true, DurabilityCheckpoint},
+			cell{fmt.Sprintf("shards%d/wal", shards), shards, true, DurabilityWAL})
+	}
 	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			w := newOracleWorld(t, seed)
-			for round := 0; round < 12; round++ {
-				for i := 0; i < 60; i++ {
-					w.step()
+		// Every run of one seed must reproduce the first run's transcript:
+		// results depend on the history, never on the cell or the route.
+		var want string
+		for _, c := range cells {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, c.name), func(t *testing.T) {
+				opts := Options{Shards: c.shards, Durability: c.dur, PoolPages: 16, WALCheckpointBytes: 16 << 10}
+				direct, dctr := runOracleHistory(t, seed, opts, c.disk, false)
+				batched, bctr := runOracleHistory(t, seed, opts, c.disk, true)
+				if direct != batched {
+					t.Fatal("Insert/Set/Delete and Apply runs of one history returned different match lists")
 				}
-				w.checkColorQuery()
-				w.checkAgeQuery()
-				if round%4 == 3 {
-					w.checkIndexConsistency()
+				if dctr != bctr {
+					t.Fatalf("op counters differ: direct %v, batched %v", dctr, bctr)
 				}
-			}
-			// Final invariant check on the underlying trees.
-			for _, name := range w.db.Indexes() {
-				ix, _ := w.db.Index(name)
-				if err := ix.Tree().Check(); err != nil {
-					t.Fatalf("index %q tree invariants: %v", name, err)
+				if want == "" {
+					want = direct
 				}
-			}
-			// Drain: delete every vehicle and confirm the indexes empty.
-			vehicles := append([]OID(nil), w.vehicles...)
-			sort.Slice(vehicles, func(i, j int) bool { return vehicles[i] < vehicles[j] })
-			for _, v := range vehicles {
-				if err := w.db.Delete(v); err != nil {
-					t.Fatal(err)
+				// WAL cells check one extra round after reopening.
+				if !strings.HasPrefix(direct, want) && !strings.HasPrefix(want, direct) {
+					t.Fatal("match lists differ from the first cell's")
 				}
-			}
-			for _, name := range w.db.Indexes() {
-				ix, _ := w.db.Index(name)
-				if ix.Len() != 0 {
-					t.Fatalf("index %q has %d entries after deleting every vehicle", name, ix.Len())
-				}
-			}
-		})
+			})
+		}
 	}
 }

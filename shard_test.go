@@ -409,12 +409,12 @@ func TestApplyBatchSharded(t *testing.T) {
 	}
 }
 
-// TestApplyBatchDurable checks the batch checkpoint discipline under
-// DurabilitySync on a sharded disk layout: one Apply makes its operations
-// durable, surviving a reopen.
+// TestApplyBatchDurable: a batch applied to a sharded disk layout under
+// DurabilityCheckpoint is made durable by the Close checkpoint and survives a
+// reopen.
 func TestApplyBatchDurable(t *testing.T) {
 	dir := t.TempDir()
-	db := stressDBWith(t, Options{Dir: dir, Shards: 3, Durability: DurabilitySync})
+	db := stressDBWith(t, Options{Dir: dir, Shards: 3, Durability: DurabilityCheckpoint})
 	ctx := context.Background()
 	var b Batch
 	for i := 0; i < 10; i++ {
@@ -430,7 +430,7 @@ func TestApplyBatchDurable(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := LoadFileWith(snap, Options{Dir: dir, Durability: DurabilitySync})
+	db2, err := LoadFileWith(snap, Options{Dir: dir, Durability: DurabilityCheckpoint})
 	if err != nil {
 		t.Fatal(err)
 	}

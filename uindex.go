@@ -178,23 +178,16 @@ const (
 	// CreateIndex; Close and DropIndex discard everything after the last
 	// checkpoint (the file keeps that checkpoint intact).
 	DurabilityNone
-	// DurabilitySync gives per-mutation durability the legacy way, without
-	// a write-ahead log: every mutation (Insert, Delete, Set) checkpoints
-	// each index it touched before returning — one fsync pair per mutated
-	// index per call. It applies when Dir is set and the WAL is disabled;
-	// for per-mutation durability at a fraction of the fsync cost, use
-	// DurabilityWAL, where a mutation is durable as soon as its log record
-	// is fsynced (one group fsync shared by concurrent committers) rather
-	// than after a full checkpoint.
-	DurabilitySync
 	// DurabilityWAL puts a group-commit write-ahead log in front of the
-	// shadow-paging checkpoints: every mutation appends a logical record
-	// to Dir/wal.log and returns once that record is fsynced — concurrent
-	// committers share one fsync. A background checkpointer folds the log
-	// into the shadow-paged files incrementally, without stalling writers,
-	// and truncates the replayed prefix. Databases in this mode must be
-	// reopened with Open, which replays the committed log suffix on top of
-	// the last checkpoint.
+	// shadow-paging checkpoints: every write call — Insert, Set, Delete, or
+	// a whole Apply batch — appends one logical record to Dir/wal.log and
+	// returns once that record is fsynced; concurrent committers share one
+	// fsync, and a batch, being one record, is atomic across a crash. This
+	// is the mode for per-mutation durability. A background checkpointer
+	// folds the log into the shadow-paged files incrementally, without
+	// stalling writers, and truncates the replayed prefix. Databases in this
+	// mode must be reopened with Open, which replays the committed log
+	// suffix on top of the last checkpoint.
 	DurabilityWAL
 )
 
@@ -314,11 +307,10 @@ type indexGroup struct {
 	pools   []*bufferpool.Pool
 	files   []*pager.DiskFile
 	// manifest is the commit record of a sharded disk layout; nil for
-	// single-file and in-memory groups. manifestMu serializes commits from
-	// concurrent per-shard DurabilitySync checkpoints: a committer reads
-	// every shard file's durable generation, and since each shard's
-	// checkpoint completes before its mutation unlocks, the recorded
-	// vector is always a consistent cut.
+	// single-file and in-memory groups. manifestMu serializes its commits: a
+	// committer reads every shard file's durable generation, and since a
+	// shard's checkpoint completes before its writer lock is released, the
+	// recorded vector is always a consistent cut.
 	manifest   *pager.Manifest
 	manifestMu sync.Mutex
 	// shardWrites counts, per shard, the mutations that acquired that
@@ -329,15 +321,6 @@ type indexGroup struct {
 
 // disk reports whether the group is disk-backed.
 func (g *indexGroup) disk() bool { return len(g.files) > 0 && g.files[0] != nil }
-
-// allShards returns every shard index, ascending.
-func (g *indexGroup) allShards() []int {
-	ids := make([]int, g.sharded.NumShards())
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
 
 // checkpointShard makes one shard's state durable (tree flush, meta-page
 // payload, pool flush or file sync). The caller holds that shard's writer
@@ -378,11 +361,10 @@ func (g *indexGroup) commitManifest() error {
 	return g.manifest.Commit(gens)
 }
 
-// checkpointShards checkpoints the given shards, then commits the manifest.
-// The caller holds the writer locks of exactly those shards; the manifest
-// commit is safe regardless, because it reads only durable generations.
-func (g *indexGroup) checkpointShards(ids []int) error {
-	for _, i := range ids {
+// checkpoint checkpoints every shard, then commits the manifest. The caller
+// holds every shard's writer lock or otherwise excludes writers.
+func (g *indexGroup) checkpoint() error {
+	for i := range g.files {
 		if err := g.checkpointShard(i); err != nil {
 			return err
 		}
@@ -479,7 +461,7 @@ func (db *Database) releaseGroupLocked(name string) error {
 		// log via walCheckpointLocked, which checkpointed every group; a
 		// second checkpoint here would be redundant I/O.
 		if db.opts.Durability != DurabilityNone && db.wal == nil {
-			first = g.checkpointShards(g.allShards())
+			first = g.checkpoint()
 		}
 		// The checkpoint above is the only publish point: closing must
 		// not sync a stale payload, so the pools are discarded (their
@@ -526,10 +508,9 @@ func (db *Database) DropCaches() error {
 	var first error
 	for _, name := range db.order {
 		g := db.groups[name]
-		ids := g.allShards()
-		g.sharded.LockShards(ids)
+		g.sharded.LockShards(g.sharded.AllShards())
 		err := g.sharded.DropCache()
-		g.sharded.UnlockShards(ids)
+		g.sharded.UnlockShards(g.sharded.AllShards())
 		if err != nil && first == nil {
 			first = err
 		}
@@ -553,8 +534,7 @@ func (db *Database) DropPageCaches() error {
 	var first error
 	for _, name := range db.order {
 		g := db.groups[name]
-		ids := g.allShards()
-		g.sharded.LockShards(ids)
+		g.sharded.LockShards(g.sharded.AllShards())
 		if err := g.sharded.DropCache(); err != nil && first == nil {
 			first = err
 		}
@@ -574,7 +554,7 @@ func (db *Database) DropPageCaches() error {
 				first = err
 			}
 		}
-		g.sharded.UnlockShards(ids)
+		g.sharded.UnlockShards(g.sharded.AllShards())
 	}
 	return first
 }
@@ -821,7 +801,7 @@ func (db *Database) openSingleFileGroup(spec IndexSpec, path string, create bool
 	if !reopen {
 		// Make the freshly built index durable so a reopened file is
 		// self-describing from the start.
-		if err := g.checkpointShards(g.allShards()); err != nil {
+		if err := g.checkpoint(); err != nil {
 			return nil, fmt.Errorf("uindex: index %q: checkpointing initial build: %w", spec.Name, err)
 		}
 	}
@@ -893,7 +873,7 @@ func (db *Database) createShardedGroup(spec IndexSpec, smap *core.ShardMap, mani
 		manifest:    manifest,
 		shardWrites: make([]atomic.Uint64, n),
 	}
-	if err = g.checkpointShards(g.allShards()); err != nil {
+	if err = g.checkpoint(); err != nil {
 		manifest.Close()
 		return nil, fmt.Errorf("uindex: index %q: checkpointing initial build: %w", spec.Name, err)
 	}
@@ -996,7 +976,7 @@ func (db *Database) reopenShardedGroup(spec IndexSpec, manifestPath string) (g *
 		shardWrites: make([]atomic.Uint64, n),
 	}
 	if built == 0 {
-		if err = g.checkpointShards(g.allShards()); err != nil {
+		if err = g.checkpoint(); err != nil {
 			err = fmt.Errorf("uindex: index %q: checkpointing initial build: %w", spec.Name, err)
 			return nil, err
 		}
@@ -1007,16 +987,6 @@ func (db *Database) reopenShardedGroup(spec IndexSpec, manifestPath string) (g *
 // shardPath is the page file of one shard of a sharded disk layout.
 func (db *Database) shardPath(name string, i int) string {
 	return filepath.Join(db.opts.Dir, fmt.Sprintf("%s.shard%d.uidx", name, i))
-}
-
-// maybeSyncGroup checkpoints the given shards of one group after a mutation
-// when the database runs with DurabilitySync; the caller holds those
-// shards' writer locks.
-func (db *Database) maybeSyncGroup(g *indexGroup, ids []int) error {
-	if db.opts.Durability != DurabilitySync {
-		return nil
-	}
-	return g.checkpointShards(ids)
 }
 
 // Checkpoint makes the current state of every disk-backed index durable.
@@ -1038,10 +1008,9 @@ func (db *Database) Checkpoint() error {
 		if !g.disk() {
 			continue
 		}
-		ids := g.allShards()
-		g.sharded.LockShards(ids)
-		err := g.checkpointShards(ids)
-		g.sharded.UnlockShards(ids)
+		g.sharded.LockShards(g.sharded.AllShards())
+		err := g.checkpoint()
+		g.sharded.UnlockShards(g.sharded.AllShards())
 		if err != nil {
 			return fmt.Errorf("uindex: checkpointing index %q: %w", name, err)
 		}
@@ -1071,7 +1040,7 @@ func (db *Database) DropIndex(name string) error {
 		// recover an index ahead of the replayable store.
 		err := db.wal.log.WaitDurable(db.wal.log.LastAppended())
 		if err == nil {
-			err = g.checkpointShards(g.allShards())
+			err = g.checkpoint()
 		}
 		if err != nil {
 			return fmt.Errorf("uindex: checkpointing index %q before drop: %w", name, err)
@@ -1115,184 +1084,6 @@ func (db *Database) Indexes() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return append([]string(nil), db.order...)
-}
-
-// coveringGroups returns the groups (in creation order) an object of the
-// given class can participate in. Acquiring write locks in this order —
-// group creation order, then shard index ascending within each group, the
-// single global order — keeps multi-index writers deadlock-free.
-func (db *Database) coveringGroups(class string) []*indexGroup {
-	out := make([]*indexGroup, 0, len(db.order))
-	for _, name := range db.order {
-		if g := db.groups[name]; g.sharded.Covers(class) {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
-// lockedGroup pairs a group with the shard locks a mutation holds on it.
-type lockedGroup struct {
-	g   *indexGroup
-	ids []int
-}
-
-// lockCovering acquires, in the global lock order, the writer locks every
-// covering group requires for a mutation of an object of the given class.
-func (db *Database) lockCovering(class string) []lockedGroup {
-	covering := db.coveringGroups(class)
-	locked := make([]lockedGroup, 0, len(covering))
-	for _, g := range covering {
-		ids := g.sharded.WriteShards(class)
-		g.sharded.LockShards(ids)
-		locked = append(locked, lockedGroup{g: g, ids: ids})
-	}
-	return locked
-}
-
-// unlockAll releases the locks of lockCovering.
-func unlockAll(locked []lockedGroup) {
-	for _, lg := range locked {
-		lg.g.sharded.UnlockShards(lg.ids)
-	}
-}
-
-// countShardWrites records one successful mutation against each locked
-// shard's write counter.
-func countShardWrites(locked []lockedGroup) {
-	for _, lg := range locked {
-		for _, i := range lg.ids {
-			lg.g.shardWrites[i].Add(1)
-		}
-	}
-}
-
-// Insert stores a new object and adds its entries to every index that can
-// cover its class. Inserts of objects with disjoint index coverage run in
-// parallel; only writers to the same index serialize. Queries are never
-// blocked — they read the pinned tree version from before or after each
-// index commit.
-func (db *Database) Insert(class string, attrs Attrs) (OID, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return 0, ErrClosed
-	}
-	if db.wal != nil {
-		return db.insertWAL(class, attrs)
-	}
-	oid, err := db.st.Insert(class, attrs)
-	if err != nil {
-		db.ctrs.countWrite(&db.ctrs.inserts, err)
-		return 0, err
-	}
-	for _, g := range db.coveringGroups(class) {
-		ids := g.sharded.WriteShards(class)
-		g.sharded.LockShards(ids)
-		err := g.sharded.Add(oid)
-		if err == nil {
-			err = db.maybeSyncGroup(g, ids)
-		}
-		g.sharded.UnlockShards(ids)
-		if err != nil {
-			db.ctrs.countWrite(&db.ctrs.inserts, err)
-			return 0, fmt.Errorf("uindex: maintaining index %q: %w", g.name, err)
-		}
-		for _, i := range ids {
-			g.shardWrites[i].Add(1)
-		}
-	}
-	db.ctrs.countWrite(&db.ctrs.inserts, nil)
-	return oid, nil
-}
-
-// Delete removes an object and its entries from every index. Objects that
-// reference the deleted one keep dangling references; their index entries
-// through the deleted object are removed here. The write locks of every
-// covering index are held for the whole removal, so concurrent writers to
-// those indexes wait while others proceed.
-func (db *Database) Delete(oid OID) (err error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return ErrClosed
-	}
-	defer func() { db.ctrs.countWrite(&db.ctrs.deletes, err) }()
-	o, ok := db.st.Get(oid)
-	if !ok {
-		return db.st.Delete(oid) // surfaces the store's not-found error
-	}
-	if db.wal != nil {
-		return db.deleteWAL(oid, o.Class)
-	}
-	locked := db.lockCovering(o.Class)
-	defer unlockAll(locked)
-	for _, lg := range locked {
-		if err := lg.g.sharded.Remove(oid); err != nil {
-			return fmt.Errorf("uindex: maintaining index %q: %w", lg.g.name, err)
-		}
-	}
-	if err := db.st.Delete(oid); err != nil {
-		return err
-	}
-	for _, lg := range locked {
-		if err := db.maybeSyncGroup(lg.g, lg.ids); err != nil {
-			return fmt.Errorf("uindex: checkpointing index %q: %w", lg.g.name, err)
-		}
-	}
-	countShardWrites(locked)
-	return nil
-}
-
-// Set updates one attribute of an object, applying the batch index diff of
-// the paper's Section 3.5 (a president switching companies is exactly one
-// Set call). The write locks of every covering index are held across the
-// before-enumeration, the store update, and the diff application, so each
-// index moves atomically from the old state to the new one.
-func (db *Database) Set(oid OID, attr string, v any) (err error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return ErrClosed
-	}
-	defer func() { db.ctrs.countWrite(&db.ctrs.sets, err) }()
-	o, ok := db.st.Get(oid)
-	if !ok {
-		_, err := db.st.SetAttr(oid, attr, v) // surfaces the store's not-found error
-		return err
-	}
-	if db.wal != nil {
-		return db.setWAL(oid, o.Class, attr, v)
-	}
-	locked := db.lockCovering(o.Class)
-	defer unlockAll(locked)
-	olds := make([][][]byte, len(locked))
-	for i, lg := range locked {
-		old, err := lg.g.sharded.EntriesFor(oid)
-		if err != nil {
-			return fmt.Errorf("uindex: index %q: %w", lg.g.name, err)
-		}
-		olds[i] = old
-	}
-	if _, err := db.st.SetAttr(oid, attr, v); err != nil {
-		return err
-	}
-	for i, lg := range locked {
-		newKeys, err := lg.g.sharded.EntriesFor(oid)
-		if err != nil {
-			return fmt.Errorf("uindex: index %q: %w", lg.g.name, err)
-		}
-		if err := lg.g.sharded.ApplyDiff(olds[i], newKeys); err != nil {
-			return fmt.Errorf("uindex: index %q: %w", lg.g.name, err)
-		}
-	}
-	for _, lg := range locked {
-		if err := db.maybeSyncGroup(lg.g, lg.ids); err != nil {
-			return fmt.Errorf("uindex: checkpointing index %q: %w", lg.g.name, err)
-		}
-	}
-	countShardWrites(locked)
-	return nil
 }
 
 // Get returns an object by id.

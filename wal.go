@@ -3,13 +3,15 @@ package uindex
 // This file is the DurabilityWAL machinery: a group-commit write-ahead log
 // in front of the shadow-paging checkpoints.
 //
-// Commit path. Every mutation runs under the writer locks of the shards it
-// touches plus walState.commitMu in read mode, applies its store and index
-// edits, and appends one logical record — the store operation plus, per
-// index group, the exact key deletions and insertions it performed — to the
-// log BEFORE releasing those locks. The append only buffers in memory; the
-// mutation then unlocks and waits for the log's group-commit daemon to
-// fsync its record, sharing that fsync with every concurrent committer.
+// Commit path. This is the log step of the write pipeline (write.go): a write
+// call — one mutation or a whole Apply batch — holds the writer locks of the
+// shards it touches plus walState.commitMu in read mode, applies its store
+// and index edits, and appends ONE logical record — per applied operation the
+// store edit plus, per index group, the exact key deletions and insertions it
+// performed — to the log BEFORE releasing those locks. The append only
+// buffers in memory; the call then unlocks and waits for the log's
+// group-commit daemon to fsync its record, sharing that fsync with every
+// concurrent committer.
 //
 // Checkpoint protocol (walCheckpointLocked). The background checkpointer
 // folds the log into the shadow-paged files without stalling writers:
@@ -48,12 +50,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/pager"
 	"repro/internal/store"
 	"repro/internal/wal"
@@ -273,10 +273,10 @@ func (db *Database) walCheckpointLocked() error {
 		if !g.disk() {
 			continue
 		}
-		for _, i := range g.allShards() {
-			g.sharded.LockShards([]int{i})
+		for i := range g.files {
+			g.sharded.LockShards(1 << i)
 			err := g.checkpointShard(i)
-			g.sharded.UnlockShards([]int{i})
+			g.sharded.UnlockShards(1 << i)
 			if err != nil {
 				return fmt.Errorf("uindex: checkpointing index %q shard %d: %w", name, i, err)
 			}
@@ -337,163 +337,36 @@ func (db *Database) saveStoreSnapshot(path string, objs []store.RestoredObject, 
 	return f.Close()
 }
 
-// --- WAL-mode mutation paths -----------------------------------------------
+// --- record encoding --------------------------------------------------------
 //
-// Each mutation applies its edits and appends its record under the covering
-// shard locks plus commitMu (read); the durability wait happens after the
-// locks drop, so concurrent committers queue only on the shared fsync.
+// One record is one write call (write.go): the record-kind byte, then the
+// call's applied operations back to back until the payload ends. Each
+// operation is its kind, its OID (an insert's assigned id), its store half —
+// class and attributes of an insert, attribute and value of a set, nothing
+// for a delete; values carry the snapshot value tags of persist.go — and, per
+// covering index group, the exact key deletions and insertions it performed.
+// Records are physiological: replay re-applies the recorded key lists through
+// the shard router rather than re-deriving them from the store, so a record
+// replays identically whatever the surrounding state.
 
-func (db *Database) insertWAL(class string, attrs Attrs) (OID, error) {
-	locked := db.lockCovering(class)
-	db.wal.commitMu.RLock()
-	oid, lsn, err := db.walApplyInsert(class, attrs)
-	db.wal.commitMu.RUnlock()
-	if err != nil {
-		unlockAll(locked)
-		db.ctrs.countWrite(&db.ctrs.inserts, err)
-		return 0, err
-	}
-	countShardWrites(locked)
-	unlockAll(locked)
-	if err := db.wal.log.WaitDurable(lsn); err != nil {
-		db.ctrs.countWrite(&db.ctrs.inserts, err)
-		return 0, err
-	}
-	db.ctrs.countWrite(&db.ctrs.inserts, nil)
-	return oid, nil
-}
+// walRecCommit is the record kind. Kinds 1-3 were the per-operation records
+// of the previous log format; recovery refuses them (a cleanly closed
+// database has an empty log, so there is nothing to migrate).
+const walRecCommit = 4
 
-func (db *Database) setWAL(oid OID, class, attr string, v any) error {
-	locked := db.lockCovering(class)
-	db.wal.commitMu.RLock()
-	lsn, err := db.walApplySet(oid, class, attr, v)
-	db.wal.commitMu.RUnlock()
-	if err != nil {
-		unlockAll(locked)
-		return err
-	}
-	countShardWrites(locked)
-	unlockAll(locked)
-	return db.wal.log.WaitDurable(lsn)
-}
-
-func (db *Database) deleteWAL(oid OID, class string) error {
-	locked := db.lockCovering(class)
-	db.wal.commitMu.RLock()
-	lsn, err := db.walApplyDelete(oid, class)
-	db.wal.commitMu.RUnlock()
-	if err != nil {
-		unlockAll(locked)
-		return err
-	}
-	countShardWrites(locked)
-	unlockAll(locked)
-	return db.wal.log.WaitDurable(lsn)
-}
-
-// walGroupEdit is the per-index half of a log record: the exact key
-// deletions and insertions one mutation performed on one group.
+// walGroupEdit is the per-index part of a logged operation: the key
+// deletions and insertions it performed on one group.
 type walGroupEdit struct {
 	name string
 	dels [][]byte
 	ins  [][]byte
 }
 
-// walApplyInsert executes an insert and appends its record; the caller
-// holds the covering shard locks and commitMu (read).
-func (db *Database) walApplyInsert(class string, attrs Attrs) (OID, uint64, error) {
-	oid, err := db.st.Insert(class, attrs)
-	if err != nil {
-		return 0, 0, err
-	}
-	covering := db.coveringGroups(class)
-	edits := make([]walGroupEdit, 0, len(covering))
-	for _, g := range covering {
-		keys, err := g.sharded.EntriesFor(oid)
-		if err != nil {
-			return 0, 0, fmt.Errorf("uindex: maintaining index %q: %w", g.name, err)
-		}
-		if err := g.sharded.ApplyKeys(nil, keys); err != nil {
-			return 0, 0, fmt.Errorf("uindex: maintaining index %q: %w", g.name, err)
-		}
-		edits = append(edits, walGroupEdit{name: g.name, ins: keys})
-	}
-	payload, err := encodeWALInsert(oid, class, attrs, edits)
-	if err != nil {
-		return 0, 0, err
-	}
-	return oid, db.wal.log.Append(payload), nil
+// loggedOp is one decoded operation of a record. OID is set for every kind.
+type loggedOp struct {
+	BatchOp
+	edits []walGroupEdit
 }
-
-// walApplySet executes an attribute update and appends its record; locking
-// contract as walApplyInsert.
-func (db *Database) walApplySet(oid OID, class, attr string, v any) (uint64, error) {
-	covering := db.coveringGroups(class)
-	olds := make([][][]byte, len(covering))
-	for i, g := range covering {
-		old, err := g.sharded.EntriesFor(oid)
-		if err != nil {
-			return 0, fmt.Errorf("uindex: index %q: %w", g.name, err)
-		}
-		olds[i] = old
-	}
-	if _, err := db.st.SetAttr(oid, attr, v); err != nil {
-		return 0, err
-	}
-	edits := make([]walGroupEdit, 0, len(covering))
-	for i, g := range covering {
-		newKeys, err := g.sharded.EntriesFor(oid)
-		if err != nil {
-			return 0, fmt.Errorf("uindex: index %q: %w", g.name, err)
-		}
-		dels, ins := core.DiffKeys(olds[i], newKeys)
-		if err := g.sharded.ApplyKeys(dels, ins); err != nil {
-			return 0, fmt.Errorf("uindex: index %q: %w", g.name, err)
-		}
-		edits = append(edits, walGroupEdit{name: g.name, dels: dels, ins: ins})
-	}
-	payload, err := encodeWALSet(oid, attr, v, edits)
-	if err != nil {
-		return 0, err
-	}
-	return db.wal.log.Append(payload), nil
-}
-
-// walApplyDelete executes a delete and appends its record; locking contract
-// as walApplyInsert.
-func (db *Database) walApplyDelete(oid OID, class string) (uint64, error) {
-	covering := db.coveringGroups(class)
-	edits := make([]walGroupEdit, 0, len(covering))
-	for _, g := range covering {
-		keys, err := g.sharded.EntriesFor(oid)
-		if err != nil {
-			return 0, fmt.Errorf("uindex: index %q: %w", g.name, err)
-		}
-		if err := g.sharded.ApplyKeys(keys, nil); err != nil {
-			return 0, fmt.Errorf("uindex: index %q: %w", g.name, err)
-		}
-		edits = append(edits, walGroupEdit{name: g.name, dels: keys})
-	}
-	if err := db.st.Delete(oid); err != nil {
-		return 0, err
-	}
-	payload := encodeWALDelete(oid, edits)
-	return db.wal.log.Append(payload), nil
-}
-
-// --- record encoding --------------------------------------------------------
-//
-// A record is the kind byte, the store operation (OIDs as uvarints, values
-// with the snapshot value tags of persist.go), then the per-group key
-// edits. Records are physiological: replay re-applies the recorded key
-// lists through the shard router rather than re-deriving them from the
-// store, so a record replays identically whatever the surrounding state.
-
-const (
-	walRecInsert = 1
-	walRecSet    = 2
-	walRecDelete = 3
-)
 
 func walAppendStr(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -511,6 +384,8 @@ func walAppendValue(b []byte, v any) ([]byte, error) {
 	case int:
 		b = append(b, tagInt)
 		return binary.AppendUvarint(b, uint64(x)), nil
+	case uint: // the store keeps it as uint64
+		return walAppendValue(b, uint64(x))
 	case uint64:
 		b = append(b, tagUint64)
 		return binary.AppendUvarint(b, x), nil
@@ -537,57 +412,49 @@ func walAppendValue(b []byte, v any) ([]byte, error) {
 	return nil, fmt.Errorf("uindex: cannot log attribute value of type %T", v)
 }
 
-func walAppendEdits(b []byte, edits []walGroupEdit) []byte {
-	b = binary.AppendUvarint(b, uint64(len(edits)))
-	for _, e := range edits {
-		b = walAppendStr(b, e.name)
-		b = binary.AppendUvarint(b, uint64(len(e.dels)))
-		for _, k := range e.dels {
-			b = walAppendBytes(b, k)
+// walAppendStoreHalf encodes the store half of one operation. It runs in the
+// plan phase of a write, before any lock or edit, so a value the log cannot
+// carry rejects the call with nothing applied.
+func walAppendStoreHalf(b []byte, op *BatchOp) ([]byte, error) {
+	var err error
+	switch op.Kind {
+	case BatchInsert:
+		b = walAppendStr(b, op.Class)
+		b = binary.AppendUvarint(b, uint64(len(op.Attrs)))
+		for name, v := range op.Attrs {
+			b = walAppendStr(b, name)
+			if b, err = walAppendValue(b, v); err != nil {
+				return nil, err
+			}
 		}
-		b = binary.AppendUvarint(b, uint64(len(e.ins)))
-		for _, k := range e.ins {
-			b = walAppendBytes(b, k)
-		}
+	case BatchSet:
+		b = walAppendStr(b, op.Attr)
+		b, err = walAppendValue(b, op.Value)
+	}
+	return b, err
+}
+
+// walAppendOp starts one operation of a record: kind, OID, the store half
+// encoded at plan time, and the number of group edits that follow.
+func walAppendOp(b []byte, kind BatchOpKind, oid OID, half []byte, edits int) []byte {
+	b = append(b, byte(kind))
+	b = binary.AppendUvarint(b, uint64(oid))
+	b = append(b, half...)
+	return binary.AppendUvarint(b, uint64(edits))
+}
+
+// walAppendEdit appends one group's key edits to the current operation.
+func walAppendEdit(b []byte, name string, dels, ins [][]byte) []byte {
+	b = walAppendStr(b, name)
+	b = binary.AppendUvarint(b, uint64(len(dels)))
+	for _, k := range dels {
+		b = walAppendBytes(b, k)
+	}
+	b = binary.AppendUvarint(b, uint64(len(ins)))
+	for _, k := range ins {
+		b = walAppendBytes(b, k)
 	}
 	return b
-}
-
-func encodeWALInsert(oid OID, class string, attrs Attrs, edits []walGroupEdit) ([]byte, error) {
-	b := []byte{walRecInsert}
-	b = binary.AppendUvarint(b, uint64(oid))
-	b = walAppendStr(b, class)
-	names := make([]string, 0, len(attrs))
-	for name := range attrs {
-		names = append(names, name)
-	}
-	sort.Strings(names) // deterministic record bytes
-	b = binary.AppendUvarint(b, uint64(len(names)))
-	for _, name := range names {
-		b = walAppendStr(b, name)
-		var err error
-		if b, err = walAppendValue(b, attrs[name]); err != nil {
-			return nil, err
-		}
-	}
-	return walAppendEdits(b, edits), nil
-}
-
-func encodeWALSet(oid OID, attr string, v any, edits []walGroupEdit) ([]byte, error) {
-	b := []byte{walRecSet}
-	b = binary.AppendUvarint(b, uint64(oid))
-	b = walAppendStr(b, attr)
-	var err error
-	if b, err = walAppendValue(b, v); err != nil {
-		return nil, err
-	}
-	return walAppendEdits(b, edits), nil
-}
-
-func encodeWALDelete(oid OID, edits []walGroupEdit) []byte {
-	b := []byte{walRecDelete}
-	b = binary.AppendUvarint(b, uint64(oid))
-	return walAppendEdits(b, edits)
 }
 
 // walDec decodes one record payload; the first failure sticks.
@@ -640,13 +507,22 @@ func (d *walDec) take(n uint64) []byte {
 
 func (d *walDec) str() string { return string(d.take(d.uvarint())) }
 
-func (d *walDec) keys() [][]byte {
+// count reads a list length. Every list element occupies at least one byte,
+// so a length above the bytes left is damage; callers preallocate no more
+// than min(count, snapshotPreallocCap).
+func (d *walDec) count() int {
 	n := d.uvarint()
-	if d.err != nil {
-		return nil
+	if n > uint64(len(d.b)) {
+		d.fail("list length")
+		return 0
 	}
+	return int(n)
+}
+
+func (d *walDec) keys() [][]byte {
+	n := d.count()
 	out := make([][]byte, 0, min(n, snapshotPreallocCap))
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		out = append(out, append([]byte(nil), d.take(d.uvarint())...))
 	}
 	return out
@@ -667,12 +543,9 @@ func (d *walDec) value() any {
 	case tagOID:
 		return OID(d.uvarint())
 	case tagOIDs:
-		n := d.uvarint()
-		if d.err != nil {
-			return nil
-		}
+		n := d.count()
 		oids := make([]OID, 0, min(n, snapshotPreallocCap))
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		for i := 0; i < n && d.err == nil; i++ {
 			oids = append(oids, OID(d.uvarint()))
 		}
 		return oids
@@ -684,67 +557,76 @@ func (d *walDec) value() any {
 	}
 }
 
-// walReplayRecord re-applies one log record during recovery. Store
-// operations use the tolerant Replay* methods (fixed OIDs, no reference
-// validation — a later record may delete a referenced object), index edits
-// re-route the recorded key lists. Replay runs before the Database is
-// published, so no locks are needed. Records naming a since-dropped index
-// are applied to the store and skipped for that index.
-func (db *Database) walReplayRecord(payload []byte) error {
+// decodeWALRecord is the pure half of replay: payload bytes to operations,
+// touching no database state. Anything but a well-formed walRecCommit record
+// — including the per-operation kinds of the previous format — is an error.
+func decodeWALRecord(payload []byte) ([]loggedOp, error) {
 	d := &walDec{b: payload}
-	switch kind := d.byte(); kind {
-	case walRecInsert:
-		oid := OID(d.uvarint())
-		class := d.str()
-		n := d.uvarint()
-		if d.err != nil {
-			return d.err
-		}
-		attrs := make(Attrs, min(n, snapshotPreallocCap))
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			name := d.str()
-			v := d.value()
-			if d.err == nil {
-				attrs[name] = v
+	if kind := d.byte(); d.err == nil && kind != walRecCommit {
+		return nil, fmt.Errorf("unknown record kind %d", kind)
+	}
+	var ops []loggedOp
+	for d.err == nil && len(d.b) > 0 {
+		var op loggedOp
+		op.Kind = BatchOpKind(d.byte())
+		op.OID = OID(d.uvarint())
+		switch op.Kind {
+		case BatchInsert:
+			op.Class = d.str()
+			n := d.count()
+			op.Attrs = make(Attrs, min(n, snapshotPreallocCap))
+			for i := 0; i < n && d.err == nil; i++ {
+				name := d.str()
+				op.Attrs[name] = d.value()
 			}
+		case BatchSet:
+			op.Attr = d.str()
+			op.Value = d.value()
+		case BatchDelete:
+		default:
+			return nil, fmt.Errorf("unknown operation kind %d", uint8(op.Kind))
 		}
-		if d.err == nil {
-			if err := db.st.ReplayInsert(oid, class, attrs); err != nil {
+		n := d.count()
+		op.edits = make([]walGroupEdit, 0, min(n, snapshotPreallocCap))
+		for i := 0; i < n && d.err == nil; i++ {
+			op.edits = append(op.edits, walGroupEdit{name: d.str(), dels: d.keys(), ins: d.keys()})
+		}
+		ops = append(ops, op)
+	}
+	return ops, d.err
+}
+
+// walReplayRecord re-applies one log record during recovery: decode it whole,
+// then per operation the store edit — through the tolerant Replay* methods
+// (fixed OIDs, no reference validation: a later record may delete a
+// referenced object) — and the recorded key edits, re-routed to their shards.
+// Replay runs before the Database is published, so no locks are needed.
+// Edits naming a since-dropped index are skipped.
+func (db *Database) walReplayRecord(payload []byte) error {
+	ops, err := decodeWALRecord(payload)
+	if err != nil {
+		return err
+	}
+	for _, op := range ops {
+		switch op.Kind {
+		case BatchInsert:
+			if err := db.st.ReplayInsert(op.OID, op.Class, op.Attrs); err != nil {
 				return err
 			}
+		case BatchSet:
+			db.st.ReplaySet(op.OID, op.Attr, op.Value)
+		case BatchDelete:
+			db.st.ReplayDelete(op.OID)
 		}
-	case walRecSet:
-		oid := OID(d.uvarint())
-		attr := d.str()
-		v := d.value()
-		if d.err == nil {
-			db.st.ReplaySet(oid, attr, v)
-		}
-	case walRecDelete:
-		oid := OID(d.uvarint())
-		if d.err == nil {
-			db.st.ReplayDelete(oid)
-		}
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("unknown record kind %d", kind)
+		for _, e := range op.edits {
+			g, ok := db.groups[e.name]
+			if !ok {
+				continue
+			}
+			if err := g.sharded.ApplyKeys(e.dels, e.ins); err != nil {
+				return fmt.Errorf("index %q: %w", e.name, err)
+			}
 		}
 	}
-	ng := d.uvarint()
-	for i := uint64(0); i < ng && d.err == nil; i++ {
-		name := d.str()
-		dels := d.keys()
-		ins := d.keys()
-		if d.err != nil {
-			break
-		}
-		g, ok := db.groups[name]
-		if !ok {
-			continue
-		}
-		if err := g.sharded.ApplyKeys(dels, ins); err != nil {
-			return fmt.Errorf("index %q: %w", name, err)
-		}
-	}
-	return d.err
+	return nil
 }

@@ -605,3 +605,265 @@ func TestWALDropCreateIndexRecovers(t *testing.T) {
 		t.Fatalf("re-attached index sees %d red, want the 3 from before the drop", got)
 	}
 }
+
+// pathSchema is the oracle test's three-class path: Vehicle -> Company ->
+// Employee, so a President switch ripples through mid-path entries.
+func pathSchema(t testing.TB) *Schema {
+	t.Helper()
+	s := NewSchema()
+	for _, err := range []error{
+		s.AddClass("Employee", "", Attr{Name: "Age", Type: Uint64}),
+		s.AddClass("Company", "", Attr{Name: "President", Ref: "Employee"}),
+		s.AddClass("Vehicle", "", Attr{Name: "Color", Type: String}, Attr{Name: "ManufacturedBy", Ref: "Company"}),
+		s.AddClass("Automobile", "Vehicle"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+var ageSpec = IndexSpec{Name: "age", Root: "Vehicle", Refs: []string{"ManufacturedBy", "President"}, Attr: "Age"}
+
+// dumpState renders everything recovery must reproduce: every object with
+// its attributes, the next OID, and every key of every index shard.
+func dumpState(t *testing.T, db *Database) string {
+	t.Helper()
+	var b strings.Builder
+	objs, next := db.Store().Snapshot()
+	fmt.Fprintf(&b, "next=%d\n", next)
+	for _, o := range objs {
+		fmt.Fprintf(&b, "%d %s %v\n", o.OID, o.Class, o.Attrs)
+	}
+	for _, name := range db.Indexes() {
+		fmt.Fprintf(&b, "%s %v\n", name, dumpIndexKeys(t, db, name))
+	}
+	return b.String()
+}
+
+// TestWALUintValue: a Go uint is accepted for a uint64 attribute, so both
+// codecs must carry it — it is stored as uint64, logged, checkpointed, and
+// recovered. A value no codec carries is rejected in the plan phase, before
+// the store, the trees, or the log have moved.
+func TestWALUintValue(t *testing.T) {
+	dir := t.TempDir()
+	db, err := NewDatabaseWith(pathSchema(t), walOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ages := IndexSpec{Name: "ages", Root: "Employee", Attr: "Age"}
+	if err := db.CreateIndex(ages); err != nil {
+		t.Fatal(err)
+	}
+	oid, err := db.Insert("Employee", Attrs{"Age": uint(41)})
+	if err != nil {
+		t.Fatalf("Insert with a uint value: %v", err)
+	}
+	if err := db.Set(oid, "Age", uint(42)); err != nil {
+		t.Fatalf("Set with a uint value: %v", err)
+	}
+
+	ix, _ := db.Index("ages")
+	lenBefore, lsnBefore := ix.Len(), db.wal.log.LastAppended()
+	if _, err := db.Insert("Employee", Attrs{"Age": int32(7)}); err == nil {
+		t.Fatal("Insert with an int32 value succeeded")
+	}
+	if err := db.Set(oid, "Age", int32(7)); err == nil {
+		t.Fatal("Set with an int32 value succeeded")
+	}
+	if _, ok := db.Get(oid + 1); ok {
+		t.Fatal("rejected insert left an object in the store")
+	}
+	if o, _ := db.Get(oid); o.Attrs()["Age"] != uint64(42) {
+		t.Fatalf("rejected set changed Age to %#v", o.Attrs()["Age"])
+	}
+	if ix.Len() != lenBefore || db.wal.log.LastAppended() != lsnBefore {
+		t.Fatalf("rejected writes moved the index (%d -> %d entries) or the log (LSN %d -> %d)",
+			lenBefore, ix.Len(), lsnBefore, db.wal.log.LastAppended())
+	}
+
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint after a uint insert: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close after a uint insert: %v", err)
+	}
+	rec, err := Open(dir, Options{PoolPages: 16, WALCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if o, ok := rec.Get(oid); !ok || o.Attrs()["Age"] != uint64(42) {
+		t.Fatalf("recovered Get(%d) = %v, %v; want Age=uint64(42)", oid, o, ok)
+	}
+	ms, _, err := rec.Query(context.Background(), "ages", Query{Value: Exact(uint64(42))})
+	if err != nil || len(ms) != 1 || ms[0].Path[0].OID != oid {
+		t.Fatalf("recovered index entry for Age=42: %v, %v; want object %d", ms, err, oid)
+	}
+}
+
+// TestWALBatchCrashAtomic: a batch is one CRC-framed log record, so a crash
+// that tears the record anywhere recovers the state from before the batch and
+// a crash after it the state with every operation applied — never a prefix.
+func TestWALBatchCrashAtomic(t *testing.T) {
+	dir := t.TempDir()
+	db, err := NewDatabaseWith(pathSchema(t), walOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, spec := range []IndexSpec{colorSpec, ageSpec} {
+		if err := db.CreateIndex(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	var setup Batch
+	setup.Insert("Employee", Attrs{"Age": 31}).Insert("Employee", Attrs{"Age": 52}) // 1, 2
+	setup.Insert("Company", Attrs{"President": OID(1)})                             // 3
+	for _, c := range []string{"Red", "White", "Blue"} {                            // 4, 5, 6
+		setup.Insert("Automobile", Attrs{"Color": c, "ManufacturedBy": OID(3)})
+	}
+	if _, err := db.Apply(ctx, &setup); err != nil {
+		t.Fatal(err)
+	}
+	pre := dumpState(t, db)
+	preLog, err := os.ReadFile(filepath.Join(dir, walLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// 16 operations: inserts, sets — one of them the mid-path President
+	// switch, which rewrites every vehicle's age entry — and a delete. Most
+	// inserts are employees, which carry no index entries: the record stays
+	// small, and every byte of it is a cut below.
+	var b Batch
+	for age := 40; age < 47; age++ {
+		b.Insert("Employee", Attrs{"Age": age})
+	}
+	b.Insert("Vehicle", Attrs{"Color": "Green", "ManufacturedBy": OID(3)})
+	b.Insert("Vehicle", Attrs{"Color": "Green", "ManufacturedBy": OID(3)})
+	b.Set(2, "Age", 53).Set(4, "Color", "Blue").Set(6, "Color", "Red")
+	b.Set(3, "President", OID(2))
+	b.Set(1, "Age", 33)
+	b.Delete(5)
+	b.Insert("Company", Attrs{"President": OID(2)})
+	if b.Len() != 16 {
+		t.Fatalf("batch has %d operations, want 16", b.Len())
+	}
+	appends := db.Metrics().WALAppends
+	if res, err := db.Apply(ctx, &b); err != nil || res.Applied != 16 {
+		t.Fatalf("Apply = %+v, %v", res, err)
+	}
+	if got := db.Metrics().WALAppends - appends; got != 1 {
+		t.Fatalf("a 16-operation batch appended %d log records, want 1", got)
+	}
+	post := dumpState(t, db)
+	if post == pre {
+		t.Fatal("batch changed nothing")
+	}
+	img := crashImage(t, dir)
+	postLog, err := os.ReadFile(filepath.Join(img, walLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(postLog) <= len(preLog) || string(postLog[:len(preLog)]) != string(preLog) {
+		t.Fatalf("log did not grow by appending: %d -> %d bytes", len(preLog), len(postLog))
+	}
+
+	// Every length from "record absent" to "one byte short" must recover the
+	// pre-batch state; the full record the post-batch state.
+	for n := len(preLog); n <= len(postLog); n++ {
+		d := t.TempDir()
+		copyDirTo(t, img, d)
+		if err := os.WriteFile(filepath.Join(d, walLogName), postLog[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Open(d, Options{PoolPages: 16, WALCheckpointBytes: -1})
+		if err != nil {
+			t.Fatalf("log cut at %d of %d bytes: %v", n, len(postLog), err)
+		}
+		got := dumpState(t, rec)
+		rec.Close()
+		want := pre
+		if n == len(postLog) {
+			want = post
+		}
+		if got != want {
+			t.Fatalf("log cut at %d (batch record spans %d..%d): recovered a state that is neither before nor after the batch:\n%s",
+				n, len(preLog), len(postLog), got)
+		}
+	}
+}
+
+// encodeLoggedOps is the inverse of decodeWALRecord, assembled from the same
+// pieces the write pipeline uses.
+func encodeLoggedOps(ops []loggedOp) ([]byte, error) {
+	rec := []byte{walRecCommit}
+	for i := range ops {
+		half, err := walAppendStoreHalf(nil, &ops[i].BatchOp)
+		if err != nil {
+			return nil, err
+		}
+		rec = walAppendOp(rec, ops[i].Kind, ops[i].OID, half, len(ops[i].edits))
+		for _, e := range ops[i].edits {
+			rec = walAppendEdit(rec, e.name, e.dels, e.ins)
+		}
+	}
+	return rec, nil
+}
+
+// FuzzWALRecord: the record decoder takes arbitrary bytes without panicking
+// or decoding more list elements than the payload has bytes (every count is
+// checked against the bytes left before anything is sized from it), and
+// whatever it accepts survives an encode -> decode round trip.
+func FuzzWALRecord(f *testing.F) {
+	seed, err := encodeLoggedOps([]loggedOp{
+		{BatchOp: BatchOp{Kind: BatchInsert, OID: 7, Class: "Automobile", Attrs: Attrs{
+			"Color": "Red", "Age": uint64(3), "N": 4, "I": int64(-5), "F": 1.5, "Ref": OID(2), "Refs": []OID{1, 2}}},
+			edits: []walGroupEdit{{name: "color", ins: [][]byte{[]byte("k1"), []byte("k2")}}}},
+		{BatchOp: BatchOp{Kind: BatchSet, OID: 7, Attr: "Color", Value: "Blue"},
+			edits: []walGroupEdit{{name: "color", dels: [][]byte{[]byte("k1")}, ins: [][]byte{[]byte("k3")}}, {name: "age"}}},
+		{BatchOp: BatchOp{Kind: BatchDelete, OID: 7}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte{})
+	f.Add([]byte{1, 7, 0})                                                    // a record kind of the previous format
+	f.Add([]byte{walRecCommit, byte(BatchDelete), 1, 0xff, 0xff, 0xff, 0x7f}) // absurd edit count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops, err := decodeWALRecord(data)
+		if err != nil {
+			return
+		}
+		elems := len(ops)
+		for _, op := range ops {
+			elems += len(op.Attrs) + len(op.edits)
+			if oids, ok := op.Value.([]OID); ok {
+				elems += len(oids)
+			}
+			for _, e := range op.edits {
+				elems += len(e.dels) + len(e.ins)
+			}
+		}
+		if elems > len(data) {
+			t.Fatalf("decoded %d list elements from %d bytes", elems, len(data))
+		}
+		enc, err := encodeLoggedOps(ops)
+		if err != nil {
+			t.Fatalf("re-encoding decoded operations: %v", err)
+		}
+		again, err := decodeWALRecord(enc)
+		if err != nil {
+			t.Fatalf("decoding re-encoded record: %v", err)
+		}
+		// NaN != NaN: compare the printed forms, which render values and
+		// key bytes alike on both sides.
+		if fmt.Sprintf("%#v", again) != fmt.Sprintf("%#v", ops) {
+			t.Fatalf("round trip changed the record:\n got %#v\nwant %#v", again, ops)
+		}
+	})
+}
