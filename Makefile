@@ -84,10 +84,14 @@ shard:
 
 # API-surface check: vet plus a grep that keeps removed API from creeping
 # back anywhere — the query wrappers (QueryWith/QueryString), deleted in favor
-# of Query with options, and DurabilitySync, deleted in favor of
-# DurabilityWAL.
+# of Query with options; DurabilitySync, deleted in favor of DurabilityWAL;
+# the single-file index layout (openSingleFileGroup), deleted in favor of the
+# manifest-rooted one; and the options nothing set: WALMaxBatch, and
+# NoPrefetch on Options and IndexSpec (btree.Tuning keeps its own, the
+# reference side of TestPrefetchInvariance, hence the excluded directory).
 apicheck: vet
-	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync' . || true); \
+	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|WALMaxBatch|openSingleFileGroup' . || true; \
+		grep -rn --include='*.go' --exclude-dir=btree 'NoPrefetch' . || true); \
 	if [ -n "$$deprecated" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$deprecated"; \

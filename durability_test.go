@@ -187,7 +187,7 @@ func TestCorruptIndexFileSurfaces(t *testing.T) {
 	if err := db1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "color.uidx")
+	path := filepath.Join(dir, "color.shard0.uidx")
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -62,11 +62,6 @@ type Spec struct {
 	// the cache. Purely a CPU knob — query results and logical page
 	// counts are identical at any setting.
 	NodeCacheSize int
-	// NoPrefetch disables the Parscan frontier prefetcher even when the
-	// index's page file is a buffer pool with batched read-ahead. Purely
-	// an I/O-scheduling knob — query results and logical page counts are
-	// identical either way.
-	NoPrefetch bool
 }
 
 // Index is a live U-index over a store.
@@ -161,7 +156,7 @@ func build(f pager.File, st *store.Store, spec Spec, meta pager.PageID) (*Index,
 	}
 	var tree *btree.Tree
 	var err error
-	tun := btree.Tuning{NodeCacheSize: spec.NodeCacheSize, NoPrefetch: spec.NoPrefetch}
+	tun := btree.Tuning{NodeCacheSize: spec.NodeCacheSize}
 	if meta == pager.NilPage {
 		tree, err = btree.Create(f, btree.Config{MaxEntries: spec.MaxEntries, NoCompression: spec.NoCompression, Tuning: tun})
 	} else {

@@ -8,10 +8,11 @@ import (
 	"sync"
 )
 
-// Manifest is the commit record of a sharded index: a tiny BlockFile that
+// Manifest is the commit record that roots an on-disk index (and, with one
+// slot for the store snapshot, a WAL database): a tiny BlockFile that
 // atomically publishes one generation number per shard file, plus the
 // immutable shard routing bounds. It turns K independently shadow-paged
-// DiskFiles into one crash-consistent unit:
+// DiskFiles — K may be 1, with no bounds — into one crash-consistent unit:
 //
 //   - Each shard file checkpoints on its own (Sync), which bumps that file's
 //     header generation. A crash between two shards' checkpoints would
@@ -35,39 +36,34 @@ import (
 // and 1024 selected by generation parity. Torn writes hit only the slot
 // being written; the other slot stays valid.
 type Manifest struct {
-	mu      sync.Mutex
-	b       BlockFile
-	version uint32
-	shards  int
-	bounds  [][]byte
-	gen     uint64   // generation of the last durable slot
-	gens    []uint64 // shard generations of that slot
-	walLSN  uint64   // checkpoint LSN of that slot (version >= 2)
+	mu     sync.Mutex
+	b      BlockFile
+	shards int
+	bounds [][]byte
+	gen    uint64   // generation of the last durable slot
+	gens   []uint64 // shard generations of that slot
+	walLSN uint64   // checkpoint LSN of that slot
 }
 
 const (
 	manifestMagic = 0x5549584d // "UIXM"
-	// Version 2 adds the 8-byte checkpoint LSN (the WAL handshake) to each
-	// commit slot; version-1 files still open, reporting a zero LSN.
+	// manifestVersion is the one format this package reads and writes: each
+	// commit slot carries the 8-byte checkpoint LSN (the WAL handshake). Any
+	// other value in a preamble is corruption.
 	manifestVersion = 2
 
-	// MaxShards bounds the shard count so a version-2 slot (8-byte slot
-	// generation, 8-byte checkpoint LSN, 8 bytes per shard generation,
-	// 4-byte CRC) fits in its 512-byte cell.
+	// MaxShards bounds the shard count so a slot (8-byte slot generation,
+	// 8-byte checkpoint LSN, 8 bytes per shard generation, 4-byte CRC) fits
+	// in its 512-byte cell.
 	MaxShards = 61
 
 	manifestSlot0Off = 512
 	manifestSlotSize = 512
 )
 
-// slotLen is the byte length of one commit slot at the given version.
-func slotLen(version uint32, shards int) int {
-	n := 8 + 8*shards + 4
-	if version >= 2 {
-		n += 8
-	}
-	return n
-}
+// slotLen is the byte length of one commit slot: slot generation, checkpoint
+// LSN, one generation per shard, CRC.
+func slotLen(shards int) int { return 8 + 8 + 8*shards + 4 }
 
 func manifestSlotOff(gen uint64) int64 {
 	return manifestSlot0Off + int64(gen%2)*manifestSlotSize
@@ -112,12 +108,7 @@ func CreateManifestOn(b BlockFile, bounds [][]byte, gens []uint64) (*Manifest, e
 	if _, err := b.WriteAt(pre, 0); err != nil {
 		return nil, err
 	}
-	m := &Manifest{
-		b:       b,
-		version: manifestVersion,
-		shards:  shards,
-		bounds:  cloneBounds(bounds),
-	}
+	m := &Manifest{b: b, shards: shards, bounds: cloneBounds(bounds)}
 	if err := m.Commit(gens); err != nil {
 		return nil, err
 	}
@@ -142,9 +133,8 @@ func OpenManifestOn(b BlockFile) (*Manifest, error) {
 	if binary.BigEndian.Uint32(pre[0:]) != manifestMagic {
 		return nil, fmt.Errorf("%w: bad manifest magic", ErrCorruptFile)
 	}
-	version := binary.BigEndian.Uint32(pre[4:])
-	if version < 1 || version > manifestVersion {
-		return nil, fmt.Errorf("%w: unsupported manifest version %d", ErrCorruptFile, version)
+	if v := binary.BigEndian.Uint32(pre[4:]); v != manifestVersion {
+		return nil, fmt.Errorf("%w: manifest format %d, want %d", ErrCorruptFile, v, manifestVersion)
 	}
 	shards := int(binary.BigEndian.Uint32(pre[8:]))
 	nbounds := int(binary.BigEndian.Uint32(pre[12:]))
@@ -171,13 +161,13 @@ func OpenManifestOn(b BlockFile) (*Manifest, error) {
 	if binary.BigEndian.Uint32(pre[off:]) != crc32.Checksum(pre[:off], castagnoli) {
 		return nil, fmt.Errorf("%w: manifest preamble failed checksum verification", ErrCorruptFile)
 	}
-	m := &Manifest{b: b, version: version, shards: shards, bounds: bounds}
-	buf := make([]byte, slotLen(version, shards))
+	m := &Manifest{b: b, shards: shards, bounds: bounds}
+	buf := make([]byte, slotLen(shards))
 	for parity := uint64(0); parity < 2; parity++ {
 		if err := readFull(b, buf, manifestSlotOff(parity)); err != nil {
 			continue
 		}
-		gen, walLSN, gens, ok := decodeManifestSlot(buf, version, shards, parity)
+		gen, walLSN, gens, ok := decodeManifestSlot(buf, shards, parity)
 		if ok && gen > m.gen {
 			m.gen, m.walLSN, m.gens = gen, walLSN, gens
 		}
@@ -192,8 +182,8 @@ func OpenManifestOn(b BlockFile) (*Manifest, error) {
 // generation parity matching the slot's position (a valid-looking slot in
 // the wrong cell is corruption, since commits only ever write a generation
 // to its own parity cell).
-func decodeManifestSlot(buf []byte, version uint32, shards int, parity uint64) (uint64, uint64, []uint64, bool) {
-	n := slotLen(version, shards) - 4
+func decodeManifestSlot(buf []byte, shards int, parity uint64) (uint64, uint64, []uint64, bool) {
+	n := slotLen(shards) - 4
 	if binary.BigEndian.Uint32(buf[n:]) != crc32.Checksum(buf[:n], castagnoli) {
 		return 0, 0, nil, false
 	}
@@ -201,15 +191,10 @@ func decodeManifestSlot(buf []byte, version uint32, shards int, parity uint64) (
 	if gen == 0 || gen%2 != parity {
 		return 0, 0, nil, false
 	}
-	off := 8
-	var walLSN uint64
-	if version >= 2 {
-		walLSN = binary.BigEndian.Uint64(buf[off:])
-		off += 8
-	}
+	walLSN := binary.BigEndian.Uint64(buf[8:])
 	gens := make([]uint64, shards)
 	for i := range gens {
-		gens[i] = binary.BigEndian.Uint64(buf[off+8*i:])
+		gens[i] = binary.BigEndian.Uint64(buf[16+8*i:])
 	}
 	return gen, walLSN, gens, true
 }
@@ -257,13 +242,10 @@ func (m *Manifest) Commit(gens []uint64) error {
 // CommitWAL publishes a new shard-generation vector together with a new
 // checkpoint LSN: every WAL record with an LSN at or below it is fully
 // reflected in the committed shard generations, so recovery replays the
-// log strictly after it. Requires a version-2 manifest.
+// log strictly after it.
 func (m *Manifest) CommitWAL(gens []uint64, walLSN uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.version < 2 {
-		return fmt.Errorf("pager: manifest version %d cannot record a checkpoint LSN", m.version)
-	}
 	return m.commitLocked(gens, walLSN)
 }
 
@@ -272,11 +254,9 @@ func (m *Manifest) commitLocked(gens []uint64, walLSN uint64) error {
 		return fmt.Errorf("pager: manifest commit with %d generations for %d shards", len(gens), m.shards)
 	}
 	next := m.gen + 1
-	buf := make([]byte, 0, slotLen(m.version, m.shards))
+	buf := make([]byte, 0, slotLen(m.shards))
 	buf = binary.BigEndian.AppendUint64(buf, next)
-	if m.version >= 2 {
-		buf = binary.BigEndian.AppendUint64(buf, walLSN)
-	}
+	buf = binary.BigEndian.AppendUint64(buf, walLSN)
 	for _, g := range gens {
 		buf = binary.BigEndian.AppendUint64(buf, g)
 	}
@@ -294,8 +274,7 @@ func (m *Manifest) commitLocked(gens []uint64, walLSN uint64) error {
 }
 
 // WALLSN returns the checkpoint LSN of the last durable commit: zero for
-// version-1 manifests and for databases that have never checkpointed
-// against a WAL.
+// databases that have never checkpointed against a WAL.
 func (m *Manifest) WALLSN() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -305,12 +284,9 @@ func (m *Manifest) WALLSN() uint64 {
 // Shards returns the shard count the manifest was created with.
 func (m *Manifest) Shards() int { return m.shards }
 
-// Bounds returns the routing bounds (len = Shards()-1) recorded at creation.
-func (m *Manifest) Bounds() [][]byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return cloneBounds(m.bounds)
-}
+// Bounds returns the routing bounds (len = Shards()-1) recorded at creation;
+// like the shard count they never change, so no lock is taken.
+func (m *Manifest) Bounds() [][]byte { return cloneBounds(m.bounds) }
 
 // Gen returns the manifest's own commit generation.
 func (m *Manifest) Gen() uint64 {

@@ -98,52 +98,44 @@ func TestManifestWALLSNRoundTrip(t *testing.T) {
 	}
 }
 
-// Version-1 manifest files (no checkpoint LSN in the slot) must still open,
-// reporting a zero LSN, and CommitWAL must refuse to write into them.
-func TestManifestVersion1Compat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.manifest")
+// There is one manifest format. A preamble that names any other — the
+// LSN-less version 1 that once existed, or a version from the future — is
+// corruption even when its checksum is intact.
+func TestManifestOtherVersionsCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v.manifest")
 	m, err := CreateManifestFile(path, [][]byte{[]byte(".x")}, []uint64{4, 5})
 	if err != nil {
 		t.Fatalf("CreateManifestFile: %v", err)
 	}
 	m.Close()
-
-	// Rewrite the file as version 1: patch the preamble version, refresh its
-	// CRC, and re-encode the commit slot in the v1 layout (no LSN field).
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.BigEndian.PutUint32(raw[4:], 1)
 	preLen := preambleLen(raw)
+	for _, v := range []uint32{1, 3} {
+		binary.BigEndian.PutUint32(raw[4:], v)
+		binary.BigEndian.PutUint32(raw[preLen:], crc32.Checksum(raw[:preLen], castagnoli))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := OpenManifestFile(path); !errors.Is(err, ErrCorruptFile) {
+			if err == nil {
+				m.Close()
+			}
+			t.Errorf("version %d: err = %v, want ErrCorruptFile", v, err)
+		}
+	}
+	binary.BigEndian.PutUint32(raw[4:], manifestVersion)
 	binary.BigEndian.PutUint32(raw[preLen:], crc32.Checksum(raw[:preLen], castagnoli))
-	slot := make([]byte, 0, slotLen(1, 2))
-	slot = binary.BigEndian.AppendUint64(slot, 1) // slot gen 1 → parity cell 1
-	slot = binary.BigEndian.AppendUint64(slot, 4)
-	slot = binary.BigEndian.AppendUint64(slot, 5)
-	slot = binary.BigEndian.AppendUint32(slot, crc32.Checksum(slot, castagnoli))
-	copy(raw[manifestSlotOff(1):], slot)
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	m1, err := OpenManifestFile(path)
+	m, err = OpenManifestFile(path)
 	if err != nil {
-		t.Fatalf("open v1 manifest: %v", err)
+		t.Fatalf("the patching itself broke the file: %v", err)
 	}
-	defer m1.Close()
-	if m1.WALLSN() != 0 {
-		t.Errorf("v1 WALLSN = %d, want 0", m1.WALLSN())
-	}
-	if got := m1.Gens(); !reflect.DeepEqual(got, []uint64{4, 5}) {
-		t.Errorf("v1 gens = %v, want [4 5]", got)
-	}
-	if err := m1.Commit([]uint64{6, 5}); err != nil {
-		t.Errorf("v1 plain Commit: %v", err)
-	}
-	if err := m1.CommitWAL([]uint64{6, 5}, 9); err == nil {
-		t.Error("CommitWAL on a v1 manifest succeeded")
-	}
+	m.Close()
 }
 
 // preambleLen walks an encoded preamble to the offset of its trailing CRC.

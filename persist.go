@@ -297,6 +297,34 @@ func LoadWith(r io.Reader, opts Options) (*Database, error) {
 	if err != nil {
 		return nil, invalidSnapshot(err)
 	}
+	snap, err := decodeSnapshot(data)
+	if err != nil {
+		return nil, err
+	}
+	db, err := NewDatabaseWith(snap.schema, opts)
+	if err != nil {
+		return nil, err // environment (e.g. Options.Dir), not the snapshot
+	}
+	if err := db.attach(snap); err != nil {
+		db.close(false)
+		return nil, err
+	}
+	return db, nil
+}
+
+// snapshotData is a decoded snapshot: everything Save wrote, as values, with
+// no Database behind it yet.
+type snapshotData struct {
+	schema *Schema
+	objs   []store.RestoredObject
+	next   OID
+	specs  []IndexSpec
+}
+
+// decodeSnapshot is the pure half of loading: checksum, framing and sections
+// of a snapshot, touching no file and no Database. Every failure matches
+// ErrInvalidSnapshot.
+func decodeSnapshot(data []byte) (*snapshotData, error) {
 	if len(data) < 12 { // magic + version + trailer
 		return nil, fmt.Errorf("%w: %d bytes is too short", ErrInvalidSnapshot, len(data))
 	}
@@ -304,21 +332,16 @@ func LoadWith(r io.Reader, opts Options) (*Database, error) {
 	if got := binary.BigEndian.Uint32(data[len(data)-4:]); got != crc32.Checksum(body, snapshotCRC) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrInvalidSnapshot)
 	}
+	// The length check above guarantees these two reads.
 	sr := &snapshotReader{r: bufio.NewReader(bytes.NewReader(body))}
 	if sr.u32() != snapshotMagic {
-		if sr.err != nil {
-			return nil, invalidSnapshot(sr.err)
-		}
 		return nil, fmt.Errorf("%w: bad magic", ErrInvalidSnapshot)
 	}
 	if v := sr.u32(); v != snapshotVersion {
-		if sr.err != nil {
-			return nil, invalidSnapshot(sr.err)
-		}
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrInvalidSnapshot, v)
 	}
 
-	s := NewSchema()
+	snap := &snapshotData{schema: NewSchema()}
 	nClasses := sr.uvarint()
 	for i := uint64(0); i < nClasses && sr.err == nil; i++ {
 		name := sr.str()
@@ -327,27 +350,22 @@ func LoadWith(r io.Reader, opts Options) (*Database, error) {
 		attrs := make([]Attr, 0, min(nAttrs, snapshotPreallocCap))
 		for j := uint64(0); j < nAttrs && sr.err == nil; j++ {
 			a := Attr{Name: sr.str(), Ref: sr.str()}
-			a.Type = attrType(sr.byte())
+			// Unknown type bytes surface as validation errors when the
+			// schema is used.
+			a.Type = encoding.AttrType(sr.byte())
 			a.Multi = sr.byte() == 1
 			attrs = append(attrs, a)
 		}
 		if sr.err == nil {
-			if err := s.AddClass(name, super, attrs...); err != nil {
+			if err := snap.schema.AddClass(name, super, attrs...); err != nil {
 				return nil, invalidSnapshot(err)
 			}
 		}
 	}
-	if sr.err != nil {
-		return nil, invalidSnapshot(sr.err)
-	}
-	db, err := NewDatabaseWith(s, opts)
-	if err != nil {
-		return nil, err // environment (e.g. Options.Dir), not the snapshot
-	}
 
-	next := OID(sr.u32())
+	snap.next = OID(sr.u32())
 	nObjs := sr.uvarint()
-	objs := make([]store.RestoredObject, 0, min(nObjs, snapshotPreallocCap))
+	snap.objs = make([]store.RestoredObject, 0, min(nObjs, snapshotPreallocCap))
 	for i := uint64(0); i < nObjs && sr.err == nil; i++ {
 		ro := store.RestoredObject{OID: OID(sr.u32()), Class: sr.str(), Attrs: Attrs{}}
 		nAttrs := sr.uvarint()
@@ -382,13 +400,7 @@ func LoadWith(r io.Reader, opts Options) (*Database, error) {
 				}
 			}
 		}
-		objs = append(objs, ro)
-	}
-	if sr.err != nil {
-		return nil, invalidSnapshot(sr.err)
-	}
-	if err := db.st.Restore(objs, next); err != nil {
-		return nil, invalidSnapshot(err)
+		snap.objs = append(snap.objs, ro)
 	}
 
 	nIdx := sr.uvarint()
@@ -401,38 +413,42 @@ func LoadWith(r io.Reader, opts Options) (*Database, error) {
 		spec.Attr = sr.str()
 		spec.MaxEntries = int(sr.u32())
 		spec.NoCompression = sr.byte() == 1
-		if sr.err == nil {
-			if err := db.CreateIndex(spec); err != nil {
-				// Corruption of the reopened index files is a recovery
-				// failure, not a malformed snapshot: keep the pager detail
-				// in the chain under the recovery sentinel.
-				var pageErr ErrCorruptPage
-				if errors.Is(err, ErrCorruptFile) || errors.As(err, &pageErr) {
-					return nil, fmt.Errorf("%w: reopening index %q: %w", ErrRecovery, spec.Name, err)
-				}
-				return nil, invalidSnapshot(err)
-			}
-		}
+		snap.specs = append(snap.specs, spec)
 	}
 	if sr.err != nil {
 		return nil, invalidSnapshot(sr.err)
 	}
-	// Under DurabilityWAL the bootstrap checkpoint ran against the empty
-	// pre-restore store; fold the restored objects and indexes into a fresh
-	// checkpoint so the on-disk committed state matches what we return.
-	if db.wal != nil {
-		if err := db.Checkpoint(); err != nil {
-			db.Close()
-			return nil, err
-		}
-	}
-	return db, nil
+	return snap, nil
 }
 
-// attrType narrows a byte back to an encoding.AttrType; unknown values
-// surface as validation errors when the schema is used.
-func attrType(b byte) encoding.AttrType {
-	return encoding.AttrType(b)
+// attach fills a fresh database from a decoded snapshot: the objects go into
+// the store and every declared index is created — reopened from its files
+// when Options.Dir holds them, built otherwise. On error the caller releases
+// the database with close(false).
+func (db *Database) attach(snap *snapshotData) error {
+	if err := db.st.Restore(snap.objs, snap.next); err != nil {
+		return invalidSnapshot(err)
+	}
+	for _, spec := range snap.specs {
+		if err := db.CreateIndex(spec); err != nil {
+			// Corruption of the reopened index files is a recovery
+			// failure, not a malformed snapshot: keep the pager detail
+			// in the chain under the recovery sentinel.
+			var pageErr ErrCorruptPage
+			if errors.Is(err, ErrCorruptFile) || errors.As(err, &pageErr) {
+				return fmt.Errorf("%w: reopening index %q: %w", ErrRecovery, spec.Name, err)
+			}
+			return invalidSnapshot(err)
+		}
+	}
+	// A log bootstrapped by NewDatabaseWith checkpointed the empty
+	// pre-restore store; fold the restored objects and indexes into a fresh
+	// checkpoint so the on-disk committed state matches what we return. (Open
+	// attaches before it has a log: its state is the checkpoint already.)
+	if db.wal != nil {
+		return db.Checkpoint()
+	}
+	return nil
 }
 
 // SaveFile writes a snapshot to a file.
@@ -459,12 +475,6 @@ func LoadFileWith(path string, opts Options) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, err := LoadWith(f, opts)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return db, nil
+	defer f.Close() // only read
+	return LoadWith(f, opts)
 }

@@ -2,7 +2,12 @@ package uindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"runtime"
 	"testing"
 )
 
@@ -59,6 +64,69 @@ func TestLoadCorruptionSweep(t *testing.T) {
 	}
 	// Appended trailing garbage changes the checksummed length.
 	check(append(append([]byte(nil), snap...), 0xAB), "trailing garbage")
+}
+
+// openFiles counts this process's open file descriptors (Linux only).
+func openFiles(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd to count descriptors in: %v", err)
+	}
+	return len(ents)
+}
+
+// TestLoadFailureReleasesEverything: damage that passes the checksum reaches
+// the parser and, past it, a live Database with pools and page files under
+// Options.Dir. Every truncation of the body, and every byte flip in the index
+// section, either loads or fails — and a failed LoadWith leaves no file
+// descriptor and no goroutine behind.
+func TestLoadFailureReleasesEverything(t *testing.T) {
+	snap := corruptibleSnapshot(t)
+	body := snap[:len(snap)-4]
+	reseal := func(b []byte) []byte {
+		return binary.BigEndian.AppendUint32(append([]byte(nil), b...), crc32.Checksum(b, snapshotCRC))
+	}
+	fds, goroutines := openFiles(t), runtime.NumGoroutine()
+	failed := 0
+	try := func(mut []byte, what string) {
+		t.Helper()
+		db, err := LoadWith(bytes.NewReader(mut), Options{Dir: t.TempDir(), PoolPages: 8})
+		if err == nil {
+			if err := db.Close(); err != nil {
+				t.Fatalf("%s: closing a database that loaded: %v", what, err)
+			}
+			return
+		}
+		failed++
+		if !errors.Is(err, ErrInvalidSnapshot) {
+			t.Fatalf("%s: error %v does not match ErrInvalidSnapshot", what, err)
+		}
+		if got := openFiles(t); got != fds {
+			t.Fatalf("%s: %d file descriptors open after the failed load, %d before", what, got, fds)
+		}
+		if got := runtime.NumGoroutine(); got > goroutines {
+			t.Fatalf("%s: %d goroutines after the failed load, %d before", what, got, goroutines)
+		}
+	}
+	for n := 8; n < len(body); n++ {
+		try(reseal(body[:n]), fmt.Sprintf("truncation at %d", n))
+	}
+	// The index declarations are the last section: from the first index name
+	// on, a flipped byte is a spec CreateIndex may refuse with the indexes
+	// before it already open.
+	from := bytes.LastIndex(body, []byte("color"))
+	if from < 0 {
+		t.Fatal("no index section in the snapshot")
+	}
+	for i := from; i < len(body); i++ {
+		mut := append([]byte(nil), body...)
+		mut[i] ^= 0x01
+		try(reseal(mut), fmt.Sprintf("flip at %d", i))
+	}
+	if failed == 0 {
+		t.Fatal("no mutation failed to load")
+	}
 }
 
 // FuzzLoad asserts Load never panics on arbitrary input, and that accepted

@@ -163,92 +163,99 @@ func TestShardStats(t *testing.T) {
 	}
 }
 
-// TestShardedDiskLayout checks the on-disk artifacts: a sharded index lives
-// in per-shard .uidx files plus a manifest, an effectively-unsharded one
-// keeps the legacy single-file layout.
+// TestShardedDiskLayout checks the on-disk artifacts: there is one layout.
+// Every index is a manifest plus one .uidx file per shard — an unsharded
+// index is a manifest with one shard — and nothing else is written.
 func TestShardedDiskLayout(t *testing.T) {
-	dir := t.TempDir()
-	db := stressDBWith(t, Options{Dir: dir, Shards: 3})
-	mustExist := func(name string) {
-		t.Helper()
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Fatalf("missing %s: %v", name, err)
+	for _, tc := range []struct{ ask, shards int }{{3, 3}, {1, 1}, {0, 1}} {
+		dir := t.TempDir()
+		db := stressDBWith(t, Options{Dir: dir, Shards: tc.ask})
+		want := map[string]bool{"color.manifest": true, "age.manifest": true, "age.shard0.uidx": true}
+		for i := 0; i < tc.shards; i++ {
+			want[fmt.Sprintf("color.shard%d.uidx", i)] = true
 		}
-	}
-	mustExist("color.manifest")
-	for i := 0; i < 3; i++ {
-		mustExist(fmt.Sprintf("color.shard%d.uidx", i))
-	}
-	if _, err := os.Stat(filepath.Join(dir, "color.uidx")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("sharded index also wrote the legacy single file: %v", err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	dir2 := t.TempDir()
-	db2 := stressDBWith(t, Options{Dir: dir2, Shards: 1})
-	if _, err := os.Stat(filepath.Join(dir2, "color.uidx")); err != nil {
-		t.Fatalf("unsharded index missing legacy file: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir2, "color.manifest")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("unsharded index wrote a manifest: %v", err)
-	}
-	if err := db2.Close(); err != nil {
-		t.Fatal(err)
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if !want[e.Name()] {
+				t.Errorf("Shards %d: unexpected file %s", tc.ask, e.Name())
+			}
+			delete(want, e.Name())
+		}
+		for name := range want {
+			t.Errorf("Shards %d: missing %s", tc.ask, name)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestShardedDiskReopen closes a sharded database and reopens its index
+// TestShardedDiskReopen closes a disk-backed database and reopens its index
 // files from the manifest: the shard count and routing come from disk (a
-// different Options.Shards is ignored), and every query answers identically
-// to the pre-close state.
+// different Options.Shards is ignored, in both directions), and every query
+// answers identically to the pre-close state.
 func TestShardedDiskReopen(t *testing.T) {
-	dir := t.TempDir()
-	db := stressDBWith(t, Options{Dir: dir, Shards: 3, PoolPages: 16})
-	want := queryAll(t, db)
-	snap := filepath.Join(t.TempDir(), "state.usnap")
-	if err := db.SaveFile(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct{ created, reopened, want int }{
+		{3, 7, 3}, // more asked for than the manifest has
+		{0, 4, 1}, // a 1-shard manifest stays one shard
+	} {
+		dir := t.TempDir()
+		db := stressDBWith(t, Options{Dir: dir, Shards: tc.created, PoolPages: 16})
+		want := queryAll(t, db)
+		snap := filepath.Join(t.TempDir(), "state.usnap")
+		if err := db.SaveFile(snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	// Reopen with a contradicting shard request: the manifest wins.
-	db2, err := LoadFileWith(snap, Options{Dir: dir, Shards: 7, PoolPages: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if n, _ := db2.NumShards("color"); n != 3 {
-		t.Fatalf("reopened shard count = %d, want 3 (manifest over Options)", n)
-	}
-	got := queryAll(t, db2)
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("query %d after reopen: results diverge", i)
+		db2, err := LoadFileWith(snap, Options{Dir: dir, Shards: tc.reopened, PoolPages: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := db2.NumShards("color"); n != tc.want {
+			t.Fatalf("created with Shards %d, reopened with %d: %d shards, want %d (manifest over Options)",
+				tc.created, tc.reopened, n, tc.want)
+		}
+		got := queryAll(t, db2)
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("Shards %d, query %d after reopen: results diverge", tc.created, i)
+			}
+		}
+		if err := db2.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
+}
 
-	// The other precedence direction: a legacy single-file layout stays
-	// unsharded no matter what Options.Shards asks for.
-	dirB := t.TempDir()
-	dbB := stressDBWith(t, Options{Dir: dirB})
-	snapB := filepath.Join(t.TempDir(), "stateB.usnap")
-	if err := dbB.SaveFile(snapB); err != nil {
+// TestStaleSingleFileIgnored: a directory written before the manifest rooted
+// every index may still hold a bare <name>.uidx. It is derived data — the
+// index is built afresh from the store beside it, and the stale file is
+// neither read nor touched.
+func TestStaleSingleFileIgnored(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, "color.uidx")
+	junk := []byte("not an index file")
+	if err := os.WriteFile(stale, junk, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := dbB.Close(); err != nil {
-		t.Fatal(err)
+	db := stressDBWith(t, Options{Dir: dir})
+	defer db.Close()
+	flat := stressDB(t, 0)
+	defer flat.Close()
+	if got, want := queryAll(t, db), queryAll(t, flat); !reflect.DeepEqual(got, want) {
+		t.Fatal("index built beside a stale single file answers differently from an in-memory one")
 	}
-	dbB2, err := LoadFileWith(snapB, Options{Dir: dirB, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, "color.manifest")); err != nil {
+		t.Fatalf("no manifest written: %v", err)
 	}
-	defer dbB2.Close()
-	if n, _ := dbB2.NumShards("color"); n != 1 {
-		t.Fatalf("legacy reopen shard count = %d, want 1", n)
+	if raw, err := os.ReadFile(stale); err != nil || string(raw) != string(junk) {
+		t.Fatalf("stale file touched: %q, %v", raw, err)
 	}
 }
 

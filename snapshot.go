@@ -22,8 +22,9 @@ import (
 // queries to finish, then unpins its views, and later queries through it
 // fail with ErrSnapshotReleased — epoch pins never outlive the database.
 //
-// The snapshot covers index state. Match fields resolved through the object
-// store (the Obj pointer of a Match) read the store's latest state.
+// The snapshot covers index state only. Whatever a query resolves through
+// the object store — Where predicates, and any db.Get on a returned OID —
+// reads the store's latest state, not the state at the pin.
 type Snapshot struct {
 	db    *Database
 	views map[string]*core.ShardedSnap

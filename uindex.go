@@ -196,7 +196,11 @@ type Options struct {
 	// PoolPages, when positive, places a buffer pool of that many frames
 	// (internal/bufferpool) between each index and its page file. The
 	// pool is transparent to query results and to the paper's logical
-	// page-read counts; PoolStats exposes its hit/miss counters.
+	// page-read counts; PoolStats exposes its hit/miss counters. A pool
+	// also turns on the Parscan frontier prefetcher — the scan hands its
+	// next-level page frontier to a background goroutine that loads it with
+	// one batched read while the current level is decoded — which is equally
+	// transparent; Metrics exposes the prefetch counters.
 	PoolPages int
 	// PoolPolicy selects the pool's replacement policy: "clock" (the
 	// default) or "lru".
@@ -208,26 +212,19 @@ type Options struct {
 	// page-read counts (those are tracked before any cache is
 	// consulted); NodeCacheStats exposes its hit/miss counters.
 	NodeCacheSize int
-	// Dir, when non-empty, backs each index with a crash-safe page file at
-	// Dir/<name>.uidx (checksummed pages, atomic shadow-paged
-	// checkpoints) instead of an in-memory file. CreateIndex reopens an
-	// existing file from its last checkpoint without rebuilding; a corrupt
-	// file surfaces an error matching ErrCorruptFile or ErrCorruptPage,
-	// never a silent rebuild. Only the index trees live in these files —
-	// persist the object store separately with Save/Load.
+	// Dir, when non-empty, keeps each index on disk instead of in memory:
+	// one crash-safe page file per shard, Dir/<name>.shard<i>.uidx
+	// (checksummed pages, atomic shadow-paged checkpoints), rooted by the
+	// commit record Dir/<name>.manifest, which publishes the shard files'
+	// generations atomically. CreateIndex reopens an existing manifest from
+	// its last commit without rebuilding; a corrupt file surfaces an error
+	// matching ErrCorruptFile or ErrCorruptPage, never a silent rebuild.
+	// Only the index trees live in these files — persist the object store
+	// separately with Save/Load.
 	Dir string
 	// Durability selects when disk-backed indexes checkpoint; see the
 	// Durability constants. Ignored when Dir is empty.
 	Durability Durability
-	// NoPrefetch disables the Parscan frontier prefetcher on every index
-	// (an explicit IndexSpec.NoPrefetch sets it per index). Prefetch only
-	// activates when a buffer pool is configured (PoolPages > 0): the
-	// scan hands its next-level page frontier to a background goroutine
-	// that loads it with one batched read while the current level is
-	// decoded. Like the caches it is transparent to query results and to
-	// the paper's logical page-read counts; Metrics exposes the
-	// prefetch counters.
-	NoPrefetch bool
 	// WALMaxDelay bounds how long the group-commit daemon lingers after a
 	// record arrives before forcing the fsync, trading commit latency for
 	// larger batches. 0 (the default) syncs as soon as the daemon is free:
@@ -235,10 +232,6 @@ type Options struct {
 	// next one, so fsyncs amortize under concurrency with no added
 	// latency. Only meaningful with DurabilityWAL.
 	WALMaxDelay time.Duration
-	// WALMaxBatch caps the records one group commit accumulates before the
-	// fsync fires regardless of WALMaxDelay; 0 means unbounded. Only
-	// meaningful with DurabilityWAL.
-	WALMaxBatch int
 	// WALCheckpointBytes is the live-log size that wakes the background
 	// checkpointer with DurabilityWAL; 0 selects a 4 MiB default, negative
 	// disables size-triggered checkpoints (explicit Checkpoint calls and
@@ -251,11 +244,9 @@ type Options struct {
 	// buffer pool (PoolPages frames each), node cache, and writer lock, and
 	// queries scatter over the relevant shards and merge in key order.
 	// The effective count is clamped to the number of classes under the
-	// index's terminal class and to pager.MaxShards (61). With Dir set, a
-	// sharded index lives in Dir/<name>.shard<i>.uidx files published
-	// atomically by a Dir/<name>.manifest commit record; an existing
-	// on-disk layout always wins over this setting on reopen. 0 or 1
-	// keeps the unsharded single-file layout.
+	// index's terminal class and to pager.MaxShards (61); 0 or 1 means one
+	// shard. With Dir set, an existing manifest's shard count and routing
+	// bounds always win over this setting on reopen.
 	Shards int
 }
 
@@ -298,19 +289,19 @@ type Database struct {
 }
 
 // indexGroup is the facade's unit of index management: one logical index as
-// a core.Sharded group (a single shard in the unsharded layout) together
-// with its per-shard machinery. Slots of pools/files are nil when the shard
-// runs without a pool or in memory.
+// a core.Sharded group (a single shard unless Options.Shards asks for more)
+// together with its per-shard machinery. Slots of pools/files are nil when
+// the shard runs without a pool or in memory.
 type indexGroup struct {
 	name    string
 	sharded *core.Sharded
 	pools   []*bufferpool.Pool
 	files   []*pager.DiskFile
-	// manifest is the commit record of a sharded disk layout; nil for
-	// single-file and in-memory groups. manifestMu serializes its commits: a
-	// committer reads every shard file's durable generation, and since a
-	// shard's checkpoint completes before its writer lock is released, the
-	// recorded vector is always a consistent cut.
+	// manifest is the commit record that roots a disk-backed group; nil for
+	// in-memory groups. manifestMu serializes its commits: a committer reads
+	// every shard file's durable generation, and since a shard's checkpoint
+	// completes before its writer lock is released, the recorded vector is
+	// always a consistent cut.
 	manifest   *pager.Manifest
 	manifestMu sync.Mutex
 	// shardWrites counts, per shard, the mutations that acquired that
@@ -320,17 +311,14 @@ type indexGroup struct {
 }
 
 // disk reports whether the group is disk-backed.
-func (g *indexGroup) disk() bool { return len(g.files) > 0 && g.files[0] != nil }
+func (g *indexGroup) disk() bool { return g.manifest != nil }
 
 // checkpointShard makes one shard's state durable (tree flush, meta-page
 // payload, pool flush or file sync). The caller holds that shard's writer
-// lock; memory-backed shards are a no-op. The shard's new generation is not
-// published to the manifest here — pair with commitManifest.
+// lock. The shard's new generation is not published to the manifest here —
+// pair with commitManifest.
 func (g *indexGroup) checkpointShard(i int) error {
 	df := g.files[i]
-	if df == nil {
-		return nil
-	}
 	ix := g.sharded.Shard(i)
 	if err := ix.Flush(); err != nil {
 		return err
@@ -347,11 +335,8 @@ func (g *indexGroup) checkpointShard(i int) error {
 }
 
 // commitManifest atomically publishes the current durable generation of
-// every shard file. No-op for groups without a manifest.
+// every shard file.
 func (g *indexGroup) commitManifest() error {
-	if g.manifest == nil {
-		return nil
-	}
 	g.manifestMu.Lock()
 	defer g.manifestMu.Unlock()
 	gens := make([]uint64, len(g.files))
@@ -361,8 +346,9 @@ func (g *indexGroup) commitManifest() error {
 	return g.manifest.Commit(gens)
 }
 
-// checkpoint checkpoints every shard, then commits the manifest. The caller
-// holds every shard's writer lock or otherwise excludes writers.
+// checkpoint checkpoints every shard of a disk-backed group, then commits the
+// manifest. The caller holds every shard's writer lock or otherwise excludes
+// writers.
 func (g *indexGroup) checkpoint() error {
 	for i := range g.files {
 		if err := g.checkpointShard(i); err != nil {
@@ -370,6 +356,28 @@ func (g *indexGroup) checkpoint() error {
 		}
 	}
 	return g.commitManifest()
+}
+
+// discard closes a disk-backed group's shard files and manifest without
+// publishing anything: the files keep their last commit. It is the whole
+// teardown after a checkpoint (pool frames are clean then) and the only one
+// on failure paths, which must never write.
+func (g *indexGroup) discard() error {
+	var first error
+	for _, df := range g.files {
+		if df == nil {
+			continue
+		}
+		if err := df.CloseDiscard(); err != nil && first == nil {
+			first = err
+		}
+	}
+	if g.manifest != nil {
+		if err := g.manifest.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // NewDatabase creates a database over the schema, assigning class codes if
@@ -381,31 +389,38 @@ func NewDatabase(s *Schema) (*Database, error) {
 
 // NewDatabaseWith is NewDatabase with explicit Options.
 func NewDatabaseWith(s *Schema, opts Options) (*Database, error) {
+	db, err := newDatabase(s, opts)
+	if err == nil && opts.Durability == DurabilityWAL {
+		err = db.bootstrapWAL()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// newDatabase is NewDatabaseWith short of the WAL bootstrap: an empty
+// database with no log attached, which is also what Open recovers into.
+func newDatabase(s *Schema, opts Options) (*Database, error) {
 	if s.Coding() == nil {
 		if _, err := s.AssignCodes(); err != nil {
 			return nil, err
 		}
+	}
+	if opts.Durability == DurabilityWAL && opts.Dir == "" {
+		return nil, errors.New("uindex: DurabilityWAL requires Options.Dir")
 	}
 	if opts.Dir != "" {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("uindex: creating database directory: %w", err)
 		}
 	}
-	if opts.Durability == DurabilityWAL && opts.Dir == "" {
-		return nil, errors.New("uindex: DurabilityWAL requires Options.Dir")
-	}
-	db := &Database{
+	return &Database{
 		sch:    s,
 		st:     store.New(s),
 		groups: make(map[string]*indexGroup),
 		opts:   opts,
-	}
-	if opts.Durability == DurabilityWAL {
-		if err := db.bootstrapWAL(); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
+	}, nil
 }
 
 // Close marks the database closed, checkpoints every disk-backed index
@@ -415,7 +430,12 @@ func NewDatabaseWith(s *Schema, opts Options) (*Database, error) {
 // are released here so no epoch pin survives Close; subsequent operations
 // fail with ErrClosed (snapshot queries with ErrSnapshotReleased). Close is
 // idempotent.
-func (db *Database) Close() error {
+func (db *Database) Close() error { return db.close(true) }
+
+// close(false) is Close for a database that failed before it was handed to a
+// caller (LoadWith, Open): everything is released and nothing checkpointed, so
+// a failed load or recovery leaves the directory the bytes it had.
+func (db *Database) close(publish bool) error {
 	if db.wal != nil {
 		// Stop the background checkpointer before taking the catalog
 		// write lock: it checkpoints under the read lock, and a stop
@@ -432,9 +452,13 @@ func (db *Database) Close() error {
 	db.releaseSnapshotsLocked()
 	var first error
 	if db.wal != nil {
-		// Final fold: everything the log holds lands in the shadow-paged
-		// files and the db manifest, so the log closes empty.
-		first = db.walCheckpointLocked()
+		if publish {
+			// Final fold: everything the log holds lands in the shadow-paged
+			// files and the db manifest, so the log closes empty.
+			first = db.walCheckpointLocked()
+		}
+		// An unpublished database never ran a write call, so closing its
+		// log flushes nothing.
 		if err := db.wal.log.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -442,40 +466,30 @@ func (db *Database) Close() error {
 			first = err
 		}
 	}
+	// With a WAL the fold above has checkpointed every group; a second
+	// checkpoint per group would be redundant I/O.
+	checkpoint := publish && db.opts.Durability == DurabilityCheckpoint
 	for _, name := range db.order {
-		if err := db.releaseGroupLocked(name); err != nil && first == nil {
+		if err := db.groups[name].release(checkpoint); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// releaseGroupLocked checkpoints (per the durability mode) and tears down
-// one group's pools, disk files, and manifest. The caller holds the catalog
-// write lock.
-func (db *Database) releaseGroupLocked(name string) error {
-	g := db.groups[name]
+// release tears down one group's pools, disk files, and manifest, after a
+// final checkpoint when asked for one. The caller holds the catalog write
+// lock.
+func (g *indexGroup) release(checkpoint bool) error {
 	var first error
 	if g.disk() {
-		// With a WAL, the caller (Close, DropIndex) has already folded the
-		// log via walCheckpointLocked, which checkpointed every group; a
-		// second checkpoint here would be redundant I/O.
-		if db.opts.Durability != DurabilityNone && db.wal == nil {
+		if checkpoint {
 			first = g.checkpoint()
 		}
-		// The checkpoint above is the only publish point: closing must
-		// not sync a stale payload, so the pools are discarded (their
-		// frames are clean after a successful checkpoint) and the files
-		// closed without a further checkpoint.
-		for _, df := range g.files {
-			if err := df.CloseDiscard(); err != nil && first == nil {
-				first = err
-			}
-		}
-		if g.manifest != nil {
-			if err := g.manifest.Close(); err != nil && first == nil {
-				first = err
-			}
+		// The checkpoint above is the only publish point: closing must not
+		// sync a stale payload, so the pools are dropped with the files.
+		if err := g.discard(); err != nil && first == nil {
+			first = err
 		}
 		return first
 	}
@@ -610,15 +624,14 @@ func (db *Database) Coding() *Coding { return db.sch.Coding() }
 // With Options.Shards above 1 the index is partitioned into shards by
 // class-code intervals (see Options.Shards).
 //
-// With Dir set, an existing file layout is reopened from its last
-// checkpoint instead of rebuilding — a single Dir/<name>.uidx file, or a
-// Dir/<name>.manifest plus its Dir/<name>.shard<i>.uidx files, whichever
-// exists; the on-disk layout's shard count wins over Options.Shards. The
-// caller must present the same spec and an object store with the same
-// contents (see Load). Corruption — structural damage or a checksum-failing
-// page — is surfaced as an error matching ErrCorruptFile or ErrCorruptPage,
-// never silently rebuilt over. A freshly built index is checkpointed before
-// CreateIndex returns.
+// With Dir set, an existing Dir/<name>.manifest is reopened from its last
+// commit instead of rebuilding: the shard count and routing bounds it records
+// win over Options.Shards, and every Dir/<name>.shard<i>.uidx file is opened
+// at the generation it recorded. The caller must present the same spec and an
+// object store with the same contents (see Load). Corruption — structural
+// damage or a checksum-failing page — is surfaced as an error matching
+// ErrCorruptFile or ErrCorruptPage, never silently rebuilt over. A freshly
+// built index is checkpointed before CreateIndex returns.
 func (db *Database) CreateIndex(spec IndexSpec) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -631,10 +644,7 @@ func (db *Database) CreateIndex(spec IndexSpec) error {
 	if spec.NodeCacheSize == 0 {
 		spec.NodeCacheSize = db.opts.NodeCacheSize
 	}
-	if db.opts.NoPrefetch {
-		spec.NoPrefetch = true
-	}
-	g, err := db.openGroupLocked(spec)
+	g, err := db.openGroup(spec)
 	if err != nil {
 		return err
 	}
@@ -645,15 +655,26 @@ func (db *Database) CreateIndex(spec IndexSpec) error {
 		// store snapshot on disk records the new index declaration and
 		// recovery reopens it instead of diverging.
 		if err := db.walCheckpointLocked(); err != nil {
+			// The declaration never reached the disk: take the index back out.
+			delete(db.groups, spec.Name)
+			db.order = db.order[:len(db.order)-1]
+			g.discard()
 			return fmt.Errorf("uindex: index %q: checkpointing catalog change: %w", spec.Name, err)
 		}
 	}
 	return nil
 }
 
-// openGroupLocked creates or reopens the group for one index spec, deciding
-// between the unsharded single-file layout and the sharded layout.
-func (db *Database) openGroupLocked(spec IndexSpec) (*indexGroup, error) {
+// openGroup creates or reopens the group of one index spec; it is the one
+// place an indexGroup is assembled. In memory every shard is a fresh MemFile.
+// On disk the manifest is the root: an existing one dictates the shard map
+// (Options.Shards is ignored) and the generation each shard file is opened
+// AT, rolling back any shard whose checkpoint outran the last commit; without
+// one the shard files and then the manifest are created before the build (so
+// every on-disk artifact exists from the start) and committed again by the
+// initial checkpoint — a crash in between reopens to the consistent empty
+// state and builds again.
+func (db *Database) openGroup(spec IndexSpec) (_ *indexGroup, err error) {
 	// A throwaway in-memory index validates the spec and yields the
 	// class codes the shard map partitions (the terminal class's
 	// hierarchy, which is exactly the set of position-0 codes).
@@ -661,293 +682,94 @@ func (db *Database) openGroupLocked(spec IndexSpec) (*indexGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	codes := tmp.ShardCodes()
-
-	want := db.opts.Shards
-	if want > pager.MaxShards {
-		want = pager.MaxShards
-	}
-	if db.opts.Dir == "" {
-		return db.buildMemGroup(spec, core.NewShardMap(codes, want))
-	}
-	manifestPath := filepath.Join(db.opts.Dir, spec.Name+".manifest")
-	legacyPath := filepath.Join(db.opts.Dir, spec.Name+".uidx")
-	if _, statErr := os.Stat(manifestPath); statErr == nil {
-		return db.reopenShardedGroup(spec, manifestPath)
-	} else if !errors.Is(statErr, fs.ErrNotExist) {
-		return nil, fmt.Errorf("uindex: index %q: %w", spec.Name, statErr)
-	}
-	if _, statErr := os.Stat(legacyPath); statErr == nil {
-		return db.openSingleFileGroup(spec, legacyPath, false)
-	} else if !errors.Is(statErr, fs.ErrNotExist) {
-		return nil, fmt.Errorf("uindex: index %q: %w", spec.Name, statErr)
-	}
-	smap := core.NewShardMap(codes, want)
-	if smap.Shards() == 1 {
-		return db.openSingleFileGroup(spec, legacyPath, true)
-	}
-	return db.createShardedGroup(spec, smap, manifestPath)
-}
-
-// wrapPool places a buffer pool in front of a page file when the database is
-// configured with one.
-func (db *Database) wrapPool(f pager.File) (pager.File, *bufferpool.Pool, error) {
-	if db.opts.PoolPages <= 0 {
-		return f, nil, nil
-	}
-	pool, err := bufferpool.New(f, bufferpool.Config{
-		Pages:  db.opts.PoolPages,
-		Policy: db.opts.PoolPolicy,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return pool, pool, nil
-}
-
-// buildMemGroup builds a fresh in-memory group (any shard count).
-func (db *Database) buildMemGroup(spec IndexSpec, smap *core.ShardMap) (*indexGroup, error) {
-	n := smap.Shards()
-	shards := make([]*core.Index, n)
-	pools := make([]*bufferpool.Pool, n)
-	for i := range shards {
-		f, pool, err := db.wrapPool(pager.NewMemFile(0))
+	g := &indexGroup{name: spec.Name}
+	defer func() {
 		if err != nil {
-			return nil, fmt.Errorf("uindex: index %q: %w", spec.Name, err)
+			g.discard()
+			err = fmt.Errorf("uindex: index %q: %w", spec.Name, err)
 		}
-		pools[i] = pool
-		shards[i], err = core.New(f, db.st, spec)
-		if err != nil {
+	}()
+
+	dir := db.opts.Dir
+	manifestPath := filepath.Join(dir, spec.Name+".manifest")
+	smap := core.NewShardMap(tmp.ShardCodes(), min(db.opts.Shards, pager.MaxShards))
+	var gens []uint64 // per-shard generations to reopen at; nil creates the files
+	if dir != "" {
+		g.manifest, err = pager.OpenManifestFile(manifestPath)
+		if err == nil {
+			gens = g.manifest.Gens()
+			bounds := g.manifest.Bounds()
+			codes := make([]encoding.Code, len(bounds))
+			for i, b := range bounds {
+				codes[i] = encoding.Code(b)
+			}
+			if smap, err = core.ShardMapFromBounds(codes); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrCorruptFile, err)
+			}
+		} else if !errors.Is(err, fs.ErrNotExist) {
 			return nil, err
 		}
 	}
-	sh, err := core.NewSharded(shards, smap)
-	if err != nil {
-		return nil, err
-	}
-	if err := sh.Build(); err != nil {
-		return nil, err
-	}
-	return &indexGroup{
-		name:        spec.Name,
-		sharded:     sh,
-		pools:       pools,
-		files:       make([]*pager.DiskFile, n),
-		shardWrites: make([]atomic.Uint64, n),
-	}, nil
-}
-
-// openSingleFileGroup creates or reopens the unsharded disk layout: one
-// shard on one Dir/<name>.uidx file, no manifest.
-func (db *Database) openSingleFileGroup(spec IndexSpec, path string, create bool) (*indexGroup, error) {
-	var (
-		df         *pager.DiskFile
-		err        error
-		reopen     bool
-		reopenMeta pager.PageID
-	)
-	if create {
-		df, err = pager.CreateDiskFile(path, 0)
-		if err != nil {
-			return nil, fmt.Errorf("uindex: index %q: %w", spec.Name, err)
-		}
-	} else {
-		df, err = pager.OpenDiskFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("uindex: index %q: %w", spec.Name, err)
-		}
-		if pl := df.Payload(); len(pl) == 4 {
-			reopenMeta = pager.PageID(binary.BigEndian.Uint32(pl))
-			reopen = true
-		} else if len(pl) != 0 {
-			df.CloseDiscard()
-			return nil, fmt.Errorf("uindex: index %q: %w: checkpoint payload has unexpected length %d",
-				spec.Name, ErrCorruptFile, len(pl))
-		}
-		// An empty payload means the file was created but never
-		// checkpointed with a built index: build fresh onto it.
-	}
-	f, pool, err := db.wrapPool(df)
-	if err != nil {
-		df.CloseDiscard()
-		return nil, fmt.Errorf("uindex: index %q: %w", spec.Name, err)
-	}
-	var ix *core.Index
-	if reopen {
-		ix, err = core.Open(f, db.st, spec, reopenMeta)
-	} else {
-		ix, err = core.New(f, db.st, spec)
-		if err == nil {
-			err = ix.Build()
-		}
-	}
-	if err != nil {
-		df.CloseDiscard()
-		return nil, err
-	}
-	smap := core.NewShardMap(nil, 1)
-	sh, err := core.NewSharded([]*core.Index{ix}, smap)
-	if err != nil {
-		df.CloseDiscard()
-		return nil, err
-	}
-	g := &indexGroup{
-		name:        spec.Name,
-		sharded:     sh,
-		pools:       []*bufferpool.Pool{pool},
-		files:       []*pager.DiskFile{df},
-		shardWrites: make([]atomic.Uint64, 1),
-	}
-	if !reopen {
-		// Make the freshly built index durable so a reopened file is
-		// self-describing from the start.
-		if err := g.checkpoint(); err != nil {
-			return nil, fmt.Errorf("uindex: index %q: checkpointing initial build: %w", spec.Name, err)
-		}
-	}
-	return g, nil
-}
-
-// createShardedGroup builds a fresh sharded disk layout: one shard file per
-// interval plus the manifest. The manifest is created before the build (so
-// every on-disk artifact exists from the start) and committed again after
-// the initial checkpoint; a crash in between reopens to the consistent
-// empty state and rebuilds.
-func (db *Database) createShardedGroup(spec IndexSpec, smap *core.ShardMap, manifestPath string) (g *indexGroup, err error) {
 	n := smap.Shards()
-	files := make([]*pager.DiskFile, n)
-	defer func() {
-		if err != nil {
-			for _, df := range files {
-				if df != nil {
-					df.CloseDiscard()
-				}
-			}
-		}
-	}()
-	for i := range files {
-		files[i], err = pager.CreateDiskFile(db.shardPath(spec.Name, i), 0)
-		if err != nil {
-			return nil, fmt.Errorf("uindex: index %q: %w", spec.Name, err)
-		}
-	}
-	gens := make([]uint64, n)
-	bounds := make([][]byte, 0, n-1)
-	for i, df := range files {
-		gens[i] = df.Generation()
-		if i > 0 {
-			bounds = append(bounds, []byte(smap.Bounds()[i-1]))
-		}
-	}
-	manifest, err := pager.CreateManifestFile(manifestPath, bounds, gens)
-	if err != nil {
-		return nil, fmt.Errorf("uindex: index %q: %w", spec.Name, err)
-	}
-	shards := make([]*core.Index, n)
-	pools := make([]*bufferpool.Pool, n)
-	for i, df := range files {
-		var f pager.File
-		f, pools[i], err = db.wrapPool(df)
-		if err == nil {
-			shards[i], err = core.New(f, db.st, spec)
-		}
-		if err != nil {
-			manifest.Close()
-			return nil, fmt.Errorf("uindex: index %q: %w", spec.Name, err)
-		}
-	}
-	sh, nerr := core.NewSharded(shards, smap)
-	if nerr == nil {
-		nerr = sh.Build()
-	}
-	if nerr != nil {
-		err = nerr
-		manifest.Close()
-		return nil, err
-	}
-	g = &indexGroup{
-		name:        spec.Name,
-		sharded:     sh,
-		pools:       pools,
-		files:       files,
-		manifest:    manifest,
-		shardWrites: make([]atomic.Uint64, n),
-	}
-	if err = g.checkpoint(); err != nil {
-		manifest.Close()
-		return nil, fmt.Errorf("uindex: index %q: checkpointing initial build: %w", spec.Name, err)
-	}
-	return g, nil
-}
+	g.files = make([]*pager.DiskFile, n)
+	g.pools = make([]*bufferpool.Pool, n)
+	g.shardWrites = make([]atomic.Uint64, n)
 
-// reopenShardedGroup reopens a sharded disk layout from its manifest: shard
-// count and routing bounds come from the manifest (Options.Shards is
-// ignored), and every shard file is opened pinned AT its manifest-recorded
-// generation, rolling back any shard whose checkpoint outran the commit.
-func (db *Database) reopenShardedGroup(spec IndexSpec, manifestPath string) (g *indexGroup, err error) {
-	manifest, err := pager.OpenManifestFile(manifestPath)
-	if err != nil {
-		return nil, fmt.Errorf("uindex: index %q: %w", spec.Name, err)
-	}
-	defer func() {
-		if err != nil {
-			manifest.Close()
-		}
-	}()
-	rawBounds := manifest.Bounds()
-	codes := make([]encoding.Code, len(rawBounds))
-	for i, b := range rawBounds {
-		codes[i] = encoding.Code(b)
-	}
-	smap, err := core.ShardMapFromBounds(codes)
-	if err != nil {
-		return nil, fmt.Errorf("uindex: index %q: %w: %v", spec.Name, ErrCorruptFile, err)
-	}
-	n := manifest.Shards()
-	gens := manifest.Gens()
-	files := make([]*pager.DiskFile, n)
-	defer func() {
-		if err != nil {
-			for _, df := range files {
-				if df != nil {
-					df.CloseDiscard()
-				}
-			}
-		}
-	}()
-	built, unbuilt := 0, 0
+	// A shard file's checkpoint payload is the meta page of its built tree.
+	// An empty payload is a file created but never checkpointed with a built
+	// index — only consistent when every shard is in that state.
+	built := 0
 	metas := make([]pager.PageID, n)
-	for i := range files {
-		files[i], err = pager.OpenDiskFileAt(db.shardPath(spec.Name, i), gens[i])
-		if err != nil {
-			return nil, fmt.Errorf("uindex: index %q: %w", spec.Name, err)
+	for i := 0; i < n && dir != ""; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("%s.shard%d.uidx", spec.Name, i))
+		if gens == nil {
+			g.files[i], err = pager.CreateDiskFile(path, 0)
+		} else {
+			g.files[i], err = pager.OpenDiskFileAt(path, gens[i])
 		}
-		switch pl := files[i].Payload(); len(pl) {
+		if err != nil {
+			return nil, err
+		}
+		switch pl := g.files[i].Payload(); len(pl) {
 		case 4:
 			metas[i] = pager.PageID(binary.BigEndian.Uint32(pl))
 			built++
 		case 0:
-			// Created but never checkpointed with a built index — only
-			// consistent when every shard is in that state.
-			unbuilt++
 		default:
-			err = fmt.Errorf("uindex: index %q shard %d: %w: checkpoint payload has unexpected length %d",
-				spec.Name, i, ErrCorruptFile, len(pl))
+			return nil, fmt.Errorf("shard %d: %w: checkpoint payload has unexpected length %d",
+				i, ErrCorruptFile, len(pl))
+		}
+	}
+	if built != 0 && built != n {
+		return nil, fmt.Errorf("%w: %d shards built, %d empty under one manifest commit",
+			ErrCorruptFile, built, n-built)
+	}
+	if dir != "" && gens == nil {
+		bounds := make([][]byte, n-1)
+		for i, c := range smap.Bounds() {
+			bounds[i] = []byte(c)
+		}
+		gens = make([]uint64, n)
+		for i, df := range g.files {
+			gens[i] = df.Generation()
+		}
+		if g.manifest, err = pager.CreateManifestFile(manifestPath, bounds, gens); err != nil {
 			return nil, err
 		}
 	}
-	if built > 0 && unbuilt > 0 {
-		err = fmt.Errorf("uindex: index %q: %w: %d shards built, %d empty under one manifest commit",
-			spec.Name, ErrCorruptFile, built, unbuilt)
-		return nil, err
-	}
+
 	shards := make([]*core.Index, n)
-	pools := make([]*bufferpool.Pool, n)
-	for i, df := range files {
-		var f pager.File
-		f, pools[i], err = db.wrapPool(df)
-		if err != nil {
-			return nil, fmt.Errorf("uindex: index %q: %w", spec.Name, err)
+	for i, df := range g.files {
+		var f pager.File = pager.NewMemFile(0)
+		if df != nil {
+			f = df
+		}
+		if db.opts.PoolPages > 0 {
+			g.pools[i], err = bufferpool.New(f, bufferpool.Config{Pages: db.opts.PoolPages, Policy: db.opts.PoolPolicy})
+			if err != nil {
+				return nil, err
+			}
+			f = g.pools[i]
 		}
 		if built > 0 {
 			shards[i], err = core.Open(f, db.st, spec, metas[i])
@@ -958,35 +780,20 @@ func (db *Database) reopenShardedGroup(spec IndexSpec, manifestPath string) (g *
 			return nil, err
 		}
 	}
-	sh, err := core.NewSharded(shards, smap)
-	if err != nil {
+	if g.sharded, err = core.NewSharded(shards, smap); err != nil {
 		return nil, err
 	}
 	if built == 0 {
-		if err = sh.Build(); err != nil {
+		if err = g.sharded.Build(); err != nil {
 			return nil, err
 		}
-	}
-	g = &indexGroup{
-		name:        spec.Name,
-		sharded:     sh,
-		pools:       pools,
-		files:       files,
-		manifest:    manifest,
-		shardWrites: make([]atomic.Uint64, n),
-	}
-	if built == 0 {
-		if err = g.checkpoint(); err != nil {
-			err = fmt.Errorf("uindex: index %q: checkpointing initial build: %w", spec.Name, err)
-			return nil, err
+		if g.disk() {
+			if err = g.checkpoint(); err != nil {
+				return nil, fmt.Errorf("checkpointing initial build: %w", err)
+			}
 		}
 	}
 	return g, nil
-}
-
-// shardPath is the page file of one shard of a sharded disk layout.
-func (db *Database) shardPath(name string, i int) string {
-	return filepath.Join(db.opts.Dir, fmt.Sprintf("%s.shard%d.uidx", name, i))
 }
 
 // Checkpoint makes the current state of every disk-backed index durable.
@@ -1019,9 +826,9 @@ func (db *Database) Checkpoint() error {
 	return nil
 }
 
-// DropIndex removes an index, closing its buffer pool and disk file if it
+// DropIndex removes an index, closing its buffer pools and disk files if it
 // has them. A disk-backed index is checkpointed first (unless the database
-// runs with DurabilityNone); its file is left on disk and can be
+// runs with DurabilityNone); its files are left on disk and can be
 // re-attached by a later CreateIndex with the same name.
 func (db *Database) DropIndex(name string) error {
 	db.mu.Lock()
@@ -1033,9 +840,9 @@ func (db *Database) DropIndex(name string) error {
 	if !ok {
 		return fmt.Errorf("uindex: no index %q: %w", name, ErrIndexNotFound)
 	}
-	if db.wal != nil && g.disk() {
-		// The log is truncated right after this drop, so the orphaned file
-		// must carry its own final checkpoint — holding only records the
+	if db.wal != nil {
+		// The log is truncated right after this drop, so the orphaned files
+		// must carry their own final checkpoint — holding only records the
 		// log has made durable, or a crash before the truncation would
 		// recover an index ahead of the replayable store.
 		err := db.wal.log.WaitDurable(db.wal.log.LastAppended())
@@ -1046,7 +853,8 @@ func (db *Database) DropIndex(name string) error {
 			return fmt.Errorf("uindex: checkpointing index %q before drop: %w", name, err)
 		}
 	}
-	err := db.releaseGroupLocked(name)
+	// Under the WAL the checkpoint above was the final one.
+	err := g.release(db.opts.Durability == DurabilityCheckpoint)
 	delete(db.groups, name)
 	for i, n := range db.order {
 		if n == name {

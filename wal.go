@@ -129,10 +129,6 @@ func newWALState(log *wal.Log, manifest *pager.Manifest, storeGen uint64, opts O
 	}
 }
 
-func walOptions(opts Options) wal.Options {
-	return wal.Options{MaxDelay: opts.WALMaxDelay, MaxBatch: opts.WALMaxBatch}
-}
-
 // bootstrapWAL initializes a fresh DurabilityWAL database directory: the
 // generation-1 store snapshot, the database manifest, and an empty log. A
 // directory that already holds a WAL database is refused — its log tail
@@ -152,7 +148,7 @@ func (db *Database) bootstrapWAL() error {
 	if err != nil {
 		return err
 	}
-	log, err := wal.Create(filepath.Join(db.opts.Dir, walLogName), walOptions(db.opts))
+	log, err := wal.Create(filepath.Join(db.opts.Dir, walLogName), wal.Options{MaxDelay: db.opts.WALMaxDelay})
 	if err != nil {
 		manifest.Close()
 		return err
@@ -174,42 +170,62 @@ func recoveryError(what string, err error) error {
 
 // Open recovers a DurabilityWAL database from its directory: it reads the
 // database manifest for the last checkpoint (store snapshot generation +
-// checkpoint LSN), loads the store snapshot — which reopens every index
-// file from its shadow-paged checkpoint — and replays the committed log
-// suffix on top. Torn or partially-synced log tails are detected by the
-// log's per-record framing and truncated, never replayed. Every recovery
-// failure matches ErrRecovery.
+// checkpoint LSN), decodes that store snapshot into a fresh database — which
+// reopens every index from its manifest, each shard file at the generation the
+// last commit published — and replays the committed log suffix on top. Torn
+// or partially-synced log tails are detected by the log's per-record framing
+// and truncated, never replayed. Every recovery failure matches ErrRecovery,
+// and a failed Open leaves every file of the directory as it found it.
 //
 // opts.Dir and opts.Durability are overridden by dir and DurabilityWAL;
-// the remaining options (pools, caches, shards, WAL knobs) apply as in
-// NewDatabaseWith.
-func Open(dir string, opts Options) (*Database, error) {
+// the remaining options (pools, caches, WAL knobs) apply as in
+// NewDatabaseWith, except Shards: the index manifests decide.
+func Open(dir string, opts Options) (_ *Database, err error) {
 	opts.Dir = dir
 	opts.Durability = DurabilityWAL
 	manifest, err := pager.OpenManifestFile(filepath.Join(dir, walManifestName))
 	if err != nil {
 		return nil, recoveryError("opening database manifest", err)
 	}
+	var (
+		db  *Database
+		log *wal.Log
+	)
+	defer func() {
+		// Nothing a failed recovery rebuilt or replayed in memory may reach
+		// the disk: no checkpoint, and a log never appended to flushes nothing.
+		if err != nil {
+			if log != nil {
+				log.Close()
+			}
+			if db != nil {
+				db.close(false)
+			}
+			manifest.Close()
+		}
+	}()
 	storeGen := manifest.Gens()[0]
-	cut := manifest.WALLSN()
-	// Load with checkpoint durability so NewDatabaseWith does not try to
-	// bootstrap a fresh WAL under the snapshot load.
-	loadOpts := opts
-	loadOpts.Durability = DurabilityCheckpoint
-	db, err := LoadFileWith(filepath.Join(dir, storeSnapName(storeGen)), loadOpts)
+	var snap *snapshotData
+	data, err := os.ReadFile(filepath.Join(dir, storeSnapName(storeGen)))
+	if err == nil {
+		snap, err = decodeSnapshot(data)
+	}
+	if err == nil {
+		db, err = newDatabase(snap.schema, opts)
+	}
+	if err == nil {
+		// No log is attached yet, so attaching the indexes checkpoints nothing.
+		err = db.attach(snap)
+	}
 	if err != nil {
-		manifest.Close()
 		return nil, recoveryError("loading store snapshot", err)
 	}
-	db.opts.Durability = DurabilityWAL
-	log, err := wal.Open(filepath.Join(dir, walLogName), walOptions(opts))
+	log, err = wal.Open(filepath.Join(dir, walLogName), wal.Options{MaxDelay: opts.WALMaxDelay})
 	if err != nil {
-		db.Close()
-		manifest.Close()
 		return nil, recoveryError("opening write-ahead log", err)
 	}
 	w := newWALState(log, manifest, storeGen, opts)
-	err = log.Replay(cut, func(lsn uint64, payload []byte) error {
+	err = log.Replay(manifest.WALLSN(), func(lsn uint64, payload []byte) error {
 		if rerr := db.walReplayRecord(payload); rerr != nil {
 			return fmt.Errorf("record %d: %w", lsn, rerr)
 		}
@@ -217,9 +233,6 @@ func Open(dir string, opts Options) (*Database, error) {
 		return nil
 	})
 	if err != nil {
-		log.Abandon()
-		db.Close()
-		manifest.Close()
 		return nil, recoveryError("replaying log", err)
 	}
 	db.wal = w
@@ -270,9 +283,6 @@ func (db *Database) walCheckpointLocked() error {
 	// lock: writers to other shards (and readers everywhere) proceed.
 	for _, name := range db.order {
 		g := db.groups[name]
-		if !g.disk() {
-			continue
-		}
 		for i := range g.files {
 			g.sharded.LockShards(1 << i)
 			err := g.checkpointShard(i)

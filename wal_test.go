@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/wal"
 )
 
 // walOpts is the WAL test baseline: background checkpointing disabled so
@@ -20,24 +22,34 @@ func walOpts(dir string) Options {
 	return Options{Dir: dir, PoolPages: 16, Durability: DurabilityWAL, WALCheckpointBytes: -1}
 }
 
+// readDir returns the bytes of every file of a directory, by name.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(ents))
+	for _, e := range ents {
+		if e.IsDir() {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(raw)
+	}
+	return files
+}
+
 // copyDirTo snapshots every file of a live database directory — the state a
 // crash at this instant would leave on disk (the log and manifests are
 // written with WriteAt+Sync, so the on-disk bytes are the durable state).
 func copyDirTo(t *testing.T, src, dst string) {
 	t.Helper()
-	ents, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), raw, 0o644); err != nil {
+	for name, raw := range readDir(t, src) {
+		if err := os.WriteFile(filepath.Join(dst, name), []byte(raw), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,8 +326,11 @@ func TestWALRecoveryErrors(t *testing.T) {
 		}
 		return d
 	}
+	// A failed Open is read-only: whatever it rebuilt or replayed in memory
+	// before giving up, every file of the image keeps its bytes.
 	wantRecovery := func(t *testing.T, d string) error {
 		t.Helper()
+		before := readDir(t, d)
 		rec, err := Open(d, Options{PoolPages: 16, WALCheckpointBytes: -1})
 		if err == nil {
 			rec.Close()
@@ -323,6 +338,15 @@ func TestWALRecoveryErrors(t *testing.T) {
 		}
 		if !errors.Is(err, ErrRecovery) {
 			t.Fatalf("Open = %v, want ErrRecovery in the chain", err)
+		}
+		after := readDir(t, d)
+		for name, raw := range before {
+			if got, ok := after[name]; !ok || got != raw {
+				t.Errorf("failed Open changed %s", name)
+			}
+		}
+		if len(after) != len(before) {
+			t.Errorf("failed Open left %d files where it found %d", len(after), len(before))
 		}
 		return err
 	}
@@ -349,7 +373,7 @@ func TestWALRecoveryErrors(t *testing.T) {
 		// Flip a payload byte in every page slot after the header: whatever
 		// page the reopen touches fails its checksum. The pager-level cause
 		// must survive the ErrRecovery wrapping.
-		err := wantRecovery(t, corrupt(t, "color.uidx", func(raw []byte) []byte {
+		err := wantRecovery(t, corrupt(t, "color.shard0.uidx", func(raw []byte) []byte {
 			const slotSize = 1024 + 12
 			for off := slotSize + 50; off < len(raw); off += slotSize {
 				raw[off] ^= 0xFF
@@ -361,6 +385,23 @@ func TestWALRecoveryErrors(t *testing.T) {
 			t.Fatalf("index corruption lost its pager cause: %v", err)
 		}
 	})
+	t.Run("replay", func(t *testing.T) {
+		// A record the decoder refuses, behind the image's good one: replay
+		// applies the insert in memory, then fails — and publishes nothing.
+		d := t.TempDir()
+		copyDirTo(t, img, d)
+		log, err := wal.Open(filepath.Join(d, walLogName), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.WaitDurable(log.Append([]byte{1, 7, 0})); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wantRecovery(t, d)
+	})
 	t.Run("missing log", func(t *testing.T) {
 		d := t.TempDir()
 		copyDirTo(t, img, d)
@@ -369,6 +410,77 @@ func TestWALRecoveryErrors(t *testing.T) {
 		}
 		wantRecovery(t, d)
 	})
+}
+
+// TestWALShardSyncAheadOfLog: the checkpointer syncs shard files before the
+// log fsync that covers what they hold, and only then commits the manifests.
+// A crash in between leaves a shard file one generation ahead of everything
+// else in the directory. Recovery must open it at the generation the index
+// manifest published — a shard file opened at its newest generation would
+// hold an entry whose object neither the store snapshot nor the log has.
+func TestWALShardSyncAheadOfLog(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := walOpts(dir)
+			opts.Shards = shards
+			db, err := NewDatabaseWith(vehicleSchema(t), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if err := db.CreateIndex(colorSpec); err != nil {
+				t.Fatal(err)
+			}
+			insertVehicles(t, db, testColors)
+			wantRed := countRed(t, db)
+
+			// The image: log, manifests and store snapshot from before the
+			// next commit, shard files from after its per-shard checkpoint.
+			img := crashImage(t, dir)
+			insertVehicles(t, db, []string{"Red"})
+			g := db.groups["color"]
+			for i := range g.files {
+				g.sharded.LockShards(1 << i)
+				err := g.checkpointShard(i)
+				g.sharded.UnlockShards(1 << i)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			copied := 0
+			for name, raw := range readDir(t, dir) {
+				if !strings.HasSuffix(name, ".uidx") {
+					continue
+				}
+				if err := os.WriteFile(filepath.Join(img, name), []byte(raw), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				copied++
+			}
+			if copied != len(g.files) {
+				t.Fatalf("copied %d index page files, want %d", copied, len(g.files))
+			}
+
+			rec, err := Open(img, Options{PoolPages: 16, WALCheckpointBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			ms, _, err := rec.Query(context.Background(), "color", redQuery())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ms) != wantRed {
+				t.Errorf("recovered %d red vehicles, want the %d from before the lost commit", len(ms), wantRed)
+			}
+			for _, m := range ms {
+				if _, ok := rec.Get(m.Path[0].OID); !ok {
+					t.Errorf("index returns object %d, which the store does not have", m.Path[0].OID)
+				}
+			}
+		})
+	}
 }
 
 // TestWALBootstrapRules: DurabilityWAL requires a directory, and a directory
