@@ -73,7 +73,7 @@ nouring:
 # registry, and the session/metrics satellites on the facade.
 serve:
 	$(GO) test -race -count=1 ./internal/server/ ./internal/obs/
-	$(GO) test -race -count=1 -run 'Metrics|QueryParallelCancellation|CloseReleasesSnapshots' .
+	$(GO) test -race -count=1 -run 'Metrics|CloseReleasesSnapshots' .
 
 # Sharding check, race-enabled and uncached: the shard-invariance suite
 # (sharded results identical to flat under every layout), the batched write
@@ -86,11 +86,14 @@ shard:
 # back anywhere — the query wrappers (QueryWith/QueryString), deleted in favor
 # of Query with options; DurabilitySync, deleted in favor of DurabilityWAL;
 # the single-file index layout (openSingleFileGroup), deleted in favor of the
-# manifest-rooted one; and the options nothing set: WALMaxBatch, and
+# manifest-rooted one; the stand-alone index surface (QueryParallel/QueryJob,
+# Index.ApplyDiff/ExecuteFunc, querylang.Run), deleted in favor of the one
+# core.Sharded group; the LRU pool policy and its knob (PoolPolicy/PolicyLRU),
+# deleted in favor of CLOCK; and the options nothing set: WALMaxBatch, and
 # NoPrefetch on Options and IndexSpec (btree.Tuning keeps its own, the
 # reference side of TestPrefetchInvariance, hence the excluded directory).
 apicheck: vet
-	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|WALMaxBatch|openSingleFileGroup' . || true; \
+	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|WALMaxBatch|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run' . || true; \
 		grep -rn --include='*.go' --exclude-dir=btree 'NoPrefetch' . || true); \
 	if [ -n "$$deprecated" ]; then \
 		echo "removed API referenced:"; \

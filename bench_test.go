@@ -18,6 +18,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/nix"
 	"repro/internal/pager"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -30,8 +31,8 @@ var (
 
 	table1Once sync.Once
 	table1DB   *workload.Figure1DB
-	table1Col  *core.Index
-	table1Age  *core.Index
+	table1Col  *core.Sharded
+	table1Age  *core.Sharded
 	table1Err  error
 )
 
@@ -57,28 +58,27 @@ func getLargeDB(b *testing.B, keys int) *workload.LargeDB {
 	return largeDBs[keys]
 }
 
-func getTable1(b *testing.B) (*workload.Figure1DB, *core.Index, *core.Index) {
+// memGroup builds a one-shard in-memory index of spec over st, with the
+// paper's 1024-byte pages.
+func memGroup(st *store.Store, spec core.Spec) (*core.Sharded, error) {
+	return core.NewSharded(st, spec, nil, []pager.File{pager.NewMemFile(1024)}, nil)
+}
+
+func getTable1(b *testing.B) (*workload.Figure1DB, *core.Sharded, *core.Sharded) {
 	b.Helper()
 	table1Once.Do(func() {
 		table1DB, table1Err = workload.NewFigure1DB(42)
 		if table1Err != nil {
 			return
 		}
-		table1Col, table1Err = core.New(pager.NewMemFile(1024), table1DB.Store, core.Spec{
+		table1Col, table1Err = memGroup(table1DB.Store, core.Spec{
 			Name: "color", Root: "Vehicle", Attr: "Color", MaxEntries: 10})
 		if table1Err != nil {
 			return
 		}
-		if table1Err = table1Col.Build(); table1Err != nil {
-			return
-		}
-		table1Age, table1Err = core.New(pager.NewMemFile(1024), table1DB.Store, core.Spec{
+		table1Age, table1Err = memGroup(table1DB.Store, core.Spec{
 			Name: "age", Root: "Vehicle", Refs: []string{"ManufacturedBy", "President"},
 			Attr: "Age", MaxEntries: 10})
-		if table1Err != nil {
-			return
-		}
-		table1Err = table1Age.Build()
 	})
 	if table1Err != nil {
 		b.Fatal(table1Err)
@@ -245,7 +245,7 @@ func BenchmarkTable1(b *testing.B) {
 	_, col, age := getTable1(b)
 	queries := []struct {
 		name string
-		ix   *core.Index
+		ix   *core.Sharded
 		q    core.Query
 	}{
 		{"q1a-red-buses", col, core.Query{Value: core.Exact("Red"), Positions: []core.Position{core.On("Bus")}}},
@@ -527,27 +527,33 @@ func BenchmarkBulkLoadVsInsert(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	spec := core.Spec{Name: "c", Root: "Vehicle", Attr: "Color"}
 	b.Run("bulk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix, err := core.New(pager.NewMemFile(1024), db.Store, core.Spec{
-				Name: "c", Root: "Vehicle", Attr: "Color"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := ix.Build(); err != nil {
+			if _, err := memGroup(db.Store, spec); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {
+		// ref enumerates each vehicle's entries from the populated store;
+		// the index under test starts over an empty one, so it starts empty.
+		ref, err := memGroup(db.Store, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ix, err := core.New(pager.NewMemFile(1024), db.Store, core.Spec{
-				Name: "c", Root: "Vehicle", Attr: "Color"})
+			ix, err := memGroup(store.New(db.Schema), spec)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for _, oid := range db.Vehicles {
-				if err := ix.Add(oid); err != nil {
+				keys, err := ref.EntriesFor(oid)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := ix.ApplyKeys(nil, keys); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -581,16 +587,12 @@ func BenchmarkExperimentGrids(b *testing.B) {
 // uncompressed U-index. (RunStorage reports the page-count side.)
 func BenchmarkCompressionAblation(b *testing.B) {
 	db := getLargeDB(b, 100)
-	raw, err := core.New(pager.NewMemFile(1024), db.Store, core.Spec{
-		Name: "raw", Root: "Obj", Attr: "Key", NoCompression: true})
+	raw, err := memGroup(db.Store, core.Spec{Name: "raw", Root: "Obj", Attr: "Key", NoCompression: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := raw.Build(); err != nil {
-		b.Fatal(err)
-	}
-	report := func(b *testing.B, ix *core.Index) {
-		pages, err := ix.PageCount()
+	report := func(b *testing.B, ix *core.Sharded) {
+		pages, err := ix.Shard(0).PageCount()
 		if err != nil {
 			b.Fatal(err)
 		}

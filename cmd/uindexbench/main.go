@@ -50,7 +50,6 @@ func run() int {
 		quick     = flag.Bool("quick", false, "scaled-down grid (12,000 objects, 15 reps)")
 		extended  = flag.Bool("extended", false, "also measure CH-tree and H-tree curves")
 		poolPages = flag.Int("poolpages", 0, "run page files through a buffer pool with this many frames (0 = off); adds a physical-I/O column, logical counts are unchanged")
-		policy    = flag.String("policy", "clock", "buffer-pool replacement policy: clock or lru")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -89,7 +88,6 @@ func run() int {
 		cfg.Seed = *seed
 	}
 	cfg.PoolPages = *poolPages
-	cfg.PoolPolicy = *policy
 
 	runExp := func(name string, f func() error) error {
 		start := time.Now()
@@ -106,9 +104,7 @@ func run() int {
 	if want("table1") {
 		any = true
 		if err := runExp("table1", func() error {
-			r, err := experiments.RunTable1With(*seed, experiments.Table1Options{
-				PoolPages: *poolPages, PoolPolicy: *policy,
-			})
+			r, err := experiments.RunTable1With(*seed, experiments.Table1Options{PoolPages: *poolPages})
 			if err != nil {
 				return err
 			}

@@ -33,7 +33,6 @@ func main() {
 		loadPath   = flag.String("load", "", "load a database snapshot instead of building the demo")
 		savePath   = flag.String("save", "", "write a snapshot of the database on exit (.quit)")
 		poolPages  = flag.Int("poolpages", 0, "buffer-pool frames per index (0 = no pool)")
-		policy     = flag.String("policy", "clock", "buffer-pool replacement policy: clock or lru")
 		dir        = flag.String("dir", "", "directory for disk-backed index files (empty = in-memory)")
 		durability = flag.String("durability", "checkpoint", "durability mode for -dir: none, checkpoint, or wal")
 	)
@@ -43,7 +42,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "uindexcli:", err)
 		os.Exit(1)
 	}
-	opts := uindex.Options{PoolPages: *poolPages, PoolPolicy: *policy, Dir: *dir, Durability: dur}
+	opts := uindex.Options{PoolPages: *poolPages, Dir: *dir, Durability: dur}
 	var db *uindex.Database
 	var names map[uindex.OID]string
 	if *loadPath != "" {

@@ -41,7 +41,6 @@ func main() {
 		dir        = flag.String("dir", "", "directory for disk-backed index files (empty = in-memory)")
 		durability = flag.String("durability", "checkpoint", "durability mode for -dir: none, checkpoint, or wal")
 		poolPages  = flag.Int("poolpages", 256, "buffer-pool frames per index (0 = no pool)")
-		policy     = flag.String("policy", "clock", "buffer-pool replacement policy: clock or lru")
 		loadPath   = flag.String("load", "", "load a store snapshot instead of building the Example-1 demo")
 		savePath   = flag.String("save", "", "store snapshot written on drain (default <dir>/store.usnap when -dir is set)")
 		inflight   = flag.Int("maxinflight", 128, "admission bound: requests executing concurrently across all connections")
@@ -52,7 +51,7 @@ func main() {
 	)
 	flag.Parse()
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	if err := run(log, *listen, *httpAddr, *dir, *durability, *poolPages, *policy,
+	if err := run(log, *listen, *httpAddr, *dir, *durability, *poolPages,
 		*loadPath, *savePath, *inflight, *pipeline, *reqTimeout, *idle, *drainWait); err != nil {
 		log.Error("uindexd failed", "err", err)
 		os.Exit(1)
@@ -99,13 +98,13 @@ func startRecoveryProbe(log *slog.Logger, httpAddr string) func() {
 	}
 }
 
-func run(log *slog.Logger, listen, httpAddr, dir, durability string, poolPages int, policy,
+func run(log *slog.Logger, listen, httpAddr, dir, durability string, poolPages int,
 	loadPath, savePath string, inflight, pipeline int, reqTimeout, idle, drainWait time.Duration) error {
 	dur, err := demo.ParseDurability(durability)
 	if err != nil {
 		return err
 	}
-	opts := uindex.Options{PoolPages: poolPages, PoolPolicy: policy, Dir: dir, Durability: dur}
+	opts := uindex.Options{PoolPages: poolPages, Dir: dir, Durability: dur}
 	var db *uindex.Database
 	switch {
 	case dur == uindex.DurabilityWAL && dir == "":

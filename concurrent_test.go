@@ -74,10 +74,17 @@ func stressDBWith(t testing.TB, opts Options) *Database {
 	return db
 }
 
+// stressJob is one query of the stress workload.
+type stressJob struct {
+	Index     string
+	Query     Query
+	Algorithm Algorithm
+}
+
 // stressQueries is the mixed exact/range/subtree/path workload every
 // concurrency test in this package runs.
-func stressQueries() []QueryJob {
-	return []QueryJob{
+func stressQueries() []stressJob {
+	return []stressJob{
 		{Index: "color", Query: Query{Value: Exact("Red"), Positions: []Position{On("Vehicle")}}},
 		{Index: "color", Query: Query{Value: Exact("Blue"), Positions: []Position{OnExact("Truck")}}},
 		{Index: "color", Query: Query{Value: Range("Black", "Green"), Positions: []Position{On("Automobile")}}},
@@ -158,84 +165,74 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestQueryParallel checks the worker-pool API: results come back in job
-// order and agree with sequential execution, for several worker counts.
-func TestQueryParallel(t *testing.T) {
-	db := stressDB(t, 32)
-	defer db.Close()
-	jobs := stressQueries()
-
-	want := make([][]Match, len(jobs))
-	for i, j := range jobs {
-		ms, _, err := db.Query(context.Background(), j.Index, j.Query, WithAlgorithm(j.Algorithm))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = ms
-	}
-
-	for _, workers := range []int{0, 1, 4, 16} {
-		results := db.QueryParallel(context.Background(), jobs, workers)
-		if len(results) != len(jobs) {
-			t.Fatalf("workers=%d: %d results for %d jobs", workers, len(results), len(jobs))
-		}
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("workers=%d job %d: %v", workers, i, r.Err)
-			}
-			if len(r.Matches) != len(want[i]) {
-				t.Fatalf("workers=%d job %d: %d matches, want %d", workers, i, len(r.Matches), len(want[i]))
-			}
-			if r.Stats.Matches != len(want[i]) {
-				t.Fatalf("workers=%d job %d: stats.Matches=%d, want %d", workers, i, r.Stats.Matches, len(want[i]))
-			}
-		}
-	}
-
-	// Unknown index surfaces as a per-job error, not a panic.
-	bad := db.QueryParallel(context.Background(), []QueryJob{{Index: "nope", Query: Query{Value: Exact("Red")}}}, 2)
-	if bad[0].Err == nil {
-		t.Fatal("expected error for unknown index")
-	}
-}
-
 // TestParallelTrackerInvariance is the Table-1/Figs-5-8 accounting
 // acceptance criterion at the engine level: the distinct-page total of the
 // workload run sequentially under one shared tracker equals the total from
-// running it concurrently with per-goroutine trackers merged afterwards.
+// running it concurrently with per-goroutine trackers merged afterwards —
+// unsharded and across four shards, where each shard file is deduplicated
+// on its own.
 func TestParallelTrackerInvariance(t *testing.T) {
-	db := stressDB(t, 0)
-	defer db.Close()
-	jobs := stressQueries()
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db := stressDBWith(t, Options{Shards: shards})
+			defer db.Close()
+			jobs := stressQueries()
 
-	shared := NewTracker()
-	for _, j := range jobs {
-		if _, _, err := db.Query(context.Background(), j.Index, j.Query, WithAlgorithm(j.Algorithm), WithTracker(shared)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	per := make([]*Tracker, len(jobs))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		per[i] = NewTracker()
-		wg.Add(1)
-		go func(i int, j QueryJob) {
-			defer wg.Done()
-			if _, _, err := db.Query(context.Background(), j.Index, j.Query, WithAlgorithm(j.Algorithm), WithTracker(per[i])); err != nil {
-				t.Error(err)
+			shared := NewTracker()
+			for _, j := range jobs {
+				if _, _, err := db.Query(context.Background(), j.Index, j.Query, WithAlgorithm(j.Algorithm), WithTracker(shared)); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}(i, j)
-	}
-	wg.Wait()
 
-	merged := NewTracker()
-	for _, tr := range per {
-		merged.Merge(tr)
-	}
-	if merged.Reads() != shared.Reads() {
-		t.Fatalf("merged per-goroutine pages %d != sequential shared pages %d",
-			merged.Reads(), shared.Reads())
+			per := make([]*Tracker, len(jobs))
+			var wg sync.WaitGroup
+			for i, j := range jobs {
+				per[i] = NewTracker()
+				wg.Add(1)
+				go func(i int, j stressJob) {
+					defer wg.Done()
+					if _, _, err := db.Query(context.Background(), j.Index, j.Query, WithAlgorithm(j.Algorithm), WithTracker(per[i])); err != nil {
+						t.Error(err)
+					}
+				}(i, j)
+			}
+			wg.Wait()
+
+			merged := NewTracker()
+			for _, tr := range per {
+				merged.Merge(tr)
+			}
+			if merged.Reads() != shared.Reads() {
+				t.Fatalf("merged per-goroutine pages %d != sequential shared pages %d",
+					merged.Reads(), shared.Reads())
+			}
+
+			// The buffered model on one index: a tracker shared by
+			// successive queries accumulates their distinct pages, and
+			// every query reports that cumulative count.
+			tr := NewTracker()
+			prev := 0
+			for _, j := range jobs {
+				if j.Index != "color" {
+					continue
+				}
+				_, st, err := db.Query(context.Background(), j.Index, j.Query, WithAlgorithm(j.Algorithm), WithTracker(tr))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.PagesRead < prev {
+					t.Errorf("PagesRead fell from %d to %d under a shared tracker", prev, st.PagesRead)
+				}
+				if st.PagesRead != tr.Reads() {
+					t.Errorf("PagesRead %d, shared tracker %d", st.PagesRead, tr.Reads())
+				}
+				prev = st.PagesRead
+			}
+			if tr.Reads() == 0 {
+				t.Error("shared tracker counted no pages")
+			}
+		})
 	}
 }
 

@@ -41,12 +41,11 @@ func main() {
 	defer os.Remove(path)
 	df, err := pager.CreateDiskFile(path, 1024)
 	check(err)
-	pool, err := bufferpool.New(df, bufferpool.Config{Pages: 32, Policy: bufferpool.PolicyClock})
+	pool, err := bufferpool.New(df, bufferpool.Config{Pages: 32})
 	check(err)
 	spec := core.Spec{Name: "color", Root: "Vehicle", Attr: "Color"}
-	ix, err := core.New(pool, db.Store(), spec)
+	ix, err := core.NewSharded(db.Store(), spec, nil, []pager.File{pool}, nil)
 	check(err)
-	check(ix.Build())
 
 	query := uindex.Query{
 		Value:     uindex.Exact("Red"),
@@ -62,9 +61,10 @@ func main() {
 	// back and the file's Sync publishes a new checksummed header
 	// generation. A crash anywhere before that publish leaves the previous
 	// checkpoint intact.
-	check(ix.Flush())
+	shard := ix.Shard(0) // the whole index: a group of one shard
+	check(shard.Flush())
 	var root [4]byte
-	binary.BigEndian.PutUint32(root[:], uint32(ix.MetaPage()))
+	binary.BigEndian.PutUint32(root[:], uint32(shard.MetaPage()))
 	check(df.SetPayload(root[:]))
 	check(pool.FlushAll())
 	st := pool.PoolStats()
@@ -87,7 +87,7 @@ func main() {
 	meta := pager.PageID(binary.BigEndian.Uint32(pl))
 	pool2, err := bufferpool.New(df2, bufferpool.Config{Pages: 32})
 	check(err)
-	ix2, err := core.Open(pool2, db.Store(), spec, meta)
+	ix2, err := core.NewSharded(db.Store(), spec, nil, []pager.File{pool2}, []pager.PageID{meta})
 	check(err)
 	ms2, _, err := ix2.Execute(query, uindex.Parallel, nil)
 	check(err)

@@ -85,10 +85,10 @@ func main() {
 	// and closing it (checked!) flushes the cached pages back.
 	pool, err := bufferpool.New(pager.NewMemFile(0), bufferpool.Config{Pages: 16})
 	check(err)
-	ix, err := core.New(pool, db.Store(), core.Spec{
-		Name: "user-age", Root: "Vehicle", Refs: []string{"UsedBy"}, Attr: "Age", Coding: alt})
+	ix, err := core.NewSharded(db.Store(), core.Spec{
+		Name: "user-age", Root: "Vehicle", Refs: []string{"UsedBy"}, Attr: "Age", Coding: alt},
+		nil, []pager.File{pool}, nil)
 	check(err)
-	check(ix.Build())
 	ms2, _, err := ix.Execute(uindex.Query{Value: uindex.Exact(41)}, uindex.Parallel, nil)
 	check(err)
 	fmt.Printf("\nvehicles used by a 41-year-old employee (alternate-coding index): %d match(es)\n", len(ms2))

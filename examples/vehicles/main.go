@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -56,13 +57,13 @@ func main() {
 		{"range: blue..green trucks", `(Color=[Blue-Green], Truck*)`},
 		{"multi-value: red or blue compacts", `(Color={Red,Blue}, CompactAutomobile*)`},
 	}
-	ix, _ := db.Index("color")
+	ctx := context.Background()
 	fmt.Printf("%-48s %8s %9s %8s\n", "query", "matches", "parallel", "forward")
 	for _, tc := range queries {
 		q := mustParse(db, tc.q)
-		ms, sp, err := ix.Execute(q, uindex.Parallel, nil)
+		ms, sp, err := db.Query(ctx, "color", q, uindex.WithAlgorithm(uindex.Parallel))
 		check(err)
-		_, sf, err := ix.Execute(q, uindex.Forward, nil)
+		_, sf, err := db.Query(ctx, "color", q, uindex.WithAlgorithm(uindex.Forward))
 		check(err)
 		fmt.Printf("%-48s %8d %9d %8d\n", tc.label, len(ms), sp.PagesRead, sf.PagesRead)
 	}

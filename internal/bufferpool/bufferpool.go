@@ -46,12 +46,11 @@ var (
 	ErrNotPinned = errors.New("bufferpool: page is not pinned")
 )
 
-// Config sizes the pool and selects its replacement policy.
+// Config sizes the pool. Frames are replaced by the CLOCK (second-chance)
+// policy.
 type Config struct {
 	// Pages is the frame capacity; <= 0 selects DefaultPages.
 	Pages int
-	// Policy is PolicyClock (the default, also chosen by "") or PolicyLRU.
-	Policy string
 }
 
 // Stats is a snapshot of the pool's cache counters. Hits+Misses equals the
@@ -174,7 +173,7 @@ type Pool struct {
 	frames []frame
 	table  map[pager.PageID]int // resident page -> frame index
 	free   []int                // unused frame indices
-	rep    replacer
+	rep    *clockReplacer
 	stats  counters
 	calls  pager.Stats // caller-visible op counts (File.Stats)
 	closed bool
@@ -213,17 +212,13 @@ func New(inner pager.File, cfg Config) (*Pool, error) {
 	if n <= 0 {
 		n = DefaultPages
 	}
-	rep, err := newReplacer(cfg.Policy, n)
-	if err != nil {
-		return nil, err
-	}
 	p := &Pool{
 		inner:  inner,
 		size:   inner.PageSize(),
 		frames: make([]frame, n),
 		table:  make(map[pager.PageID]int, n),
 		free:   make([]int, 0, n),
-		rep:    rep,
+		rep:    newClockReplacer(n),
 	}
 	// The free list is popped from the back; seed it in reverse so frames
 	// fill in ascending order (the order the clock hand sweeps).

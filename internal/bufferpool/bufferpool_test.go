@@ -54,7 +54,7 @@ func (c *countingFile) readCount(id pager.PageID) int {
 
 // newPool builds a pool over a fresh MemFile with n pre-allocated pages,
 // each stamped with its page id.
-func newPool(t *testing.T, frames, pages int, policy string) (*Pool, []pager.PageID) {
+func newPool(t *testing.T, frames, pages int) (*Pool, []pager.PageID) {
 	t.Helper()
 	mf := pager.NewMemFile(128)
 	ids := make([]pager.PageID, pages)
@@ -70,7 +70,7 @@ func newPool(t *testing.T, frames, pages int, policy string) (*Pool, []pager.Pag
 		}
 		ids[i] = id
 	}
-	p, err := New(mf, Config{Pages: frames, Policy: policy})
+	p, err := New(mf, Config{Pages: frames})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,60 +87,35 @@ func readPage(t *testing.T, p *Pool, id pager.PageID) byte {
 }
 
 func TestReadServesCachedPage(t *testing.T) {
-	for _, policy := range []string{PolicyClock, PolicyLRU} {
-		t.Run(policy, func(t *testing.T) {
-			p, ids := newPool(t, 4, 3, policy)
-			for _, id := range ids {
-				if got := readPage(t, p, id); got != byte(id) {
-					t.Fatalf("page %d: got %d", id, got)
-				}
+	t.Run("clock", func(t *testing.T) {
+		p, ids := newPool(t, 4, 3)
+		for _, id := range ids {
+			if got := readPage(t, p, id); got != byte(id) {
+				t.Fatalf("page %d: got %d", id, got)
 			}
-			// Second pass must be all hits.
-			before := p.PoolStats()
-			for _, id := range ids {
-				readPage(t, p, id)
-			}
-			after := p.PoolStats()
-			if after.Misses != before.Misses {
-				t.Errorf("re-reads missed: %d -> %d", before.Misses, after.Misses)
-			}
-			if after.Hits != before.Hits+int64(len(ids)) {
-				t.Errorf("hits %d -> %d, want +%d", before.Hits, after.Hits, len(ids))
-			}
-			if after.PhysicalReads != int64(len(ids)) {
-				t.Errorf("physical reads %d, want %d", after.PhysicalReads, len(ids))
-			}
-		})
-	}
-}
-
-// TestEvictionOrderLRU checks that LRU evicts the least-recently-used page.
-func TestEvictionOrderLRU(t *testing.T) {
-	p, ids := newPool(t, 2, 3, PolicyLRU)
-	a, b, c := ids[0], ids[1], ids[2]
-	readPage(t, p, a)
-	readPage(t, p, b)
-	readPage(t, p, a) // a is now more recent than b
-	readPage(t, p, c) // must evict b
-	st := p.PoolStats()
-	if st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
-	}
-	before := p.PoolStats()
-	readPage(t, p, a) // still resident
-	if got := p.PoolStats(); got.Misses != before.Misses {
-		t.Errorf("a was evicted; want b to be the LRU victim")
-	}
-	readPage(t, p, b) // evicted, must re-load
-	if got := p.PoolStats(); got.PhysicalReads != before.PhysicalReads+1 {
-		t.Errorf("b still resident; want it evicted")
-	}
+		}
+		// Second pass must be all hits.
+		before := p.PoolStats()
+		for _, id := range ids {
+			readPage(t, p, id)
+		}
+		after := p.PoolStats()
+		if after.Misses != before.Misses {
+			t.Errorf("re-reads missed: %d -> %d", before.Misses, after.Misses)
+		}
+		if after.Hits != before.Hits+int64(len(ids)) {
+			t.Errorf("hits %d -> %d, want +%d", before.Hits, after.Hits, len(ids))
+		}
+		if after.PhysicalReads != int64(len(ids)) {
+			t.Errorf("physical reads %d, want %d", after.PhysicalReads, len(ids))
+		}
+	})
 }
 
 // TestEvictionOrderClock checks the second-chance sweep: the first frame the
 // hand reaches with a cleared reference bit is the victim.
 func TestEvictionOrderClock(t *testing.T) {
-	p, ids := newPool(t, 2, 3, PolicyClock)
+	p, ids := newPool(t, 2, 3)
 	a, b, c := ids[0], ids[1], ids[2]
 	readPage(t, p, a) // frame 0, ref set
 	readPage(t, p, b) // frame 1, ref set
@@ -157,37 +132,35 @@ func TestEvictionOrderClock(t *testing.T) {
 }
 
 func TestPinPreventsEviction(t *testing.T) {
-	for _, policy := range []string{PolicyClock, PolicyLRU} {
-		t.Run(policy, func(t *testing.T) {
-			p, ids := newPool(t, 2, 4, policy)
-			buf, err := p.Pin(ids[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if buf[0] != byte(ids[0]) {
-				t.Fatalf("pinned page contents: got %d", buf[0])
-			}
-			// Cycle the other pages through the single remaining frame.
-			for _, id := range ids[1:] {
-				readPage(t, p, id)
-			}
-			// The pinned page must still be resident and untouched.
-			before := p.PoolStats()
-			if got := readPage(t, p, ids[0]); got != byte(ids[0]) {
-				t.Fatalf("pinned page contents changed: %d", got)
-			}
-			if got := p.PoolStats(); got.Misses != before.Misses {
-				t.Error("pinned page was evicted")
-			}
-			if err := p.Unpin(ids[0], false); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	t.Run("clock", func(t *testing.T) {
+		p, ids := newPool(t, 2, 4)
+		buf, err := p.Pin(ids[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != byte(ids[0]) {
+			t.Fatalf("pinned page contents: got %d", buf[0])
+		}
+		// Cycle the other pages through the single remaining frame.
+		for _, id := range ids[1:] {
+			readPage(t, p, id)
+		}
+		// The pinned page must still be resident and untouched.
+		before := p.PoolStats()
+		if got := readPage(t, p, ids[0]); got != byte(ids[0]) {
+			t.Fatalf("pinned page contents changed: %d", got)
+		}
+		if got := p.PoolStats(); got.Misses != before.Misses {
+			t.Error("pinned page was evicted")
+		}
+		if err := p.Unpin(ids[0], false); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestAllFramesPinned(t *testing.T) {
-	p, ids := newPool(t, 2, 3, PolicyClock)
+	p, ids := newPool(t, 2, 3)
 	for _, id := range ids[:2] {
 		if _, err := p.Pin(id); err != nil {
 			t.Fatal(err)
@@ -205,7 +178,7 @@ func TestAllFramesPinned(t *testing.T) {
 }
 
 func TestNestedPins(t *testing.T) {
-	p, ids := newPool(t, 1, 2, PolicyClock)
+	p, ids := newPool(t, 1, 2)
 	if _, err := p.Pin(ids[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +400,7 @@ func TestFlushAllAndClose(t *testing.T) {
 }
 
 func TestCloseReportsLeakedPins(t *testing.T) {
-	p, ids := newPool(t, 2, 1, PolicyClock)
+	p, ids := newPool(t, 2, 1)
 	if _, err := p.Pin(ids[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -436,187 +409,177 @@ func TestCloseReportsLeakedPins(t *testing.T) {
 	}
 }
 
-func TestUnknownPolicy(t *testing.T) {
-	if _, err := New(pager.NewMemFile(0), Config{Policy: "fifo"}); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
 // TestEquivalenceWithPlainFile drives the pool and a bare MemFile through
 // the same random operation sequence and requires identical observable
 // behaviour — the pool must be transparent.
 func TestEquivalenceWithPlainFile(t *testing.T) {
-	for _, policy := range []string{PolicyClock, PolicyLRU} {
-		t.Run(policy, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			plain := pager.NewMemFile(64)
-			pooled, err := New(pager.NewMemFile(64), Config{Pages: 4, Policy: policy})
-			if err != nil {
+	t.Run("clock", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		plain := pager.NewMemFile(64)
+		pooled, err := New(pager.NewMemFile(64), Config{Pages: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live []pager.PageID
+		buf1 := make([]byte, 64)
+		buf2 := make([]byte, 64)
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3 || len(live) == 0: // alloc
+				id1, err1 := plain.Alloc()
+				id2, err2 := pooled.Alloc()
+				if (err1 == nil) != (err2 == nil) || id1 != id2 {
+					t.Fatalf("step %d: alloc diverged: %v/%v %d/%d", step, err1, err2, id1, id2)
+				}
+				live = append(live, id1)
+			case op < 5: // free
+				i := rng.Intn(len(live))
+				id := live[i]
+				live = append(live[:i], live[i+1:]...)
+				if err1, err2 := plain.Free(id), pooled.Free(id); (err1 == nil) != (err2 == nil) {
+					t.Fatalf("step %d: free diverged: %v vs %v", step, err1, err2)
+				}
+			case op < 8: // write
+				id := live[rng.Intn(len(live))]
+				rng.Read(buf1)
+				copy(buf2, buf1)
+				if err1, err2 := plain.Write(id, buf1), pooled.Write(id, buf2); (err1 == nil) != (err2 == nil) {
+					t.Fatalf("step %d: write diverged: %v vs %v", step, err1, err2)
+				}
+			default: // read
+				id := live[rng.Intn(len(live))]
+				err1 := plain.Read(id, buf1)
+				err2 := pooled.Read(id, buf2)
+				if (err1 == nil) != (err2 == nil) {
+					t.Fatalf("step %d: read diverged: %v vs %v", step, err1, err2)
+				}
+				if err1 == nil && !bytes.Equal(buf1, buf2) {
+					t.Fatalf("step %d: page %d contents diverged", step, id)
+				}
+			}
+			if plain.NumPages() != pooled.NumPages() {
+				t.Fatalf("step %d: NumPages %d vs %d", step, plain.NumPages(), pooled.NumPages())
+			}
+		}
+		// Flush and compare every live page in the backing files.
+		if err := pooled.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range live {
+			if err := plain.Read(id, buf1); err != nil {
 				t.Fatal(err)
 			}
-			var live []pager.PageID
-			buf1 := make([]byte, 64)
-			buf2 := make([]byte, 64)
-			for step := 0; step < 3000; step++ {
-				switch op := rng.Intn(10); {
-				case op < 3 || len(live) == 0: // alloc
-					id1, err1 := plain.Alloc()
-					id2, err2 := pooled.Alloc()
-					if (err1 == nil) != (err2 == nil) || id1 != id2 {
-						t.Fatalf("step %d: alloc diverged: %v/%v %d/%d", step, err1, err2, id1, id2)
-					}
-					live = append(live, id1)
-				case op < 5: // free
-					i := rng.Intn(len(live))
-					id := live[i]
-					live = append(live[:i], live[i+1:]...)
-					if err1, err2 := plain.Free(id), pooled.Free(id); (err1 == nil) != (err2 == nil) {
-						t.Fatalf("step %d: free diverged: %v vs %v", step, err1, err2)
-					}
-				case op < 8: // write
-					id := live[rng.Intn(len(live))]
-					rng.Read(buf1)
-					copy(buf2, buf1)
-					if err1, err2 := plain.Write(id, buf1), pooled.Write(id, buf2); (err1 == nil) != (err2 == nil) {
-						t.Fatalf("step %d: write diverged: %v vs %v", step, err1, err2)
-					}
-				default: // read
-					id := live[rng.Intn(len(live))]
-					err1 := plain.Read(id, buf1)
-					err2 := pooled.Read(id, buf2)
-					if (err1 == nil) != (err2 == nil) {
-						t.Fatalf("step %d: read diverged: %v vs %v", step, err1, err2)
-					}
-					if err1 == nil && !bytes.Equal(buf1, buf2) {
-						t.Fatalf("step %d: page %d contents diverged", step, id)
-					}
-				}
-				if plain.NumPages() != pooled.NumPages() {
-					t.Fatalf("step %d: NumPages %d vs %d", step, plain.NumPages(), pooled.NumPages())
-				}
-			}
-			// Flush and compare every live page in the backing files.
-			if err := pooled.FlushAll(); err != nil {
+			if err := pooled.Inner().Read(id, buf2); err != nil {
 				t.Fatal(err)
 			}
-			for _, id := range live {
-				if err := plain.Read(id, buf1); err != nil {
-					t.Fatal(err)
-				}
-				if err := pooled.Inner().Read(id, buf2); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf1, buf2) {
-					t.Fatalf("page %d differs after flush", id)
-				}
+			if !bytes.Equal(buf1, buf2) {
+				t.Fatalf("page %d differs after flush", id)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestConcurrentSmoke hammers the pool from many goroutines (run with
 // -race): concurrent reads, writes, and pin/unpin cycles on a working set
 // larger than the pool.
 func TestConcurrentSmoke(t *testing.T) {
-	for _, policy := range []string{PolicyClock, PolicyLRU} {
-		t.Run(policy, func(t *testing.T) {
-			mf := pager.NewMemFile(128)
-			const pages = 32
-			ids := make([]pager.PageID, pages)
-			buf := make([]byte, 128)
-			for i := range ids {
-				id, err := mf.Alloc()
-				if err != nil {
-					t.Fatal(err)
-				}
-				buf[0] = byte(id)
-				if err := mf.Write(id, buf); err != nil {
-					t.Fatal(err)
-				}
-				ids[i] = id
-			}
-			p, err := New(mf, Config{Pages: 8, Policy: policy})
+	t.Run("clock", func(t *testing.T) {
+		mf := pager.NewMemFile(128)
+		const pages = 32
+		ids := make([]pager.PageID, pages)
+		buf := make([]byte, 128)
+		for i := range ids {
+			id, err := mf.Alloc()
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wg sync.WaitGroup
-			errCh := make(chan error, 16)
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(g)))
-					local := make([]byte, 128)
-					for i := 0; i < 500; i++ {
-						// Reads may roam (the pool copies under its lock);
-						// writes and pins stay on goroutine-owned pages so
-						// no one mutates a page while another holds its
-						// pinned buffer — the caller-side discipline the
-						// Pin contract requires.
-						id := ids[rng.Intn(pages)]
-						owned := ids[rng.Intn(pages/8)*8+g]
-						switch rng.Intn(3) {
-						case 0:
-							rerr := p.Read(id, local)
-							if errors.Is(rerr, ErrNoFrames) {
-								continue
-							}
-							if rerr != nil {
-								errCh <- rerr
-								return
-							}
-							if local[0] != byte(id) {
-								errCh <- fmt.Errorf("page %d read as %d", id, local[0])
-								return
-							}
-						case 1:
-							local[0] = byte(owned) // keep the invariant byte
-							if err := p.Write(owned, local); err != nil {
-								errCh <- err
-								return
-							}
-						default:
-							b, err := p.Pin(owned)
-							if errors.Is(err, ErrNoFrames) {
-								continue
-							}
-							if err != nil {
-								errCh <- err
-								return
-							}
-							if b[0] != byte(owned) {
-								errCh <- fmt.Errorf("pinned page %d reads as %d", owned, b[0])
-								p.Unpin(owned, false)
-								return
-							}
-							if err := p.Unpin(owned, false); err != nil {
-								errCh <- err
-								return
-							}
+			buf[0] = byte(id)
+			if err := mf.Write(id, buf); err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = id
+		}
+		p, err := New(mf, Config{Pages: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errCh := make(chan error, 16)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				local := make([]byte, 128)
+				for i := 0; i < 500; i++ {
+					// Reads may roam (the pool copies under its lock);
+					// writes and pins stay on goroutine-owned pages so
+					// no one mutates a page while another holds its
+					// pinned buffer — the caller-side discipline the
+					// Pin contract requires.
+					id := ids[rng.Intn(pages)]
+					owned := ids[rng.Intn(pages/8)*8+g]
+					switch rng.Intn(3) {
+					case 0:
+						rerr := p.Read(id, local)
+						if errors.Is(rerr, ErrNoFrames) {
+							continue
+						}
+						if rerr != nil {
+							errCh <- rerr
+							return
+						}
+						if local[0] != byte(id) {
+							errCh <- fmt.Errorf("page %d read as %d", id, local[0])
+							return
+						}
+					case 1:
+						local[0] = byte(owned) // keep the invariant byte
+						if err := p.Write(owned, local); err != nil {
+							errCh <- err
+							return
+						}
+					default:
+						b, err := p.Pin(owned)
+						if errors.Is(err, ErrNoFrames) {
+							continue
+						}
+						if err != nil {
+							errCh <- err
+							return
+						}
+						if b[0] != byte(owned) {
+							errCh <- fmt.Errorf("pinned page %d reads as %d", owned, b[0])
+							p.Unpin(owned, false)
+							return
+						}
+						if err := p.Unpin(owned, false); err != nil {
+							errCh <- err
+							return
 						}
 					}
-				}(g)
-			}
-			wg.Wait()
-			close(errCh)
-			for err := range errCh {
-				t.Fatal(err)
-			}
-			if err := p.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-			// Every page still carries its id byte.
-			for _, id := range ids {
-				if got := readPage(t, p, id); got != byte(id) {
-					t.Fatalf("page %d corrupted: %d", id, got)
 				}
+			}(g)
+		}
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatal(err)
+		}
+		if err := p.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		// Every page still carries its id byte.
+		for _, id := range ids {
+			if got := readPage(t, p, id); got != byte(id) {
+				t.Fatalf("page %d corrupted: %d", id, got)
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	p, ids := newPool(t, 2, 3, PolicyClock)
+	p, ids := newPool(t, 2, 3)
 	for _, id := range ids {
 		readPage(t, p, id)
 	}

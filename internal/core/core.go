@@ -64,46 +64,37 @@ type Spec struct {
 	NodeCacheSize int
 }
 
-// Index is a live U-index over a store.
+// Index is one shard of a U-index: one B+-tree in one page file, over the
+// spec's REF path resolved against the schema. Shards exist only inside the
+// Sharded group that builds, queries and updates them (NewSharded); a
+// one-shard group is the whole index. Outside this package a shard serves
+// introspection — the group's Prototype carries the spec, coding and key
+// layout that query parsing, Explain and EntriesFor need.
 //
-// Reads (Execute*, Snapshot, stats) need no locking: the underlying B-tree
-// is multi-version and every query runs against a pinned snapshot. Writers
-// (Add, Remove, ApplyDiff, Build) are not self-locking — the caller
-// serializes them per index by holding LockWrite for the span that must be
-// atomic, which lets the engine update several indexes concurrently and
-// hold one index's lock across a multi-step update (remove + insert).
+// Reads need no locking: the tree is multi-version and every query runs
+// against a pinned snapshot. Writes are not self-locking — the group's
+// caller holds the shard's writer lock (Sharded.LockShards) for the span
+// that must be atomic, which lets the engine update several indexes
+// concurrently and hold one index across a multi-step update.
 type Index struct {
 	spec     Spec
 	st       *store.Store
 	coding   *schema.Coding
 	tree     *btree.Tree
-	file     pager.File
 	pathCls  []string // classes root-first: pathCls[0] = Root
 	attrType encoding.AttrType
 	maxChain int        // fan-out guard for entry enumeration
-	wmu      sync.Mutex // serializes writers on this index
+	wmu      sync.Mutex // serializes writers on this shard
 }
 
 // DefaultMaxChains caps the number of path instantiations enumerated for a
 // single object mutation.
 const DefaultMaxChains = 1 << 16
 
-// New creates an empty U-index over the store in the given page file.
-func New(f pager.File, st *store.Store, spec Spec) (*Index, error) {
-	return build(f, st, spec, pager.NilPage)
-}
-
-// Open re-attaches an index previously persisted with Flush: the tree is
-// read back from the page file (meta is the page id Flush reported via
-// MetaPage) and validated against the spec. The store contents are the
-// caller's responsibility — an index opened over a store that diverged
-// from the one it was built on will return stale answers, exactly like any
-// database whose data files were modified behind its back.
-func Open(f pager.File, st *store.Store, spec Spec, meta pager.PageID) (*Index, error) {
-	return build(f, st, spec, meta)
-}
-
-func build(f pager.File, st *store.Store, spec Spec, meta pager.PageID) (*Index, error) {
+// resolve validates spec against the store's schema and returns it resolved
+// — coding, path classes, attribute type — as a shard without a tree, the
+// template newShard completes.
+func resolve(st *store.Store, spec Spec) (*Index, error) {
 	sch := st.Schema()
 	coding := spec.Coding
 	if coding == nil {
@@ -154,11 +145,25 @@ func build(f pager.File, st *store.Store, spec Spec, meta pager.PageID) (*Index,
 				spec.Name, pathCls[i], src, pathCls[i+1], tgt)
 		}
 	}
+	return &Index{
+		spec:     spec,
+		st:       st,
+		coding:   coding,
+		pathCls:  pathCls,
+		attrType: attr.Type,
+		maxChain: DefaultMaxChains,
+	}, nil
+}
+
+// newShard opens one shard of the resolved spec r in f: an empty tree when
+// meta is pager.NilPage, else the tree whose metadata page a Flush reported
+// (MetaPage).
+func (r *Index) newShard(f pager.File, meta pager.PageID) (*Index, error) {
 	var tree *btree.Tree
 	var err error
-	tun := btree.Tuning{NodeCacheSize: spec.NodeCacheSize}
+	tun := btree.Tuning{NodeCacheSize: r.spec.NodeCacheSize}
 	if meta == pager.NilPage {
-		tree, err = btree.Create(f, btree.Config{MaxEntries: spec.MaxEntries, NoCompression: spec.NoCompression, Tuning: tun})
+		tree, err = btree.Create(f, btree.Config{MaxEntries: r.spec.MaxEntries, NoCompression: r.spec.NoCompression, Tuning: tun})
 	} else {
 		tree, err = btree.OpenTuned(f, meta, tun)
 	}
@@ -166,41 +171,18 @@ func build(f pager.File, st *store.Store, spec Spec, meta pager.PageID) (*Index,
 		return nil, err
 	}
 	return &Index{
-		spec:     spec,
-		st:       st,
-		coding:   coding,
+		spec:     r.spec,
+		st:       r.st,
+		coding:   r.coding,
 		tree:     tree,
-		file:     f,
-		pathCls:  pathCls,
-		attrType: attr.Type,
-		maxChain: DefaultMaxChains,
+		pathCls:  r.pathCls,
+		attrType: r.attrType,
+		maxChain: r.maxChain,
 	}, nil
 }
 
 // Spec returns the index declaration.
 func (ix *Index) Spec() Spec { return ix.spec }
-
-// LockWrite acquires the index's writer lock. Mutations (Add, Remove,
-// ApplyDiff, Build) must run under it; the caller chooses the span —
-// typically all indexes covering an object, in a fixed global order, for the
-// duration of one object mutation.
-func (ix *Index) LockWrite() { ix.wmu.Lock() }
-
-// UnlockWrite releases the index's writer lock.
-func (ix *Index) UnlockWrite() { ix.wmu.Unlock() }
-
-// Covers reports whether an object of the given class can participate in
-// this index: the class is a subclass of (or equal to) one of the path
-// classes.
-func (ix *Index) Covers(class string) bool {
-	sch := ix.st.Schema()
-	for _, c := range ix.pathCls {
-		if sch.IsSubclassOf(class, c) {
-			return true
-		}
-	}
-	return false
-}
 
 // Tree exposes the underlying B-tree (read-only use: stats, page counts).
 func (ix *Index) Tree() *btree.Tree { return ix.tree }
@@ -363,116 +345,11 @@ func (ix *Index) keyFor(c chain) ([]byte, bool, error) {
 	return encoding.BuildKey(attr, path), true, nil
 }
 
-// Add inserts the index entries of an object (call after storing it).
-func (ix *Index) Add(oid store.OID) error {
-	keys, err := ix.EntriesFor(oid)
-	if err != nil {
-		return err
-	}
-	for _, k := range keys {
-		if err := ix.tree.Insert(k, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Remove deletes the index entries of an object (call before deleting it
-// from the store).
-func (ix *Index) Remove(oid store.OID) error {
-	keys, err := ix.EntriesFor(oid)
-	if err != nil {
-		return err
-	}
-	for _, k := range keys {
-		if _, err := ix.tree.Delete(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ApplyDiff removes the old keys and inserts the new ones, skipping the
-// intersection. Keys are applied in sorted order, which realizes the
-// paper's batch-update observation (Section 3.5: all entries of the old and
-// new mid-path object are clustered, so the update touches few pages).
-func (ix *Index) ApplyDiff(oldKeys, newKeys [][]byte) error {
-	olds := keySet(oldKeys)
-	news := keySet(newKeys)
-	var dels, ins [][]byte
-	for k, b := range olds {
-		if _, keep := news[k]; !keep {
-			dels = append(dels, b)
-		}
-	}
-	for k, b := range news {
-		if _, had := olds[k]; !had {
-			ins = append(ins, b)
-		}
-	}
-	sortKeys(dels)
-	sortKeys(ins)
-	for _, k := range dels {
-		if _, err := ix.tree.Delete(k); err != nil {
-			return err
-		}
-	}
-	for _, k := range ins {
-		if err := ix.tree.Insert(k, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func keySet(keys [][]byte) map[string][]byte {
-	m := make(map[string][]byte, len(keys))
-	for _, k := range keys {
-		m[string(k)] = k
-	}
-	return m
-}
-
 func sortKeys(keys [][]byte) {
 	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
 }
 
-// Build populates an empty index from the store with a bulk load: it
-// enumerates every path instance from the root class's hierarchy extent,
-// sorts the keys, and loads them bottom-up.
-func (ix *Index) Build() error {
-	if ix.tree.Len() != 0 {
-		return fmt.Errorf("core: Build on non-empty index %q", ix.spec.Name)
-	}
-	var keys [][]byte
-	for _, oid := range ix.st.HierarchyExtent(ix.spec.Root) {
-		fwd, err := ix.forwardChains(oid, 0)
-		if err != nil {
-			return err
-		}
-		for _, c := range fwd {
-			key, ok, err := ix.keyFor(c)
-			if err != nil {
-				return err
-			}
-			if ok {
-				keys = append(keys, key)
-			}
-		}
-	}
-	sortKeys(keys)
-	// Paths are unique, so duplicates cannot occur; guard anyway since
-	// BulkLoad requires strict ascent.
-	dedup := keys[:0]
-	for i, k := range keys {
-		if i == 0 || !bytes.Equal(keys[i-1], k) {
-			dedup = append(dedup, k)
-		}
-	}
-	return ix.tree.BulkLoad(btree.SliceSource(dedup, nil))
-}
-
-// Len returns the number of index entries.
+// Len returns the number of entries in this shard.
 func (ix *Index) Len() int { return ix.tree.Len() }
 
 // PageCount returns the number of pages in the index tree.
@@ -486,7 +363,7 @@ func (ix *Index) DropCache() error { return ix.tree.DropCache() }
 func (ix *Index) NodeCacheStats() btree.CacheStats { return ix.tree.NodeCacheStats() }
 
 // Flush persists every dirty page and the tree metadata to the page file;
-// MetaPage identifies the tree for a later Open.
+// MetaPage then identifies the tree for reopening it with NewSharded.
 func (ix *Index) Flush() error { return ix.tree.Flush() }
 
 // MetaPage returns the page id of the tree's metadata page.

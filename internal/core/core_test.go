@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -83,35 +84,64 @@ func newFixture(t *testing.T) *fixture {
 	return f
 }
 
-// colorIndex builds the class-hierarchy U-index on Vehicle.Color.
-func (f *fixture) colorIndex(t *testing.T) *Index {
+// newGroup builds a one-shard in-memory group of spec over st.
+func newGroup(st *store.Store, spec Spec) (*Sharded, error) {
+	return NewSharded(st, spec, nil, []pager.File{pager.NewMemFile(0)}, nil)
+}
+
+// mustGroup is newGroup failing the test on error.
+func mustGroup(t *testing.T, st *store.Store, spec Spec) *Sharded {
 	t.Helper()
-	ix, err := New(pager.NewMemFile(0), f.st, Spec{Name: "veh-color", Root: "Vehicle", Attr: "Color"})
+	sh, err := newGroup(st, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Build(); err != nil {
-		t.Fatal(err)
-	}
-	return ix
+	return sh
+}
+
+// colorIndex builds the class-hierarchy U-index on Vehicle.Color.
+func (f *fixture) colorIndex(t *testing.T) *Sharded {
+	t.Helper()
+	return mustGroup(t, f.st, Spec{Name: "veh-color", Root: "Vehicle", Attr: "Color"})
 }
 
 // ageIndex builds the combined path index Vehicle/Company/Employee on Age.
-func (f *fixture) ageIndex(t *testing.T) *Index {
+func (f *fixture) ageIndex(t *testing.T) *Sharded {
 	t.Helper()
-	ix, err := New(pager.NewMemFile(0), f.st, Spec{
+	return mustGroup(t, f.st, Spec{
 		Name: "veh-age",
 		Root: "Vehicle",
 		Refs: []string{"ManufacturedBy", "President"},
 		Attr: "Age",
 	})
+}
+
+// update moves the group's entries of oid from olds to its current entries
+// — EntriesFor → DiffKeys → ApplyKeys, the engine's index-maintenance step.
+// olds is nil for an object just stored; delete the object from the store
+// after an update with gone set, which drops its entries.
+func update(t *testing.T, sh *Sharded, oid store.OID, olds [][]byte, gone bool) {
+	t.Helper()
+	var news [][]byte
+	if !gone {
+		var err error
+		if news, err = sh.EntriesFor(oid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sh.ApplyKeys(DiffKeys(olds, news)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// entries is EntriesFor failing the test on error.
+func entries(t *testing.T, sh *Sharded, oid store.OID) [][]byte {
+	t.Helper()
+	keys, err := sh.EntriesFor(oid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Build(); err != nil {
-		t.Fatal(err)
-	}
-	return ix
+	return keys
 }
 
 func oidsAt(ms []Match, pos int) map[store.OID]bool {
@@ -144,7 +174,7 @@ func TestIndexValidation(t *testing.T) {
 		{Name: "x", Root: "Vehicle", Refs: []string{"ManufacturedBy"}, Attr: "President"}, // ref as attr
 	}
 	for i, spec := range cases {
-		if _, err := New(pager.NewMemFile(0), f.st, spec); err == nil {
+		if _, err := newGroup(f.st, spec); err == nil {
 			t.Errorf("case %d: invalid spec accepted: %+v", i, spec)
 		}
 	}
@@ -153,7 +183,7 @@ func TestIndexValidation(t *testing.T) {
 	if err := s2.AddClass("A", "", schema.Attr{Name: "x", Type: encoding.AttrUint64}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(pager.NewMemFile(0), store.New(s2), Spec{Name: "x", Root: "A", Attr: "x"}); err == nil {
+	if _, err := newGroup(store.New(s2), Spec{Name: "x", Root: "A", Attr: "x"}); err == nil {
 		t.Error("index over uncoded schema accepted")
 	}
 }
@@ -168,7 +198,7 @@ func TestBuildEntryCount(t *testing.T) {
 	if age.Len() != 6 {
 		t.Fatalf("age index has %d entries, want 6 (one per vehicle)", age.Len())
 	}
-	if got := age.PathClasses(); len(got) != 3 || got[0] != "Vehicle" || got[2] != "Employee" {
+	if got := age.Prototype().PathClasses(); len(got) != 3 || got[0] != "Vehicle" || got[2] != "Employee" {
 		t.Fatalf("PathClasses = %v", got)
 	}
 }
@@ -383,7 +413,7 @@ func TestAlgorithmsAgree(t *testing.T) {
 	color := f.colorIndex(t)
 	age := f.ageIndex(t)
 	queries := []struct {
-		ix *Index
+		ix *Sharded
 		q  Query
 	}{
 		{color, Query{Value: Exact("Red")}},
@@ -415,8 +445,8 @@ func TestAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-// TestIncrementalMaintenance: Add/Remove keep the index equal to a fresh
-// Build.
+// TestIncrementalMaintenance: incremental inserts and deletes keep the index
+// equal to a fresh build.
 func TestIncrementalMaintenance(t *testing.T) {
 	f := newFixture(t)
 	ix := f.ageIndex(t)
@@ -425,23 +455,17 @@ func TestIncrementalMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Add(e4); err != nil {
-		t.Fatal(err)
-	}
+	update(t, ix, e4, nil, false)
 	c4, err := f.st.Insert("TruckCompany", store.Attrs{"Name": "Volvo", "President": e4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Add(c4); err != nil {
-		t.Fatal(err)
-	}
+	update(t, ix, c4, nil, false)
 	v7, err := f.st.Insert("Truck", store.Attrs{"Name": "FH16", "Color": "Blue", "ManufacturedBy": c4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Add(v7); err != nil {
-		t.Fatal(err)
-	}
+	update(t, ix, v7, nil, false)
 	ms, _, err := ix.Execute(Query{Value: Exact(55)}, Parallel, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -451,9 +475,7 @@ func TestIncrementalMaintenance(t *testing.T) {
 		t.Fatalf("Len = %d, want 7", ix.Len())
 	}
 	// Remove the vehicle again.
-	if err := ix.Remove(v7); err != nil {
-		t.Fatal(err)
-	}
+	update(t, ix, v7, entries(t, ix, v7), true)
 	if err := f.st.Delete(v7); err != nil {
 		t.Fatal(err)
 	}
@@ -473,23 +495,14 @@ func TestPresidentSwitch(t *testing.T) {
 	f := newFixture(t)
 	ix := f.ageIndex(t)
 	// Fiat (c2) replaces president e1 (50) with e3 (45).
-	oldKeys, err := ix.EntriesFor(f.c2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oldKeys := entries(t, ix, f.c2)
 	if len(oldKeys) != 3 {
 		t.Fatalf("c2 participates in %d entries, want 3", len(oldKeys))
 	}
 	if _, err := f.st.SetAttr(f.c2, "President", f.e3); err != nil {
 		t.Fatal(err)
 	}
-	newKeys, err := ix.EntriesFor(f.c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.ApplyDiff(oldKeys, newKeys); err != nil {
-		t.Fatal(err)
-	}
+	update(t, ix, f.c2, oldKeys, false)
 	if ix.Len() != 6 {
 		t.Fatalf("Len = %d after president switch", ix.Len())
 	}
@@ -506,20 +519,11 @@ func TestPresidentSwitch(t *testing.T) {
 func TestTerminalAttrChange(t *testing.T) {
 	f := newFixture(t)
 	ix := f.ageIndex(t)
-	oldKeys, err := ix.EntriesFor(f.e1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oldKeys := entries(t, ix, f.e1)
 	if _, err := f.st.SetAttr(f.e1, "Age", 51); err != nil {
 		t.Fatal(err)
 	}
-	newKeys, err := ix.EntriesFor(f.e1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.ApplyDiff(oldKeys, newKeys); err != nil {
-		t.Fatal(err)
-	}
+	update(t, ix, f.e1, oldKeys, false)
 	ms, _, _ := ix.Execute(Query{Value: Exact(51)}, Parallel, nil)
 	wantOIDs(t, oidsAt(ms, 2), f.v2, f.v3, f.v6)
 }
@@ -546,13 +550,7 @@ func TestMultiValueRefs(t *testing.T) {
 	ca, _ := st.Insert("Company", store.Attrs{"President": e})
 	cb, _ := st.Insert("Company", store.Attrs{"President": e})
 	v, _ := st.Insert("Vehicle", store.Attrs{"MadeBy": []store.OID{ca, cb}})
-	ix, err := New(pager.NewMemFile(0), st, Spec{Name: "x", Root: "Vehicle", Refs: []string{"MadeBy", "President"}, Attr: "Age"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Build(); err != nil {
-		t.Fatal(err)
-	}
+	ix := mustGroup(t, st, Spec{Name: "x", Root: "Vehicle", Refs: []string{"MadeBy", "President"}, Attr: "Age"})
 	if ix.Len() != 2 {
 		t.Fatalf("multi-value vehicle has %d entries, want 2", ix.Len())
 	}
@@ -570,9 +568,7 @@ func TestMultiValueRefs(t *testing.T) {
 	}
 	// Deleting the vehicle removes both entries (the "not particularly
 	// good" update case the paper flags — both are simple deletes here).
-	if err := ix.Remove(v); err != nil {
-		t.Fatal(err)
-	}
+	update(t, ix, v, entries(t, ix, v), true)
 	if ix.Len() != 0 {
 		t.Fatalf("Len = %d after multi-value remove", ix.Len())
 	}
@@ -606,15 +602,11 @@ func TestIndexOverAlternateCoding(t *testing.T) {
 
 	// Default coding honors Owns (Auto < Employee), so the Owns-path
 	// index works directly.
-	ixOwns, err := New(pager.NewMemFile(0), st, Spec{Name: "owns", Root: "Employee", Refs: []string{"Owns"}, Attr: "Mileage"})
-	if err != nil {
+	if _, err := newGroup(st, Spec{Name: "owns", Root: "Employee", Refs: []string{"Owns"}, Attr: "Mileage"}); err != nil {
 		t.Fatalf("owns index: %v", err)
 	}
-	if err := ixOwns.Build(); err != nil {
-		t.Fatal(err)
-	}
 	// The UsedBy path conflicts with the default coding...
-	if _, err := New(pager.NewMemFile(0), st, Spec{Name: "used", Root: "Auto", Refs: []string{"UsedBy"}, Attr: "Age"}); err == nil {
+	if _, err := newGroup(st, Spec{Name: "used", Root: "Auto", Refs: []string{"UsedBy"}, Attr: "Age"}); err == nil {
 		t.Fatal("UsedBy index over default coding accepted")
 	}
 	// ...and works over the alternate coding.
@@ -622,12 +614,9 @@ func TestIndexOverAlternateCoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ixUsed, err := New(pager.NewMemFile(0), st, Spec{Name: "used", Root: "Auto", Refs: []string{"UsedBy"}, Attr: "Age", Coding: alt})
+	ixUsed, err := newGroup(st, Spec{Name: "used", Root: "Auto", Refs: []string{"UsedBy"}, Attr: "Age", Coding: alt})
 	if err != nil {
 		t.Fatalf("alternate coding index: %v", err)
-	}
-	if err := ixUsed.Build(); err != nil {
-		t.Fatal(err)
 	}
 	ms, _, err := ixUsed.Execute(Query{Value: Exact(30)}, Parallel, nil)
 	if err != nil {
@@ -665,7 +654,7 @@ func TestExecuteFuncEarlyStop(t *testing.T) {
 	f := newFixture(t)
 	ix := f.colorIndex(t)
 	n := 0
-	_, err := ix.ExecuteFunc(Query{Value: Exact("White")}, Parallel, nil, func(Match) bool {
+	_, err := ix.ExecuteCtx(context.Background(), Query{Value: Exact("White")}, &ExecContext{}, func(Match) bool {
 		n++
 		return n < 2
 	})
@@ -678,7 +667,7 @@ func TestStats(t *testing.T) {
 	f := newFixture(t)
 	ix := f.colorIndex(t)
 	tr := pager.NewTracker()
-	_, stats, err := ix.Execute(Query{Value: Exact("Red")}, Parallel, tr)
+	_, stats, err := ix.Execute(Query{Value: Exact("Red")}, Parallel, &ExecContext{Tracker: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,8 +732,8 @@ func TestDanglingPathsProduceNoEntries(t *testing.T) {
 func TestBuildNonEmptyFails(t *testing.T) {
 	f := newFixture(t)
 	ix := f.colorIndex(t)
-	if err := ix.Build(); err == nil {
-		t.Error("second Build succeeded")
+	if err := ix.build(); err == nil {
+		t.Error("second build succeeded")
 	}
 }
 
@@ -782,7 +771,7 @@ func TestDistinctSkipEfficiency(t *testing.T) {
 func TestExplain(t *testing.T) {
 	f := newFixture(t)
 	ix := f.ageIndex(t)
-	out, err := ix.Explain(Query{
+	out, err := ix.Prototype().Explain(Query{
 		Value:     Exact(50),
 		Positions: []Position{Any, On("AutoCompany"), On("Automobile")},
 		Distinct:  2,
@@ -796,7 +785,7 @@ func TestExplain(t *testing.T) {
 		}
 	}
 	// Range plans render infinities.
-	out, err = ix.Explain(Query{Value: Range(nil, nil)})
+	out, err = ix.Prototype().Explain(Query{Value: Range(nil, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -804,7 +793,7 @@ func TestExplain(t *testing.T) {
 		t.Errorf("open range not rendered:\n%s", out)
 	}
 	// Wide value lists are truncated in the rendering.
-	out, err = ix.Explain(Query{Value: Uint64Range(1, 100)})
+	out, err = ix.Prototype().Explain(Query{Value: Uint64Range(1, 100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -812,7 +801,7 @@ func TestExplain(t *testing.T) {
 		t.Errorf("interval list not truncated:\n%s", out)
 	}
 	// Compile errors propagate.
-	if _, err := ix.Explain(Query{Value: Exact("wrong type")}); err == nil {
+	if _, err := ix.Prototype().Explain(Query{Value: Exact("wrong type")}); err == nil {
 		t.Error("Explain of invalid query succeeded")
 	}
 }

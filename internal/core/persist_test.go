@@ -20,19 +20,16 @@ func TestPersistReopen(t *testing.T) {
 		Name: "veh-age", Root: "Vehicle",
 		Refs: []string{"ManufacturedBy", "President"}, Attr: "Age",
 	}
-	ix, err := New(pf, f.st, spec)
+	ix, err := NewSharded(f.st, spec, nil, []pager.File{pf}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Flush(); err != nil {
+	if err := ix.Shard(0).Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// Metadata is written copy-on-write, so the meta id must be read
 	// after the Flush that produced it.
-	meta := ix.MetaPage()
+	meta := ix.Shard(0).MetaPage()
 	if err := pf.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +40,9 @@ func TestPersistReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pf2.Close()
-	re, err := Open(pf2, f.st, spec, meta)
+	re, err := NewSharded(f.st, spec, nil, []pager.File{pf2}, []pager.PageID{meta})
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("reopen: %v", err)
 	}
 	if re.Len() != 6 {
 		t.Fatalf("reopened Len = %d", re.Len())
@@ -64,18 +61,16 @@ func TestPersistReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Add(v7); err != nil {
-		t.Fatal(err)
-	}
+	update(t, re, v7, nil, false)
 	ms, _, _ = re.Execute(Query{Value: Exact(50)}, Parallel, nil)
 	if len(ms) != 4 {
 		t.Fatalf("matches after post-reopen insert = %d", len(ms))
 	}
-	if err := re.Tree().Check(); err != nil {
+	if err := re.Shard(0).Tree().Check(); err != nil {
 		t.Fatal(err)
 	}
 	// Opening garbage must fail cleanly.
-	if _, err := Open(pf2, f.st, spec, meta+1); err == nil {
-		t.Error("Open on a non-meta page succeeded")
+	if _, err := NewSharded(f.st, spec, nil, []pager.File{pf2}, []pager.PageID{meta + 1}); err == nil {
+		t.Error("reopen on a non-meta page succeeded")
 	}
 }

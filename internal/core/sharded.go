@@ -8,15 +8,18 @@ import (
 	"sync"
 
 	"repro/internal/btree"
+	"repro/internal/encoding"
+	"repro/internal/pager"
 	"repro/internal/store"
 )
 
-// Sharded is a group of U-index shards acting as one logical index: the key
-// space is partitioned by class-code intervals (ShardMap), each shard is a
-// complete Index with its own page file, buffer pool, node cache, and writer
-// lock, and queries scatter over the relevant shards and merge in key order.
-// All shards share one spec, coding, and object store; shard 0 is the
-// prototype used for compilation, parsing, and key enumeration.
+// Sharded is a U-index as a group of shards acting as one logical index —
+// the only index type there is; a one-shard group is the plain U-index. The
+// key space is partitioned by class-code intervals (ShardMap), each shard is
+// one tree with its own page file, buffer pool, node cache, and writer lock,
+// and queries scatter over the relevant shards and merge in key order. All
+// shards share one spec, coding, and object store; shard 0 is the prototype
+// used for compilation, parsing, and key enumeration.
 //
 // Locking contract (the caller — the facade — serializes writers): a
 // mutation must hold the writer locks of every shard it may touch. For a
@@ -26,22 +29,71 @@ import (
 // single shard. For a path index a mutation can ripple to entries of other
 // objects reachable through reference chains, whose terminal classes (and
 // hence shards) are unknown until enumeration — WriteShards returns every
-// shard, restoring the whole-index exclusivity the unsharded engine has.
+// shard, restoring the whole-index exclusivity of a single tree.
 type Sharded struct {
 	shards []*Index
 	smap   *ShardMap
 }
 
-// NewSharded groups prebuilt shards under a shard map. All shards must share
-// the prototype's spec/coding/store; the map's shard count must match.
-func NewSharded(shards []*Index, smap *ShardMap) (*Sharded, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("core: sharded index needs at least one shard")
+// NewSharded builds or reopens the U-index group of spec over st, one shard
+// per page file: shard i lives in files[i] and holds the keys smap routes to
+// it; a nil smap is the one-shard group. With metas nil every shard starts
+// empty and the group is bulk-built from the store. Otherwise shard i reopens
+// the tree whose metadata page is metas[i] (its MetaPage after the Flush that
+// persisted it); the store must then hold the objects the group was built
+// from — a group reopened over a diverged store answers stale, like any
+// database whose files changed behind its back. The caller owns the files.
+func NewSharded(st *store.Store, spec Spec, smap *ShardMap, files []pager.File, metas []pager.PageID) (*Sharded, error) {
+	if smap == nil {
+		smap = NewShardMap(nil, 1)
 	}
-	if smap.Shards() != len(shards) {
-		return nil, fmt.Errorf("core: shard map routes to %d shards, got %d", smap.Shards(), len(shards))
+	if len(files) != smap.Shards() {
+		return nil, fmt.Errorf("core: shard map routes to %d shards, got %d files", smap.Shards(), len(files))
 	}
-	return &Sharded{shards: shards, smap: smap}, nil
+	if metas != nil && len(metas) != len(files) {
+		return nil, fmt.Errorf("core: %d meta pages for %d shards", len(metas), len(files))
+	}
+	r, err := resolve(st, spec)
+	if err != nil {
+		return nil, err
+	}
+	sh := &Sharded{shards: make([]*Index, len(files)), smap: smap}
+	for i, f := range files {
+		meta := pager.NilPage
+		if metas != nil {
+			meta = metas[i]
+		}
+		if sh.shards[i], err = r.newShard(f, meta); err != nil {
+			return nil, err
+		}
+	}
+	if metas == nil {
+		if err := sh.build(); err != nil {
+			return nil, err
+		}
+	}
+	return sh, nil
+}
+
+// ShardCodes validates spec against the store's schema and returns the codes
+// its shard map is built from (NewShardMap): every coded class inside the
+// terminal class's hierarchy — position 0 of every key carries one of exactly
+// these codes — ascending. The coding table is already sorted by code, which
+// is hierarchy preorder.
+func ShardCodes(st *store.Store, spec Spec) ([]encoding.Code, error) {
+	r, err := resolve(st, spec)
+	if err != nil {
+		return nil, err
+	}
+	sch := st.Schema()
+	terminal := r.pathCls[len(r.pathCls)-1]
+	var codes []encoding.Code
+	for _, row := range r.coding.Table() {
+		if sch.IsSubclassOf(row.Class, terminal) {
+			codes = append(codes, row.Code)
+		}
+	}
+	return codes, nil
 }
 
 // Prototype returns shard 0, the representative Index for compilation,
@@ -54,11 +106,18 @@ func (sh *Sharded) NumShards() int { return len(sh.shards) }
 // Shard returns shard i.
 func (sh *Sharded) Shard(i int) *Index { return sh.shards[i] }
 
-// Map returns the shard map.
-func (sh *Sharded) Map() *ShardMap { return sh.smap }
-
-// Covers reports whether an object of the given class can participate.
-func (sh *Sharded) Covers(class string) bool { return sh.shards[0].Covers(class) }
+// Covers reports whether an object of the given class can participate: the
+// class is a subclass of (or equal to) one of the path classes.
+func (sh *Sharded) Covers(class string) bool {
+	proto := sh.shards[0]
+	sch := proto.st.Schema()
+	for _, c := range proto.pathCls {
+		if sch.IsSubclassOf(class, c) {
+			return true
+		}
+	}
+	return false
+}
 
 // AllShards returns the set of every shard as a bit mask (bit i = shard i;
 // pager.MaxShards keeps the count below 64).
@@ -82,14 +141,14 @@ func (sh *Sharded) WriteShards(class string) uint64 {
 // multi-index writers deadlock-free.
 func (sh *Sharded) LockShards(mask uint64) {
 	for ; mask != 0; mask &= mask - 1 {
-		sh.shards[bits.TrailingZeros64(mask)].LockWrite()
+		sh.shards[bits.TrailingZeros64(mask)].wmu.Lock()
 	}
 }
 
 // UnlockShards releases the writer locks of the shards in the mask.
 func (sh *Sharded) UnlockShards(mask uint64) {
 	for ; mask != 0; mask &= mask - 1 {
-		sh.shards[bits.TrailingZeros64(mask)].UnlockWrite()
+		sh.shards[bits.TrailingZeros64(mask)].wmu.Unlock()
 	}
 }
 
@@ -111,9 +170,11 @@ func (sh *Sharded) routeKey(k []byte) (*Index, error) {
 // DiffKeys reduces an old/new entry-set pair to the deletions and
 // insertions that turn one into the other — the paper's Section 3.5 update,
 // and exactly what a logical log records. With both sides present the
-// intersection is skipped and both outputs come back sorted (the batch-update
-// clustering of Index.ApplyDiff); with either side empty there is nothing to
-// intersect and the other side passes through in enumeration order.
+// intersection is skipped and both outputs come back sorted, which realizes
+// the paper's batch-update observation: all entries of the old and new
+// mid-path object are clustered, so the update touches few pages. With
+// either side empty there is nothing to intersect and the other side passes
+// through in enumeration order.
 func DiffKeys(oldKeys, newKeys [][]byte) (dels, ins [][]byte) {
 	if len(oldKeys) == 0 || len(newKeys) == 0 {
 		return oldKeys, newKeys
@@ -133,6 +194,14 @@ func DiffKeys(oldKeys, newKeys [][]byte) (dels, ins [][]byte) {
 	sortKeys(dels)
 	sortKeys(ins)
 	return dels, ins
+}
+
+func keySet(keys [][]byte) map[string][]byte {
+	m := make(map[string][]byte, len(keys))
+	for _, k := range keys {
+		m[string(k)] = k
+	}
+	return m
 }
 
 // ApplyKeys applies pre-computed key edits — deletions first, then
@@ -162,10 +231,11 @@ func (sh *Sharded) ApplyKeys(dels, ins [][]byte) error {
 	return nil
 }
 
-// Build populates empty shards from the store with one bulk load per shard:
-// keys are enumerated once, partitioned by shard (a per-shard subset of the
-// globally sorted key list is itself sorted), and loaded bottom-up.
-func (sh *Sharded) Build() error {
+// build populates empty shards from the store with one bulk load per shard:
+// every path instance is enumerated once from the root class's hierarchy
+// extent, the keys are sorted and partitioned by shard (a per-shard subset of
+// the globally sorted key list is itself sorted), and loaded bottom-up.
+func (sh *Sharded) build() error {
 	proto := sh.shards[0]
 	for _, ix := range sh.shards {
 		if ix.tree.Len() != 0 {
@@ -193,7 +263,7 @@ func (sh *Sharded) Build() error {
 	var last []byte
 	for i, k := range keys {
 		if i > 0 && bytes.Equal(last, k) {
-			continue // paths are unique; guard as Index.Build does
+			continue // paths are unique; guard anyway since BulkLoad requires strict ascent
 		}
 		last = k
 		si, err := sh.smap.ShardOfKey(proto.attrType, k)
@@ -277,22 +347,29 @@ func (sh *Sharded) relevantShards(p *plan) []int {
 	return out
 }
 
-// ExecuteCtx runs a query across the shards, streaming matches to fn in
-// global key order; semantics match Index.ExecuteCtx. Each shard scans a
-// pinned version of its own tree; with more than one relevant shard the
-// scans run concurrently and the per-shard result streams are merged by
-// full-key byte order (shards interleave by attribute value, so a plain
-// concatenation would be out of order). Stats.PagesRead is the summed
-// per-shard distinct page count — shard files have independent page-id
-// spaces (see ExecContext.ShardTracker).
+// ExecuteCtx runs a query across the shards, streaming matches to fn (fn
+// returning false stops the scan early) in global key order. Each shard scans
+// one pinned version of its own tree, so a concurrent writer is neither
+// observed nor blocked; ctx cancellation is checked at every page visit. With
+// more than one relevant shard the scans run concurrently and the per-shard
+// result streams are merged by full-key byte order (shards interleave by
+// attribute value, so a plain concatenation would be out of order).
+//
+// The returned Stats are this query's own counters, with the page counters
+// read from ec.Tracker — cumulative over every query that shared it, summed
+// over its per-shard children. ec.Stats additionally accumulates the scan
+// counters. ExecuteCtx is safe to call concurrently as long as each
+// goroutine uses its own ExecContext.
 func (sh *Sharded) ExecuteCtx(ctx context.Context, q Query, ec *ExecContext, fn func(Match) bool) (Stats, error) {
-	return sh.execute(ctx, q, ec, fn, func(i int) (view, func() error) {
+	return sh.execute(ctx, q, ec, fn, func(i int) (*btree.Snap, func() error) {
 		s := sh.shards[i].tree.Snapshot()
 		return s, s.Release
 	})
 }
 
-// Execute runs a query across the shards and materializes the matches.
+// Execute runs a query across the shards and materializes the matches. ec
+// may be nil, which runs the query under a fresh context; pass one to share
+// page accounting across several queries.
 func (sh *Sharded) Execute(q Query, alg Algorithm, ec *ExecContext) ([]Match, Stats, error) {
 	if ec == nil {
 		ec = &ExecContext{}
@@ -312,35 +389,37 @@ type keyedMatch struct {
 	m   Match
 }
 
-func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, fn func(Match) bool, viewOf func(int) (view, func() error)) (Stats, error) {
+func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, fn func(Match) bool, snapOf func(int) (*btree.Snap, func() error)) (Stats, error) {
 	proto := sh.shards[0]
 	n := len(sh.shards)
 	p, err := proto.compile(q)
 	if err != nil {
 		return Stats{}, err
 	}
+	if ec.Tracker == nil {
+		ec.Tracker = pager.NewTracker()
+	}
 	rel := sh.relevantShards(p)
 	stats := Stats{Algorithm: ec.Algorithm, Intervals: len(p.intervals)}
 
 	if len(rel) == 1 {
 		// One relevant shard: stream straight to fn, no buffering.
-		child := &ExecContext{Tracker: ec.ShardTracker(rel[0], n), Algorithm: ec.Algorithm}
-		v, release := viewOf(rel[0])
-		st, err := proto.runPlan(ctx, v, p, child, func(_ []byte, m Match) bool { return fn(m) })
+		v, release := snapOf(rel[0])
+		st, err := proto.runPlan(ctx, v, p, ec.Algorithm, ec.Tracker.Child(rel[0], n), func(_ []byte, m Match) bool { return fn(m) })
 		if rerr := release(); rerr != nil && err == nil {
 			err = rerr
 		}
 		stats.EntriesScanned = st.EntriesScanned
 		stats.Matches = st.Matches
-		return sh.finish(ec, stats, err)
+		return finish(ec, stats, err)
 	}
 
 	// Scatter: one goroutine per relevant shard, each collecting its
-	// (key, match) stream under its own tracker and ExecContext.
-	// Trackers are materialized up front — ShardTracker mutates the
-	// shared context and must not race.
+	// (key, match) stream under its own child tracker. The children are
+	// materialized up front — Child grows the shared tracker and must not
+	// race; afterwards the goroutines' Child calls only read it.
 	for _, i := range rel {
-		ec.ShardTracker(i, n)
+		ec.Tracker.Child(i, n)
 	}
 	results := make([][]keyedMatch, len(rel))
 	shardStats := make([]Stats, len(rel))
@@ -350,9 +429,8 @@ func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, fn fun
 		wg.Add(1)
 		go func(ri, i int) {
 			defer wg.Done()
-			child := &ExecContext{Tracker: ec.ShardTracker(i, n), Algorithm: ec.Algorithm}
-			v, release := viewOf(i)
-			st, err := proto.runPlan(ctx, v, p, child, func(key []byte, m Match) bool {
+			v, release := snapOf(i)
+			st, err := proto.runPlan(ctx, v, p, ec.Algorithm, ec.Tracker.Child(i, n), func(key []byte, m Match) bool {
 				results[ri] = append(results[ri], keyedMatch{key: append([]byte(nil), key...), m: m})
 				return true
 			})
@@ -366,7 +444,7 @@ func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, fn fun
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return sh.finish(ec, stats, err)
+			return finish(ec, stats, err)
 		}
 	}
 	for _, st := range shardStats {
@@ -395,28 +473,28 @@ func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, fn fun
 			break
 		}
 	}
-	return sh.finish(ec, stats, nil)
+	return finish(ec, stats, nil)
 }
 
-// finish folds a sharded execution's counters into the context, mirroring
-// runPlan's accumulation: per-query counters add up, page counters are the
-// context's cumulative distinct counts (summed across shard trackers).
-func (sh *Sharded) finish(ec *ExecContext, stats Stats, err error) (Stats, error) {
-	reads, hits, misses, bytesDec, prefetch := ec.pageCounts()
-	stats.PagesRead = reads
-	stats.NodeCacheHits = hits
-	stats.NodeCacheMisses = misses
-	stats.BytesDecoded = bytesDec
-	stats.PrefetchIssued = prefetch
+// finish reads a query's page counters off the context's tracker and folds
+// its scan counters into the context: per-query counters add up, page
+// counters are the tracker's cumulative distinct counts.
+func finish(ec *ExecContext, stats Stats, err error) (Stats, error) {
+	tr := ec.Tracker
+	stats.PagesRead = tr.Reads()
+	stats.NodeCacheHits = tr.CacheHits()
+	stats.NodeCacheMisses = tr.CacheMisses()
+	stats.BytesDecoded = tr.BytesDecoded()
+	stats.PrefetchIssued = tr.PrefetchIssued()
 	ec.Stats.Algorithm = ec.Algorithm
 	ec.Stats.Intervals += stats.Intervals
 	ec.Stats.EntriesScanned += stats.EntriesScanned
 	ec.Stats.Matches += stats.Matches
-	ec.Stats.PagesRead = reads
-	ec.Stats.NodeCacheHits = hits
-	ec.Stats.NodeCacheMisses = misses
-	ec.Stats.BytesDecoded = bytesDec
-	ec.Stats.PrefetchIssued = prefetch
+	ec.Stats.PagesRead = stats.PagesRead
+	ec.Stats.NodeCacheHits = stats.NodeCacheHits
+	ec.Stats.NodeCacheMisses = stats.NodeCacheMisses
+	ec.Stats.BytesDecoded = stats.BytesDecoded
+	ec.Stats.PrefetchIssued = stats.PrefetchIssued
 	return stats, err
 }
 
@@ -463,7 +541,7 @@ func (s *ShardedSnap) Release() error {
 // ExecuteCtx runs a query against the pinned shard versions; semantics
 // match Sharded.ExecuteCtx.
 func (s *ShardedSnap) ExecuteCtx(ctx context.Context, q Query, ec *ExecContext, fn func(Match) bool) (Stats, error) {
-	return s.sh.execute(ctx, q, ec, fn, func(i int) (view, func() error) {
+	return s.sh.execute(ctx, q, ec, fn, func(i int) (*btree.Snap, func() error) {
 		return s.snaps[i], func() error { return nil }
 	})
 }

@@ -11,37 +11,37 @@ import (
 	"repro/internal/pager"
 )
 
-// newSharded builds a Sharded group of n shards next to (not over) an
-// existing unsharded index's spec and store.
+// newSharded builds an in-memory group of up to n shards over the fixture's
+// store.
 func newSharded(t *testing.T, f *fixture, spec Spec, n int) *Sharded {
 	t.Helper()
-	proto, err := New(pager.NewMemFile(0), f.st, spec)
+	smap := NewShardMap(shardCodes(t, f, spec), n)
+	files := make([]pager.File, smap.Shards())
+	for i := range files {
+		files[i] = pager.NewMemFile(0)
+	}
+	sh, err := NewSharded(f.st, spec, smap, files, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	smap := NewShardMap(proto.ShardCodes(), n)
-	shards := []*Index{proto}
-	for i := 1; i < smap.Shards(); i++ {
-		ix, err := New(pager.NewMemFile(0), f.st, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards = append(shards, ix)
-	}
-	sh, err := NewSharded(shards, smap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Build(); err != nil {
 		t.Fatal(err)
 	}
 	return sh
 }
 
+// shardCodes is ShardCodes failing the test on error.
+func shardCodes(t *testing.T, f *fixture, spec Spec) []encoding.Code {
+	t.Helper()
+	codes, err := ShardCodes(f.st, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return codes
+}
+
+var colorSpec = Spec{Name: "veh-color", Root: "Vehicle", Attr: "Color"}
+
 func TestShardMapRouting(t *testing.T) {
 	f := newFixture(t)
-	ix := f.colorIndex(t)
-	codes := ix.ShardCodes()
+	codes := shardCodes(t, f, colorSpec)
 	// The Vehicle hierarchy has 4 classes: Vehicle, Automobile,
 	// CompactAutomobile, Truck.
 	if len(codes) != 4 {
@@ -90,8 +90,8 @@ func TestShardMapRouting(t *testing.T) {
 
 func TestShardOfKeyParsesTerminalCode(t *testing.T) {
 	f := newFixture(t)
-	ix := f.colorIndex(t)
-	m := NewShardMap(ix.ShardCodes(), 4)
+	ix := f.colorIndex(t).Prototype()
+	m := NewShardMap(shardCodes(t, f, colorSpec), 4)
 	keys, err := ix.EntriesFor(f.v4) // CompactAutomobile, Red
 	if err != nil || len(keys) != 1 {
 		t.Fatalf("EntriesFor: %v keys, err %v", len(keys), err)
@@ -109,7 +109,7 @@ func TestShardOfKeyParsesTerminalCode(t *testing.T) {
 // TestShardedInvariance is the core-level invariance check: for every shard
 // count, every algorithm, and a battery of query shapes, the sharded
 // executor returns byte-identical matches in identical order to the
-// unsharded index, with identical Matches/EntriesScanned counts.
+// one-shard index, with identical Matches/EntriesScanned counts.
 func TestShardedInvariance(t *testing.T) {
 	f := newFixture(t)
 	flat := f.colorIndex(t)
@@ -131,7 +131,7 @@ func TestShardedInvariance(t *testing.T) {
 		{Value: Range(uint64(40), uint64(60)), Positions: []Position{Any, OnObjects("Company", f.c2)}},
 	}
 
-	check := func(t *testing.T, flat *Index, sh *Sharded, queries []Query) {
+	check := func(t *testing.T, flat, sh *Sharded, queries []Query) {
 		t.Helper()
 		for qi, q := range queries {
 			for _, alg := range []Algorithm{Parallel, Forward} {
@@ -192,9 +192,10 @@ func TestShardedInvariance(t *testing.T) {
 	})
 }
 
-// TestShardedSinglePageCountInvariance: at one shard the sharded executor
-// must report the exact PagesRead of the unsharded engine (same tree, same
-// tracker semantics) — the paper's Table 1 / Figs 5-8 logical counts.
+// TestShardedSinglePageCountInvariance: a group whose shard map clamps to one
+// shard must report the exact PagesRead of the default one-shard group (same
+// tree, same tracker semantics) — the paper's Table 1 / Figs 5-8 logical
+// counts.
 func TestShardedSinglePageCountInvariance(t *testing.T) {
 	f := newFixture(t)
 	flat := f.colorIndex(t)
@@ -253,14 +254,8 @@ func TestShardedMutationRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Compare against a rebuilt flat index over the same store state.
-	flat, err := New(pager.NewMemFile(0), f.st, Spec{Name: "c-flat", Root: "Vehicle", Attr: "Color"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flat.Build(); err != nil {
-		t.Fatal(err)
-	}
+	// Compare against a rebuilt one-shard index over the same store state.
+	flat := mustGroup(t, f.st, Spec{Name: "c-flat", Root: "Vehicle", Attr: "Color"})
 	if sh.Len() != flat.Len() {
 		t.Fatalf("after mutations: sharded Len %d, flat %d", sh.Len(), flat.Len())
 	}

@@ -96,19 +96,3 @@ func (m *ShardMap) ShardOfKey(t encoding.AttrType, key []byte) (int, error) {
 	}
 	return 0, fmt.Errorf("core: key has no class code to route on")
 }
-
-// ShardCodes returns the codes an index's shard map should be built from:
-// every coded class inside the terminal class's hierarchy (position 0 of
-// every key carries one of exactly these codes), ascending. The coding table
-// is already sorted by code, which is hierarchy preorder.
-func (ix *Index) ShardCodes() []encoding.Code {
-	sch := ix.st.Schema()
-	terminal := ix.pathCls[len(ix.pathCls)-1]
-	var codes []encoding.Code
-	for _, row := range ix.coding.Table() {
-		if sch.IsSubclassOf(row.Class, terminal) {
-			codes = append(codes, row.Code)
-		}
-	}
-	return codes
-}

@@ -58,12 +58,10 @@ type GridConfig struct {
 	Seed     int64
 	Extended bool // also measure CH-tree and H-tree curves
 	// PoolPages routes the four structures' page files through buffer
-	// pools of that many frames (0 = no pool); PoolPolicy picks the
-	// replacement policy. With a pool the node caches are dropped before
-	// each repetition so traffic reaches it; neither step changes the
-	// figures' logical page-read curves.
-	PoolPages  int
-	PoolPolicy string
+	// pools of that many frames (0 = no pool). With a pool the node caches
+	// are dropped before each repetition so traffic reaches it; neither
+	// step changes the figures' logical page-read curves.
+	PoolPages int
 }
 
 // FullGrid is the paper's configuration: 150,000 objects, 100 repetitions.
@@ -177,7 +175,7 @@ func ResetDBCache() {
 func runGroup(cfg GridConfig, sets, keys int, frac float64) (*Group, error) {
 	db, err := cachedDB(workload.LargeConfig{
 		Objects: cfg.Objects, Sets: sets, Keys: keys, Seed: cfg.Seed,
-		PoolPages: cfg.PoolPages, PoolPolicy: cfg.PoolPolicy,
+		PoolPages: cfg.PoolPages,
 	})
 	if err != nil {
 		return nil, err

@@ -13,43 +13,41 @@ func TestTable1PoolInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []string{"clock", "lru"} {
-		pooled, err := RunTable1With(42, Table1Options{PoolPages: 128, PoolPolicy: policy})
-		if err != nil {
-			t.Fatal(err)
+	pooled, err := RunTable1With(42, Table1Options{PoolPages: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pooled.Rows) != len(plain.Rows) {
+		t.Fatalf("%d rows pooled vs %d plain", len(pooled.Rows), len(plain.Rows))
+	}
+	for i, p := range plain.Rows {
+		q := pooled.Rows[i]
+		if q.ID != p.ID || q.Parallel != p.Parallel || q.Forward != p.Forward || q.Matches != p.Matches {
+			t.Errorf("row %s diverged with pool: parallel %d/%d forward %d/%d matches %d/%d",
+				p.ID, q.Parallel, p.Parallel, q.Forward, p.Forward, q.Matches, p.Matches)
 		}
-		if len(pooled.Rows) != len(plain.Rows) {
-			t.Fatalf("%s: %d rows pooled vs %d plain", policy, len(pooled.Rows), len(plain.Rows))
-		}
-		for i, p := range plain.Rows {
-			q := pooled.Rows[i]
-			if q.ID != p.ID || q.Parallel != p.Parallel || q.Forward != p.Forward || q.Matches != p.Matches {
-				t.Errorf("%s: row %s diverged with pool: parallel %d/%d forward %d/%d matches %d/%d",
-					policy, p.ID, q.Parallel, p.Parallel, q.Forward, p.Forward, q.Matches, p.Matches)
-			}
-		}
-		if pooled.TotalNodes != plain.TotalNodes {
-			t.Errorf("%s: total nodes %d pooled vs %d plain", policy, pooled.TotalNodes, plain.TotalNodes)
-		}
-		if pooled.Pool == nil {
-			t.Fatalf("%s: pooled run reported no pool stats", policy)
-		}
-		if pooled.Pool.Hits == 0 || pooled.Pool.HitRate() <= 0 {
-			t.Errorf("%s: pool saw no hits: %+v", policy, *pooled.Pool)
-		}
-		if pooled.Pool.PhysicalReads == 0 {
-			t.Errorf("%s: pool reported no physical reads: %+v", policy, *pooled.Pool)
-		}
-		// The per-row physical column must have content: a 128-frame pool
-		// cannot hold the whole 1562-node color index, so at least the
-		// large scans fault pages in.
-		var phys int
-		for _, r := range pooled.Rows {
-			phys += r.Physical
-		}
-		if phys == 0 {
-			t.Errorf("%s: no row recorded physical reads", policy)
-		}
+	}
+	if pooled.TotalNodes != plain.TotalNodes {
+		t.Errorf("total nodes %d pooled vs %d plain", pooled.TotalNodes, plain.TotalNodes)
+	}
+	if pooled.Pool == nil {
+		t.Fatalf("pooled run reported no pool stats")
+	}
+	if pooled.Pool.Hits == 0 || pooled.Pool.HitRate() <= 0 {
+		t.Errorf("pool saw no hits: %+v", *pooled.Pool)
+	}
+	if pooled.Pool.PhysicalReads == 0 {
+		t.Errorf("pool reported no physical reads: %+v", *pooled.Pool)
+	}
+	// The per-row physical column must have content: a 128-frame pool
+	// cannot hold the whole 1562-node color index, so at least the
+	// large scans fault pages in.
+	var phys int
+	for _, r := range pooled.Rows {
+		phys += r.Physical
+	}
+	if phys == 0 {
+		t.Errorf("no row recorded physical reads")
 	}
 	if plain.Pool != nil {
 		t.Error("plain run unexpectedly reported pool stats")

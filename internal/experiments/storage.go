@@ -38,25 +38,23 @@ func RunStorage(objects, sets, keys int, seed int64) (*StorageResult, error) {
 	add := func(name string, pages int, height int) {
 		res.Rows = append(res.Rows, StorageRow{Structure: name, Pages: pages, Height: height})
 	}
-	p, err := db.UIndex.PageCount()
+	u := db.UIndex.Shard(0)
+	p, err := u.PageCount()
 	if err != nil {
 		return nil, err
 	}
-	add("U-index (compressed)", p, db.UIndex.Tree().Height())
+	add("U-index (compressed)", p, u.Tree().Height())
 
 	// The ablation: identical entries, no front compression.
-	raw, err := core.New(pager.NewMemFile(1024), db.Store, core.Spec{
-		Name: "raw", Root: "Obj", Attr: "Key", NoCompression: true})
+	raw, err := core.NewSharded(db.Store, core.Spec{Name: "raw", Root: "Obj", Attr: "Key", NoCompression: true},
+		nil, []pager.File{pager.NewMemFile(1024)}, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := raw.Build(); err != nil {
+	if p, err = raw.Shard(0).PageCount(); err != nil {
 		return nil, err
 	}
-	if p, err = raw.PageCount(); err != nil {
-		return nil, err
-	}
-	add("U-index (no compression)", p, raw.Tree().Height())
+	add("U-index (no compression)", p, raw.Shard(0).Tree().Height())
 
 	if p, err = db.CG.PageCount(); err != nil {
 		return nil, err

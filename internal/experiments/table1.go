@@ -44,8 +44,7 @@ type Table1Options struct {
 	// PoolPages, when positive, routes both indexes through buffer pools
 	// of that many frames and reports physical-read counts per row. The
 	// logical node counts (the paper's numbers) are unaffected.
-	PoolPages  int
-	PoolPolicy string
+	PoolPages int
 	// NodeCacheSize sizes the decoded-node cache of both indexes
 	// (0 = engine default, negative = disabled). A pure CPU knob: the
 	// logical node counts are identical either way, which
@@ -65,7 +64,8 @@ var PaperTable1 = map[string][2]int{
 
 // RunTable1 builds the 12,000-record database with the paper's B-tree
 // geometry (at most 10 entries per node) and runs the twenty queries of
-// Table 1, measuring visited nodes under both retrieval algorithms.
+// Table 1, measuring visited nodes under both retrieval algorithms. Each
+// index is a one-shard group, the engine's unsharded index.
 func RunTable1(seed int64) (*Table1Result, error) {
 	return RunTable1With(seed, Table1Options{})
 }
@@ -77,20 +77,17 @@ func RunTable1With(seed int64, opts Table1Options) (*Table1Result, error) {
 		return nil, err
 	}
 	var pools []*bufferpool.Pool
-	newFile := func() (pager.File, error) {
+	newIndex := func(spec core.Spec) (*core.Sharded, error) {
 		var f pager.File = pager.NewMemFile(1024)
-		if opts.PoolPages <= 0 {
-			return f, nil
+		if opts.PoolPages > 0 {
+			p, err := bufferpool.New(f, bufferpool.Config{Pages: opts.PoolPages})
+			if err != nil {
+				return nil, err
+			}
+			pools = append(pools, p)
+			f = p
 		}
-		p, err := bufferpool.New(f, bufferpool.Config{
-			Pages:  opts.PoolPages,
-			Policy: opts.PoolPolicy,
-		})
-		if err != nil {
-			return nil, err
-		}
-		pools = append(pools, p)
-		return p, nil
+		return core.NewSharded(db.Store, spec, nil, []pager.File{f}, nil)
 	}
 	physicalReads := func() int64 {
 		var n int64
@@ -99,30 +96,16 @@ func RunTable1With(seed int64, opts Table1Options) (*Table1Result, error) {
 		}
 		return n
 	}
-	colorFile, err := newFile()
-	if err != nil {
-		return nil, err
-	}
-	colorIx, err := core.New(colorFile, db.Store, core.Spec{
+	colorIx, err := newIndex(core.Spec{
 		Name: "color", Root: "Vehicle", Attr: "Color", MaxEntries: 10,
 		NodeCacheSize: opts.NodeCacheSize})
 	if err != nil {
 		return nil, err
 	}
-	if err := colorIx.Build(); err != nil {
-		return nil, err
-	}
-	ageFile, err := newFile()
-	if err != nil {
-		return nil, err
-	}
-	ageIx, err := core.New(ageFile, db.Store, core.Spec{
+	ageIx, err := newIndex(core.Spec{
 		Name: "age", Root: "Vehicle", Refs: []string{"ManufacturedBy", "President"},
 		Attr: "Age", MaxEntries: 10, NodeCacheSize: opts.NodeCacheSize})
 	if err != nil {
-		return nil, err
-	}
-	if err := ageIx.Build(); err != nil {
 		return nil, err
 	}
 
@@ -138,7 +121,7 @@ func RunTable1With(seed int64, opts Table1Options) (*Table1Result, error) {
 	}
 	type q struct {
 		id, desc string
-		ix       *core.Index
+		ix       *core.Sharded
 		query    core.Query
 	}
 	queries := []q{
@@ -197,7 +180,7 @@ func RunTable1With(seed int64, opts Table1Options) (*Table1Result, error) {
 			Physical: int(physicalReads() - physBefore),
 		})
 	}
-	total, err := colorIx.PageCount()
+	total, err := colorIx.Shard(0).PageCount()
 	if err != nil {
 		return nil, err
 	}

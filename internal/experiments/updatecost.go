@@ -39,14 +39,13 @@ func RunUpdateCost(seed int64, reps int) (*UpdateCostResult, error) {
 		return nil, err
 	}
 	uFile := pager.NewMemFile(1024)
-	uIx, err := core.New(uFile, db.Store, core.Spec{
-		Name: "age", Root: "Vehicle", Refs: []string{"ManufacturedBy", "President"}, Attr: "Age"})
+	uIx, err := core.NewSharded(db.Store, core.Spec{
+		Name: "age", Root: "Vehicle", Refs: []string{"ManufacturedBy", "President"}, Attr: "Age"},
+		nil, []pager.File{uFile}, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := uIx.Build(); err != nil {
-		return nil, err
-	}
+
 	nFile := pager.NewMemFile(1024)
 	nIx, err := nix.New(nFile, db.Store, nix.Spec{
 		Name: "nix-age", Root: "Vehicle", Refs: []string{"ManufacturedBy", "President"}, Attr: "Age"})
@@ -80,21 +79,32 @@ func RunUpdateCost(seed int64, reps int) (*UpdateCostResult, error) {
 		return nil
 	}
 
+	// The U-index is updated the way the engine's write path does it: the
+	// object's entries before the store edit, its entries after it, and
+	// ApplyKeys of their DiffKeys (EntriesFor → DiffKeys → ApplyKeys).
 	company := db.Companies[0]
 	// End-of-path insert + delete (one vehicle round trip).
-	if err := measure("vehicle insert+delete", "U-index", uFile, uIx.Tree().Flush, func() error {
+	if err := measure("vehicle insert+delete", "U-index", uFile, uIx.Shard(0).Flush, func() error {
 		oid, err := db.Store.Insert("Automobile", store.Attrs{
 			"Name": "upd", "Color": "Grey", "ManufacturedBy": company})
 		if err != nil {
 			return err
 		}
-		if err := uIx.Add(oid); err != nil {
+		news, err := uIx.EntriesFor(oid)
+		if err != nil {
 			return err
 		}
-		if err := uIx.Remove(oid); err != nil {
+		if err := uIx.ApplyKeys(core.DiffKeys(nil, news)); err != nil {
 			return err
 		}
-		return db.Store.Delete(oid)
+		olds, err := uIx.EntriesFor(oid)
+		if err != nil {
+			return err
+		}
+		if err := db.Store.Delete(oid); err != nil {
+			return err
+		}
+		return uIx.ApplyKeys(core.DiffKeys(olds, nil))
 	}); err != nil {
 		return nil, err
 	}
@@ -127,7 +137,7 @@ func RunUpdateCost(seed int64, reps int) (*UpdateCostResult, error) {
 	e1 := db.Employees[0]
 	e2 := db.Employees[1]
 	flip := e1
-	if err := measure("president switch", "U-index", uFile, uIx.Tree().Flush, func() error {
+	if err := measure("president switch", "U-index", uFile, uIx.Shard(0).Flush, func() error {
 		old, err := uIx.EntriesFor(company)
 		if err != nil {
 			return err
@@ -144,7 +154,7 @@ func RunUpdateCost(seed int64, reps int) (*UpdateCostResult, error) {
 		if err != nil {
 			return err
 		}
-		return uIx.ApplyDiff(old, newKeys)
+		return uIx.ApplyKeys(core.DiffKeys(old, newKeys))
 	}); err != nil {
 		return nil, err
 	}

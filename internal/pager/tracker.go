@@ -18,6 +18,12 @@ package pager
 // touched in common, so experiment-level "distinct pages read" totals are
 // identical whether the queries ran sequentially under one shared tracker
 // or concurrently under private ones.
+//
+// A structure spread over several page files (a sharded index) accounts
+// each file on a child tracker of its own (see Child), since page ids of
+// different files are unrelated. Reads, the CPU-cost counters, Merge and
+// Reset all cover the children, so one caller-held tracker keeps the
+// cumulative buffered-experiment count whatever the file count.
 type Tracker struct {
 	seen  map[PageID]struct{}
 	reads int
@@ -34,11 +40,14 @@ type Tracker struct {
 	// background prefetcher. Like the cache counters it never feeds the
 	// logical page counts: prefetching a page does not Touch it.
 	prefetchIssued int
+	children       []*Tracker
 }
 
-// NewTracker returns an empty tracker.
+// NewTracker returns an empty tracker. Its page set is allocated on the first
+// Touch, so a tracker that only parents per-file children never allocates
+// one.
 func NewTracker() *Tracker {
-	return &Tracker{seen: make(map[PageID]struct{})}
+	return &Tracker{}
 }
 
 // Touch records a page access. It returns true when the page had not been
@@ -50,9 +59,30 @@ func (t *Tracker) Touch(id PageID) bool {
 	if _, ok := t.seen[id]; ok {
 		return false
 	}
+	if t.seen == nil {
+		t.seen = make(map[PageID]struct{})
+	}
 	t.seen[id] = struct{}{}
 	t.reads++
 	return true
+}
+
+// Child returns the tracker that accounts file i of an n-file structure,
+// allocating it on first use. n <= 1 is the single-file case and returns t
+// itself, so a one-file structure counts exactly as it would on t. Child
+// grows t, so a concurrent reader must obtain its child before the
+// goroutines start; each child then belongs to one goroutine.
+func (t *Tracker) Child(i, n int) *Tracker {
+	if t == nil || n <= 1 {
+		return t
+	}
+	if len(t.children) < n {
+		t.children = append(t.children, make([]*Tracker, n-len(t.children))...)
+	}
+	if t.children[i] == nil {
+		t.children[i] = NewTracker()
+	}
+	return t.children[i]
 }
 
 // Touched reports whether the page has been counted already.
@@ -69,7 +99,11 @@ func (t *Tracker) Reads() int {
 	if t == nil {
 		return 0
 	}
-	return t.reads
+	n := t.reads
+	for _, c := range t.children {
+		n += c.Reads()
+	}
+	return n
 }
 
 // NoteNodeCache records the outcome of one decoded-node cache probe: a hit
@@ -94,7 +128,11 @@ func (t *Tracker) CacheHits() int {
 	if t == nil {
 		return 0
 	}
-	return t.cacheHits
+	n := t.cacheHits
+	for _, c := range t.children {
+		n += c.CacheHits()
+	}
+	return n
 }
 
 // CacheMisses returns the number of node fetches that had to decode page
@@ -103,7 +141,11 @@ func (t *Tracker) CacheMisses() int {
 	if t == nil {
 		return 0
 	}
-	return t.cacheMisses
+	n := t.cacheMisses
+	for _, c := range t.children {
+		n += c.CacheMisses()
+	}
+	return n
 }
 
 // NotePrefetch records that the query's scan handed pages to the background
@@ -121,7 +163,11 @@ func (t *Tracker) PrefetchIssued() int {
 	if t == nil {
 		return 0
 	}
-	return t.prefetchIssued
+	n := t.prefetchIssued
+	for _, c := range t.children {
+		n += c.PrefetchIssued()
+	}
+	return n
 }
 
 // BytesDecoded returns the total entry bytes materialized by node decodes.
@@ -129,16 +175,20 @@ func (t *Tracker) BytesDecoded() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.bytesDecoded
+	n := t.bytesDecoded
+	for _, c := range t.children {
+		n += c.BytesDecoded()
+	}
+	return n
 }
 
 // Merge folds the pages seen by other into t without double-counting:
 // after the call t.Reads() is the number of distinct pages touched by
 // either tracker. other may be nil or empty. Merging the per-goroutine
 // trackers of a concurrent run therefore reproduces exactly the count a
-// single shared tracker would have reported for the same page set. The
-// CPU-cost counters are plain event counts, not sets, so they merge by
-// summation.
+// single shared tracker would have reported for the same page set. Child i
+// of other merges into child i of t, file by file. The CPU-cost counters
+// are plain event counts, not sets, so they merge by summation.
 func (t *Tracker) Merge(other *Tracker) {
 	if t == nil || other == nil {
 		return
@@ -150,6 +200,11 @@ func (t *Tracker) Merge(other *Tracker) {
 	t.cacheMisses += other.cacheMisses
 	t.bytesDecoded += other.bytesDecoded
 	t.prefetchIssued += other.prefetchIssued
+	for i, c := range other.children {
+		if c != nil {
+			t.Child(i, len(other.children)).Merge(c)
+		}
+	}
 }
 
 // Reset clears the tracker for reuse by the next query.
@@ -161,4 +216,7 @@ func (t *Tracker) Reset() {
 	t.reads = 0
 	t.cacheHits, t.cacheMisses, t.bytesDecoded = 0, 0, 0
 	t.prefetchIssued = 0
+	for _, c := range t.children {
+		c.Reset()
+	}
 }

@@ -71,3 +71,40 @@ func TestTrackerReset(t *testing.T) {
 		t.Fatal("Touch after Reset did not count the page as new")
 	}
 }
+
+// TestTrackerChildren: per-file child trackers deduplicate within their own
+// file only, and Reads, Merge and Reset cover them.
+func TestTrackerChildren(t *testing.T) {
+	tr := NewTracker()
+	if tr.Child(0, 1) != tr {
+		t.Fatal("Child of a one-file structure is not the tracker itself")
+	}
+	a, b := tr.Child(0, 2), tr.Child(1, 2)
+	a.Touch(1)
+	a.Touch(1)
+	b.Touch(1) // same page id, different file
+	a.NoteNodeCache(false, 10)
+	if tr.Reads() != 2 || tr.CacheMisses() != 1 || tr.BytesDecoded() != 10 {
+		t.Fatalf("reads=%d misses=%d bytes=%d, want 2, 1, 10", tr.Reads(), tr.CacheMisses(), tr.BytesDecoded())
+	}
+	if tr.Child(0, 2) != a {
+		t.Fatal("Child allocated a second tracker for the same file")
+	}
+
+	other := NewTracker()
+	other.Child(1, 2).Touch(1) // already seen by b
+	other.Child(1, 2).Touch(2)
+	tr.Merge(other)
+	if tr.Reads() != 3 {
+		t.Fatalf("merged reads = %d, want 3", tr.Reads())
+	}
+
+	tr.Reset()
+	if tr.Reads() != 0 || tr.CacheMisses() != 0 || b.Touched(1) {
+		t.Fatalf("Reset left child state behind: reads=%d", tr.Reads())
+	}
+	var nilTr *Tracker
+	if nilTr.Child(1, 2) != nil {
+		t.Fatal("nil tracker has a non-nil child")
+	}
+}

@@ -23,7 +23,6 @@
 package querylang
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -32,28 +31,6 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/store"
 )
-
-// Run parses input and executes it on the index under the given execution
-// context (nil selects a fresh Parallel-algorithm context). ctx cancellation
-// aborts the scan at the next page visit. This is the textual-query entry
-// point of the executor layer: every run gets its own per-query ExecContext
-// unless the caller passes one to share page accounting, so concurrent
-// textual queries are as independent as programmatic ones.
-func Run(ctx context.Context, ix *core.Index, input string, ec *core.ExecContext) ([]core.Match, core.Stats, error) {
-	q, err := Parse(ix, input)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	if ec == nil {
-		ec = core.NewExecContext(core.Parallel)
-	}
-	var out []core.Match
-	stats, err := ix.ExecuteCtx(ctx, q, ec, func(m core.Match) bool {
-		out = append(out, m)
-		return true
-	})
-	return out, stats, err
-}
 
 // Parse compiles a textual query against the given index.
 func Parse(ix *core.Index, input string) (core.Query, error) {

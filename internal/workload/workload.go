@@ -205,11 +205,9 @@ type LargeConfig struct {
 	Seed     int64 //
 	PageSize int   // 1024 in the paper
 	// PoolPages, when positive, routes each structure's page file through
-	// a buffer pool of that many frames; PoolPolicy picks its replacement
-	// policy ("clock" default, "lru"). Logical page-read accounting is
+	// a buffer pool of that many frames. Logical page-read accounting is
 	// unaffected — the pool only adds a physical-I/O layer.
-	PoolPages  int
-	PoolPolicy string
+	PoolPages int
 }
 
 // LargeDB is the Section-5.1 database loaded into all four structures.
@@ -217,8 +215,8 @@ type LargeDB struct {
 	Config LargeConfig
 	Schema *schema.Schema
 	Store  *store.Store
-	Sets   []string // class names, code order
-	UIndex *core.Index
+	Sets   []string      // class names, code order
+	UIndex *core.Sharded // one shard, as the engine builds an unsharded index
 	CG     *cgtree.Tree
 	CH     *chtree.Tree
 	H      *htree.Forest
@@ -237,10 +235,7 @@ func (db *LargeDB) newFile() (pager.File, error) {
 	if db.Config.PoolPages <= 0 {
 		return f, nil
 	}
-	p, err := bufferpool.New(f, bufferpool.Config{
-		Pages:  db.Config.PoolPages,
-		Policy: db.Config.PoolPolicy,
-	})
+	p, err := bufferpool.New(f, bufferpool.Config{Pages: db.Config.PoolPages})
 	if err != nil {
 		return nil, err
 	}
@@ -334,12 +329,9 @@ func NewLargeDB(cfg LargeConfig) (*LargeDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.UIndex, err = core.New(uFile, st, core.Spec{
-		Name: "large", Root: "Obj", Attr: "Key"})
+	db.UIndex, err = core.NewSharded(st, core.Spec{Name: "large", Root: "Obj", Attr: "Key"},
+		nil, []pager.File{uFile}, nil)
 	if err != nil {
-		return nil, err
-	}
-	if err := db.UIndex.Build(); err != nil {
 		return nil, err
 	}
 

@@ -22,8 +22,8 @@ type Metrics struct {
 	NodeCache NodeCacheStats
 
 	// Query-side counters. Queries counts completed Query calls —
-	// including snapshot queries and QueryParallel jobs; QueryErrors the
-	// subset that returned an error. PagesRead, EntriesScanned, Matches,
+	// including snapshot queries; QueryErrors the subset that returned an
+	// error. PagesRead, EntriesScanned, Matches,
 	// and PrefetchIssued sum the per-query Stats (PrefetchIssued counts
 	// pages handed to the background frontier prefetcher — accounting
 	// only, prefetched pages never inflate PagesRead).

@@ -148,10 +148,6 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := db.Snapshot(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Snapshot closed = %v, want ErrClosed", err)
 	}
-	results := db.QueryParallel(ctx, []QueryJob{{Index: "color", Query: Query{Value: Exact("Red")}}}, 1)
-	if !errors.Is(results[0].Err, ErrClosed) {
-		t.Fatalf("QueryParallel closed = %v, want ErrClosed", results[0].Err)
-	}
 }
 
 // TestQueryContextCancellation: a canceled context aborts queries on every
@@ -173,10 +169,6 @@ func TestQueryContextCancellation(t *testing.T) {
 	defer snap.Release()
 	if _, _, err := snap.Query(ctx, "color", Query{Value: Exact("Red")}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("snapshot query canceled ctx = %v, want context.Canceled", err)
-	}
-	results := db.QueryParallel(ctx, []QueryJob{{Index: "color", Query: Query{Value: Exact("Red")}}}, 1)
-	if !errors.Is(results[0].Err, context.Canceled) {
-		t.Fatalf("QueryParallel canceled ctx = %v, want context.Canceled", results[0].Err)
 	}
 }
 
@@ -206,13 +198,10 @@ func TestWritersDoNotBlockReadersOrEachOther(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate a stalled writer on index "ax" by holding its write lock.
-	ax, ok := db.Index("ax")
-	if !ok {
-		t.Fatal("index ax missing")
-	}
-	ax.LockWrite()
-	defer ax.UnlockWrite()
+	// Simulate a stalled writer on index "ax" by holding its write locks.
+	ax := db.groups["ax"].sharded
+	ax.LockShards(ax.AllShards())
+	defer ax.UnlockShards(ax.AllShards())
 
 	done := make(chan error, 2)
 	go func() { // reader on the write-locked index

@@ -36,7 +36,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,9 +201,6 @@ type Options struct {
 	// one batched read while the current level is decoded — which is equally
 	// transparent; Metrics exposes the prefetch counters.
 	PoolPages int
-	// PoolPolicy selects the pool's replacement policy: "clock" (the
-	// default) or "lru".
-	PoolPolicy string
 	// NodeCacheSize caps each index's shared decoded-node cache, in
 	// nodes: 0 selects the btree default, negative disables the caches.
 	// An explicit IndexSpec.NodeCacheSize overrides this per index. The
@@ -252,9 +248,9 @@ type Options struct {
 
 // Database is a schema + object store + U-indexes, kept consistent.
 //
-// Concurrency contract: writers never block readers. Every query (Query,
-// QueryParallel, the deprecated wrappers, and queries through a Snapshot)
-// runs against an immutable pinned version of each index tree, so it sees a
+// Concurrency contract: writers never block readers. Every query (Query, and
+// queries through a Snapshot) runs against an immutable pinned version of
+// each index tree, so it sees a
 // consistent state regardless of concurrent mutations and never waits for
 // them. Mutations (Insert, Delete, Set) serialize per index — writers on
 // indexes with disjoint coverage proceed in parallel; writers on the same
@@ -675,10 +671,10 @@ func (db *Database) CreateIndex(spec IndexSpec) error {
 // initial checkpoint — a crash in between reopens to the consistent empty
 // state and builds again.
 func (db *Database) openGroup(spec IndexSpec) (_ *indexGroup, err error) {
-	// A throwaway in-memory index validates the spec and yields the
-	// class codes the shard map partitions (the terminal class's
-	// hierarchy, which is exactly the set of position-0 codes).
-	tmp, err := core.New(pager.NewMemFile(0), db.st, spec)
+	// The spec is validated, and the class codes the shard map partitions
+	// derived (the terminal class's hierarchy, which is exactly the set of
+	// position-0 codes), before anything touches the directory.
+	codes, err := core.ShardCodes(db.st, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -692,7 +688,7 @@ func (db *Database) openGroup(spec IndexSpec) (_ *indexGroup, err error) {
 
 	dir := db.opts.Dir
 	manifestPath := filepath.Join(dir, spec.Name+".manifest")
-	smap := core.NewShardMap(tmp.ShardCodes(), min(db.opts.Shards, pager.MaxShards))
+	smap := core.NewShardMap(codes, min(db.opts.Shards, pager.MaxShards))
 	var gens []uint64 // per-shard generations to reopen at; nil creates the files
 	if dir != "" {
 		g.manifest, err = pager.OpenManifestFile(manifestPath)
@@ -758,39 +754,28 @@ func (db *Database) openGroup(spec IndexSpec) (_ *indexGroup, err error) {
 		}
 	}
 
-	shards := make([]*core.Index, n)
+	files := make([]pager.File, n)
 	for i, df := range g.files {
-		var f pager.File = pager.NewMemFile(0)
+		files[i] = pager.NewMemFile(0)
 		if df != nil {
-			f = df
+			files[i] = df
 		}
 		if db.opts.PoolPages > 0 {
-			g.pools[i], err = bufferpool.New(f, bufferpool.Config{Pages: db.opts.PoolPages, Policy: db.opts.PoolPolicy})
-			if err != nil {
+			if g.pools[i], err = bufferpool.New(files[i], bufferpool.Config{Pages: db.opts.PoolPages}); err != nil {
 				return nil, err
 			}
-			f = g.pools[i]
+			files[i] = g.pools[i]
 		}
-		if built > 0 {
-			shards[i], err = core.Open(f, db.st, spec, metas[i])
-		} else {
-			shards[i], err = core.New(f, db.st, spec)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if g.sharded, err = core.NewSharded(shards, smap); err != nil {
-		return nil, err
 	}
 	if built == 0 {
-		if err = g.sharded.Build(); err != nil {
-			return nil, err
-		}
-		if g.disk() {
-			if err = g.checkpoint(); err != nil {
-				return nil, fmt.Errorf("checkpointing initial build: %w", err)
-			}
+		metas = nil // nothing to reopen: build from the store
+	}
+	if g.sharded, err = core.NewSharded(db.st, spec, smap, files, metas); err != nil {
+		return nil, err
+	}
+	if built == 0 && g.disk() {
+		if err = g.checkpoint(); err != nil {
+			return nil, fmt.Errorf("checkpointing initial build: %w", err)
 		}
 	}
 	return g, nil
@@ -870,13 +855,11 @@ func (db *Database) DropIndex(name string) error {
 	return err
 }
 
-// Index returns a declared index by name — for a sharded index, its
-// prototype shard, which carries the spec, coding, and key layout used by
-// ParseQuery, Explain, and introspection. The returned index may be used
-// for concurrent read-only calls; interleaving direct mutations with
-// Database traffic is the caller's responsibility. Note that on a sharded
-// index the prototype's Len covers only its own shard — use ShardStats for
-// per-shard entry counts.
+// Index returns the prototype shard (shard 0) of a declared index, which
+// carries the spec, coding, and key layout used by ParseQuery, Explain, and
+// introspection. It is for concurrent read-only use; queries and mutations go
+// through the Database. On a sharded index the shard's Len and Tree cover
+// only shard 0 — use ShardStats for per-shard entry counts.
 func (db *Database) Index(name string) (*core.Index, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -964,88 +947,6 @@ func (db *Database) Query(ctx context.Context, index string, q Query, opts ...Qu
 	})
 	db.ctrs.countQuery(stats, err)
 	return out, stats, err
-}
-
-// QueryJob names one query of a QueryParallel batch.
-type QueryJob struct {
-	// Index is the name of the index to query.
-	Index string
-	// Query is the query to run.
-	Query Query
-	// Algorithm selects the retrieval strategy; the zero value is
-	// Parallel (the paper's Algorithm 1).
-	Algorithm Algorithm
-}
-
-// QueryResult is the outcome of one QueryJob.
-type QueryResult struct {
-	Matches []Match
-	Stats   Stats
-	Err     error
-}
-
-// QueryParallel executes a batch of queries concurrently on a pool of
-// worker goroutines and returns the results in job order. workers <= 0
-// selects GOMAXPROCS. Every job runs under its own ExecContext (private
-// tracker, per-job stats), so jobs never share mutable state. The batch
-// runs against one database Snapshot, so every job sees the same consistent
-// version while concurrent writers proceed unblocked. ctx cancellation
-// aborts the remaining jobs at their next page visit.
-//
-// Per-job Stats.PagesRead counts are the same as the job would report run
-// alone on a cold tracker; experiment-level totals that must match a
-// sequential shared-tracker run can be rebuilt by merging per-job trackers
-// (see Tracker.Merge) — QueryParallel itself keeps jobs independent.
-//
-// When ctx is canceled mid-batch, in-flight jobs abort at their next page
-// visit and every not-yet-started job is drained without executing; both
-// record ctx's error in their QueryResult, so the pool returns promptly
-// instead of plowing through the remaining queue.
-func (db *Database) QueryParallel(ctx context.Context, jobs []QueryJob, workers int) []QueryResult {
-	results := make([]QueryResult, len(jobs))
-	if len(jobs) == 0 {
-		return results
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	snap, err := db.Snapshot()
-	if err != nil {
-		for i := range results {
-			results[i].Err = err
-		}
-		return results
-	}
-	defer snap.Release()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					// Drain without executing: a canceled batch must not
-					// start new scans just to have each one abort at its
-					// first page visit.
-					results[i] = QueryResult{Err: err}
-					continue
-				}
-				job := jobs[i]
-				ms, stats, err := snap.Query(ctx, job.Index, job.Query, WithAlgorithm(job.Algorithm))
-				results[i] = QueryResult{Matches: ms, Stats: stats, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
-	return results
 }
 
 // ParseQuery parses a paper-notation textual query (see the querylang
