@@ -96,19 +96,25 @@ func setPosition(db *workload.LargeDB, sets []int) core.Position {
 
 // ---- read path -------------------------------------------------------
 
+// queryBenchConfig is one database setting of the read-path benchmarks.
+type queryBenchConfig struct {
+	ncache int // Options.NodeCacheSize
+	shards int // Options.Shards
+}
+
 var (
 	queryBenchMu  sync.Mutex
-	queryBenchDBs = map[int]*Database{}
+	queryBenchDBs = map[queryBenchConfig]*Database{}
 )
 
-// benchQueryDB builds (once per cache setting) the vehicle database the
-// read-path benchmarks query: a color class-hierarchy index and a
-// two-ref age path index over a few thousand objects.
-func benchQueryDB(b *testing.B, ncache int) *Database {
+// benchQueryDB builds (once per setting) the vehicle database the read-path
+// benchmarks query: a color class-hierarchy index and a two-ref age path
+// index over a few thousand objects.
+func benchQueryDB(b *testing.B, cfg queryBenchConfig) *Database {
 	b.Helper()
 	queryBenchMu.Lock()
 	defer queryBenchMu.Unlock()
-	if db, ok := queryBenchDBs[ncache]; ok {
+	if db, ok := queryBenchDBs[cfg]; ok {
 		return db
 	}
 	s := NewSchema()
@@ -129,7 +135,7 @@ func benchQueryDB(b *testing.B, ncache int) *Database {
 			b.Fatal(err)
 		}
 	}
-	db, err := NewDatabaseWith(s, Options{NodeCacheSize: ncache})
+	db, err := NewDatabaseWith(s, Options{NodeCacheSize: cfg.ncache, Shards: cfg.shards})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -167,23 +173,30 @@ func benchQueryDB(b *testing.B, ncache int) *Database {
 			b.Fatal(err)
 		}
 	}
-	queryBenchDBs[ncache] = db
+	queryBenchDBs[cfg] = db
 	return db
 }
 
-// benchQuery runs one facade query per op under both cache settings —
-// allocs/op with cache=on vs. cache=off is the tentpole's headline number.
-func benchQuery(b *testing.B, index string, q Query) {
+// benchQuery runs one facade query per op on one shard under both cache
+// settings and, when shards > 1, on that many shards with the cache on —
+// where the color index's shard scans run concurrently and their results
+// are merged.
+func benchQuery(b *testing.B, index string, q Query, shards int) {
 	b.Helper()
-	for _, tc := range []struct {
-		name   string
-		ncache int
-	}{
-		{"cache=on", 0},
-		{"cache=off", -1},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			db := benchQueryDB(b, tc.ncache)
+	cfgs := []queryBenchConfig{{ncache: 0, shards: 1}, {ncache: -1, shards: 1}}
+	if shards > 1 {
+		cfgs = append(cfgs, queryBenchConfig{ncache: 0, shards: shards})
+	}
+	for _, cfg := range cfgs {
+		name := "cache=on"
+		switch {
+		case cfg.shards > 1:
+			name = fmt.Sprintf("shards=%d", cfg.shards)
+		case cfg.ncache < 0:
+			name = "cache=off"
+		}
+		b.Run(name, func(b *testing.B) {
+			db := benchQueryDB(b, cfg)
 			ctx := context.Background()
 			// Warm up: steady state is the repeated-query regime.
 			if _, _, err := db.Query(ctx, index, q); err != nil {
@@ -206,15 +219,16 @@ func BenchmarkQueryExact(b *testing.B) {
 	benchQuery(b, "color", Query{
 		Value:     Exact("Red"),
 		Positions: []Position{OnExact("Automobile")},
-	})
+	}, 1)
 }
 
-// BenchmarkQueryRange scans a value range over the whole hierarchy.
+// BenchmarkQueryRange scans a value range over the whole hierarchy; its
+// shards=4 run merges the four shards' results.
 func BenchmarkQueryRange(b *testing.B) {
 	benchQuery(b, "color", Query{
 		Value:     Range("Black", "Red"),
 		Positions: []Position{On("Vehicle")},
-	})
+	}, 4)
 }
 
 // BenchmarkQuerySubtree probes the path index restricted to a class
@@ -223,17 +237,18 @@ func BenchmarkQuerySubtree(b *testing.B) {
 	benchQuery(b, "age", Query{
 		Value:     Exact(uint64(45)),
 		Positions: []Position{Any, Any, On("Automobile")},
-	})
+	}, 1)
 }
 
 // BenchmarkQueryParscan is a dispersed multi-interval descent — the
 // paper's Algorithm 1 showcase (several values × several class subtrees
-// in one tree pass).
+// in one tree pass); its shards=4 run scans two of four shards and merges
+// them.
 func BenchmarkQueryParscan(b *testing.B) {
 	benchQuery(b, "color", Query{
 		Value:     OneOf("Red", "Blue", "Green"),
 		Positions: []Position{OneOfClasses("CompactAutomobile", "Truck")},
-	})
+	}, 4)
 }
 
 // ---- Table 1 ---------------------------------------------------------

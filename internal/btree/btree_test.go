@@ -23,6 +23,25 @@ func newTree(t *testing.T, pageSize int, cfg Config) *Tree {
 func key(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("val-%d", i)) }
 
+// TestCommonPrefix checks the word-at-a-time prefix length against a byte
+// loop, with the first difference at every offset around the 8-byte strides.
+func TestCommonPrefix(t *testing.T) {
+	for n := 0; n <= 20; n++ {
+		a := bytes.Repeat([]byte{0xA5}, n)
+		for d := 0; d <= n; d++ {
+			b := append([]byte(nil), a...)
+			if d < n {
+				b[d] ^= 0x01
+			}
+			for _, bl := range []int{n, d} {
+				if got := commonPrefix(a, b[:bl]); got != d {
+					t.Fatalf("commonPrefix(len %d, len %d differing at %d) = %d", n, bl, d, got)
+				}
+			}
+		}
+	}
+}
+
 func TestInsertGet(t *testing.T) {
 	for _, cfg := range []Config{{}, {MaxEntries: 4}, {MaxEntries: 10}} {
 		t.Run(fmt.Sprintf("cfg%+v", cfg), func(t *testing.T) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -647,19 +646,6 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, _, err := ix.Execute(Query{Value: Exact("Red")}, Algorithm(9), nil); err == nil {
 		t.Error("unknown algorithm accepted")
-	}
-}
-
-func TestExecuteFuncEarlyStop(t *testing.T) {
-	f := newFixture(t)
-	ix := f.colorIndex(t)
-	n := 0
-	_, err := ix.ExecuteCtx(context.Background(), Query{Value: Exact("White")}, &ExecContext{}, func(Match) bool {
-		n++
-		return n < 2
-	})
-	if err != nil || n != 2 {
-		t.Fatalf("early stop: n=%d err=%v", n, err)
 	}
 }
 

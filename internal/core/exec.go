@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -89,47 +90,37 @@ func NewExecContext(alg Algorithm) *ExecContext {
 }
 
 // runPlan executes a compiled plan against one pinned shard version under
-// the shard's tracker, streaming each match together with its raw entry key
-// — the sharded executor merges per-shard streams in key order, and within
-// one shard the scan emits keys ascending. The plan may have been compiled
-// by another shard of the same group; shards share spec, coding, and store,
-// so plans are interchangeable. The returned Stats carry only this scan's
-// EntriesScanned and Matches; page counts stay on tr.
-func (ix *Index) runPlan(ctx context.Context, v *btree.Snap, p *plan, alg Algorithm, tr *pager.Tracker, fn func(key []byte, m Match) bool) (Stats, error) {
-	var err error
-	var stats Stats
-	lastDistinct := ""  // forward-scan duplicate suppression for Distinct
-	var sc matchScratch // per-entry parse state, reused across the scan
-	emit := func(key []byte) (skipTo []byte, stop bool, err error) {
-		stats.EntriesScanned++
-		m, skip, err := p.matchKey(ix, key, &sc)
-		if err != nil {
-			return nil, true, err
-		}
-		if m == nil {
-			return skip, false, nil
+// the shard's tracker and collects every match into out — within one shard
+// the scan visits keys ascending, so out holds them in key order. The plan
+// may have been compiled by another shard of the same group; shards share
+// spec, coding, and store, so plans are interchangeable. It returns the
+// number of entries the scan inspected; page counts stay on tr.
+func (ix *Index) runPlan(ctx context.Context, v *btree.Snap, p *plan, alg Algorithm, tr *pager.Tracker, out *shardResult) (scanned int, err error) {
+	var lastDistinct []byte // forward-scan duplicate suppression for Distinct
+	var sc matchScratch     // per-entry parse state, reused across the scan
+	emit := func(key []byte) (skipTo []byte, err error) {
+		scanned++
+		attr, path, ok, skip, err := p.matchKey(ix, key, &sc)
+		if err != nil || !ok {
+			return skip, err
 		}
 		if p.q.Distinct > 0 && skip != nil {
 			// The skip key doubles as the cluster signature. The
 			// parallel algorithm jumps past the cluster so this
 			// never repeats; the forward scan visits every entry
 			// and must suppress the repeats itself.
-			sig := string(skip)
-			if sig == lastDistinct {
-				return skip, false, nil
+			if bytes.Equal(skip, lastDistinct) {
+				return skip, nil
 			}
-			lastDistinct = sig
+			lastDistinct = append(lastDistinct[:0], skip...)
 		}
-		stats.Matches++
-		if !fn(key, *m) {
-			return nil, true, nil
-		}
-		return skip, false, nil
+		return skip, out.add(ix.attrType, key, attr, path)
 	}
 	switch alg {
 	case Parallel:
 		err = v.MultiScanKeys(ctx, p.intervals, tr, func(k, _ []byte) ([]byte, bool, error) {
-			return emit(k)
+			skip, err := emit(k)
+			return skip, false, err
 		})
 	case Forward:
 		// Per search value: one descent to the value's first entry,
@@ -137,23 +128,17 @@ func (ix *Index) runPlan(ctx context.Context, v *btree.Snap, p *plan, alg Algori
 		// entries are inspected and filtered, with no seeking past
 		// irrelevant classes. This is the Section-3.3 baseline the
 		// parallel algorithm is measured against in Table 1.
-		norm := btree.NormalizeIntervals(p.valueIntervals)
-		stopped := false
-		for _, iv := range norm {
-			if stopped {
-				break
-			}
+		for _, iv := range btree.NormalizeIntervals(p.valueIntervals) {
 			err = v.ScanKeys(ctx, iv.Lo, iv.Hi, tr, func(k, _ []byte) ([]byte, bool, error) {
-				_, stop, err := emit(k)
-				stopped = stop
-				return nil, stop, err
+				_, err := emit(k)
+				return nil, false, err
 			})
 			if err != nil {
 				break
 			}
 		}
 	default:
-		return Stats{}, fmt.Errorf("core: unknown algorithm %d", int(alg))
+		return 0, fmt.Errorf("core: unknown algorithm %d", int(alg))
 	}
-	return stats, err
+	return scanned, err
 }

@@ -125,6 +125,12 @@ type Query struct {
 }
 
 // Match is one query result.
+//
+// The matches of one result share storage: every Path is a capped window of
+// one of a few backing arrays (an append to a Path copies, it never
+// overwrites the next match's entries), and consecutive matches with one
+// attribute value share one Value. A caller that edits a Path's entries in
+// place edits only that match.
 type Match struct {
 	Value any                  // decoded attribute value
 	Path  []encoding.PathEntry // terminal-first; truncated to Distinct when set
@@ -311,36 +317,37 @@ func (ix *Index) compile(q Query) (*plan, error) {
 }
 
 // matchScratch is the reusable per-execution state of matchKey: the parsed
-// path and offset slices, the class-code intern table, and the Match handed
-// to the emit callback. One scan reuses it for every entry inspected, so
-// the per-entry parse allocates nothing in steady state; only an actual
-// match allocates (the Path copy the caller is allowed to retain). A
-// scratch belongs to one execution goroutine — runPlan owns one per call.
+// path and offset slices, the class-code intern table, and the buffers skip
+// keys are built in. One scan reuses it for every entry inspected, so the
+// per-entry parse and the skip computation allocate nothing in steady state.
+// A scratch belongs to one execution goroutine — runPlan owns one per call.
 type matchScratch struct {
 	path  []encoding.PathEntry
 	offs  []int
 	codes encoding.CodeInterner
-	match Match
+	skip  []byte // the last skip key returned
+	cand  []byte // skipFor's candidate component
 }
 
-// matchKey checks a key against the residual patterns. It returns whether
-// the key matches, and — on mismatch or after a Distinct match — the skip
-// key for the parallel algorithm (nil when plain advancement is fine).
-// The returned Match (and everything it references except Path) is only
-// valid until the next matchKey call on the same scratch.
-func (p *plan) matchKey(ix *Index, key []byte, sc *matchScratch) (m *Match, skipTo []byte, err error) {
+// matchKey checks a key against the residual patterns. On a match (ok) it
+// returns the key's attribute-value bytes and its path, truncated to
+// Distinct when set; on a mismatch, or after a Distinct match, it returns
+// the skip key for the parallel algorithm (nil when plain advancement is
+// fine). attr aliases key; path and skipTo alias the scratch and are only
+// valid until the next matchKey call on it.
+func (p *plan) matchKey(ix *Index, key []byte, sc *matchScratch) (attr []byte, path []encoding.PathEntry, ok bool, skipTo []byte, err error) {
 	attr, path, offs, err := sc.split(ix.attrType, key)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, nil, err
 	}
 	for pi, pats := range p.patterns {
 		if len(pats) == 0 {
 			continue
 		}
 		if pi >= len(path) {
-			return nil, nil, fmt.Errorf("core: key has %d positions, query expects %d", len(path), len(p.patterns))
+			return nil, nil, false, nil, fmt.Errorf("core: key has %d positions, query expects %d", len(path), len(p.patterns))
 		}
-		ok := false
+		hit := false
 		for _, cp := range pats {
 			if cp.subtree {
 				if !cp.code.IsAncestorOrSelf(path[pi].Code) {
@@ -352,25 +359,18 @@ func (p *plan) matchKey(ix *Index, key []byte, sc *matchScratch) (m *Match, skip
 			if cp.oids != nil && !cp.oids[path[pi].OID] {
 				continue
 			}
-			ok = true
+			hit = true
 			break
 		}
-		if !ok {
-			return nil, p.skipFor(key, attr, path, offs, pi, pats), nil
+		if !hit {
+			return nil, nil, false, p.skipFor(sc, key, attr, offs, pi, pats), nil
 		}
-	}
-	v, err := ix.attrType.DecodeValue(attr)
-	if err != nil {
-		return nil, nil, err
 	}
 	if p.q.Distinct > 0 && p.q.Distinct <= len(path) {
 		path = path[:p.q.Distinct]
-		skipTo = skipPast(key, offs[p.q.Distinct-1])
+		skipTo = sc.skipPast(key, offs[p.q.Distinct-1])
 	}
-	// The emitted Path must survive the next key (callers retain it), so
-	// the match — and only the match — copies out of the scratch.
-	sc.match = Match{Value: v, Path: append([]encoding.PathEntry(nil), path...)}
-	return &sc.match, skipTo, nil
+	return attr, path, true, skipTo, nil
 }
 
 // split parses a composite key into the scratch, returning the
@@ -401,17 +401,21 @@ func (sc *matchScratch) split(t encoding.AttrType, key []byte) (attr []byte, pat
 // paper's search-tree move. If some alternative's class cluster begins
 // after the current component within the same parent cluster, seek directly
 // to it; otherwise skip the whole parent cluster, since nothing below it
-// can match position pi anymore.
-func (p *plan) skipFor(key, attr []byte, path []encoding.PathEntry, offs []int, pi int, pats []compiledPattern) []byte {
+// can match position pi anymore. The skip key is built in sc.skip, and the
+// candidates in sc.cand.
+func (p *plan) skipFor(sc *matchScratch, key, attr []byte, offs []int, pi int, pats []compiledPattern) []byte {
 	start := len(attr)
 	if pi > 0 {
 		start = offs[pi-1]
 	}
 	curComp := key[start:offs[pi]]
-	var best []byte
+	// out is key[:start] followed by the best candidate so far.
+	out := append(sc.skip[:0], key[:start]...)
+	found := false
 	consider := func(cand []byte) {
-		if bytes.Compare(cand, curComp) > 0 && (best == nil || bytes.Compare(cand, best) < 0) {
-			best = cand
+		if bytes.Compare(cand, curComp) > 0 && (!found || bytes.Compare(cand, out[start:]) < 0) {
+			out = append(out[:start], cand...)
+			found = true
 		}
 	}
 	for _, cp := range pats {
@@ -420,38 +424,35 @@ func (p *plan) skipFor(key, attr []byte, path []encoding.PathEntry, offs []int, 
 			// Allowed objects of an unenumerable code set may begin
 			// anywhere after the current component; only the current
 			// component's own cluster is safely skippable.
-			return skipPast(key, offs[pi])
+			return sc.skipPast(key, offs[pi])
 		case cp.oids != nil:
 			// Jump to the next allowed (code, oid) point.
 			for oid := range cp.oids {
-				cand := make([]byte, 0, len(cp.code)+1+encoding.OIDSize)
-				cand = append(cand, cp.code...)
-				cand = append(cand, encoding.SepByte)
-				cand = binary.BigEndian.AppendUint32(cand, uint32(oid))
-				consider(cand)
+				sc.cand = append(append(sc.cand[:0], cp.code...), encoding.SepByte)
+				sc.cand = binary.BigEndian.AppendUint32(sc.cand, uint32(oid))
+				consider(sc.cand)
 			}
 		case cp.subtree:
-			consider([]byte(cp.code))
+			sc.cand = append(sc.cand[:0], cp.code...)
+			consider(sc.cand)
 		default:
-			consider(append([]byte(cp.code), encoding.SepByte))
+			sc.cand = append(append(sc.cand[:0], cp.code...), encoding.SepByte)
+			consider(sc.cand)
 		}
 	}
-	if best != nil {
-		out := make([]byte, 0, start+len(best))
-		out = append(out, key[:start]...)
-		return append(out, best...)
+	sc.skip = out
+	if found {
+		return out
 	}
 	// Every alternative lies before the current component: the rest of
 	// the parent cluster is irrelevant too.
-	return skipPast(key, start)
+	return sc.skipPast(key, start)
 }
 
-// skipPast returns the smallest key beyond every key sharing key[:end]. The
-// next byte after a completed path component is always a code character
-// (below 0xFF), so appending 0xFF is a valid exclusive successor.
-func skipPast(key []byte, end int) []byte {
-	out := make([]byte, end+1)
-	copy(out, key[:end])
-	out[end] = 0xFF
-	return out
+// skipPast returns, in sc.skip, the smallest key beyond every key sharing
+// key[:end]. The next byte after a completed path component is always a code
+// character (below 0xFF), so appending 0xFF is a valid exclusive successor.
+func (sc *matchScratch) skipPast(key []byte, end int) []byte {
+	sc.skip = append(append(sc.skip[:0], key[:end]...), 0xFF)
+	return sc.skip
 }

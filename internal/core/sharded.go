@@ -347,133 +347,225 @@ func (sh *Sharded) relevantShards(p *plan) []int {
 	return out
 }
 
-// ExecuteCtx runs a query across the shards, streaming matches to fn (fn
-// returning false stops the scan early) in global key order. Each shard scans
-// one pinned version of its own tree, so a concurrent writer is neither
-// observed nor blocked; ctx cancellation is checked at every page visit. With
-// more than one relevant shard the scans run concurrently and the per-shard
-// result streams are merged by full-key byte order (shards interleave by
-// attribute value, so a plain concatenation would be out of order).
+// ExecuteCtx runs a query across the shards and returns its matches in
+// global key order. Each shard scans one pinned version of its own tree, so a
+// concurrent writer is neither observed nor blocked; ctx cancellation is
+// checked at every page visit. With more than one relevant shard the scans
+// run concurrently and their results are merged by full-key byte order
+// (shards interleave by attribute value, so a plain concatenation would be
+// out of order). The matches share storage as the Match type describes.
 //
 // The returned Stats are this query's own counters, with the page counters
 // read from ec.Tracker — cumulative over every query that shared it, summed
 // over its per-shard children. ec.Stats additionally accumulates the scan
 // counters. ExecuteCtx is safe to call concurrently as long as each
 // goroutine uses its own ExecContext.
-func (sh *Sharded) ExecuteCtx(ctx context.Context, q Query, ec *ExecContext, fn func(Match) bool) (Stats, error) {
-	return sh.execute(ctx, q, ec, fn, func(i int) (*btree.Snap, func() error) {
+func (sh *Sharded) ExecuteCtx(ctx context.Context, q Query, ec *ExecContext) ([]Match, Stats, error) {
+	return sh.execute(ctx, q, ec, func(i int) (*btree.Snap, func() error) {
 		s := sh.shards[i].tree.Snapshot()
 		return s, s.Release
 	})
 }
 
-// Execute runs a query across the shards and materializes the matches. ec
-// may be nil, which runs the query under a fresh context; pass one to share
-// page accounting across several queries.
+// Execute runs a query across the shards. ec may be nil, which runs the
+// query under a fresh context; pass one to share page accounting across
+// several queries.
 func (sh *Sharded) Execute(q Query, alg Algorithm, ec *ExecContext) ([]Match, Stats, error) {
 	if ec == nil {
 		ec = &ExecContext{}
 	}
 	ec.Algorithm = alg
-	var out []Match
-	stats, err := sh.ExecuteCtx(context.Background(), q, ec, func(m Match) bool {
-		out = append(out, m)
-		return true
-	})
-	return out, stats, err
+	return sh.ExecuteCtx(context.Background(), q, ec)
 }
 
-// keyedMatch carries a match with its raw entry key for the merge.
-type keyedMatch struct {
-	key []byte
-	m   Match
+// shardResult is one shard's part of a query result, collected without a
+// heap object per match. The path entries of its matches go to an arena,
+// plen entries each, in scan order. The arena is a list of blocks, each twice
+// the size of the one before, that are filled and never moved: N entries
+// allocate at most about 2N and copy nothing, where one slice grown by append
+// would allocate and copy several times N. The matches' values go to runs of
+// consecutive matches with equal attribute bytes — keys are value-first, so
+// runs are long and a value is decoded once per run. Only when several shards
+// must be merged are the raw keys kept too, concatenated in keys with ends
+// marking where each one stops.
+type shardResult struct {
+	plen    int
+	merge   bool
+	n       int                    // matches collected
+	paths   [][]encoding.PathEntry // the arena's blocks
+	runs    []valueRun
+	attr    []byte // encoded value of the last run
+	keys    []byte
+	ends    []int
+	scanned int   // entries the scan inspected
+	err     error // the scan's error
+	next    int   // gather cursor: the next match to emit
+	run     int   // the run holding match next
+	blk     int   // the block holding match next's path
+	off     int   // where in that block it starts
 }
 
-func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, fn func(Match) bool, snapOf func(int) (*btree.Snap, func() error)) (Stats, error) {
+// valueRun is a run of consecutive matches sharing one decoded value: those
+// numbered from the previous run's end up to end.
+type valueRun struct {
+	end   int
+	value any
+}
+
+// add collects one match from the scratch views of its key: the raw key, its
+// attribute-value bytes and its (Distinct-truncated) path.
+func (r *shardResult) add(t encoding.AttrType, key, attr []byte, path []encoding.PathEntry) error {
+	if len(path) != r.plen {
+		return fmt.Errorf("core: match has %d path entries, want %d", len(path), r.plen)
+	}
+	if len(r.runs) == 0 || !bytes.Equal(attr, r.attr) {
+		v, err := t.DecodeValue(attr)
+		if err != nil {
+			return err
+		}
+		r.runs = append(r.runs, valueRun{value: v})
+		r.attr = append(r.attr[:0], attr...)
+	}
+	last := len(r.paths) - 1
+	if last < 0 || cap(r.paths[last])-len(r.paths[last]) < r.plen {
+		size := 16 * r.plen
+		if last >= 0 {
+			size = 2 * cap(r.paths[last])
+		}
+		r.paths = append(r.paths, make([]encoding.PathEntry, 0, size))
+		last++
+	}
+	r.paths[last] = append(r.paths[last], path...)
+	r.n++
+	r.runs[len(r.runs)-1].end = r.n
+	if r.merge {
+		r.keys = append(r.keys, key...)
+		r.ends = append(r.ends, len(r.keys))
+	}
+	return nil
+}
+
+// key returns the raw key of the next match to emit (merge only).
+func (r *shardResult) key() []byte {
+	lo := 0
+	if r.next > 0 {
+		lo = r.ends[r.next-1]
+	}
+	return r.keys[lo:r.ends[r.next]]
+}
+
+// pop returns the next match to emit and advances the cursor. Its Path is
+// capped at its own entries, so an append to it copies.
+func (r *shardResult) pop() Match {
+	for r.runs[r.run].end <= r.next {
+		r.run++
+	}
+	r.next++
+	if r.off == len(r.paths[r.blk]) {
+		r.blk, r.off = r.blk+1, 0
+	}
+	lo, hi := r.off, r.off+r.plen
+	r.off = hi
+	return Match{Value: r.runs[r.run].value, Path: r.paths[r.blk][lo:hi:hi]}
+}
+
+// gather builds a query's result from its shards' collections: one
+// exact-size slice, filled by a k-way merge on the buffered keys. nil when
+// nothing matched.
+func gather(rs []shardResult) []Match {
+	total := 0
+	for i := range rs {
+		total += rs[i].n
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]Match, 0, total)
+	for len(out) < total {
+		// best has the smallest next key and runner the next smallest;
+		// best emits up to runner's next key before the heads are compared
+		// again. A lone non-empty shard has no runner and never compares.
+		var best, runner *shardResult
+		for i := range rs {
+			r := &rs[i]
+			switch {
+			case r.next == r.n:
+			case best == nil:
+				best = r
+			case bytes.Compare(r.key(), best.key()) < 0:
+				best, runner = r, best
+			case runner == nil || bytes.Compare(r.key(), runner.key()) < 0:
+				runner = r
+			}
+		}
+		out = append(out, best.pop())
+		for best.next < best.n && (runner == nil || bytes.Compare(best.key(), runner.key()) < 0) {
+			out = append(out, best.pop())
+		}
+	}
+	return out
+}
+
+func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, snapOf func(int) (*btree.Snap, func() error)) ([]Match, Stats, error) {
 	proto := sh.shards[0]
 	n := len(sh.shards)
 	p, err := proto.compile(q)
 	if err != nil {
-		return Stats{}, err
+		return nil, Stats{}, err
 	}
 	if ec.Tracker == nil {
 		ec.Tracker = pager.NewTracker()
 	}
 	rel := sh.relevantShards(p)
 	stats := Stats{Algorithm: ec.Algorithm, Intervals: len(p.intervals)}
-
-	if len(rel) == 1 {
-		// One relevant shard: stream straight to fn, no buffering.
-		v, release := snapOf(rel[0])
-		st, err := proto.runPlan(ctx, v, p, ec.Algorithm, ec.Tracker.Child(rel[0], n), func(_ []byte, m Match) bool { return fn(m) })
-		if rerr := release(); rerr != nil && err == nil {
-			err = rerr
-		}
-		stats.EntriesScanned = st.EntriesScanned
-		stats.Matches = st.Matches
-		return finish(ec, stats, err)
+	plen := len(proto.pathCls)
+	if q.Distinct > 0 {
+		plen = q.Distinct
 	}
 
-	// Scatter: one goroutine per relevant shard, each collecting its
-	// (key, match) stream under its own child tracker. The children are
+	// Scatter: each relevant shard collects its matches under its own
+	// child tracker, concurrently when there are several. The children are
 	// materialized up front — Child grows the shared tracker and must not
-	// race; afterwards the goroutines' Child calls only read it.
+	// race; afterwards the scans' Child calls only read it.
 	for _, i := range rel {
 		ec.Tracker.Child(i, n)
 	}
-	results := make([][]keyedMatch, len(rel))
-	shardStats := make([]Stats, len(rel))
-	errs := make([]error, len(rel))
-	var wg sync.WaitGroup
-	for ri, i := range rel {
-		wg.Add(1)
-		go func(ri, i int) {
-			defer wg.Done()
-			v, release := snapOf(i)
-			st, err := proto.runPlan(ctx, v, p, ec.Algorithm, ec.Tracker.Child(i, n), func(key []byte, m Match) bool {
-				results[ri] = append(results[ri], keyedMatch{key: append([]byte(nil), key...), m: m})
-				return true
-			})
-			if rerr := release(); rerr != nil && err == nil {
-				err = rerr
-			}
-			shardStats[ri] = st
-			errs[ri] = err
-		}(ri, i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return finish(ec, stats, err)
+	results := make([]shardResult, len(rel))
+	scan := func(ri int) {
+		r := &results[ri]
+		r.plen, r.merge = plen, len(rel) > 1
+		v, release := snapOf(rel[ri])
+		r.scanned, r.err = proto.runPlan(ctx, v, p, ec.Algorithm, ec.Tracker.Child(rel[ri], n), r)
+		if rerr := release(); rerr != nil && r.err == nil {
+			r.err = rerr
 		}
 	}
-	for _, st := range shardStats {
-		stats.EntriesScanned += st.EntriesScanned
+	if len(rel) == 1 {
+		scan(0)
+	} else {
+		var wg sync.WaitGroup
+		for ri := range rel {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				scan(ri)
+			}()
+		}
+		wg.Wait()
 	}
-
-	// Gather: n-way merge by full-key byte order.
-	heads := make([]int, len(rel))
-	for {
-		best := -1
-		for ri := range results {
-			if heads[ri] >= len(results[ri]) {
-				continue
-			}
-			if best < 0 || bytes.Compare(results[ri][heads[ri]].key, results[best][heads[best]].key) < 0 {
-				best = ri
-			}
-		}
-		if best < 0 {
-			break
-		}
-		m := results[best][heads[best]].m
-		heads[best]++
-		stats.Matches++
-		if !fn(m) {
-			break
+	for i := range results {
+		stats.EntriesScanned += results[i].scanned
+		if err == nil {
+			err = results[i].err
 		}
 	}
-	return finish(ec, stats, nil)
+	var out []Match
+	if err == nil {
+		out = gather(results)
+		stats.Matches = len(out)
+	}
+	stats, err = finish(ec, stats, err)
+	return out, stats, err
 }
 
 // finish reads a query's page counters off the context's tracker and folds
@@ -540,8 +632,8 @@ func (s *ShardedSnap) Release() error {
 
 // ExecuteCtx runs a query against the pinned shard versions; semantics
 // match Sharded.ExecuteCtx.
-func (s *ShardedSnap) ExecuteCtx(ctx context.Context, q Query, ec *ExecContext, fn func(Match) bool) (Stats, error) {
-	return s.sh.execute(ctx, q, ec, fn, func(i int) (*btree.Snap, func() error) {
+func (s *ShardedSnap) ExecuteCtx(ctx context.Context, q Query, ec *ExecContext) ([]Match, Stats, error) {
+	return s.sh.execute(ctx, q, ec, func(i int) (*btree.Snap, func() error) {
 		return s.snaps[i], func() error { return nil }
 	})
 }

@@ -139,12 +139,7 @@ func TestShardedInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("q%d %v flat: %v", qi, alg, err)
 				}
-				ec := &ExecContext{Algorithm: alg}
-				var got []Match
-				gotStats, err := sh.ExecuteCtx(context.Background(), q, ec, func(m Match) bool {
-					got = append(got, m)
-					return true
-				})
+				got, gotStats, err := sh.ExecuteCtx(context.Background(), q, &ExecContext{Algorithm: alg})
 				if err != nil {
 					t.Fatalf("q%d %v sharded: %v", qi, alg, err)
 				}
@@ -284,6 +279,56 @@ func TestShardedMutationRouting(t *testing.T) {
 	}
 }
 
+// TestShardedResultAliasing pins the storage contract of a gathered result:
+// on a 4-shard group, with and without Distinct, every Path is capped at its
+// own entries, so appending to one match's Path leaves the next match's
+// unchanged, and after such appends every match still equals a freshly
+// collected copy from a one-shard group.
+func TestShardedResultAliasing(t *testing.T) {
+	f := newFixture(t)
+	// Company has four classes, so the group really splits into 4 shards.
+	spec := Spec{Name: "veh-maker", Root: "Vehicle", Refs: []string{"ManufacturedBy"}, Attr: "Name"}
+	sh := newSharded(t, f, spec, 4)
+	if got := sh.NumShards(); got != 4 {
+		t.Fatalf("shards = %d, want 4", got)
+	}
+	flat := mustGroup(t, f.st, spec)
+	for _, q := range []Query{
+		{Value: Range(nil, nil)},
+		{Value: Range(nil, nil), Distinct: 1},
+	} {
+		for _, alg := range []Algorithm{Parallel, Forward} {
+			ms, _, err := sh.Execute(q, alg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := flat.Execute(q, alg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ms) < 3 {
+				t.Fatalf("Distinct=%d %v: weak fixture, %d matches", q.Distinct, alg, len(ms))
+			}
+			for i := range ms {
+				if len(ms[i].Path) != cap(ms[i].Path) {
+					t.Fatalf("match %d: Path len %d cap %d, want capped", i, len(ms[i].Path), cap(ms[i].Path))
+				}
+				if i+1 < len(ms) {
+					next := append([]encoding.PathEntry(nil), ms[i+1].Path...)
+					_ = append(ms[i].Path, encoding.PathEntry{Code: "C9", OID: 999})
+					if !reflect.DeepEqual(ms[i+1].Path, next) {
+						t.Fatalf("Distinct=%d %v: append to match %d's Path changed match %d: %v, was %v",
+							q.Distinct, alg, i, i+1, ms[i+1].Path, next)
+					}
+				}
+			}
+			if !reflect.DeepEqual(ms, want) {
+				t.Errorf("Distinct=%d %v: after appends\n got %v\nwant %v", q.Distinct, alg, ms, want)
+			}
+		}
+	}
+}
+
 // TestShardedSnapshotIsolation: a sharded snapshot pins every shard; writes
 // after the pin are invisible through it.
 func TestShardedSnapshotIsolation(t *testing.T) {
@@ -309,15 +354,16 @@ func TestShardedSnapshotIsolation(t *testing.T) {
 		t.Fatalf("snapshot Len moved from %d to %d after a write", before, snap.Len())
 	}
 	q := Query{Value: Exact("Red"), Positions: []Position{On("Vehicle")}}
-	var snapN, liveN int
-	if _, err := snap.ExecuteCtx(context.Background(), q, &ExecContext{}, func(Match) bool { snapN++; return true }); err != nil {
+	snapMs, _, err := snap.ExecuteCtx(context.Background(), q, &ExecContext{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.ExecuteCtx(context.Background(), q, &ExecContext{}, func(Match) bool { liveN++; return true }); err != nil {
+	liveMs, _, err := sh.ExecuteCtx(context.Background(), q, &ExecContext{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if liveN != snapN+1 {
-		t.Fatalf("live matches %d, snapshot %d; want live = snapshot+1", liveN, snapN)
+	if len(liveMs) != len(snapMs)+1 {
+		t.Fatalf("live matches %d, snapshot %d; want live = snapshot+1", len(liveMs), len(snapMs))
 	}
 	if err := snap.Release(); err != nil {
 		t.Fatal(err)

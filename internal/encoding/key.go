@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -157,6 +158,9 @@ func (t AttrType) DecodeValue(val []byte) (any, error) {
 			return nil, fmt.Errorf("encoding: string value not terminated")
 		}
 		body := val[:len(val)-2]
+		if bytes.IndexByte(body, 0x00) < 0 {
+			return string(body), nil // no escaped NUL: one copy
+		}
 		out := make([]byte, 0, len(body))
 		for i := 0; i < len(body); i++ {
 			if body[i] == 0x00 {

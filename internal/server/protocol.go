@@ -22,6 +22,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -141,14 +142,20 @@ func readUvarint(b []byte) (uint64, []byte, error) {
 }
 
 func readString(b []byte) (string, []byte, error) {
+	s, rest, err := readBytes(b)
+	return string(s), rest, err
+}
+
+// readBytes is readString returning a view of b instead of a copy.
+func readBytes(b []byte) ([]byte, []byte, error) {
 	n, rest, err := readUvarint(b)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if n > uint64(len(rest)) {
-		return "", nil, errShortFrame
+		return nil, nil, errShortFrame
 	}
-	return string(rest[:n]), rest[n:], nil
+	return rest[:n], rest[n:], nil
 }
 
 func readUint32(b []byte) (uint32, []byte, error) {
@@ -576,31 +583,64 @@ func appendMatches(b []byte, ms []uindex.Match) ([]byte, error) {
 	return b, nil
 }
 
+// readMatches decodes a result set the way the engine assembles one: the
+// path entries go to an arena of blocks, each twice the size of the one
+// before, that are never moved, so each Path is a capped window of one block;
+// each distinct class code becomes one string per frame; and a value whose
+// encoding repeats the previous one reuses it. The count is untrusted, so
+// everything grows as entries decode.
 func readMatches(b []byte) ([]uindex.Match, []byte, error) {
 	n, b, err := readUvarint(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	var ms []uindex.Match // grown per element: n is untrusted
+	var (
+		ms    []uindex.Match
+		blk   []uindex.PathEntry // the arena block being filled
+		codes = make(map[string]encoding.Code)
+		prev  []byte // encoding of the previous value, a view of the frame
+	)
 	for i := uint64(0); i < n; i++ {
 		var m uindex.Match
-		if m.Value, b, err = readValue(b); err != nil {
-			return nil, nil, err
+		// Value encodings are self-delimiting, so a frame that continues
+		// with the previous value's bytes holds that same value.
+		if prev != nil && bytes.HasPrefix(b, prev) {
+			m.Value, b = ms[len(ms)-1].Value, b[len(prev):]
+		} else {
+			rest := b
+			if m.Value, b, err = readValue(b); err != nil {
+				return nil, nil, err
+			}
+			prev = rest[:len(rest)-len(b)]
 		}
 		var plen uint64
 		if plen, b, err = readUvarint(b); err != nil {
 			return nil, nil, err
 		}
+		lo := len(blk)
 		for j := uint64(0); j < plen; j++ {
-			var code string
-			if code, b, err = readString(b); err != nil {
+			var raw []byte
+			if raw, b, err = readBytes(b); err != nil {
 				return nil, nil, err
+			}
+			code, ok := codes[string(raw)]
+			if !ok {
+				code = encoding.Code(raw)
+				codes[string(code)] = code
 			}
 			var oid uint32
 			if oid, b, err = readUint32(b); err != nil {
 				return nil, nil, err
 			}
-			m.Path = append(m.Path, uindex.PathEntry{Code: encoding.Code(code), OID: uindex.OID(oid)})
+			if len(blk) == cap(blk) {
+				// Full: carry this match's entries so far to the next block.
+				blk = append(make([]uindex.PathEntry, 0, max(2*cap(blk), 64)), blk[lo:]...)
+				lo = 0
+			}
+			blk = append(blk, uindex.PathEntry{Code: code, OID: uindex.OID(oid)})
+		}
+		if len(blk) > lo {
+			m.Path = blk[lo:len(blk):len(blk)]
 		}
 		ms = append(ms, m)
 	}

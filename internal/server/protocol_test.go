@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	uindex "repro"
 	"repro/internal/encoding"
@@ -158,6 +160,51 @@ func TestMatchesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMatchesRoundTripLarge round-trips a 1,000-match frame shaped like a
+// range result — values in runs, a few class codes, paths of three entries,
+// so some paths straddle an arena block boundary — through the arena
+// decoder: the result must equal the input, each Path must be capped so an
+// append cannot reach the next match, and a run of one value must decode to
+// one shared value.
+func TestMatchesRoundTripLarge(t *testing.T) {
+	codes := []encoding.Code{"5A", "5A1", "5B", "2A1", "1"}
+	want := make([]uindex.Match, 1000)
+	for i := range want {
+		var v any = fmt.Sprintf("colour-%d", i/100)
+		if i >= 900 {
+			v = uint64(i / 50)
+		}
+		want[i] = uindex.Match{Value: v, Path: []uindex.PathEntry{
+			{Code: codes[i%3], OID: uindex.OID(i + 1)}, {Code: codes[3], OID: uindex.OID(i % 7)},
+			{Code: codes[4], OID: uindex.OID(i / 10)},
+		}}
+	}
+	b, err := appendMatches(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, rest, err := readMatches(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rest) != 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("matches mismatch (rest %d)", len(rest))
+	}
+	for i := range got {
+		if len(got[i].Path) != cap(got[i].Path) {
+			t.Fatalf("match %d: Path len %d cap %d, want capped", i, len(got[i].Path), cap(got[i].Path))
+		}
+	}
+	_ = append(got[0].Path, uindex.PathEntry{Code: "9", OID: 9})
+	if !reflect.DeepEqual(got[1], want[1]) {
+		t.Fatalf("append to match 0 changed match 1: %+v", got[1])
+	}
+	s0, s1 := got[0].Value.(string), got[99].Value.(string)
+	if unsafe.StringData(s0) != unsafe.StringData(s1) {
+		t.Error("matches of one value run decoded to separate strings")
+	}
+}
+
 func TestCodeErrorMapping(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -216,6 +263,14 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0x63}) // short body
 	f.Add(append([]byte{0x00, 0x00, 0x00, 0x09, byte(OpInsert), 0, 0, 0, 1},
 		0x01, 0x43, 0xFF, 0xFF)) // insert with hostile attr count
+	if p, err := appendMatches(nil, []uindex.Match{
+		{Value: "Red", Path: []uindex.PathEntry{{Code: "5A", OID: 9}}},
+		{Value: "Red", Path: []uindex.PathEntry{{Code: "5A", OID: 10}}},
+	}); err == nil {
+		var buf bytes.Buffer
+		writeFrame(&buf, p)
+		f.Add(buf.Bytes()) // a result set with a repeated value
+	}
 
 	const maxFrame = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -231,6 +286,10 @@ func FuzzFrame(f *testing.F) {
 			}
 			if len(payload) > maxFrame {
 				t.Fatalf("readFrame returned %d bytes, above the %d bound", len(payload), maxFrame)
+			}
+			// The client's result decoder faces the same untrusted bytes.
+			if ms, _, err := readMatches(payload); err == nil && len(ms) > len(payload) {
+				t.Fatalf("readMatches decoded %d matches from %d bytes", len(ms), len(payload))
 			}
 			req, err := decodeRequest(payload)
 			if err != nil {

@@ -122,7 +122,8 @@ func (s *Snapshot) Epoch(index string) (uint64, bool) {
 
 // Query runs a query on the named index against the snapshot's pinned
 // version. It accepts the same options as Database.Query; WithSnapshot is
-// redundant here and ignored.
+// redundant here and ignored. Its matches share storage as Database.Query's
+// do.
 func (s *Snapshot) Query(ctx context.Context, index string, q Query, opts ...QueryOption) ([]Match, Stats, error) {
 	var cfg queryConfig
 	for _, o := range opts {
@@ -143,12 +144,7 @@ func (s *Snapshot) query(ctx context.Context, index string, q Query, cfg queryCo
 		s.db.ctrs.countQuery(Stats{}, err)
 		return nil, Stats{}, err
 	}
-	ec := &core.ExecContext{Tracker: cfg.tr, Algorithm: cfg.alg}
-	var out []Match
-	stats, err := v.ExecuteCtx(ctx, q, ec, func(m Match) bool {
-		out = append(out, m)
-		return true
-	})
+	ms, stats, err := v.ExecuteCtx(ctx, q, &core.ExecContext{Tracker: cfg.tr, Algorithm: cfg.alg})
 	s.db.ctrs.countQuery(stats, err)
-	return out, stats, err
+	return ms, stats, err
 }

@@ -920,6 +920,10 @@ func WithSnapshot(s *Snapshot) QueryOption {
 // Every query runs against one immutable pinned version of the index tree,
 // so concurrent mutations are neither observed mid-query nor waited on. Any
 // number of Query calls run in parallel.
+//
+// The matches of one result share storage: their Paths are capped windows of
+// a few backing arrays (an append to a Path copies), and consecutive matches
+// with one attribute value share one Value.
 func (db *Database) Query(ctx context.Context, index string, q Query, opts ...QueryOption) ([]Match, Stats, error) {
 	var cfg queryConfig
 	for _, o := range opts {
@@ -939,14 +943,9 @@ func (db *Database) Query(ctx context.Context, index string, q Query, opts ...Qu
 		db.ctrs.countQuery(Stats{}, err)
 		return nil, Stats{}, err
 	}
-	ec := &core.ExecContext{Tracker: cfg.tr, Algorithm: cfg.alg}
-	var out []Match
-	stats, err := g.sharded.ExecuteCtx(ctx, q, ec, func(m Match) bool {
-		out = append(out, m)
-		return true
-	})
+	ms, stats, err := g.sharded.ExecuteCtx(ctx, q, &core.ExecContext{Tracker: cfg.tr, Algorithm: cfg.alg})
 	db.ctrs.countQuery(stats, err)
-	return out, stats, err
+	return ms, stats, err
 }
 
 // ParseQuery parses a paper-notation textual query (see the querylang
