@@ -89,12 +89,13 @@ shard:
 # manifest-rooted one; the stand-alone index surface (QueryParallel/QueryJob,
 # Index.ApplyDiff/ExecuteFunc, querylang.Run), deleted in favor of the one
 # core.Sharded group; the LRU pool policy and its knob (PoolPolicy/PolicyLRU),
-# deleted in favor of CLOCK; and the options nothing set: WALMaxBatch, and
-# NoPrefetch on Options and IndexSpec (btree.Tuning keeps its own, the
-# reference side of TestPrefetchInvariance, hence the excluded directory).
+# deleted in favor of CLOCK; and the read-path and commit knobs the
+# measurements could not tell from their defaults: NoPrefetch, NodeCacheSize,
+# AnchorStride, btree.Tuning and OpenTuned, and MaxBatch (the WAL's and the
+# facade's WALMaxBatch). Tests build their cache-off and prefetch-off
+# reference trees inside the btree package, with no option.
 apicheck: vet
-	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|WALMaxBatch|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run' . || true; \
-		grep -rn --include='*.go' --exclude-dir=btree 'NoPrefetch' . || true); \
+	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run|NoPrefetch|AnchorStride|OpenTuned|btree\.Tuning|NodeCacheSize|MaxBatch' . || true); \
 	if [ -n "$$deprecated" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$deprecated"; \

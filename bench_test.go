@@ -96,25 +96,19 @@ func setPosition(db *workload.LargeDB, sets []int) core.Position {
 
 // ---- read path -------------------------------------------------------
 
-// queryBenchConfig is one database setting of the read-path benchmarks.
-type queryBenchConfig struct {
-	ncache int // Options.NodeCacheSize
-	shards int // Options.Shards
-}
-
 var (
 	queryBenchMu  sync.Mutex
-	queryBenchDBs = map[queryBenchConfig]*Database{}
+	queryBenchDBs = map[int]*Database{} // by Options.Shards
 )
 
-// benchQueryDB builds (once per setting) the vehicle database the read-path
-// benchmarks query: a color class-hierarchy index and a two-ref age path
-// index over a few thousand objects.
-func benchQueryDB(b *testing.B, cfg queryBenchConfig) *Database {
+// benchQueryDB builds (once per shard count) the vehicle database the
+// read-path benchmarks query: a color class-hierarchy index and a two-ref
+// age path index over a few thousand objects.
+func benchQueryDB(b *testing.B, shards int) *Database {
 	b.Helper()
 	queryBenchMu.Lock()
 	defer queryBenchMu.Unlock()
-	if db, ok := queryBenchDBs[cfg]; ok {
+	if db, ok := queryBenchDBs[shards]; ok {
 		return db
 	}
 	s := NewSchema()
@@ -135,7 +129,7 @@ func benchQueryDB(b *testing.B, cfg queryBenchConfig) *Database {
 			b.Fatal(err)
 		}
 	}
-	db, err := NewDatabaseWith(s, Options{NodeCacheSize: cfg.ncache, Shards: cfg.shards})
+	db, err := NewDatabaseWith(s, Options{Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -173,30 +167,22 @@ func benchQueryDB(b *testing.B, cfg queryBenchConfig) *Database {
 			b.Fatal(err)
 		}
 	}
-	queryBenchDBs[cfg] = db
+	queryBenchDBs[shards] = db
 	return db
 }
 
-// benchQuery runs one facade query per op on one shard under both cache
-// settings and, when shards > 1, on that many shards with the cache on —
-// where the color index's shard scans run concurrently and their results
-// are merged.
+// benchQuery runs one facade query per op on one shard and, when shards > 1,
+// on that many shards — where the color index's shard scans run
+// concurrently and their results are merged.
 func benchQuery(b *testing.B, index string, q Query, shards int) {
 	b.Helper()
-	cfgs := []queryBenchConfig{{ncache: 0, shards: 1}, {ncache: -1, shards: 1}}
+	counts := []int{1}
 	if shards > 1 {
-		cfgs = append(cfgs, queryBenchConfig{ncache: 0, shards: shards})
+		counts = append(counts, shards)
 	}
-	for _, cfg := range cfgs {
-		name := "cache=on"
-		switch {
-		case cfg.shards > 1:
-			name = fmt.Sprintf("shards=%d", cfg.shards)
-		case cfg.ncache < 0:
-			name = "cache=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			db := benchQueryDB(b, cfg)
+	for _, n := range counts {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			db := benchQueryDB(b, n)
 			ctx := context.Background()
 			// Warm up: steady state is the repeated-query regime.
 			if _, _, err := db.Query(ctx, index, q); err != nil {

@@ -95,7 +95,8 @@ func main() {
 	for _, m := range ms2 {
 		fmt.Printf("  employee %d -> vehicle %d (%s)\n", m.Path[0].OID, m.Path[1].OID, m.Path[1].Code.Compact())
 	}
-	check(ix.DropCache()) // push tree-cached nodes into the pool
+	// Every committed node page is already in the pool: the tree writes
+	// pages at commit, and its node cache only holds decoded copies.
 	check(pool.Close())
 	check(db.Close())
 }

@@ -7,13 +7,10 @@ import (
 	"repro/internal/pager"
 )
 
-// benchLeafPage encodes one leaf page at a realistic ~75% fill (split
-// pages settle near that, and the tail slack is where the anchor trailer
-// lives) with the given anchor stride (0 = v1 format, no anchors). It
-// returns the page bytes plus a key in the back half of the page — the
-// expensive case for a sequential walk.
-func benchLeafPage(b *testing.B, stride int) (buf []byte, target []byte) {
-	b.Helper()
+// BenchmarkDecodeNode measures the full arena decode of one leaf page at a
+// realistic ~75% fill (split pages settle near that): the cost every
+// node-cache miss pays.
+func BenchmarkDecodeNode(b *testing.B) {
 	n := &node{leaf: true}
 	for i := 0; ; i++ {
 		k := []byte(fmt.Sprintf("bench/cluster-%02d/key-%06d", i/16, i))
@@ -25,69 +22,38 @@ func benchLeafPage(b *testing.B, stride int) (buf []byte, target []byte) {
 			break
 		}
 	}
-	buf = make([]byte, pager.DefaultPageSize)
-	if err := encodePage(n, buf, false, stride); err != nil {
+	buf := make([]byte, pager.DefaultPageSize)
+	if err := n.encode(buf, false); err != nil {
 		b.Fatal(err)
 	}
-	return buf, append([]byte(nil), n.keys[3*len(n.keys)/4]...)
-}
-
-// BenchmarkDecodeNode contrasts the two ways the read path materializes a
-// page: the full arena decode every fetch paid before the node cache, and
-// the lazy anchor-seeded point lookup that decodes a single run.
-func BenchmarkDecodeNode(b *testing.B) {
-	b.Run("full", func(b *testing.B) {
-		buf, _ := benchLeafPage(b, DefaultAnchorStride)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := decodeNode(1, buf); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := decodeNode(1, buf); err != nil {
+			b.Fatal(err)
 		}
-	})
-	for _, tc := range []struct {
-		name   string
-		stride int
-	}{
-		{"lazy-get/anchors", DefaultAnchorStride},
-		{"lazy-get/v1-sequential", 0},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			buf, target := benchLeafPage(b, tc.stride)
-			var scratch []byte
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, ok, _, err := pageLeafGet(buf, target, &scratch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ok {
-					b.Fatal("target key not found")
-				}
-			}
-		})
 	}
 }
 
-// BenchmarkTreeGet measures a whole point lookup through the tree: the
-// lazy descent never installs cache entries, so this is the steady-state
-// cost either way; the cached variant additionally hits nodes a prior
-// scan installed.
+// BenchmarkTreeGet measures a whole point lookup through the tree: with the
+// cache on it hits the nodes a prior scan installed; with it off every
+// level decodes its page.
 func BenchmarkTreeGet(b *testing.B) {
 	for _, tc := range []struct {
-		name string
-		tun  Tuning
+		name  string
+		cache bool
 	}{
-		{"cache=on", Tuning{}},
-		{"cache=off", Tuning{NodeCacheSize: -1}},
+		{"cache=on", true},
+		{"cache=off", false},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			f := pager.NewMemFile(0)
-			tree, err := Create(f, Config{Tuning: tc.tun})
+			tree, err := Create(f, Config{})
 			if err != nil {
 				b.Fatal(err)
+			}
+			if !tc.cache {
+				withoutNodeCache(tree)
 			}
 			for i := 0; i < 3000; i++ {
 				k := []byte(fmt.Sprintf("key-%06d", i))

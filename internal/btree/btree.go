@@ -41,33 +41,6 @@ type Config struct {
 	// the long composite keys nearly free; turning it off quantifies
 	// that claim).
 	NoCompression bool
-	// Tuning holds the read-path knobs; the zero value selects defaults.
-	Tuning Tuning
-}
-
-// Tuning holds read-path performance knobs. They never change what a query
-// returns or how many logical pages it touches (the tracker counts a page
-// before any cache is consulted) — only how much CPU and allocation the
-// read path spends. Tuning is runtime-only state: it is not persisted in
-// the tree's meta page, so the same file may be opened with different
-// tuning on different runs.
-type Tuning struct {
-	// NodeCacheSize caps the tree's shared decoded-node cache, in nodes.
-	// 0 selects DefaultNodeCacheSize; a negative value disables the
-	// cache (every fetch decodes, as before this cache existed).
-	NodeCacheSize int
-	// AnchorStride K writes a seek anchor (an uncompressed copy of every
-	// K-th key, plus its entry offset) into the tail slack of each page
-	// written, enabling lazy point lookups that decode one run of K
-	// entries instead of the whole page. 0 selects DefaultAnchorStride;
-	// a negative value writes legacy v1 pages with no anchor trailer.
-	AnchorStride int
-	// NoPrefetch disables the multi-interval scan's frontier prefetcher
-	// even when the tree's page file supports batched read-ahead
-	// (prefetch.go). Prefetch is pure read-ahead: it never changes what a
-	// scan returns or the logical pages it touches, only when the
-	// physical I/O happens.
-	NoPrefetch bool
 }
 
 // version is one immutable published state of the tree. Mutations never
@@ -106,9 +79,8 @@ type Tree struct {
 	meta       pager.PageID
 	cur        atomic.Pointer[version]
 	rec        *bufferpool.Reclaimer
-	ncache     *nodeCache   // shared decoded-node cache; nil = disabled
+	ncache     *nodeCache   // shared decoded-node cache
 	pf         prefetchPool // batched read-ahead surface of f; nil = no prefetch
-	anchorK    int          // anchor stride for pages written; 0 = v1 pages
 	noCompress bool
 }
 
@@ -122,11 +94,7 @@ func Create(f pager.File, cfg Config) (*Tree, error) {
 	if cfg.MaxEntries == 1 {
 		return nil, fmt.Errorf("btree: MaxEntries must be 0 or >= 2")
 	}
-	t := &Tree{f: f, cfg: cfg, rec: bufferpool.NewReclaimer(f)}
-	if cfg.NoCompression {
-		t.noCompress = true
-	}
-	t.applyTuning(cfg.Tuning)
+	t := newTreeOn(f, cfg)
 	metaID, err := f.Alloc()
 	if err != nil {
 		return nil, err
@@ -140,7 +108,7 @@ func Create(f pager.File, cfg Config) (*Tree, error) {
 	// published versions straight from the page file.
 	root := &node{id: rootID, leaf: true}
 	buf := make([]byte, f.PageSize())
-	if err := encodePage(root, buf, t.noCompress, t.anchorK); err != nil {
+	if err := root.encode(buf, t.noCompress); err != nil {
 		return nil, err
 	}
 	if err := f.Write(rootID, buf); err != nil {
@@ -154,17 +122,9 @@ func Create(f pager.File, cfg Config) (*Tree, error) {
 }
 
 // Open loads a tree previously persisted (via Flush or Close) at the given
-// meta page of the page file, with default tuning.
+// meta page of the page file. Geometry (MaxEntries, compression) comes from
+// the meta page.
 func Open(f pager.File, meta pager.PageID) (*Tree, error) {
-	return OpenTuned(f, meta, Tuning{})
-}
-
-// OpenTuned is Open with explicit read-path tuning. Geometry (MaxEntries,
-// compression) always comes from the meta page; tuning is runtime-only and
-// may differ from the run that wrote the file — pages written before this
-// format carried anchors remain fully readable, and pages written with
-// anchors degrade gracefully for readers that ignore them.
-func OpenTuned(f pager.File, meta pager.PageID, tun Tuning) (*Tree, error) {
 	buf := make([]byte, f.PageSize())
 	if err := f.Read(meta, buf); err != nil {
 		return nil, err
@@ -172,14 +132,8 @@ func OpenTuned(f pager.File, meta pager.PageID, tun Tuning) (*Tree, error) {
 	if binary.BigEndian.Uint32(buf[0:]) != treeMagic {
 		return nil, fmt.Errorf("btree: page %d is not a tree meta page", meta)
 	}
-	t := &Tree{
-		f:    f,
-		meta: meta,
-		cfg:  Config{MaxEntries: int(binary.BigEndian.Uint32(buf[20:])), NoCompression: buf[24] == 1, Tuning: tun},
-		rec:  bufferpool.NewReclaimer(f),
-	}
-	t.noCompress = t.cfg.NoCompression
-	t.applyTuning(tun)
+	t := newTreeOn(f, Config{MaxEntries: int(binary.BigEndian.Uint32(buf[20:])), NoCompression: buf[24] == 1})
+	t.meta = meta
 	t.cur.Store(&version{
 		root:  pager.PageID(binary.BigEndian.Uint32(buf[4:])),
 		hgt:   int(binary.BigEndian.Uint32(buf[8:])),
@@ -193,31 +147,19 @@ func OpenTuned(f pager.File, meta pager.PageID, tun Tuning) (*Tree, error) {
 	return t, nil
 }
 
-// applyTuning resolves the tuning knobs and registers the cache's release
-// hook with the reclaimer (before the tree is shared, so no locking races).
-func (t *Tree) applyTuning(tun Tuning) {
-	t.ncache = newNodeCache(tun.NodeCacheSize)
-	if t.ncache != nil {
-		t.rec.SetReleaseHook(t.ncache.invalidate)
-	}
-	switch {
-	case tun.AnchorStride < 0:
-		t.anchorK = 0
-	case tun.AnchorStride == 0:
-		t.anchorK = DefaultAnchorStride
-	default:
-		t.anchorK = tun.AnchorStride
-	}
-	t.pf = nil
-	if !tun.NoPrefetch {
-		if pf, ok := t.f.(prefetchPool); ok {
-			t.pf = pf
-		}
-	}
+// newTreeOn builds the unpublished in-memory tree over f: the shared
+// decoded-node cache with its release hook registered on the reclaimer
+// (before the tree is shared, so no locking races), and frontier prefetch
+// whenever f offers batched read-ahead.
+func newTreeOn(f pager.File, cfg Config) *Tree {
+	t := &Tree{f: f, cfg: cfg, rec: bufferpool.NewReclaimer(f), ncache: newNodeCache(), noCompress: cfg.NoCompression}
+	t.rec.SetReleaseHook(t.ncache.invalidate)
+	t.pf, _ = f.(prefetchPool)
+	return t
 }
 
 // NodeCacheStats reports the shared decoded-node cache's cumulative hit and
-// miss counters and its current size. All zeros when the cache is disabled.
+// miss counters and its current size.
 func (t *Tree) NodeCacheStats() CacheStats { return t.ncache.stats() }
 
 // MetaPage returns the page id holding the tree's metadata; pass it to Open.
@@ -278,56 +220,53 @@ func (t *Tree) pin() (*version, func() error) {
 
 // readOp is the per-operation state of one read-only traversal: a private
 // decoded-node map (a page decoded once is free for the rest of the
-// operation, whatever happens to the shared cache meanwhile) plus two
-// scratch buffers — one page image and one key-reconstruction buffer —
-// reused across every node the operation visits, so a traversal's steady
-// state allocates nothing.
+// operation, whatever happens to the shared cache meanwhile) plus one page
+// image scratch buffer reused across every node the operation decodes.
 type readOp struct {
 	t     *Tree
 	local map[pager.PageID]*node
 	pbuf  []byte // page image scratch; decodeNode copies out of it
-	kbuf  []byte // key scratch for lazy page views (view.go)
-}
-
-// page reads a page image into the op's reusable scratch buffer. The
-// returned slice is only valid until the next page call.
-func (o *readOp) page(id pager.PageID) ([]byte, error) {
-	if o.pbuf == nil {
-		o.pbuf = make([]byte, o.t.f.PageSize())
-	}
-	if err := o.t.f.Read(id, o.pbuf); err != nil {
-		return nil, err
-	}
-	return o.pbuf, nil
 }
 
 // fetch returns the decoded node for a page, recording the access in the
 // tracker first — the logical page counts of the paper's experiments are
 // computed before any cache gets a say, which is what keeps them identical
-// with the cache on, off, or cold. Lookup order: the op's private map, the
-// tree's shared cache (hit: free), then a full decode, which is installed
-// in the shared cache for every later reader.
+// with the cache on, off, or cold. Lookup order: the op's private map, then
+// the tree's shared cache or a decode (load).
 func (o *readOp) fetch(id pager.PageID, tr *pager.Tracker) (*node, error) {
 	tr.Touch(id)
 	if n, ok := o.local[id]; ok {
 		return n, nil
 	}
-	if n, ok := o.t.ncache.get(id); ok {
-		tr.NoteNodeCache(true, 0)
-		o.localPut(id, n)
-		return n, nil
-	}
-	buf, err := o.page(id)
+	n, err := o.t.load(id, &o.pbuf, tr)
 	if err != nil {
 		return nil, err
 	}
-	n, err := decodeNode(id, buf)
+	o.localPut(id, n)
+	return n, nil
+}
+
+// load returns the decoded node for a page whose access the caller has
+// already counted: a shared-cache hit (free), or a read into *pbuf
+// (allocated on first use, reused after), a full decode, and an install in
+// the shared cache for every later reader. The tracker learns which.
+func (t *Tree) load(id pager.PageID, pbuf *[]byte, tr *pager.Tracker) (*node, error) {
+	if n, ok := t.ncache.get(id); ok {
+		tr.NoteNodeCache(true, 0)
+		return n, nil
+	}
+	if *pbuf == nil {
+		*pbuf = make([]byte, t.f.PageSize())
+	}
+	if err := t.f.Read(id, *pbuf); err != nil {
+		return nil, err
+	}
+	n, err := decodeNode(id, *pbuf)
 	if err != nil {
 		return nil, err
 	}
 	tr.NoteNodeCache(false, n.decodedBytes)
-	o.t.ncache.put(n)
-	o.localPut(id, n)
+	t.ncache.put(n)
 	return n, nil
 }
 
@@ -382,15 +321,13 @@ func (t *Tree) Flush() error {
 	return t.writeMetaCOW()
 }
 
-// DropCache drops the tree's shared decoded-node cache and persists the
-// tree metadata (copy-on-write, like Flush). Benchmarks call this between
-// build and measurement to model a cold cache; page-level caching across
-// reads remains the buffer pool's job.
+// DropCache empties the tree's shared decoded-node cache, so the next reads
+// decode from the page file. Benchmarks call it between build and
+// measurement to model a cold cache; page-level caching across reads
+// remains the buffer pool's job. It writes nothing: Flush persists.
 func (t *Tree) DropCache() error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
 	t.ncache.clear()
-	return t.writeMetaCOW()
+	return nil
 }
 
 // Get returns the value stored under key. The returned slice is owned by
@@ -401,59 +338,32 @@ func (t *Tree) Get(key []byte, tr *pager.Tracker) ([]byte, bool, error) {
 	return t.getAt(v, key, tr)
 }
 
-// getAt is the point-lookup descent. Nodes found in the shared cache are
-// searched in decoded form; on a cache miss the lookup goes lazy — it works
-// straight off the page image in the op's scratch buffer, binary-searching
-// the page's anchor trailer and decoding only one run of entries (view.go).
-// Point lookups deliberately do not install nodes in the cache: they never
-// pay for a full decode, so there is nothing worth keeping.
+// getAt is the point-lookup descent. It reads pages the way every scan does
+// (load): a shared-cache hit, or a full decode installed in the cache.
 func (t *Tree) getAt(v *version, key []byte, tr *pager.Tracker) ([]byte, bool, error) {
-	op := &readOp{t: t}
+	var pbuf []byte
 	id := v.root
 	for {
 		tr.Touch(id)
-		if n, ok := t.ncache.get(id); ok {
-			tr.NoteNodeCache(true, 0)
-			if n.leaf {
-				i, ok := findKey(n.keys, key)
-				if !ok {
-					return nil, false, nil
-				}
-				return t.loadValueCopy(n.vals[i], tr)
-			}
+		n, err := t.load(id, &pbuf, tr)
+		if err != nil {
+			return nil, false, err
+		}
+		if !n.leaf {
 			id = n.children[findChild(n.keys, key)]
 			continue
 		}
-		buf, err := op.page(id)
+		i, ok := findKey(n.keys, key)
+		if !ok {
+			return nil, false, nil
+		}
+		val, err := t.loadValue(n.vals[i], tr)
 		if err != nil {
 			return nil, false, err
 		}
-		if buf[0]&flagLeaf != 0 {
-			stored, ok, read, err := pageLeafGet(buf, key, &op.kbuf)
-			tr.NoteNodeCache(false, read)
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			return t.loadValueCopy(stored, tr)
-		}
-		next, read, err := pageSeekChild(buf, key, &op.kbuf)
-		tr.NoteNodeCache(false, read)
-		if err != nil {
-			return nil, false, err
-		}
-		id = next
+		// Copy out: the stored value aliases a node shared by every reader.
+		return append([]byte(nil), val...), true, nil
 	}
-}
-
-// loadValueCopy materializes a stored value into caller-owned memory: the
-// cached-node path must not leak slices aliasing the shared cache, and the
-// lazy path must not leak slices aliasing a scratch buffer.
-func (t *Tree) loadValueCopy(stored []byte, tr *pager.Tracker) ([]byte, bool, error) {
-	val, err := t.loadValue(stored, tr)
-	if err != nil {
-		return nil, false, err
-	}
-	return append([]byte(nil), val...), true, nil
 }
 
 // findChild returns the index of the child subtree that may contain key:

@@ -212,8 +212,8 @@ func compareToModel(t *testing.T, tr *Tree, model map[string]string) {
 	}
 }
 
-// TestSerializationRoundTrip flushes, drops the cache and re-reads
-// everything, exercising encode/decode of every node.
+// TestSerializationRoundTrip drops the cache and re-reads everything,
+// exercising encode/decode of every node.
 func TestSerializationRoundTrip(t *testing.T) {
 	tr := newTree(t, 256, Config{})
 	const n = 1000

@@ -62,7 +62,7 @@ func (t *Tree) BulkLoad(src EntrySource) error {
 			return pager.NilPage, err
 		}
 		n.id = id
-		if err := encodePage(n, buf, t.noCompress, t.anchorK); err != nil {
+		if err := n.encode(buf, t.noCompress); err != nil {
 			return pager.NilPage, err
 		}
 		return id, t.f.Write(id, buf)

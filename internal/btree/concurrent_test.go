@@ -195,10 +195,9 @@ func TestConcurrentTrackerCountsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestSharedCachePopulation pins the new shared decoded-node cache's
-// population contract: DropCache empties it, point lookups stay lazy (they
-// never pay a full decode, so they install nothing), and scans — which do
-// decode whole nodes — install what they decoded for every later reader.
+// TestSharedCachePopulation pins the shared decoded-node cache's population
+// contract: DropCache empties it, and every read — point lookup or scan —
+// installs the nodes it decoded for every later reader.
 func TestSharedCachePopulation(t *testing.T) {
 	tree := buildConcurrentTree(t, pager.NewMemFile(0))
 	if err := tree.DropCache(); err != nil {
@@ -210,8 +209,8 @@ func TestSharedCachePopulation(t *testing.T) {
 	if _, _, err := tree.Get([]byte("key-001234"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.NodeCacheStats().Entries; got != 0 {
-		t.Fatalf("lazy point lookup installed %d nodes into the shared cache", got)
+	if got := tree.NodeCacheStats().Entries; got != tree.Height() {
+		t.Fatalf("cold point lookup installed %d nodes, want its path of %d", got, tree.Height())
 	}
 	err := tree.Scan(nil, nil, nil, nil, func(_, _ []byte) ([]byte, bool, error) {
 		return nil, false, nil

@@ -2,219 +2,215 @@ package btree
 
 import (
 	"bytes"
-	"fmt"
-	"math/rand"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/pager"
 )
 
-// randomNode builds a leaf or internal node with keys that share realistic
-// prefixes (so front compression actually engages), sized to fit one page.
-func randomNode(rng *rand.Rand, leaf bool, pageSize int) *node {
-	n := &node{leaf: leaf}
-	if !leaf {
-		n.children = []pager.PageID{pager.PageID(rng.Intn(1 << 20))}
+// The fixtures under testdata were written by the build before the page
+// format was unified (commit ebad161), which packed a seek-anchor trailer
+// into the tail slack of every page with room for one and set flagAnchors:
+//
+//   - {leaf,internal}.anchored.page: one 1 KiB node page with the trailer;
+//   - {leaf,internal}.plain.page: the same node written without it;
+//   - anchored.db: a 512-byte-page DiskFile holding a tree of key(i) ->
+//     val(i) for i < 1200, every 7th key deleted, built by Insert/Delete so
+//     its pages carry trailers; anchored.json records its meta page and the
+//     logical page counts that build measured for a few queries.
+
+func readFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; ; i++ {
-		k := []byte(fmt.Sprintf("set-%02d/key-%08d", rng.Intn(4), rng.Intn(1<<30)))
-		idx, dup := findKey(n.keys, k)
-		if dup {
-			continue
-		}
-		n.keys = append(n.keys, nil)
-		copy(n.keys[idx+1:], n.keys[idx:])
-		n.keys[idx] = k
-		if leaf {
-			v := append([]byte{valInline}, []byte(fmt.Sprintf("v%d", i))...)
-			n.vals = append(n.vals, nil)
-			copy(n.vals[idx+1:], n.vals[idx:])
-			n.vals[idx] = v
-		} else {
-			n.children = append(n.children, pager.PageID(rng.Intn(1<<20)))
-		}
-		if n.encodedSize(false) > 7*pageSize/8 {
-			n.keys = append(n.keys[:idx], n.keys[idx+1:]...)
-			if leaf {
-				n.vals = append(n.vals[:idx], n.vals[idx+1:]...)
-			} else {
-				n.children = append(n.children[:idx+1], n.children[idx+2:]...)
-			}
-			return n
-		}
-	}
+	return b
 }
 
-// TestPageFormatEntryAreaIdentical pins the v2 format's central invariant:
-// the anchor trailer lives entirely in the tail slack, so the entry area —
-// the bytes that determine fanout, splits, and therefore every logical
-// page count in the paper's tables — is byte-identical with and without
-// anchors, and the header differs only in the flagAnchors bit.
+// TestPageFormatEntryAreaIdentical pins that a page carrying the old anchor
+// trailer reads as the same node as the page without it: same keys, values
+// and children. Re-encoding that node today reproduces the trailer-free
+// page byte for byte, so the entry area — the bytes that set fanout, splits
+// and every logical page count — is the same one format old and new.
 func TestPageFormatEntryAreaIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, leaf := range []bool{true, false} {
-		n := randomNode(rng, leaf, pager.DefaultPageSize)
-		v1 := make([]byte, pager.DefaultPageSize)
-		v2 := make([]byte, pager.DefaultPageSize)
-		if err := encodePage(n, v1, false, 0); err != nil {
-			t.Fatal(err)
+	for _, kind := range []string{"leaf", "internal"} {
+		anchored := readFixture(t, kind+".anchored.page")
+		plain := readFixture(t, kind+".plain.page")
+		if anchored[0]&flagAnchors == 0 || plain[0]&flagAnchors != 0 {
+			t.Fatalf("%s fixtures: flags %02x / %02x, want the anchor bit on the anchored page only",
+				kind, anchored[0], plain[0])
 		}
-		if err := encodePage(n, v2, false, DefaultAnchorStride); err != nil {
-			t.Fatal(err)
-		}
-		if v1[0]&flagAnchors != 0 {
-			t.Fatal("v1 page has flagAnchors set")
-		}
-		if v2[0]&flagAnchors == 0 {
-			t.Fatal("v2 page did not get anchors (fixture leaves slack, so it must)")
-		}
-		if v1[0]|flagAnchors != v2[0]|flagAnchors {
-			t.Fatalf("headers differ beyond flagAnchors: %02x vs %02x", v1[0], v2[0])
-		}
-		end := n.encodedSize(false)
-		if !bytes.Equal(v1[1:end], v2[1:end]) {
-			t.Fatalf("entry areas differ (leaf=%v)", leaf)
-		}
-		// Both formats decode to the same node.
-		d1, err := decodeNode(1, v1)
+		a, err := decodeNode(1, anchored)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d2, err := decodeNode(1, v2)
+		p, err := decodeNode(1, plain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(d1.keys) != len(d2.keys) {
-			t.Fatalf("decoded key counts differ: %d vs %d", len(d1.keys), len(d2.keys))
+		if a.leaf != (kind == "leaf") || a.leaf != p.leaf || len(a.keys) == 0 || len(a.keys) != len(p.keys) {
+			t.Fatalf("%s: decoded leaf=%v/%v with %d/%d keys", kind, a.leaf, p.leaf, len(a.keys), len(p.keys))
 		}
-		for i := range d1.keys {
-			if !bytes.Equal(d1.keys[i], d2.keys[i]) {
-				t.Fatalf("key %d differs across formats", i)
+		for i := range a.keys {
+			if !bytes.Equal(a.keys[i], p.keys[i]) {
+				t.Fatalf("%s: key %d differs: %q vs %q", kind, i, a.keys[i], p.keys[i])
 			}
-			if leaf && !bytes.Equal(d1.vals[i], d2.vals[i]) {
-				t.Fatalf("val %d differs across formats", i)
+			if a.leaf && !bytes.Equal(a.vals[i], p.vals[i]) {
+				t.Fatalf("%s: value %d differs: %q vs %q", kind, i, a.vals[i], p.vals[i])
 			}
+		}
+		if len(a.children) != len(p.children) {
+			t.Fatalf("%s: %d vs %d children", kind, len(a.children), len(p.children))
+		}
+		for i := range p.children {
+			if a.children[i] != p.children[i] {
+				t.Fatalf("%s: child %d differs: %d vs %d", kind, i, a.children[i], p.children[i])
+			}
+		}
+		buf := make([]byte, len(plain))
+		if err := a.encode(buf, false); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, plain) {
+			t.Fatalf("%s: re-encoding the anchored page's node differs from the plain page", kind)
 		}
 	}
 }
 
-// TestPageFormatLazyEquivalence is the anchor-correctness property test:
-// for random pages and strides, the lazy anchor-seeded lookups must agree
-// exactly with the full-decode search functions — for present keys, absent
-// keys, and keys outside the page's range.
-func TestPageFormatLazyEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 30; trial++ {
-		stride := []int{0, 1, 2, 3, 8, DefaultAnchorStride, 64}[trial%7]
-		leaf := trial%2 == 0
-		n := randomNode(rng, leaf, pager.DefaultPageSize)
-		buf := make([]byte, pager.DefaultPageSize)
-		if err := encodePage(n, buf, false, stride); err != nil {
-			t.Fatal(err)
-		}
-		probes := make([][]byte, 0, len(n.keys)+40)
-		probes = append(probes, n.keys...)
-		probes = append(probes, []byte(""), []byte("set-00"), []byte("zzz"))
-		for i := 0; i < 40; i++ {
-			probes = append(probes, []byte(fmt.Sprintf("set-%02d/key-%08d", rng.Intn(5), rng.Intn(1<<30))))
-		}
-		var scratch []byte
-		for _, p := range probes {
-			if leaf {
-				got, ok, _, err := pageLeafGet(buf, p, &scratch)
-				if err != nil {
-					t.Fatalf("stride=%d: pageLeafGet(%q): %v", stride, p, err)
-				}
-				i, want := findKey(n.keys, p)
-				if ok != want {
-					t.Fatalf("stride=%d: pageLeafGet(%q) ok=%v want %v", stride, p, ok, want)
-				}
-				if ok && !bytes.Equal(got, n.vals[i]) {
-					t.Fatalf("stride=%d: pageLeafGet(%q) = %q want %q", stride, p, got, n.vals[i])
-				}
-			} else {
-				got, _, err := pageSeekChild(buf, p, &scratch)
-				if err != nil {
-					t.Fatalf("stride=%d: pageSeekChild(%q): %v", stride, p, err)
-				}
-				want := n.children[findChild(n.keys, p)]
-				if got != want {
-					t.Fatalf("stride=%d: pageSeekChild(%q) = %d want %d", stride, p, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestOldFormatDiskRoundTrip proves disk files written in the pre-anchor
-// format keep working: a tree written with AnchorStride -1 (v1 pages only)
-// reopens under the current default tuning, answers every query, and then
-// accepts new writes — whose pages carry anchors — alongside the old ones.
+// TestOldFormatDiskRoundTrip reopens the anchored DiskFile fixture (on a
+// copy: opening may write) and requires every answer and every logical page
+// count the writing build measured, then mixes in new writes — pages in the
+// one current format next to the old anchored ones.
 func TestOldFormatDiskRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.db")
-	f, err := pager.CreateDiskFile(path, 512)
+	var want struct {
+		Meta       uint32 `json:"meta"`
+		Keys       int    `json:"keys"`
+		Height     int    `json:"height"`
+		ScanPages  int    `json:"scan_pages"`
+		MultiPages int    `json:"multiscan_pages"`
+		MultiKeys  int    `json:"multiscan_keys"`
+		GetPages   int    `json:"get_pages"`
+	}
+	if err := json.Unmarshal(readFixture(t, "anchored.json"), &want); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "anchored.db")
+	if err := os.WriteFile(path, readFixture(t, "anchored.db"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := pager.OpenDiskFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Create(f, Config{Tuning: Tuning{AnchorStride: -1}})
+	defer f.Close()
+	tr, err := Open(f, pager.PageID(want.Meta))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 1500
+	const n = 1200
+	present := func(i int) bool { return i < n && i%7 != 0 }
+	if tr.Len() != want.Keys || tr.Height() != want.Height {
+		t.Fatalf("reopened tree: %d keys, height %d; want %d, %d", tr.Len(), tr.Height(), want.Keys, want.Height)
+	}
+
+	// The fixture must really hold anchored pages, or it proves nothing.
+	anchored := 0
+	buf := make([]byte, f.PageSize())
+	var walk func(id pager.PageID) error
+	walk = func(id pager.PageID) error {
+		if err := f.Read(id, buf); err != nil {
+			return err
+		}
+		if buf[0]&flagAnchors != 0 {
+			anchored++
+		}
+		nd, err := decodeNode(id, buf)
+		if err != nil {
+			return err
+		}
+		for _, c := range nd.children {
+			if err := walk(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(tr.cur.Load().root); err != nil {
+		t.Fatal(err)
+	}
+	if anchored == 0 {
+		t.Fatal("fixture has no anchored pages")
+	}
+
+	for i := 0; i < n+10; i++ {
+		trk := pager.NewTracker()
+		v, ok, err := tr.Get(key(i), trk)
+		if err != nil || ok != present(i) || (ok && !bytes.Equal(v, val(i))) {
+			t.Fatalf("Get(%d) = %q, %v, %v; want present=%v", i, v, ok, err, present(i))
+		}
+		if trk.Reads() != want.GetPages {
+			t.Fatalf("Get(%d) read %d pages, the writing build %d", i, trk.Reads(), want.GetPages)
+		}
+	}
+	trk := pager.NewTracker()
+	var got []string
+	err = tr.Scan(nil, nil, nil, trk, func(k, v []byte) ([]byte, bool, error) {
+		got = append(got, string(k)+"="+string(v))
+		return nil, false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var expect []string
 	for i := 0; i < n; i++ {
+		if present(i) {
+			expect = append(expect, string(key(i))+"="+string(val(i)))
+		}
+	}
+	if len(got) != len(expect) {
+		t.Fatalf("scan returned %d entries, want %d", len(got), len(expect))
+	}
+	for i := range got {
+		if got[i] != expect[i] {
+			t.Fatalf("scan entry %d = %s, want %s", i, got[i], expect[i])
+		}
+	}
+	if trk.Reads() != want.ScanPages {
+		t.Fatalf("scan read %d pages, the writing build %d", trk.Reads(), want.ScanPages)
+	}
+	trk = pager.NewTracker()
+	ivs := []Interval{{Lo: key(100), Hi: key(160)}, {Lo: key(500), Hi: key(520)}, {Lo: key(1000), Hi: key(1100)}}
+	matches := 0
+	err = tr.MultiScanKeys(nil, ivs, trk, func(k, _ []byte) ([]byte, bool, error) {
+		matches++
+		return nil, false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if matches != want.MultiKeys || trk.Reads() != want.MultiPages {
+		t.Fatalf("multi-interval scan: %d keys over %d pages; the writing build %d over %d",
+			matches, trk.Reads(), want.MultiKeys, want.MultiPages)
+	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := n; i < n+300; i++ {
 		if err := tr.Insert(key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	meta := tr.MetaPage() // COW metadata: the id is valid only after Flush
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	f2, err := pager.OpenDiskFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	re, err := Open(f2, meta) // default tuning: anchors + cache enabled
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		v, ok, err := re.Get(key(i), nil)
-		if err != nil || !ok || !bytes.Equal(v, val(i)) {
-			t.Fatalf("Get(%d) on reopened v1 file = %q, %v, %v", i, v, ok, err)
-		}
-	}
-	count := 0
-	err = re.Scan(nil, nil, nil, nil, func(_, _ []byte) ([]byte, bool, error) {
-		count++
-		return nil, false, nil
-	})
-	if err != nil || count != n {
-		t.Fatalf("scan of reopened v1 file: %d keys, %v", count, err)
-	}
-	if err := re.Check(); err != nil {
-		t.Fatal(err)
-	}
-	// New writes under the reopened tree produce anchored pages next to
-	// the old v1 pages; everything must stay queryable together.
-	for i := n; i < n+500; i++ {
-		if err := re.Insert(key(i), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n+500; i++ {
-		v, ok, err := re.Get(key(i), nil)
-		if err != nil || !ok || !bytes.Equal(v, val(i)) {
+	for i := 0; i < n+300; i++ {
+		v, ok, err := tr.Get(key(i), nil)
+		if err != nil || ok != (present(i) || i >= n) || (ok && !bytes.Equal(v, val(i))) {
 			t.Fatalf("Get(%d) on mixed-format file = %q, %v, %v", i, v, ok, err)
 		}
 	}
-	if err := re.Check(); err != nil {
+	if err := tr.Check(); err != nil {
 		t.Fatal(err)
 	}
 }

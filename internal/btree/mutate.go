@@ -19,6 +19,7 @@ type writeOp struct {
 	allocated []pager.PageID         // every page this op allocated (nodes + overflow)
 	retired   []pager.PageID         // committed pages this op superseded
 	discarded []pager.PageID         // fresh pages the op created then dropped
+	pbuf      []byte                 // page image scratch for load
 }
 
 func (t *Tree) newWriteOp() *writeOp {
@@ -46,27 +47,14 @@ func (w *writeOp) allocNode(leaf bool) (*node, error) {
 	return n, nil
 }
 
-// fetch returns the node for a page: the op's own fresh copy, the shared
-// decoded-node cache's committed node, or a fresh decode (installed in the
-// shared cache — the decoded form of a committed page serves readers just
-// as well as the writer).
+// fetch returns the node for a page: the op's own fresh copy, else the
+// committed node through load (the decoded form of a committed page serves
+// readers just as well as the writer). Writes are not tracked.
 func (w *writeOp) fetch(id pager.PageID) (*node, error) {
 	if n, ok := w.fresh[id]; ok {
 		return n, nil
 	}
-	if n, ok := w.t.ncache.get(id); ok {
-		return n, nil
-	}
-	buf := make([]byte, w.t.f.PageSize())
-	if err := w.t.f.Read(id, buf); err != nil {
-		return nil, err
-	}
-	n, err := decodeNode(id, buf)
-	if err != nil {
-		return nil, err
-	}
-	w.t.ncache.put(n)
-	return n, nil
+	return w.t.load(id, &w.pbuf, nil)
 }
 
 // shadow returns a mutable private copy of n on a fresh page, retiring the
@@ -115,7 +103,7 @@ func (w *writeOp) commit(root pager.PageID, hgt, count int) error {
 	t := w.t
 	buf := make([]byte, t.f.PageSize())
 	for _, n := range w.fresh {
-		if err := encodePage(n, buf, t.noCompress, t.anchorK); err != nil {
+		if err := n.encode(buf, t.noCompress); err != nil {
 			return w.abort(err)
 		}
 		if err := t.f.Write(n.id, buf); err != nil {

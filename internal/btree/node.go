@@ -34,28 +34,13 @@ import (
 //	suffix bytes
 //	uint32 child        children[i+1]
 //
-// Format v2 (flag bit 1, this PR) additionally packs a seek-anchor trailer
-// into the page's tail slack — the zeroed space between the last entry and
-// the end of the page. Reading from the page end backwards:
+// Every page is written in this one format. Bit 1 of the flags byte
+// (flagAnchors) is reserved and never written: older builds set it on pages
+// that carried a seek-anchor trailer in the tail slack (the zeroed space
+// after the last entry). decodeNode reads by entry count and ignores both
+// that bit and whatever the tail holds, so such pages decode exactly like
+// pages written now — the entry area was always the same bytes.
 //
-//	last 2 bytes        anchor count r (big-endian uint16)
-//	8*r bytes           anchor records, ascending entry order
-//	...                 key blob (uncompressed anchor keys), grown downward
-//
-// Anchor record (8 bytes): entry index, entry offset, key offset, key length
-// (all big-endian uint16; the key offset points either into the blob or, for
-// entries whose stored prefixLen is zero, straight at the entry's suffix
-// bytes, which then are the full key). Every anchorStride-th key gets an
-// anchor, LevelDB restart-point style: a point lookup binary-searches the
-// anchors and decodes only the one run of entries between two anchors
-// instead of materializing the whole page (view.go).
-//
-// The trailer lives entirely in slack: the entry area is byte-identical to
-// v1, encodedSize/fits/splitPoint ignore the trailer, so node fanout, split
-// decisions, and the page counts of the paper's experiments are unchanged.
-// v1 pages (flag bit clear) remain readable, and v2 pages degrade gracefully
-// for v1 readers, which ignore unknown flag bits and decode by entry count.
-// A node whose slack cannot hold at least two anchors is written as v1.
 // Front compression is the paper's load-bearing optimization (Section 3.2:
 // "because of the key-compression, the existence of the class-code in the
 // key takes very little space"): clustered keys share long prefixes, so a
@@ -64,16 +49,9 @@ import (
 
 const (
 	flagLeaf    = 0x01
-	flagAnchors = 0x02
+	flagAnchors = 0x02 // reserved: set by older builds, never written, ignored on read
 	headerSize  = 1 + 2 + 4
-
-	anchorRecSize = 8
 )
-
-// DefaultAnchorStride is the anchor spacing used when Tuning.AnchorStride
-// is zero: one uncompressed seek anchor per 16 entries bounds a lazy point
-// lookup to decoding at most 16 entries per page.
-const DefaultAnchorStride = 16
 
 // node is the in-memory form of a page. Keys are held fully decompressed;
 // compression is applied on encode and undone on decode. A decoded node is
@@ -86,8 +64,7 @@ type node struct {
 	vals     [][]byte       // leaf only: stored values (tagged, see overflow.go)
 	children []pager.PageID // internal only: len(keys)+1
 	// decodedBytes is the size of the entry area this node was decoded
-	// from (stats only: the bytes-decoded counter a full rematerialization
-	// charges, against which the lazy view's per-run cost is compared).
+	// from (stats only: the tracker's bytes-decoded counter).
 	decodedBytes int
 }
 
@@ -255,101 +232,6 @@ func decodeNode(id pager.PageID, buf []byte) (*node, error) {
 	}
 	n.decodedBytes = off - headerSize
 	return n, nil
-}
-
-// encodePage is the full serialization of a node: the v1 entry area, then —
-// when stride enables anchors and the tail slack has room — the v2 anchor
-// trailer.
-func encodePage(n *node, buf []byte, noCompress bool, stride int) error {
-	if err := n.encode(buf, noCompress); err != nil {
-		return err
-	}
-	if stride > 0 {
-		writeAnchors(n, buf, noCompress, stride)
-	}
-	return nil
-}
-
-// writeAnchors packs the seek-anchor trailer into the tail slack of an
-// already-encoded page and sets flagAnchors. Every stride-th entry becomes
-// an anchor; if the trailer does not fit the slack the stride doubles until
-// it does or fewer than two anchors remain (then the page stays v1 — a lazy
-// reader falls back to an allocation-free sequential walk).
-func writeAnchors(n *node, buf []byte, noCompress bool, stride int) {
-	if len(buf) > 0xFFFF || len(n.keys) == 0 {
-		return // u16 offsets cannot address the page; keep v1
-	}
-	// One pass over the entries mirrors encode's layout arithmetic to
-	// learn each candidate's entry offset and, when its stored prefixLen
-	// is zero, where its full key already sits inside the entry.
-	type candidate struct {
-		idx      int
-		entryOff int
-		keyOff   int // absolute offset of the full key in the entry, or -1
-	}
-	var cands []candidate
-	off := headerSize
-	var prev []byte
-	for i, k := range n.keys {
-		p := 0
-		if !noCompress {
-			p = commonPrefix(prev, k)
-		}
-		s := len(k) - p
-		if i%stride == 0 {
-			koff := -1
-			if p == 0 {
-				koff = off + uvarintLen(uint64(p)) + uvarintLen(uint64(s))
-			}
-			cands = append(cands, candidate{idx: i, entryOff: off, keyOff: koff})
-		}
-		off += uvarintLen(uint64(p)) + uvarintLen(uint64(s)) + s
-		if n.leaf {
-			off += uvarintLen(uint64(len(n.vals[i]))) + len(n.vals[i])
-		} else {
-			off += 4
-		}
-		prev = k
-	}
-	slack := len(buf) - off
-	// Thin the candidate set (every m-th, always keeping entry 0) until
-	// the trailer fits the slack.
-	for m := 1; ; m *= 2 {
-		var picked []candidate
-		blob := 0
-		for j := 0; j < len(cands); j += m {
-			picked = append(picked, cands[j])
-			if cands[j].keyOff < 0 {
-				blob += len(n.keys[cands[j].idx])
-			}
-		}
-		if len(picked) < 2 {
-			return
-		}
-		if 2+anchorRecSize*len(picked)+blob > slack {
-			continue
-		}
-		r := len(picked)
-		recStart := len(buf) - 2 - anchorRecSize*r
-		blobOff := recStart - blob
-		for j, c := range picked {
-			key := n.keys[c.idx]
-			koff := c.keyOff
-			if koff < 0 {
-				koff = blobOff
-				copy(buf[blobOff:], key)
-				blobOff += len(key)
-			}
-			rec := buf[recStart+anchorRecSize*j:]
-			binary.BigEndian.PutUint16(rec[0:], uint16(c.idx))
-			binary.BigEndian.PutUint16(rec[2:], uint16(c.entryOff))
-			binary.BigEndian.PutUint16(rec[4:], uint16(koff))
-			binary.BigEndian.PutUint16(rec[6:], uint16(len(key)))
-		}
-		binary.BigEndian.PutUint16(buf[len(buf)-2:], uint16(r))
-		buf[0] |= flagAnchors
-		return
-	}
 }
 
 // insertAt inserts key (and, for leaves, val) at index i.

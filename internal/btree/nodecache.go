@@ -7,12 +7,12 @@ import (
 	"repro/internal/pager"
 )
 
-// DefaultNodeCacheSize is the per-tree capacity (in nodes) of the shared
-// decoded-node cache when Tuning.NodeCacheSize is zero. At the default
-// 1 KiB page size a decoded node is a few KiB, so the default bounds the
-// cache to roughly 10 MiB per tree — enough to hold the entire internal
-// level plus the hot leaves of the paper's 150,000-object experiments.
-const DefaultNodeCacheSize = 4096
+// nodeCacheSize is the per-tree capacity (in nodes) of the shared
+// decoded-node cache. At the default 1 KiB page size a decoded node is a few
+// KiB, so this bounds the cache to roughly 10 MiB per tree — enough to hold
+// the entire internal level plus the hot leaves of the paper's
+// 150,000-object experiments.
+const nodeCacheSize = 4096
 
 // nodeCacheShards fixes the shard count; sharding keeps concurrent readers
 // from serializing on one mutex (reads take an RLock on 1/16th of the map).
@@ -40,8 +40,10 @@ type CacheStats struct {
 //     page is freed, closing the reuse window: an id is always invalidated
 //     before the allocator can hand it to a later mutation.
 //
-// A nil *nodeCache is valid and caches nothing (cache-disabled mode); all
-// methods are nil-safe so callers never branch.
+// A nil *nodeCache is valid and caches nothing; all methods are nil-safe so
+// callers never branch. Only tests build a tree without a cache, as the
+// reference side of the checks that the cache changes no answer and no
+// count.
 type nodeCache struct {
 	shards   [nodeCacheShards]nodeCacheShard
 	shardCap int // max entries per shard
@@ -54,16 +56,8 @@ type nodeCacheShard struct {
 	m  map[pager.PageID]*node
 }
 
-// newNodeCache sizes a cache: size 0 means DefaultNodeCacheSize, a negative
-// size disables caching entirely (returns nil).
-func newNodeCache(size int) *nodeCache {
-	if size < 0 {
-		return nil
-	}
-	if size == 0 {
-		size = DefaultNodeCacheSize
-	}
-	c := &nodeCache{shardCap: max(1, size/nodeCacheShards)}
+func newNodeCache() *nodeCache {
+	c := &nodeCache{shardCap: nodeCacheSize / nodeCacheShards}
 	for i := range c.shards {
 		c.shards[i].m = make(map[pager.PageID]*node)
 	}

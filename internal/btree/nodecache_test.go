@@ -10,6 +10,105 @@ import (
 	"repro/internal/pager"
 )
 
+// withoutNodeCache turns t's shared decoded-node cache off, so every fetch
+// decodes its page: the reference side of the checks that the cache changes
+// no answer and no count. Call it before the tree is shared.
+func withoutNodeCache(t *Tree) *Tree {
+	t.ncache = nil
+	t.rec.SetReleaseHook(nil)
+	return t
+}
+
+// TestNodeCacheInvariance runs Get, Scan and MultiScanKeys on a cached tree
+// and on an identical cache-off tree: results, logical page reads and the
+// sets of pages touched must agree exactly — pages are counted before any
+// cache is consulted. A cold Get installs its path, so repeating it decodes
+// nothing.
+func TestNodeCacheInvariance(t *testing.T) {
+	build := func() *Tree {
+		tree, err := Create(pager.NewMemFile(0), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3000; i++ {
+			if err := tree.Insert(key(i*7%3000), val(i*7%3000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tree
+	}
+	cached, plain := build(), withoutNodeCache(build())
+	if err := cached.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A read runs one query on tree, counted by tr, and returns its answer.
+	type read func(tree *Tree, tr *pager.Tracker) ([]string, error)
+	collect := func(out *[]string) func(k, v []byte) ([]byte, bool, error) {
+		return func(k, v []byte) ([]byte, bool, error) {
+			*out = append(*out, string(k)+"="+string(v))
+			return nil, false, nil
+		}
+	}
+	get := func(i int) read {
+		return func(tree *Tree, tr *pager.Tracker) ([]string, error) {
+			v, ok, err := tree.Get(key(i), tr)
+			return []string{fmt.Sprint(string(v), ok)}, err
+		}
+	}
+	scan := func(lo, hi int) read {
+		return func(tree *Tree, tr *pager.Tracker) (out []string, err error) {
+			return out, tree.Scan(nil, key(lo), key(hi), tr, collect(&out))
+		}
+	}
+	multi := func(tree *Tree, tr *pager.Tracker) (out []string, err error) {
+		ivs := []Interval{{Lo: key(10), Hi: key(40)}, {Lo: key(900), Hi: key(905)}, {Lo: key(2500), Hi: nil}}
+		return out, tree.MultiScanKeys(nil, ivs, tr, collect(&out))
+	}
+	reads := []struct {
+		name string
+		fn   read
+	}{
+		{"Get-cold", get(1234)}, {"Get-warm", get(1234)}, {"Get-absent", get(4000)},
+		{"Scan", scan(200, 1700)}, {"Scan-repeat", scan(200, 1700)}, {"MultiScanKeys", multi},
+	}
+	for _, rd := range reads {
+		ctr, ptr := pager.NewTracker(), pager.NewTracker()
+		cgot, err := rd.fn(cached, ctr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pgot, err := rd.fn(plain, ptr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(cgot) != fmt.Sprint(pgot) || len(cgot) == 0 {
+			t.Fatalf("%s: cached tree answered %d entries, cache-off tree %d (or they differ)", rd.name, len(cgot), len(pgot))
+		}
+		if ctr.Reads() != ptr.Reads() || ctr.Reads() == 0 {
+			t.Fatalf("%s: cached tree read %d pages, cache-off tree %d", rd.name, ctr.Reads(), ptr.Reads())
+		}
+		for id := pager.PageID(0); int(id) < 20000; id++ {
+			if ctr.Touched(id) != ptr.Touched(id) {
+				t.Fatalf("%s: page %d touched by one tree only", rd.name, id)
+			}
+		}
+		if ptr.CacheHits() != 0 {
+			t.Fatalf("%s: cache-off tree reported %d cache hits", rd.name, ptr.CacheHits())
+		}
+		switch rd.name {
+		case "Get-cold":
+			if ctr.CacheMisses() != cached.Height() {
+				t.Fatalf("cold Get: %d misses, want one per level (%d)", ctr.CacheMisses(), cached.Height())
+			}
+		case "Get-warm", "Scan-repeat":
+			if ctr.CacheMisses() != 0 {
+				t.Fatalf("%s: %d misses after the same read installed its nodes", rd.name, ctr.CacheMisses())
+			}
+		}
+	}
+}
+
 // TestNodeCacheCoherenceRace is the cache-coherence stress test: one tree
 // with the shared decoded-node cache enabled takes concurrent writer
 // traffic while snapshot readers scan and re-probe their pinned versions —
@@ -22,10 +121,11 @@ func TestNodeCacheCoherenceRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Create(pager.NewMemFile(0), Config{Tuning: Tuning{NodeCacheSize: -1}})
+	plain, err := Create(pager.NewMemFile(0), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	withoutNodeCache(plain)
 	genVal := func(gen, i int) []byte {
 		return []byte(fmt.Sprintf("g%04d:%s", gen, key(i)))
 	}
@@ -157,15 +257,18 @@ func TestNodeCacheCoherenceRace(t *testing.T) {
 	}
 }
 
-// TestNodeCacheExactMatchAllocs pins the PR's acceptance criterion: with
-// the node cache warm, a repeated exact-match lookup must allocate at most
-// half of what the cache-disabled path allocates — both for the lazy point
-// lookup and for the exact-match interval scan the query executor issues.
+// TestNodeCacheExactMatchAllocs pins what the node cache buys: with the
+// cache warm, a repeated exact-match lookup must allocate at most half of
+// what the cache-disabled path allocates — both for the point lookup and
+// for the exact-match interval scan the query executor issues.
 func TestNodeCacheExactMatchAllocs(t *testing.T) {
-	build := func(tun Tuning) *Tree {
-		tree, err := Create(pager.NewMemFile(0), Config{Tuning: tun})
+	build := func(cache bool) *Tree {
+		tree, err := Create(pager.NewMemFile(0), Config{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !cache {
+			withoutNodeCache(tree)
 		}
 		for i := 0; i < 3000; i++ {
 			if err := tree.Insert(key(i), val(i)); err != nil {
@@ -184,8 +287,8 @@ func TestNodeCacheExactMatchAllocs(t *testing.T) {
 		}
 		return tree
 	}
-	cached := build(Tuning{})
-	plain := build(Tuning{NodeCacheSize: -1})
+	cached := build(true)
+	plain := build(false)
 	probe := key(2345)
 
 	measureGet := func(tree *Tree) float64 {

@@ -10,16 +10,25 @@ import (
 	"repro/internal/pager"
 )
 
+// noPrefetchFile hides the wrapped page file's batched read-ahead, so a
+// tree over it never starts the frontier prefetcher: the reference side of
+// TestPrefetchInvariance.
+type noPrefetchFile struct{ pager.File }
+
 // newPooledTree builds a tree whose page file is a buffer pool (the engine's
-// deployment shape, and the one that enables frontier prefetch), loaded with
-// n sequential keys.
-func newPooledTree(t testing.TB, n int, tun Tuning) (*Tree, *bufferpool.Pool) {
+// deployment shape, and the one that enables frontier prefetch unless
+// prefetch is false), loaded with n sequential keys.
+func newPooledTree(t testing.TB, n int, prefetch bool) (*Tree, *bufferpool.Pool) {
 	t.Helper()
 	p, err := bufferpool.New(pager.NewMemFile(256), bufferpool.Config{Pages: 512})
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
-	tr, err := Create(p, Config{Tuning: tun})
+	var f pager.File = p
+	if !prefetch {
+		f = noPrefetchFile{p}
+	}
+	tr, err := Create(f, Config{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -47,8 +56,8 @@ func scanIvs(n int) []Interval {
 // must be invisible to everything but physical I/O timing.
 func TestPrefetchInvariance(t *testing.T) {
 	const n = 3000
-	run := func(tun Tuning) ([]string, int, int, bufferpool.Stats) {
-		tr, p := newPooledTree(t, n, tun)
+	run := func(prefetch bool) ([]string, int, int, bufferpool.Stats) {
+		tr, p := newPooledTree(t, n, prefetch)
 		tr.DropCache() // cold node cache: the scan really fetches pages
 		if err := p.Reset(); err != nil {
 			t.Fatalf("pool reset: %v", err) // cold pool: prefetch does real reads
@@ -69,8 +78,8 @@ func TestPrefetchInvariance(t *testing.T) {
 		return got, trk.Reads(), trk.PrefetchIssued(), p.PoolStats()
 	}
 
-	onKeys, onReads, onIssued, onStats := run(Tuning{})
-	offKeys, offReads, offIssued, _ := run(Tuning{NoPrefetch: true})
+	onKeys, onReads, onIssued, onStats := run(true)
+	offKeys, offReads, offIssued, _ := run(false)
 
 	if len(onKeys) == 0 {
 		t.Fatalf("scan returned nothing")
@@ -90,7 +99,7 @@ func TestPrefetchInvariance(t *testing.T) {
 		t.Fatalf("prefetch enabled but no pages were handed to the prefetcher")
 	}
 	if offIssued != 0 {
-		t.Fatalf("NoPrefetch still issued %d pages", offIssued)
+		t.Fatalf("tree without read-ahead still issued %d pages", offIssued)
 	}
 	if onStats.PrefetchPages == 0 {
 		t.Fatalf("pool saw no prefetched pages (PrefetchPages = 0)")
@@ -103,7 +112,8 @@ func TestPrefetchInvariance(t *testing.T) {
 // (no skip requests) over-approximates nothing.
 func TestPrefetchFrontierMatchesWalk(t *testing.T) {
 	const n = 2000
-	tr, _ := newPooledTree(t, n, Tuning{NodeCacheSize: -1}) // cache off: frontier is unfiltered
+	tr, _ := newPooledTree(t, n, true)
+	withoutNodeCache(tr) // cache off: frontier is unfiltered
 	issued := make(map[pager.PageID]bool)
 	visited := make(map[pager.PageID]bool)
 
@@ -159,7 +169,7 @@ func TestPrefetchFrontierMatchesWalk(t *testing.T) {
 // Run with -race; the scans verify their own results.
 func TestPrefetchConcurrentWithWrites(t *testing.T) {
 	const n = 1500
-	tr, _ := newPooledTree(t, n, Tuning{})
+	tr, _ := newPooledTree(t, n, true)
 	var wg sync.WaitGroup
 	errCh := make(chan error, 4)
 	stop := make(chan struct{})

@@ -130,7 +130,7 @@ func (c *Tree) PageCount() (int, error) { return c.t.PageCount() }
 // Height returns the tree height.
 func (c *Tree) Height() int { return c.t.Height() }
 
-// DropCache flushes and clears the buffer pool.
+// DropCache empties the tree's decoded-node cache.
 func (c *Tree) DropCache() error { return c.t.DropCache() }
 
 // Result is one matched entry.

@@ -207,7 +207,7 @@ func (c *Tree) PageCount() (int, error) {
 // Height returns the tree height.
 func (c *Tree) Height() int { return c.t.Height() }
 
-// DropCache flushes and clears the buffer pool.
+// DropCache empties the tree's decoded-node cache.
 func (c *Tree) DropCache() error { return c.t.DropCache() }
 
 // Result is one matched object.

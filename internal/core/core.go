@@ -57,11 +57,6 @@ type Spec struct {
 	// NoCompression disables front compression in the underlying B-tree
 	// (the Section-4.2 storage-cost ablation).
 	NoCompression bool
-	// NodeCacheSize caps the underlying B-tree's shared decoded-node
-	// cache, in nodes: 0 selects the btree default, negative disables
-	// the cache. Purely a CPU knob — query results and logical page
-	// counts are identical at any setting.
-	NodeCacheSize int
 }
 
 // Index is one shard of a U-index: one B+-tree in one page file, over the
@@ -161,11 +156,10 @@ func resolve(st *store.Store, spec Spec) (*Index, error) {
 func (r *Index) newShard(f pager.File, meta pager.PageID) (*Index, error) {
 	var tree *btree.Tree
 	var err error
-	tun := btree.Tuning{NodeCacheSize: r.spec.NodeCacheSize}
 	if meta == pager.NilPage {
-		tree, err = btree.Create(f, btree.Config{MaxEntries: r.spec.MaxEntries, NoCompression: r.spec.NoCompression, Tuning: tun})
+		tree, err = btree.Create(f, btree.Config{MaxEntries: r.spec.MaxEntries, NoCompression: r.spec.NoCompression})
 	} else {
-		tree, err = btree.OpenTuned(f, meta, tun)
+		tree, err = btree.Open(f, meta)
 	}
 	if err != nil {
 		return nil, err
@@ -355,11 +349,12 @@ func (ix *Index) Len() int { return ix.tree.Len() }
 // PageCount returns the number of pages in the index tree.
 func (ix *Index) PageCount() (int, error) { return ix.tree.PageCount() }
 
-// DropCache flushes and clears the buffer pool (cold-cache measurements).
+// DropCache empties the tree's decoded-node cache (cold-cache
+// measurements); it writes nothing.
 func (ix *Index) DropCache() error { return ix.tree.DropCache() }
 
 // NodeCacheStats reports the underlying B-tree's shared decoded-node cache
-// counters (all zeros when the cache is disabled via Spec.NodeCacheSize).
+// counters.
 func (ix *Index) NodeCacheStats() btree.CacheStats { return ix.tree.NodeCacheStats() }
 
 // Flush persists every dirty page and the tree metadata to the page file;

@@ -289,7 +289,7 @@ func (sh *Sharded) Len() int {
 	return n
 }
 
-// DropCache flushes and clears every shard's caches.
+// DropCache empties every shard's decoded-node cache.
 func (sh *Sharded) DropCache() error {
 	var first error
 	for _, ix := range sh.shards {

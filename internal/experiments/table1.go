@@ -45,11 +45,6 @@ type Table1Options struct {
 	// of that many frames and reports physical-read counts per row. The
 	// logical node counts (the paper's numbers) are unaffected.
 	PoolPages int
-	// NodeCacheSize sizes the decoded-node cache of both indexes
-	// (0 = engine default, negative = disabled). A pure CPU knob: the
-	// logical node counts are identical either way, which
-	// TestTable1NodeCacheInvariance pins.
-	NodeCacheSize int
 }
 
 // PaperTable1 maps query id to the node count the paper reports, for the
@@ -97,14 +92,13 @@ func RunTable1With(seed int64, opts Table1Options) (*Table1Result, error) {
 		return n
 	}
 	colorIx, err := newIndex(core.Spec{
-		Name: "color", Root: "Vehicle", Attr: "Color", MaxEntries: 10,
-		NodeCacheSize: opts.NodeCacheSize})
+		Name: "color", Root: "Vehicle", Attr: "Color", MaxEntries: 10})
 	if err != nil {
 		return nil, err
 	}
 	ageIx, err := newIndex(core.Spec{
 		Name: "age", Root: "Vehicle", Refs: []string{"ManufacturedBy", "President"},
-		Attr: "Age", MaxEntries: 10, NodeCacheSize: opts.NodeCacheSize})
+		Attr: "Age", MaxEntries: 10})
 	if err != nil {
 		return nil, err
 	}

@@ -108,7 +108,7 @@ func RunUpdateCost(seed int64, reps int) (*UpdateCostResult, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if err := measure("vehicle insert+delete", "NIX", nFile, nIx.DropCache, func() error {
+	if err := measure("vehicle insert+delete", "NIX", nFile, nIx.Flush, func() error {
 		oid, err := db.Store.Insert("Automobile", store.Attrs{
 			"Name": "upd", "Color": "Grey", "ManufacturedBy": company})
 		if err != nil {
@@ -158,7 +158,7 @@ func RunUpdateCost(seed int64, reps int) (*UpdateCostResult, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if err := measure("president switch", "NIX", nFile, nIx.DropCache, func() error {
+	if err := measure("president switch", "NIX", nFile, nIx.Flush, func() error {
 		before, err := nIx.ValuesThrough(company)
 		if err != nil {
 			return err

@@ -162,7 +162,7 @@ func (h *Forest) PageCount() (int, error) {
 	return total, nil
 }
 
-// DropCache flushes and clears every per-set tree's buffer pool.
+// DropCache empties every per-set tree's decoded-node cache.
 func (h *Forest) DropCache() error {
 	for _, t := range h.trees {
 		if err := t.DropCache(); err != nil {

@@ -302,7 +302,15 @@ func (ix *Index) PageCount() (int, error) {
 	return p + ov + a, nil
 }
 
-// DropCache flushes and clears both structures' buffer pools.
+// Flush persists both structures' tree metadata to the page file.
+func (ix *Index) Flush() error {
+	if err := ix.primary.Flush(); err != nil {
+		return err
+	}
+	return ix.aux.Flush()
+}
+
+// DropCache empties both structures' decoded-node caches.
 func (ix *Index) DropCache() error {
 	if err := ix.primary.DropCache(); err != nil {
 		return err

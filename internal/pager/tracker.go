@@ -107,9 +107,8 @@ func (t *Tracker) Reads() int {
 }
 
 // NoteNodeCache records the outcome of one decoded-node cache probe: a hit
-// cost nothing, a miss materialized bytesDecoded entry bytes (a lazy page
-// view charges only the run it walked; a full decode charges the whole
-// entry area).
+// cost nothing, a miss decoded the page's whole entry area of bytesDecoded
+// bytes.
 func (t *Tracker) NoteNodeCache(hit bool, bytesDecoded int) {
 	if t == nil {
 		return

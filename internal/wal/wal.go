@@ -80,9 +80,6 @@ type Options struct {
 	// immediately — concurrent committers still coalesce naturally, because
 	// appends that arrive during one flush's fsync all ride the next one.
 	MaxDelay time.Duration
-	// MaxBatch flushes as soon as this many records are pending, even
-	// within the MaxDelay window. 0 means no record-count trigger.
-	MaxBatch int
 }
 
 // Stats is a snapshot of the log's cumulative counters.
@@ -134,7 +131,6 @@ type Log struct {
 	closed     bool
 
 	kick  chan struct{} // wakes the daemon
-	full  chan struct{} // MaxBatch reached; cuts the MaxDelay window short
 	stopc chan struct{}
 	done  chan struct{}
 
@@ -266,7 +262,6 @@ func newLog(b pager.BlockFile, opts Options) *Log {
 		b:     b,
 		opts:  opts,
 		kick:  make(chan struct{}, 1),
-		full:  make(chan struct{}, 1),
 		stopc: make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -357,13 +352,8 @@ func (l *Log) Append(payload []byte) uint64 {
 	l.buf = append(l.buf, hdr[:]...)
 	l.buf = append(l.buf, payload...)
 	l.bufRecs++
-	batchFull := l.opts.MaxBatch > 0 && l.bufRecs >= l.opts.MaxBatch
 	l.mu.Unlock()
 	l.appends.Add(1)
-	if batchFull {
-		signal(l.full)
-		signal(l.kick)
-	}
 	return lsn
 }
 
@@ -394,8 +384,7 @@ func signal(c chan struct{}) {
 	}
 }
 
-// daemon is the group-commit loop: woken by the first waiter (or a full
-// batch), it optionally lingers MaxDelay to let more committers join, then
+// daemon is the group-commit loop: woken by the first waiter, it optionally lingers MaxDelay to let more committers join, then
 // writes and fsyncs everything pending in one batch.
 func (l *Log) daemon() {
 	defer close(l.done)
@@ -410,8 +399,6 @@ func (l *Log) daemon() {
 			t := time.NewTimer(d)
 			select {
 			case <-t.C:
-			case <-l.full:
-				t.Stop()
 			case <-l.stopc:
 				t.Stop()
 				l.flush()

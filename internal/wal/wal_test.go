@@ -161,7 +161,7 @@ func TestLogTornTailTruncated(t *testing.T) {
 
 func TestLogGroupCommitCoalesces(t *testing.T) {
 	m := &memBlock{}
-	l, err := CreateOn(m, Options{MaxDelay: time.Millisecond, MaxBatch: 64})
+	l, err := CreateOn(m, Options{MaxDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,7 +253,7 @@ func (db *LargeDB) PoolStats() bufferpool.Stats {
 	return agg
 }
 
-// DropCaches flushes and clears all four structures' node caches, so that
+// DropCaches empties all four structures' node caches, so that
 // subsequent traffic reaches the page files (and any pools) again.
 func (db *LargeDB) DropCaches() error {
 	if err := db.UIndex.DropCache(); err != nil {

@@ -201,13 +201,6 @@ type Options struct {
 	// one batched read while the current level is decoded — which is equally
 	// transparent; Metrics exposes the prefetch counters.
 	PoolPages int
-	// NodeCacheSize caps each index's shared decoded-node cache, in
-	// nodes: 0 selects the btree default, negative disables the caches.
-	// An explicit IndexSpec.NodeCacheSize overrides this per index. The
-	// cache is transparent to query results and to the paper's logical
-	// page-read counts (those are tracked before any cache is
-	// consulted); NodeCacheStats exposes its hit/miss counters.
-	NodeCacheSize int
 	// Dir, when non-empty, keeps each index on disk instead of in memory:
 	// one crash-safe page file per shard, Dir/<name>.shard<i>.uidx
 	// (checksummed pages, atomic shadow-paged checkpoints), rooted by the
@@ -489,13 +482,9 @@ func (g *indexGroup) release(checkpoint bool) error {
 		}
 		return first
 	}
-	for i, pool := range g.pools {
+	for _, pool := range g.pools {
 		if pool == nil {
 			continue
-		}
-		// Push tree-cache state down before the pool closes.
-		if err := g.sharded.Shard(i).DropCache(); err != nil && first == nil {
-			first = err
 		}
 		if err := pool.Close(); err != nil && first == nil {
 			first = err
@@ -504,7 +493,7 @@ func (g *indexGroup) release(checkpoint bool) error {
 	return first
 }
 
-// DropCaches flushes every index's in-memory node cache so subsequent
+// DropCaches empties every index's in-memory node cache so subsequent
 // reads go through the page files (and their buffer pools, when
 // configured). Cold-cache measurements call this between the build and
 // measure phases; it takes the catalog write lock, so no catalog changes
@@ -636,9 +625,6 @@ func (db *Database) CreateIndex(spec IndexSpec) error {
 	}
 	if _, dup := db.groups[spec.Name]; dup {
 		return fmt.Errorf("uindex: index %q already exists", spec.Name)
-	}
-	if spec.NodeCacheSize == 0 {
-		spec.NodeCacheSize = db.opts.NodeCacheSize
 	}
 	g, err := db.openGroup(spec)
 	if err != nil {
