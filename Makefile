@@ -93,9 +93,12 @@ shard:
 # measurements could not tell from their defaults: NoPrefetch, NodeCacheSize,
 # AnchorStride, btree.Tuning and OpenTuned, and MaxBatch (the WAL's and the
 # facade's WALMaxBatch). Tests build their cache-off and prefetch-off
-# reference trees inside the btree package, with no option.
+# reference trees inside the btree package, with no option. Also the wire's
+# single-op write opcodes (OpInsert/OpSet/OpDelete), deleted in favor of a
+# batch of one, and the per-format value codecs (walAppendStoreHalf,
+# snapshotWriter/snapshotReader), deleted in favor of internal/store/codec.go.
 apicheck: vet
-	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run|NoPrefetch|AnchorStride|OpenTuned|btree\.Tuning|NodeCacheSize|MaxBatch' . || true); \
+	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run|NoPrefetch|AnchorStride|OpenTuned|btree\.Tuning|NodeCacheSize|MaxBatch|\bOp(Insert|Set|Delete)\b|walAppendStoreHalf|snapshot(Writer|Reader)' . || true); \
 	if [ -n "$$deprecated" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$deprecated"; \

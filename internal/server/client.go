@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -209,27 +208,28 @@ func (c *Client) QueryAlgorithm(ctx context.Context, index, query string, alg ui
 }
 
 // Insert stores a new object; the session snapshot is refreshed so the
-// session's subsequent reads observe the write.
+// session's subsequent reads observe the write. Like Set and Delete it is a
+// batch of one on the wire.
 func (c *Client) Insert(ctx context.Context, class string, attrs uindex.Attrs) (uindex.OID, error) {
-	body, err := c.call(ctx, request{op: OpInsert, class: class, attrs: attrs})
+	res, err := c.apply(ctx, []uindex.BatchOp{{Kind: uindex.BatchInsert, Class: class, Attrs: attrs}})
 	if err != nil {
 		return 0, err
 	}
-	if len(body) < 4 {
-		return 0, fmt.Errorf("server: malformed insert response")
+	if len(res.OIDs) != 1 {
+		return 0, fmt.Errorf("server: malformed insert response: %d OIDs", len(res.OIDs))
 	}
-	return uindex.OID(binary.BigEndian.Uint32(body)), nil
+	return res.OIDs[0], nil
 }
 
 // Set updates one attribute; the session snapshot is refreshed.
 func (c *Client) Set(ctx context.Context, oid uindex.OID, attr string, value any) error {
-	_, err := c.call(ctx, request{op: OpSet, oid: oid, attr: attr, value: value})
+	_, err := c.apply(ctx, []uindex.BatchOp{{Kind: uindex.BatchSet, OID: oid, Attr: attr, Value: value}})
 	return err
 }
 
 // Delete removes an object; the session snapshot is refreshed.
 func (c *Client) Delete(ctx context.Context, oid uindex.OID) error {
-	_, err := c.call(ctx, request{op: OpDelete, oid: oid})
+	_, err := c.apply(ctx, []uindex.BatchOp{{Kind: uindex.BatchDelete, OID: oid}})
 	return err
 }
 
@@ -247,7 +247,12 @@ func (c *Client) ApplyBatch(ctx context.Context, b *uindex.Batch) (uindex.BatchR
 	if b.Len() > maxOpsPerBatch {
 		return uindex.BatchResult{}, fmt.Errorf("%w: batch of %d operations exceeds %d", ErrBadRequest, b.Len(), maxOpsPerBatch)
 	}
-	body, err := c.call(ctx, request{op: OpBatch, ops: b.Ops()})
+	return c.apply(ctx, b.Ops())
+}
+
+// apply sends one OpBatch request, the protocol's only write.
+func (c *Client) apply(ctx context.Context, ops []uindex.BatchOp) (uindex.BatchResult, error) {
+	body, err := c.call(ctx, request{op: OpBatch, ops: ops})
 	if err != nil {
 		return uindex.BatchResult{}, err
 	}

@@ -10,10 +10,11 @@ import (
 // shapes classifies requests for the per-shape request counters and
 // latency histograms. Query shapes follow the paper's taxonomy — exact,
 // range, subtree, parscan — and the remaining ops get their own label so
-// every request lands in exactly one series.
+// every request lands in exactly one series. Every OpBatch, one operation or
+// thousands, is a "write".
 var shapes = []string{
 	"exact", "range", "subtree", "parscan",
-	"write", "batch", "checkpoint", "refresh", "ping",
+	"write", "checkpoint", "refresh", "ping",
 }
 
 // queryShape classifies one compiled query:

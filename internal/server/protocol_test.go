@@ -9,11 +9,13 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
 	uindex "repro"
 	"repro/internal/encoding"
+	"repro/internal/store"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -51,12 +53,12 @@ func TestRequestRoundTrip(t *testing.T) {
 		{op: OpRefresh, id: 3},
 		{op: OpQuery, id: 4, index: "color", query: "(Color=Red, C5A*)"},
 		{op: OpQuery, id: 5, index: "age", query: "(Age=[46-], ?, C2A*)", alg: uindex.Forward},
-		{op: OpInsert, id: 6, class: "Automobile", attrs: uindex.Attrs{
-			"Name": "Uno", "Color": "White", "ManufacturedBy": uindex.OID(5),
-			"Age": uint64(7), "Neg": int64(-3), "Score": 1.5,
-		}},
-		{op: OpSet, id: 7, oid: 9, attr: "Color", value: "Red"},
-		{op: OpDelete, id: 8, oid: 12},
+		{op: OpBatch, id: 6, ops: []uindex.BatchOp{{Kind: uindex.BatchInsert, Class: "Automobile", Attrs: uindex.Attrs{
+			"Name": "Uno", "Color": "White", "ManufacturedBy": uindex.OID(5), "Owners": []uindex.OID{1, 2},
+			"Age": uint64(7), "Neg": int64(-3), "N": 4, "Score": 1.5,
+		}}}},
+		{op: OpBatch, id: 7, ops: []uindex.BatchOp{{Kind: uindex.BatchSet, OID: 9, Attr: "Color", Value: "Red"}}},
+		{op: OpBatch, id: 8, ops: []uindex.BatchOp{{Kind: uindex.BatchDelete, OID: 12}}},
 		{op: OpBatch, id: 9, ops: []uindex.BatchOp{
 			{Kind: uindex.BatchInsert, Class: "Automobile", Attrs: uindex.Attrs{"Color": "Red"}},
 			{Kind: uindex.BatchSet, OID: 4, Attr: "Color", Value: "Blue"},
@@ -72,17 +74,18 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decodeRequest(%v): %v", want.op, err)
 		}
-		if got.attrs == nil && want.attrs != nil && len(want.attrs) == 0 {
-			got.attrs = uindex.Attrs{}
-		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 		}
 	}
 }
 
-func TestEncodeRequestIntNormalizesToInt64(t *testing.T) {
-	payload, err := encodeRequest(request{op: OpSet, id: 1, oid: 2, attr: "Age", value: 46})
+// A Go int crosses the wire as an int, not an int64, so a remote Set stores
+// the same dynamic type as an in-process one.
+func TestEncodeRequestIntStaysInt(t *testing.T) {
+	payload, err := encodeRequest(request{op: OpBatch, id: 1, ops: []uindex.BatchOp{
+		{Kind: uindex.BatchSet, OID: 2, Attr: "Age", Value: 46},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +93,11 @@ func TestEncodeRequestIntNormalizesToInt64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.value != int64(46) {
-		t.Fatalf("want int64(46), got %T %v", got.value, got.value)
+	if len(got.ops) != 1 {
+		t.Fatalf("want 1 op, got %+v", got.ops)
+	}
+	if v, ok := got.ops[0].Value.(int); !ok || v != 46 {
+		t.Fatalf("want int(46), got %T %v", got.ops[0].Value, got.ops[0].Value)
 	}
 }
 
@@ -100,28 +106,52 @@ func TestDecodeRequestRejects(t *testing.T) {
 		return append([]byte{byte(op), 0, 0, 0, 1}, body...)
 	}
 	cases := [][]byte{
-		nil,                  // empty
-		{byte(OpPing)},       // short header
-		mk(Op(0)),            // unknown opcode
-		mk(Op(99)),           // unknown opcode
-		mk(OpPing, 0x00),     // trailing bytes
-		mk(OpQuery),          // missing flags
-		mk(OpQuery, 0, 0xFF), // string length overruns body
-		mk(OpInsert, 1, 'C'), // missing attr count
-		mk(OpInsert, 1, 'C', 0xFF, 0xFF, 0xFF, 0xFF, 0x7F), // hostile attr count
-		mk(OpSet, 0, 0, 0, 1),                              // missing attr name
-		mk(OpDelete, 0, 0, 0),                              // short oid
-		mk(OpSet, 0, 0, 0, 1, 1, 'A', 200),                 // unknown value tag
-		mk(OpBatch),                                        // missing op count
-		mk(OpBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F),          // hostile op count
-		mk(OpBatch, 1, 99),                                 // unknown batch op kind
-		mk(OpBatch, 1, 3, 0, 0, 0),                         // delete with short oid
-		mk(OpBatch, 1, 3, 0, 0, 0, 1, 0xAA),                // trailing bytes
+		nil,                                   // empty
+		{byte(OpPing)},                        // short header
+		mk(Op(0)),                             // unknown opcode
+		mk(Op(99)),                            // unknown opcode
+		mk(OpPing, 0x00),                      // trailing bytes
+		mk(OpQuery),                           // missing flags
+		mk(OpQuery, 0, 0xFF),                  // string length overruns body
+		mk(Op(3)),                             // retired single-op insert
+		mk(Op(4)),                             // retired single-op set
+		mk(Op(5), 0, 0, 0, 1),                 // retired single-op delete
+		mk(OpBatch, 1, 1, 0, 0, 0, 0, 1, 'C'), // insert: missing attr count
+		mk(OpBatch, 1, 1, 0, 0, 0, 0, 1, 'C', 0xFF, 0xFF, 0xFF, 0x7F), // insert: hostile attr count
+		mk(OpBatch, 1, 2, 0, 0, 0, 1),                                 // set: missing attr name
+		mk(OpBatch, 1, 2, 0, 0, 0, 1, 1, 'A', 200),                    // set: unknown value tag
+		mk(OpBatch), // missing op count
+		mk(OpBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F), // hostile op count
+		mk(OpBatch, 0x81, 0x40),                   // op count 8,193 with no ops following
+		mk(OpBatch, 1, 99),                        // unknown batch op kind
+		mk(OpBatch, 1, 3, 0, 0, 0),                // delete with short oid
+		mk(OpBatch, 1, 3, 0, 0, 0, 1, 0xAA),       // trailing bytes
 	}
 	for i, payload := range cases {
 		if _, err := decodeRequest(payload); err == nil {
 			t.Errorf("case %d: decodeRequest accepted malformed payload % x", i, payload)
 		}
+	}
+}
+
+// TestDecodeRequestBatchBound sends well-formed delete frames around the
+// maxOpsPerBatch bound, so only the bound can reject the larger one: its op
+// count fits in the bytes that follow.
+func TestDecodeRequestBatchBound(t *testing.T) {
+	frame := func(n int) []byte {
+		b := binary.AppendUvarint([]byte{byte(OpBatch), 0, 0, 0, 1}, uint64(n))
+		for i := range n {
+			b = store.AppendOID(append(b, byte(uindex.BatchDelete)), uindex.OID(i+1))
+		}
+		return b
+	}
+	req, err := decodeRequest(frame(maxOpsPerBatch))
+	if err != nil || len(req.ops) != maxOpsPerBatch {
+		t.Fatalf("%d ops: got %d ops, err %v", maxOpsPerBatch, len(req.ops), err)
+	}
+	_, err = decodeRequest(frame(maxOpsPerBatch + 1))
+	if !errors.Is(err, errMalformed) || !strings.Contains(err.Error(), "batch operations") {
+		t.Fatalf("%d ops: want the batch bound to reject, got %v", maxOpsPerBatch+1, err)
 	}
 }
 
@@ -255,14 +285,14 @@ func FuzzFrame(f *testing.F) {
 	}
 	seed(request{op: OpPing, id: 1})
 	seed(request{op: OpQuery, id: 2, index: "color", query: "(Color=Red, C5A*)"})
-	seed(request{op: OpInsert, id: 3, class: "Automobile", attrs: uindex.Attrs{"Color": "Red"}})
-	seed(request{op: OpSet, id: 4, oid: 7, attr: "Age", value: uint64(46)})
-	seed(request{op: OpDelete, id: 5, oid: 7})
+	seed(request{op: OpBatch, id: 3, ops: []uindex.BatchOp{{Kind: uindex.BatchInsert, Class: "Automobile", Attrs: uindex.Attrs{"Color": "Red"}}}})
+	seed(request{op: OpBatch, id: 4, ops: []uindex.BatchOp{{Kind: uindex.BatchSet, OID: 7, Attr: "Owners", Value: []uindex.OID{1, 2}}}})
+	seed(request{op: OpBatch, id: 5, ops: []uindex.BatchOp{{Kind: uindex.BatchDelete, OID: 7}}})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})       // 4 GiB length prefix
 	f.Add([]byte{0x00, 0x00, 0x00, 0x01})       // truncated body
 	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0x63}) // short body
-	f.Add(append([]byte{0x00, 0x00, 0x00, 0x09, byte(OpInsert), 0, 0, 0, 1},
-		0x01, 0x43, 0xFF, 0xFF)) // insert with hostile attr count
+	f.Add([]byte{0x00, 0x00, 0x00, 0x0f, byte(OpBatch), 0, 0, 0, 1,
+		0x01, byte(uindex.BatchInsert), 0, 0, 0, 0, 0x01, 0x43, 0xFF, 0xFF}) // insert with hostile attr count
 	if p, err := appendMatches(nil, []uindex.Match{
 		{Value: "Red", Path: []uindex.PathEntry{{Code: "5A", OID: 9}}},
 		{Value: "Red", Path: []uindex.PathEntry{{Code: "5A", OID: 10}}},

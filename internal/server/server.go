@@ -479,45 +479,8 @@ func (c *conn) execute(ctx context.Context, req request) (shape string, payload 
 			return shape, nil, err
 		}
 		return shape, b, nil
-	case OpInsert:
-		oid, err := db.Insert(req.class, req.attrs)
-		if err != nil {
-			return "write", nil, err
-		}
-		if err := c.refreshSession(); err != nil {
-			return "write", nil, err
-		}
-		b := encodeResponseHeader(CodeOK, req.id)
-		return "write", appendOID(b, oid), nil
-	case OpSet:
-		if err := db.Set(req.oid, req.attr, req.value); err != nil {
-			return "write", nil, err
-		}
-		if err := c.refreshSession(); err != nil {
-			return "write", nil, err
-		}
-		return "write", encodeResponseHeader(CodeOK, req.id), nil
-	case OpDelete:
-		if err := db.Delete(req.oid); err != nil {
-			return "write", nil, err
-		}
-		if err := c.refreshSession(); err != nil {
-			return "write", nil, err
-		}
-		return "write", encodeResponseHeader(CodeOK, req.id), nil
 	case OpBatch:
-		var b uindex.Batch
-		for _, op := range req.ops {
-			switch op.Kind {
-			case uindex.BatchInsert:
-				b.Insert(op.Class, op.Attrs)
-			case uindex.BatchSet:
-				b.Set(op.OID, op.Attr, op.Value)
-			case uindex.BatchDelete:
-				b.Delete(op.OID)
-			}
-		}
-		res, err := db.Apply(ctx, &b)
+		res, err := apply(ctx, db, req.ops)
 		if err != nil {
 			// Applied operations stay applied (Apply is not a transaction),
 			// but the error response carries no result body; refresh anyway
@@ -525,13 +488,13 @@ func (c *conn) execute(ctx context.Context, req request) (shape string, payload 
 			if res.Applied > 0 {
 				c.refreshSession()
 			}
-			return "batch", nil, err
+			return "write", nil, err
 		}
 		if err := c.refreshSession(); err != nil {
-			return "batch", nil, err
+			return "write", nil, err
 		}
 		out := encodeResponseHeader(CodeOK, req.id)
-		return "batch", appendBatchResult(out, res), nil
+		return "write", appendBatchResult(out, res), nil
 	case OpCheckpoint:
 		if err := db.Checkpoint(); err != nil {
 			return "checkpoint", nil, err
@@ -546,8 +509,44 @@ func (c *conn) execute(ctx context.Context, req request) (shape string, payload 
 	return "ping", nil, fmt.Errorf("%w: opcode %d", ErrBadRequest, req.op)
 }
 
-func appendOID(b []byte, oid uindex.OID) []byte {
-	return append(b, byte(oid>>24), byte(oid>>16), byte(oid>>8), byte(oid))
+// apply executes the operations of one OpBatch. A batch of one goes through
+// Insert, Set or Delete, so a remote single write counts and fails exactly
+// like an in-process one (it is not an Apply call); longer batches go through
+// Apply.
+func apply(ctx context.Context, db *uindex.Database, ops []uindex.BatchOp) (uindex.BatchResult, error) {
+	if len(ops) == 1 {
+		op := &ops[0]
+		var res uindex.BatchResult
+		var err error
+		switch op.Kind {
+		case uindex.BatchInsert:
+			var oid uindex.OID
+			if oid, err = db.Insert(op.Class, op.Attrs); err == nil {
+				res.OIDs = []uindex.OID{oid}
+			}
+		case uindex.BatchSet:
+			err = db.Set(op.OID, op.Attr, op.Value)
+		case uindex.BatchDelete:
+			err = db.Delete(op.OID)
+		}
+		if err != nil {
+			return res, err
+		}
+		res.Applied = 1
+		return res, nil
+	}
+	var b uindex.Batch
+	for _, op := range ops {
+		switch op.Kind {
+		case uindex.BatchInsert:
+			b.Insert(op.Class, op.Attrs)
+		case uindex.BatchSet:
+			b.Set(op.OID, op.Attr, op.Value)
+		case uindex.BatchDelete:
+			b.Delete(op.OID)
+		}
+	}
+	return db.Apply(ctx, &b)
 }
 
 // send writes one response frame (serialized per connection).

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -525,14 +527,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := c.Insert(ctx, "Automobile", uindex.Attrs{"Name": "m", "Color": "Zm"}); err != nil {
 		t.Fatal(err)
 	}
+	var b uindex.Batch
+	b.Insert("Automobile", uindex.Attrs{"Name": "n", "Color": "Zn"}).Insert("Automobile", uindex.Attrs{"Name": "o", "Color": "Zo"})
+	if _, err := c.ApplyBatch(ctx, &b); err != nil {
+		t.Fatal(err)
+	}
 
 	body := scrapeMetrics(t, srv)
+	// A single write and a batch are the same request: one "write" series.
+	if strings.Contains(body, `shape="batch"`) {
+		t.Errorf("/metrics has a batch shape:\n%s", grepMetrics(body, `shape="batch"`))
+	}
 	for _, want := range []string{
 		`uindexd_requests_total{shape="exact"} 1`,
 		`uindexd_requests_total{shape="range"} 1`,
 		`uindexd_requests_total{shape="subtree"} 1`,
 		`uindexd_requests_total{shape="parscan"} 1`,
-		`uindexd_requests_total{shape="write"} 1`,
+		`uindexd_requests_total{shape="write"} 2`,
 		`uindexd_request_seconds_bucket{shape="exact",le="+Inf"} 1`,
 		`uindexd_request_seconds_count{shape="exact"} 1`,
 		"uindexd_inflight_requests",
@@ -591,4 +602,146 @@ func grepMetrics(body, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// typedObjects renders every object of db with the Go type of each value.
+func typedObjects(db *uindex.Database) string {
+	var b strings.Builder
+	objs, next := db.Store().Snapshot()
+	fmt.Fprintf(&b, "next=%d\n", next)
+	for _, o := range objs {
+		names := make([]string, 0, len(o.Attrs))
+		for name := range o.Attrs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		fmt.Fprintf(&b, "%d %s", o.OID, o.Class)
+		for _, name := range names {
+			fmt.Fprintf(&b, " %s=%T(%v)", name, o.Attrs[name], o.Attrs[name])
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestWireWritesMatchInProcess: the wire carries values in the store codec,
+// so writes sent over it — single ops and a batch — leave exactly the
+// objects, value types included, that the same writes leave in process.
+func TestWireWritesMatchInProcess(t *testing.T) {
+	newDB := func() *uindex.Database {
+		s := uindex.NewSchema()
+		if err := s.AddClass("Employee", "",
+			uindex.Attr{Name: "Name", Type: uindex.String},
+			uindex.Attr{Name: "Age", Type: uindex.Uint64},
+			uindex.Attr{Name: "Delta", Type: uindex.Int64},
+			uindex.Attr{Name: "Score", Type: uindex.Float64},
+			uindex.Attr{Name: "Owns", Ref: "Auto", Multi: true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddClass("Auto", "",
+			uindex.Attr{Name: "Color", Type: uindex.String},
+			uindex.Attr{Name: "UsedBy", Ref: "Employee"}); err != nil {
+			t.Fatal(err)
+		}
+		db, err := uindex.NewDatabaseWith(s, uindex.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateIndex(uindex.IndexSpec{Name: "owned", Root: "Employee", Refs: []string{"Owns"}, Attr: "Color"}); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	local := newDB()
+	defer local.Close()
+	remote := newDB()
+	defer remote.Close()
+	srv, err := New(Config{DB: remote, Addr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", Logger: discard()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	c := dialT(t, srv)
+	defer c.Close()
+	ctx := context.Background()
+
+	emp := uindex.Attrs{"Name": "e\x00a", "Age": 30, "Delta": int64(-5), "Score": 0.5}
+	wantOID, err := local.Insert("Employee", emp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid, err := c.Insert(ctx, "Employee", emp)
+	if err != nil || oid != wantOID {
+		t.Fatalf("wire Insert = %d, %v; want %d", oid, err, wantOID)
+	}
+	var b uindex.Batch
+	b.Insert("Auto", uindex.Attrs{"Color": "Red", "UsedBy": oid}).
+		Insert("Auto", uindex.Attrs{"Color": "Blue", "UsedBy": oid}).
+		Set(oid, "Age", uint(7)).
+		Set(oid, "Score", -1.25)
+	res, err := local.Apply(ctx, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.ApplyBatch(ctx, &b); err != nil || fmt.Sprint(got) != fmt.Sprint(res) {
+		t.Fatalf("wire ApplyBatch = %+v, %v; want %+v", got, err, res)
+	}
+	owns := []uindex.OID{res.OIDs[0], res.OIDs[1]}
+	if err := local.Set(oid, "Owns", owns); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set(ctx, oid, "Owns", owns); err != nil {
+		t.Fatalf("wire Set of a reference list: %v", err)
+	}
+	if err := local.Delete(res.OIDs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete(ctx, res.OIDs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := typedObjects(remote), typedObjects(local); got != want {
+		t.Fatalf("wire writes stored\n%s\nin-process writes stored\n%s", got, want)
+	}
+	ms, _, err := c.Query(ctx, "owned", "(Color=Red, Auto, Employee)")
+	if err != nil || len(ms) != 1 {
+		t.Fatalf("query over the reference list: %v, %v", ms, err)
+	}
+
+	// A failing single write carries the in-process error text, and single
+	// writes count as in process: not as Apply calls.
+	localErr := local.Set(res.OIDs[1], "Color", "Green")
+	remoteErr := c.Set(ctx, res.OIDs[1], "Color", "Green")
+	if localErr == nil || remoteErr == nil || remoteErr.Error() != errOf(codeOf(localErr), localErr.Error()).Error() {
+		t.Fatalf("Set of a deleted object: wire %v, in process %v", remoteErr, localErr)
+	}
+	counts := func(m uindex.Metrics) [6]uint64 {
+		return [6]uint64{m.Inserts, m.Sets, m.Deletes, m.WriteErrors, m.Batches, m.BatchOps}
+	}
+	if got, want := counts(remote.Metrics()), counts(local.Metrics()); got != want {
+		t.Fatalf("wire write counters %v, in-process %v", got, want)
+	}
+}
+
+// TestHandshakeRefusesVersion1: a client of protocol version 1, which had
+// the single-op write opcodes, is refused at the handshake.
+func TestHandshakeRefusesVersion1(t *testing.T) {
+	srv, db := newTestServer(t, nil)
+	defer db.Close()
+	defer srv.Shutdown(context.Background())
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write(append(handshakeMagic[:], 1)); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var hello [5]byte
+	if n, err := io.ReadFull(nc, hello[:]); err == nil {
+		t.Fatalf("server answered a version-1 hello with % x", hello[:n])
+	}
 }

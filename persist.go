@@ -4,17 +4,16 @@ package uindex
 // schema declarations, every object, and every index declaration — and Load
 // reconstructs the database, reassigning the identical class codes
 // (deterministic in declaration order) and rebuilding the indexes with bulk
-// loads. The format is versioned and uses only length-prefixed primitives.
+// loads. The format is versioned; strings, counts, values and objects are
+// the store codec's (internal/store/codec.go), the one encoding the log and
+// the wire share.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/encoding"
@@ -33,10 +32,8 @@ const (
 	// corruption — even in value bytes no parser validates — is detected.
 	snapshotVersion = 2
 
-	// snapshotPreallocCap bounds slice preallocation from untrusted counts:
-	// larger counts still load (slices grow), but a corrupt count cannot
-	// balloon memory before the data runs out.
-	snapshotPreallocCap = 1 << 16
+	// snapshotChunk is the size of the pieces Save writes.
+	snapshotChunk = 64 << 10
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -50,105 +47,6 @@ func invalidSnapshot(err error) error {
 	return fmt.Errorf("%w: %w", ErrInvalidSnapshot, err)
 }
 
-// value tags in the object section.
-const (
-	tagInt = iota
-	tagUint64
-	tagInt64
-	tagFloat64
-	tagString
-	tagOID
-	tagOIDs
-)
-
-type snapshotWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (sw *snapshotWriter) u32(v uint32) {
-	if sw.err != nil {
-		return
-	}
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	_, sw.err = sw.w.Write(b[:])
-}
-
-func (sw *snapshotWriter) uvarint(v uint64) {
-	if sw.err != nil {
-		return
-	}
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	_, sw.err = sw.w.Write(b[:n])
-}
-
-func (sw *snapshotWriter) str(s string) {
-	sw.uvarint(uint64(len(s)))
-	if sw.err != nil {
-		return
-	}
-	_, sw.err = sw.w.WriteString(s)
-}
-
-func (sw *snapshotWriter) byte(b byte) {
-	if sw.err != nil {
-		return
-	}
-	sw.err = sw.w.WriteByte(b)
-}
-
-type snapshotReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (sr *snapshotReader) u32() uint32 {
-	if sr.err != nil {
-		return 0
-	}
-	var b [4]byte
-	if _, sr.err = io.ReadFull(sr.r, b[:]); sr.err != nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b[:])
-}
-
-func (sr *snapshotReader) uvarint() uint64 {
-	if sr.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(sr.r)
-	sr.err = err
-	return v
-}
-
-func (sr *snapshotReader) str() string {
-	n := sr.uvarint()
-	if sr.err != nil {
-		return ""
-	}
-	if n > 1<<20 {
-		sr.err = fmt.Errorf("%w: implausible string length %d", ErrInvalidSnapshot, n)
-		return ""
-	}
-	b := make([]byte, n)
-	if _, sr.err = io.ReadFull(sr.r, b); sr.err != nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (sr *snapshotReader) byte() byte {
-	if sr.err != nil {
-		return 0
-	}
-	b, err := sr.r.ReadByte()
-	sr.err = err
-	return b
-}
-
 // Save writes a snapshot of the database (schema, objects, index
 // declarations) to w, followed by a CRC32C trailer over everything written.
 // Index contents are not serialized; Load rebuilds them, which is both
@@ -160,127 +58,77 @@ func (db *Database) Save(w io.Writer) error {
 
 // saveSnapshot is Save over a pre-taken store snapshot — the WAL
 // checkpointer snapshots the store under its commit cut and encodes the
-// bytes here, outside every lock.
+// bytes here, outside every lock. Objects are encoded with the store codec
+// (internal/store/codec.go), the encoding the log and the wire use too; the
+// bytes go out in chunks of about snapshotChunk.
 func (db *Database) saveSnapshot(w io.Writer, objs []store.RestoredObject, next OID) error {
 	h := crc32.New(snapshotCRC)
-	sw := &snapshotWriter{w: bufio.NewWriter(io.MultiWriter(w, h))}
-	sw.u32(snapshotMagic)
-	sw.u32(snapshotVersion)
+	out := io.MultiWriter(w, h)
+	b := binary.BigEndian.AppendUint32(nil, snapshotMagic)
+	b = binary.BigEndian.AppendUint32(b, snapshotVersion)
 
 	// Schema, in declaration order (codes are deterministic in it).
 	classes := db.sch.Classes()
-	sw.uvarint(uint64(len(classes)))
+	b = binary.AppendUvarint(b, uint64(len(classes)))
 	for _, name := range classes {
 		cl, _ := db.sch.Class(name)
-		sw.str(cl.Name)
-		sw.str(cl.Super)
-		sw.uvarint(uint64(len(cl.Attrs)))
+		b = store.AppendString(b, cl.Name)
+		b = store.AppendString(b, cl.Super)
+		b = binary.AppendUvarint(b, uint64(len(cl.Attrs)))
 		for _, a := range cl.Attrs {
-			sw.str(a.Name)
-			sw.str(a.Ref)
-			sw.byte(byte(a.Type))
-			if a.Multi {
-				sw.byte(1)
-			} else {
-				sw.byte(0)
-			}
+			b = store.AppendString(b, a.Name)
+			b = store.AppendString(b, a.Ref)
+			b = append(b, byte(a.Type), boolByte(a.Multi))
 		}
 	}
 
-	// Objects.
-	sw.u32(uint32(next))
-	sw.uvarint(uint64(len(objs)))
+	// Objects: oid, class, attributes.
+	b = store.AppendOID(b, next)
+	b = binary.AppendUvarint(b, uint64(len(objs)))
 	for _, o := range objs {
-		sw.u32(uint32(o.OID))
-		sw.str(o.Class)
-		sw.uvarint(uint64(len(o.Attrs)))
-		// Deterministic attribute order.
-		cl, _ := db.sch.Class(o.Class)
-		written := 0
-		emit := func(name string, v any) error {
-			sw.str(name)
-			switch x := v.(type) {
-			case int:
-				sw.byte(tagInt)
-				sw.uvarint(uint64(x))
-			case uint64:
-				sw.byte(tagUint64)
-				sw.uvarint(x)
-			case int64:
-				sw.byte(tagInt64)
-				sw.uvarint(uint64(x))
-			case float64:
-				sw.byte(tagFloat64)
-				sw.uvarint(math.Float64bits(x))
-			case string:
-				sw.byte(tagString)
-				sw.str(x)
-			case OID:
-				sw.byte(tagOID)
-				sw.u32(uint32(x))
-			case []OID:
-				sw.byte(tagOIDs)
-				sw.uvarint(uint64(len(x)))
-				for _, o := range x {
-					sw.u32(uint32(o))
-				}
-			default:
-				return fmt.Errorf("uindex: cannot serialize attribute %q of type %T", name, v)
-			}
-			written++
-			return nil
+		b = store.AppendString(store.AppendOID(b, o.OID), o.Class)
+		var err error
+		if b, err = store.AppendAttrs(b, o.Attrs); err != nil {
+			return fmt.Errorf("uindex: cannot serialize object %d: %w", o.OID, err)
 		}
-		// Walk the inheritance chain for a stable order.
-		for c := cl; c != nil; {
-			for _, a := range c.Attrs {
-				if v, ok := o.Attrs[a.Name]; ok {
-					if err := emit(a.Name, v); err != nil {
-						return err
-					}
-				}
+		if len(b) >= snapshotChunk {
+			if _, err := out.Write(b); err != nil {
+				return err
 			}
-			if c.Super == "" {
-				break
-			}
-			c, _ = db.sch.Class(c.Super)
-		}
-		if written != len(o.Attrs) {
-			return fmt.Errorf("uindex: object %d has %d attributes, serialized %d", o.OID, len(o.Attrs), written)
+			b = b[:0]
 		}
 	}
 
 	// Index declarations.
-	sw.uvarint(uint64(len(db.order)))
+	b = binary.AppendUvarint(b, uint64(len(db.order)))
 	for _, name := range db.order {
 		spec := db.groups[name].sharded.Prototype().Spec()
 		if spec.Coding != nil {
 			return fmt.Errorf("uindex: index %q uses a custom coding; snapshots support default-coding indexes", name)
 		}
-		sw.str(spec.Name)
-		sw.str(spec.Root)
-		sw.uvarint(uint64(len(spec.Refs)))
+		b = store.AppendString(b, spec.Name)
+		b = store.AppendString(b, spec.Root)
+		b = binary.AppendUvarint(b, uint64(len(spec.Refs)))
 		for _, r := range spec.Refs {
-			sw.str(r)
+			b = store.AppendString(b, r)
 		}
-		sw.str(spec.Attr)
-		sw.u32(uint32(spec.MaxEntries))
-		if spec.NoCompression {
-			sw.byte(1)
-		} else {
-			sw.byte(0)
-		}
+		b = store.AppendString(b, spec.Attr)
+		b = binary.BigEndian.AppendUint32(b, uint32(spec.MaxEntries))
+		b = append(b, boolByte(spec.NoCompression))
 	}
-	if sw.err != nil {
-		return sw.err
-	}
-	if err := sw.w.Flush(); err != nil {
+	if _, err := out.Write(b); err != nil {
 		return err
 	}
 	// The trailer goes to w alone: it is the checksum of everything above.
-	var tr [4]byte
-	binary.BigEndian.PutUint32(tr[:], h.Sum32())
-	_, err := w.Write(tr[:])
+	_, err := w.Write(binary.BigEndian.AppendUint32(nil, h.Sum32()))
 	return err
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // Load reconstructs a database from a snapshot produced by Save.
@@ -333,90 +181,60 @@ func decodeSnapshot(data []byte) (*snapshotData, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrInvalidSnapshot)
 	}
 	// The length check above guarantees these two reads.
-	sr := &snapshotReader{r: bufio.NewReader(bytes.NewReader(body))}
-	if sr.u32() != snapshotMagic {
+	d := store.NewDecoder(body)
+	if d.U32() != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrInvalidSnapshot)
 	}
-	if v := sr.u32(); v != snapshotVersion {
+	if v := d.U32(); v != snapshotVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrInvalidSnapshot, v)
 	}
 
 	snap := &snapshotData{schema: NewSchema()}
-	nClasses := sr.uvarint()
-	for i := uint64(0); i < nClasses && sr.err == nil; i++ {
-		name := sr.str()
-		super := sr.str()
-		nAttrs := sr.uvarint()
-		attrs := make([]Attr, 0, min(nAttrs, snapshotPreallocCap))
-		for j := uint64(0); j < nAttrs && sr.err == nil; j++ {
-			a := Attr{Name: sr.str(), Ref: sr.str()}
+	nClasses := d.Count()
+	for i := 0; i < nClasses && d.Err() == nil; i++ {
+		name := d.Str()
+		super := d.Str()
+		nAttrs := d.Count()
+		attrs := make([]Attr, 0, min(nAttrs, store.Prealloc))
+		for j := 0; j < nAttrs && d.Err() == nil; j++ {
+			a := Attr{Name: d.Str(), Ref: d.Str()}
 			// Unknown type bytes surface as validation errors when the
 			// schema is used.
-			a.Type = encoding.AttrType(sr.byte())
-			a.Multi = sr.byte() == 1
+			a.Type = encoding.AttrType(d.Byte())
+			a.Multi = d.Byte() == 1
 			attrs = append(attrs, a)
 		}
-		if sr.err == nil {
+		if d.Err() == nil {
 			if err := snap.schema.AddClass(name, super, attrs...); err != nil {
 				return nil, invalidSnapshot(err)
 			}
 		}
 	}
 
-	snap.next = OID(sr.u32())
-	nObjs := sr.uvarint()
-	snap.objs = make([]store.RestoredObject, 0, min(nObjs, snapshotPreallocCap))
-	for i := uint64(0); i < nObjs && sr.err == nil; i++ {
-		ro := store.RestoredObject{OID: OID(sr.u32()), Class: sr.str(), Attrs: Attrs{}}
-		nAttrs := sr.uvarint()
-		for j := uint64(0); j < nAttrs && sr.err == nil; j++ {
-			name := sr.str()
-			switch tag := sr.byte(); tag {
-			case tagInt:
-				ro.Attrs[name] = int(sr.uvarint())
-			case tagUint64:
-				ro.Attrs[name] = sr.uvarint()
-			case tagInt64:
-				ro.Attrs[name] = int64(sr.uvarint())
-			case tagFloat64:
-				ro.Attrs[name] = math.Float64frombits(sr.uvarint())
-			case tagString:
-				ro.Attrs[name] = sr.str()
-			case tagOID:
-				ro.Attrs[name] = OID(sr.u32())
-			case tagOIDs:
-				n := sr.uvarint()
-				if n > 1<<20 {
-					return nil, fmt.Errorf("%w: implausible reference list length %d", ErrInvalidSnapshot, n)
-				}
-				oids := make([]OID, n)
-				for k := range oids {
-					oids[k] = OID(sr.u32())
-				}
-				ro.Attrs[name] = oids
-			default:
-				if sr.err == nil {
-					return nil, fmt.Errorf("%w: unknown value tag %d", ErrInvalidSnapshot, tag)
-				}
-			}
-		}
-		snap.objs = append(snap.objs, ro)
+	snap.next = d.OID()
+	nObjs := d.Count()
+	snap.objs = make([]store.RestoredObject, 0, min(nObjs, store.Prealloc))
+	for i := 0; i < nObjs && d.Err() == nil; i++ {
+		snap.objs = append(snap.objs, store.RestoredObject{OID: d.OID(), Class: d.Str(), Attrs: d.Attrs()})
 	}
 
-	nIdx := sr.uvarint()
-	for i := uint64(0); i < nIdx && sr.err == nil; i++ {
-		spec := IndexSpec{Name: sr.str(), Root: sr.str()}
-		nRefs := sr.uvarint()
-		for j := uint64(0); j < nRefs && sr.err == nil; j++ {
-			spec.Refs = append(spec.Refs, sr.str())
+	nIdx := d.Count()
+	for i := 0; i < nIdx && d.Err() == nil; i++ {
+		spec := IndexSpec{Name: d.Str(), Root: d.Str()}
+		nRefs := d.Count()
+		for j := 0; j < nRefs && d.Err() == nil; j++ {
+			spec.Refs = append(spec.Refs, d.Str())
 		}
-		spec.Attr = sr.str()
-		spec.MaxEntries = int(sr.u32())
-		spec.NoCompression = sr.byte() == 1
+		spec.Attr = d.Str()
+		spec.MaxEntries = int(d.U32())
+		spec.NoCompression = d.Byte() == 1
 		snap.specs = append(snap.specs, spec)
 	}
-	if sr.err != nil {
-		return nil, invalidSnapshot(sr.err)
+	if err := d.Err(); err != nil {
+		return nil, invalidSnapshot(err)
+	}
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the index section", ErrInvalidSnapshot, d.Len())
 	}
 	return snap, nil
 }

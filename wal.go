@@ -47,7 +47,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -351,18 +350,18 @@ func (db *Database) saveStoreSnapshot(path string, objs []store.RestoredObject, 
 //
 // One record is one write call (write.go): the record-kind byte, then the
 // call's applied operations back to back until the payload ends. Each
-// operation is its kind, its OID (an insert's assigned id), its store half —
-// class and attributes of an insert, attribute and value of a set, nothing
-// for a delete; values carry the snapshot value tags of persist.go — and, per
-// covering index group, the exact key deletions and insertions it performed.
-// Records are physiological: replay re-applies the recorded key lists through
-// the shard router rather than re-deriving them from the store, so a record
-// replays identically whatever the surrounding state.
+// operation is the store codec's op (internal/store/codec.go: kind, OID — an
+// insert's assigned id — and body, the same bytes the wire carries) followed
+// by, per covering index group, the exact key deletions and insertions it
+// performed. Records are physiological: replay re-applies the recorded key
+// lists through the shard router rather than re-deriving them from the store,
+// so a record replays identically whatever the surrounding state.
 
-// walRecCommit is the record kind. Kinds 1-3 were the per-operation records
-// of the previous log format; recovery refuses them (a cleanly closed
-// database has an empty log, so there is nothing to migrate).
-const walRecCommit = 4
+// walRecCommit is the record kind. Kinds 1-3 were per-operation records and
+// kind 4 wrote OIDs as varints, before the log shared the store codec;
+// recovery refuses them (a cleanly closed database has an empty log, so there
+// is nothing to migrate).
+const walRecCommit = 5
 
 // walGroupEdit is the per-index part of a logged operation: the key
 // deletions and insertions it performed on one group.
@@ -378,232 +377,57 @@ type loggedOp struct {
 	edits []walGroupEdit
 }
 
-func walAppendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func walAppendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-// walAppendValue encodes one attribute value with the persist.go tags.
-func walAppendValue(b []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case int:
-		b = append(b, tagInt)
-		return binary.AppendUvarint(b, uint64(x)), nil
-	case uint: // the store keeps it as uint64
-		return walAppendValue(b, uint64(x))
-	case uint64:
-		b = append(b, tagUint64)
-		return binary.AppendUvarint(b, x), nil
-	case int64:
-		b = append(b, tagInt64)
-		return binary.AppendUvarint(b, uint64(x)), nil
-	case float64:
-		b = append(b, tagFloat64)
-		return binary.AppendUvarint(b, math.Float64bits(x)), nil
-	case string:
-		b = append(b, tagString)
-		return walAppendStr(b, x), nil
-	case OID:
-		b = append(b, tagOID)
-		return binary.AppendUvarint(b, uint64(x)), nil
-	case []OID:
-		b = append(b, tagOIDs)
-		b = binary.AppendUvarint(b, uint64(len(x)))
-		for _, o := range x {
-			b = binary.AppendUvarint(b, uint64(o))
-		}
-		return b, nil
-	}
-	return nil, fmt.Errorf("uindex: cannot log attribute value of type %T", v)
-}
-
-// walAppendStoreHalf encodes the store half of one operation. It runs in the
-// plan phase of a write, before any lock or edit, so a value the log cannot
-// carry rejects the call with nothing applied.
-func walAppendStoreHalf(b []byte, op *BatchOp) ([]byte, error) {
-	var err error
-	switch op.Kind {
-	case BatchInsert:
-		b = walAppendStr(b, op.Class)
-		b = binary.AppendUvarint(b, uint64(len(op.Attrs)))
-		for name, v := range op.Attrs {
-			b = walAppendStr(b, name)
-			if b, err = walAppendValue(b, v); err != nil {
-				return nil, err
-			}
-		}
-	case BatchSet:
-		b = walAppendStr(b, op.Attr)
-		b, err = walAppendValue(b, op.Value)
-	}
-	return b, err
-}
-
-// walAppendOp starts one operation of a record: kind, OID, the store half
-// encoded at plan time, and the number of group edits that follow.
-func walAppendOp(b []byte, kind BatchOpKind, oid OID, half []byte, edits int) []byte {
-	b = append(b, byte(kind))
-	b = binary.AppendUvarint(b, uint64(oid))
-	b = append(b, half...)
+// walAppendOp starts one operation of a record: kind, OID, the body encoded
+// at plan time, and the number of group edits that follow.
+func walAppendOp(b []byte, kind BatchOpKind, oid OID, body []byte, edits int) []byte {
+	b = store.AppendOID(append(b, byte(kind)), oid)
+	b = append(b, body...)
 	return binary.AppendUvarint(b, uint64(edits))
 }
 
 // walAppendEdit appends one group's key edits to the current operation.
 func walAppendEdit(b []byte, name string, dels, ins [][]byte) []byte {
-	b = walAppendStr(b, name)
+	b = store.AppendString(b, name)
 	b = binary.AppendUvarint(b, uint64(len(dels)))
 	for _, k := range dels {
-		b = walAppendBytes(b, k)
+		b = store.AppendBytes(b, k)
 	}
 	b = binary.AppendUvarint(b, uint64(len(ins)))
 	for _, k := range ins {
-		b = walAppendBytes(b, k)
+		b = store.AppendBytes(b, k)
 	}
 	return b
 }
 
-// walDec decodes one record payload; the first failure sticks.
-type walDec struct {
-	b   []byte
-	err error
-}
-
-func (d *walDec) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated record: %s", what)
-	}
-}
-
-func (d *walDec) byte() byte {
-	if d.err != nil || len(d.b) == 0 {
-		d.fail("kind byte")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *walDec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *walDec) take(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("byte run")
-		return nil
-	}
-	p := d.b[:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *walDec) str() string { return string(d.take(d.uvarint())) }
-
-// count reads a list length. Every list element occupies at least one byte,
-// so a length above the bytes left is damage; callers preallocate no more
-// than min(count, snapshotPreallocCap).
-func (d *walDec) count() int {
-	n := d.uvarint()
-	if n > uint64(len(d.b)) {
-		d.fail("list length")
-		return 0
-	}
-	return int(n)
-}
-
-func (d *walDec) keys() [][]byte {
-	n := d.count()
-	out := make([][]byte, 0, min(n, snapshotPreallocCap))
-	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, append([]byte(nil), d.take(d.uvarint())...))
+// walKeys decodes one key list, copying each key out of the record.
+func walKeys(d *store.Decoder) [][]byte {
+	n := d.Count()
+	out := make([][]byte, 0, min(n, store.Prealloc))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		out = append(out, append([]byte(nil), d.Bytes()...))
 	}
 	return out
 }
 
-func (d *walDec) value() any {
-	switch tag := d.byte(); tag {
-	case tagInt:
-		return int(d.uvarint())
-	case tagUint64:
-		return d.uvarint()
-	case tagInt64:
-		return int64(d.uvarint())
-	case tagFloat64:
-		return math.Float64frombits(d.uvarint())
-	case tagString:
-		return d.str()
-	case tagOID:
-		return OID(d.uvarint())
-	case tagOIDs:
-		n := d.count()
-		oids := make([]OID, 0, min(n, snapshotPreallocCap))
-		for i := 0; i < n && d.err == nil; i++ {
-			oids = append(oids, OID(d.uvarint()))
-		}
-		return oids
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("unknown value tag %d", tag)
-		}
-		return nil
-	}
-}
-
 // decodeWALRecord is the pure half of replay: payload bytes to operations,
 // touching no database state. Anything but a well-formed walRecCommit record
-// — including the per-operation kinds of the previous format — is an error.
+// — including the record kinds of earlier formats — is an error.
 func decodeWALRecord(payload []byte) ([]loggedOp, error) {
-	d := &walDec{b: payload}
-	if kind := d.byte(); d.err == nil && kind != walRecCommit {
+	d := store.NewDecoder(payload)
+	if kind := d.Byte(); d.Err() == nil && kind != walRecCommit {
 		return nil, fmt.Errorf("unknown record kind %d", kind)
 	}
 	var ops []loggedOp
-	for d.err == nil && len(d.b) > 0 {
-		var op loggedOp
-		op.Kind = BatchOpKind(d.byte())
-		op.OID = OID(d.uvarint())
-		switch op.Kind {
-		case BatchInsert:
-			op.Class = d.str()
-			n := d.count()
-			op.Attrs = make(Attrs, min(n, snapshotPreallocCap))
-			for i := 0; i < n && d.err == nil; i++ {
-				name := d.str()
-				op.Attrs[name] = d.value()
-			}
-		case BatchSet:
-			op.Attr = d.str()
-			op.Value = d.value()
-		case BatchDelete:
-		default:
-			return nil, fmt.Errorf("unknown operation kind %d", uint8(op.Kind))
-		}
-		n := d.count()
-		op.edits = make([]walGroupEdit, 0, min(n, snapshotPreallocCap))
-		for i := 0; i < n && d.err == nil; i++ {
-			op.edits = append(op.edits, walGroupEdit{name: d.str(), dels: d.keys(), ins: d.keys()})
+	for d.Err() == nil && d.Len() > 0 {
+		op := loggedOp{BatchOp: d.Op()}
+		n := d.Count()
+		op.edits = make([]walGroupEdit, 0, min(n, store.Prealloc))
+		for i := 0; i < n && d.Err() == nil; i++ {
+			op.edits = append(op.edits, walGroupEdit{name: d.Str(), dels: walKeys(&d), ins: walKeys(&d)})
 		}
 		ops = append(ops, op)
 	}
-	return ops, d.err
+	return ops, d.Err()
 }
 
 // walReplayRecord re-applies one log record during recovery: decode it whole,

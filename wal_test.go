@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/store"
 	"repro/internal/wal"
 )
 
@@ -914,11 +915,11 @@ func TestWALBatchCrashAtomic(t *testing.T) {
 func encodeLoggedOps(ops []loggedOp) ([]byte, error) {
 	rec := []byte{walRecCommit}
 	for i := range ops {
-		half, err := walAppendStoreHalf(nil, &ops[i].BatchOp)
+		body, err := store.AppendOpBody(nil, &ops[i].BatchOp)
 		if err != nil {
 			return nil, err
 		}
-		rec = walAppendOp(rec, ops[i].Kind, ops[i].OID, half, len(ops[i].edits))
+		rec = walAppendOp(rec, ops[i].Kind, ops[i].OID, body, len(ops[i].edits))
 		for _, e := range ops[i].edits {
 			rec = walAppendEdit(rec, e.name, e.dels, e.ins)
 		}
@@ -944,8 +945,8 @@ func FuzzWALRecord(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte{})
-	f.Add([]byte{1, 7, 0})                                                    // a record kind of the previous format
-	f.Add([]byte{walRecCommit, byte(BatchDelete), 1, 0xff, 0xff, 0xff, 0x7f}) // absurd edit count
+	f.Add([]byte{1, 7, 0})                                                             // a record kind of an earlier format
+	f.Add([]byte{walRecCommit, byte(BatchDelete), 0, 0, 0, 1, 0xff, 0xff, 0xff, 0x7f}) // absurd edit count
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, err := decodeWALRecord(data)
 		if err != nil {

@@ -6,8 +6,9 @@ package uindex
 // batch and Insert/Set/Delete with a batch of one:
 //
 //	plan     resolve each op's class, rejecting unknown classes and OIDs;
-//	         with a WAL, encode each op's store half (so an unloggable value
-//	         fails here); union the shard locks every covering group needs.
+//	         with a WAL, encode each op's body with the store codec (so an
+//	         unloggable value fails here); union the shard locks every
+//	         covering group needs.
 //	         A failure here has touched nothing.
 //	lock     group creation order, shard index ascending — the single global
 //	         order that keeps multi-index writers deadlock-free
@@ -29,45 +30,28 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // BatchOpKind identifies one mutation kind inside a Batch. The values are
-// also the operation kinds of a log record (wal.go): never renumber them.
-type BatchOpKind uint8
+// also the operation kinds of a log record and of the wire: never renumber
+// them.
+type BatchOpKind = store.OpKind
 
 const (
 	// BatchInsert stores a new object.
-	BatchInsert BatchOpKind = 1
+	BatchInsert = store.KindInsert
 	// BatchSet updates one attribute of an existing object.
-	BatchSet BatchOpKind = 2
+	BatchSet = store.KindSet
 	// BatchDelete removes an existing object.
-	BatchDelete BatchOpKind = 3
+	BatchDelete = store.KindDelete
 )
-
-// String implements fmt.Stringer.
-func (k BatchOpKind) String() string {
-	switch k {
-	case BatchInsert:
-		return "insert"
-	case BatchSet:
-		return "set"
-	case BatchDelete:
-		return "delete"
-	}
-	return fmt.Sprintf("BatchOpKind(%d)", uint8(k))
-}
 
 // BatchOp is one mutation of a Batch. Exactly the fields of its kind are
 // meaningful: Class and Attrs for BatchInsert; OID, Attr, and Value for
-// BatchSet; OID for BatchDelete.
-type BatchOp struct {
-	Kind  BatchOpKind
-	Class string
-	Attrs Attrs
-	OID   OID
-	Attr  string
-	Value any
-}
+// BatchSet; OID for BatchDelete. The log, the snapshot and the wire encode
+// it with one codec (internal/store/codec.go).
+type BatchOp = store.Op
 
 // Batch collects mutations for one Apply call. Build it with Insert, Set,
 // and Delete; the zero value is an empty batch. A Batch is not safe for
@@ -195,7 +179,7 @@ func (db *Database) writeOne(op BatchOp) (BatchResult, error) {
 // plannedOp is what planning resolved for one operation.
 type plannedOp struct {
 	class   string // the object's class: decides covering groups and shards
-	halfEnd int    // end of the op's encoded store half in the plan buffer
+	bodyEnd int    // end of the op's encoded body in the plan buffer
 }
 
 // groupWrite is one index group's share of a write call: the union of the
@@ -229,7 +213,7 @@ func (db *Database) write(ctx context.Context, ops []BatchOp, res *BatchResult) 
 	// Plan. Set and Delete resolve their class through the store, so the
 	// objects they name must exist before the call.
 	planned := make([]plannedOp, len(ops))
-	var halves []byte
+	var bodies []byte
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
@@ -248,10 +232,10 @@ func (db *Database) write(ctx context.Context, ops []BatchOp, res *BatchResult) 
 			return i, fmt.Errorf("uindex: unknown mutation kind %d", uint8(op.Kind))
 		}
 		if db.wal != nil {
-			if halves, err = walAppendStoreHalf(halves, op); err != nil {
+			if bodies, err = store.AppendOpBody(bodies, op); err != nil {
 				return i, err
 			}
-			planned[i].halfEnd = len(halves)
+			planned[i].bodyEnd = len(bodies)
 		}
 	}
 	groups := make([]groupWrite, len(db.order))
@@ -276,18 +260,18 @@ func (db *Database) write(ctx context.Context, ops []BatchOp, res *BatchResult) 
 	var rec []byte
 	if db.wal != nil {
 		db.wal.commitMu.RLock()
-		rec = append(make([]byte, 0, 2*len(halves)+64), walRecCommit)
+		rec = append(make([]byte, 0, 2*len(bodies)+64), walRecCommit)
 	}
-	halfStart := 0
+	bodyStart := 0
 	for i := range ops {
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		half := halves[halfStart:planned[i].halfEnd]
-		if rec, err = db.execute(&ops[i], planned[i].class, half, groups, rec, res); err != nil {
+		body := bodies[bodyStart:planned[i].bodyEnd]
+		if rec, err = db.execute(&ops[i], planned[i].class, body, groups, rec, res); err != nil {
 			break
 		}
-		halfStart = planned[i].halfEnd
+		bodyStart = planned[i].bodyEnd
 		res.Applied++
 	}
 	var lsn uint64
@@ -323,7 +307,7 @@ func (db *Database) write(ctx context.Context, ops []BatchOp, res *BatchResult) 
 // in every covering group, each group moved by exactly the difference. With a
 // WAL it appends the operation and those key edits to rec; on error rec comes
 // back as it was.
-func (db *Database) execute(op *BatchOp, class string, half []byte, groups []groupWrite, rec []byte, res *BatchResult) ([]byte, error) {
+func (db *Database) execute(op *BatchOp, class string, body []byte, groups []groupWrite, rec []byte, res *BatchResult) ([]byte, error) {
 	mark := len(rec)
 	oid := op.OID
 	covering := 0
@@ -361,7 +345,7 @@ func (db *Database) execute(op *BatchOp, class string, half []byte, groups []gro
 		return rec, err
 	}
 	if db.wal != nil {
-		rec = walAppendOp(rec, op.Kind, oid, half, covering)
+		rec = walAppendOp(rec, op.Kind, oid, body, covering)
 	}
 	for i := range groups {
 		gw := &groups[i]
