@@ -97,8 +97,13 @@ shard:
 # single-op write opcodes (OpInsert/OpSet/OpDelete), deleted in favor of a
 # batch of one, and the per-format value codecs (walAppendStoreHalf,
 # snapshotWriter/snapshotReader), deleted in favor of internal/store/codec.go.
+# And the read paths no query runs: the btree Cursor (NewCursor), deleted in
+# favor of Scan, which is MultiScan over one interval; the pinned batch
+# admission (PinBatch/UnpinBatch), deleted in favor of Prefetch; the second
+# shape walk (OverflowPageCount), folded into Tree.Stats; and DurabilityNone,
+# deleted in favor of the checkpoint and WAL modes.
 apicheck: vet
-	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run|NoPrefetch|AnchorStride|OpenTuned|btree\.Tuning|NodeCacheSize|MaxBatch|\bOp(Insert|Set|Delete)\b|walAppendStoreHalf|snapshot(Writer|Reader)' . || true); \
+	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run|NoPrefetch|AnchorStride|OpenTuned|btree\.Tuning|NodeCacheSize|MaxBatch|\bOp(Insert|Set|Delete)\b|walAppendStoreHalf|snapshot(Writer|Reader)|NewCursor|PinBatch|UnpinBatch|OverflowPageCount|DurabilityNone' . || true); \
 	if [ -n "$$deprecated" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$deprecated"; \

@@ -34,7 +34,7 @@ func main() {
 		savePath   = flag.String("save", "", "write a snapshot of the database on exit (.quit)")
 		poolPages  = flag.Int("poolpages", 0, "buffer-pool frames per index (0 = no pool)")
 		dir        = flag.String("dir", "", "directory for disk-backed index files (empty = in-memory)")
-		durability = flag.String("durability", "checkpoint", "durability mode for -dir: none, checkpoint, or wal")
+		durability = flag.String("durability", "checkpoint", "durability mode for -dir: checkpoint or wal")
 	)
 	flag.Parse()
 	dur, err := demo.ParseDurability(*durability)

@@ -39,7 +39,7 @@ func main() {
 		listen     = flag.String("listen", "127.0.0.1:9040", "data-path listen address")
 		httpAddr   = flag.String("http", "127.0.0.1:9041", "ops listen address for /metrics, /healthz, /readyz, /debug/pprof (empty disables)")
 		dir        = flag.String("dir", "", "directory for disk-backed index files (empty = in-memory)")
-		durability = flag.String("durability", "checkpoint", "durability mode for -dir: none, checkpoint, or wal")
+		durability = flag.String("durability", "checkpoint", "durability mode for -dir: checkpoint or wal")
 		poolPages  = flag.Int("poolpages", 256, "buffer-pool frames per index (0 = no pool)")
 		loadPath   = flag.String("load", "", "load a store snapshot instead of building the Example-1 demo")
 		savePath   = flag.String("save", "", "store snapshot written on drain (default <dir>/store.usnap when -dir is set)")

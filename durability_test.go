@@ -130,46 +130,6 @@ func TestDiskBackedCheckpointReopen(t *testing.T) {
 	}
 }
 
-// TestDurabilityNoneDiscardsOnClose: with DurabilityNone, Close discards
-// mutations after the last checkpoint; the file keeps the checkpointed
-// state (here: the initial build) intact.
-func TestDurabilityNoneDiscardsOnClose(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Dir: dir, Durability: DurabilityNone}
-
-	db1, err := NewDatabaseWith(vehicleSchema(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	insertVehicles(t, db1, testColors[:3]) // in the store before the build
-	if err := db1.CreateIndex(colorSpec); err != nil {
-		t.Fatal(err)
-	}
-	insertVehicles(t, db1, testColors[3:]) // indexed, but never checkpointed
-	ix1, _ := db1.Index("color")
-	if ix1.Len() != len(testColors) {
-		t.Fatalf("live index has %d entries, want %d", ix1.Len(), len(testColors))
-	}
-	if err := db1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := NewDatabaseWith(vehicleSchema(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.CreateIndex(colorSpec); err != nil {
-		t.Fatal(err)
-	}
-	ix2, _ := db2.Index("color")
-	if ix2.Len() != 3 {
-		t.Fatalf("recovered index has %d entries, want the 3 from the build checkpoint", ix2.Len())
-	}
-	if err := db2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCorruptIndexFileSurfaces: corruption in a disk-backed index file is
 // reported as a typed error from CreateIndex — never a silent rebuild.
 func TestCorruptIndexFileSurfaces(t *testing.T) {
@@ -229,4 +189,91 @@ func TestCorruptIndexFileSurfaces(t *testing.T) {
 		t.Fatalf("CreateIndex on truncated file = %v, want ErrCorruptFile", err)
 	}
 	db3.Close()
+}
+
+// TestDropPageCachesKeepsCheckpointReadable: dropping the page caches of a
+// reopened disk-backed database publishes nothing. A buffer-pool reset that
+// synced the shard files would publish a new header generation per call and,
+// after two calls, overwrite the header slot of the generation the manifest
+// records — a crash image taken then would not reopen. Both durability modes
+// reopen the image and answer as before.
+func TestDropPageCachesKeepsCheckpointReadable(t *testing.T) {
+	dropThrice := func(t *testing.T, db *Database, wantRed int) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			if err := db.DropPageCaches(); err != nil {
+				t.Fatal(err)
+			}
+			if got := countRed(t, db); got != wantRed {
+				t.Fatalf("drop %d: %d red vehicles, want %d", i, got, wantRed)
+			}
+		}
+	}
+	t.Run("checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		opts := Options{Dir: dir, PoolPages: 16}
+		db, err := NewDatabaseWith(vehicleSchema(t), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insertVehicles(t, db, testColors)
+		if err := db.CreateIndex(colorSpec); err != nil {
+			t.Fatal(err)
+		}
+		wantRed := countRed(t, db)
+		snap := filepath.Join(t.TempDir(), "state.usnap")
+		if err := db.SaveFile(snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		db2, err := LoadFileWith(snap, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db2.Close()
+		dropThrice(t, db2, wantRed)
+		img := crashImage(t, dir)
+		db3, err := LoadFileWith(snap, Options{Dir: img, PoolPages: 16})
+		if err != nil {
+			t.Fatalf("reopening the crash image: %v", err)
+		}
+		defer db3.Close()
+		if got := countRed(t, db3); got != wantRed {
+			t.Fatalf("crash image: %d red vehicles, want %d", got, wantRed)
+		}
+	})
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		db, err := NewDatabaseWith(vehicleSchema(t), walOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateIndex(colorSpec); err != nil {
+			t.Fatal(err)
+		}
+		insertVehicles(t, db, testColors)
+		wantRed := countRed(t, db)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		reopen := Options{PoolPages: 16, WALCheckpointBytes: -1}
+		db2, err := Open(dir, reopen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db2.Close()
+		dropThrice(t, db2, wantRed)
+		db3, err := Open(crashImage(t, dir), reopen)
+		if err != nil {
+			t.Fatalf("reopening the crash image: %v", err)
+		}
+		defer db3.Close()
+		if got := countRed(t, db3); got != wantRed {
+			t.Fatalf("crash image: %d red vehicles, want %d", got, wantRed)
+		}
+	})
 }

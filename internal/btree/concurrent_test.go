@@ -26,7 +26,7 @@ func buildConcurrentTree(t *testing.T, f pager.File) *Tree {
 	return tree
 }
 
-// TestConcurrentReaders runs mixed Get/Scan/MultiScan/Cursor traffic from
+// TestConcurrentReaders runs mixed Get/Scan/MultiScan traffic from
 // many goroutines, each with a private tracker, and checks every result
 // against a sequential baseline. Run under -race this is the regression
 // test for the goroutine-safe read path.
@@ -49,9 +49,7 @@ func TestConcurrentReaders(t *testing.T) {
 			tree := buildConcurrentTree(t, f)
 			// Reads must hit the page file under the read lock, not the
 			// write path's shared cache, for this test to mean anything.
-			if err := tree.DropCache(); err != nil {
-				t.Fatal(err)
-			}
+			tree.DropCache()
 
 			// Sequential baselines.
 			exactKey := []byte("key-001234")
@@ -118,19 +116,20 @@ func TestConcurrentReaders(t *testing.T) {
 								return
 							}
 						case 3:
-							c := tree.NewCursor(tr)
-							c.Seek([]byte("key-000500"))
+							// An open-ended forward read that stops itself
+							// after 25 entries, values materialized.
+							var last []byte
 							n := 0
-							for c.Valid() && n < 25 {
-								if _, err := c.Value(); err != nil {
-									t.Errorf("g%d cursor value: %v", g, err)
-									return
+							err := tree.Scan(nil, []byte("key-000500"), nil, tr, func(k, v []byte) ([]byte, bool, error) {
+								if v == nil {
+									return nil, true, fmt.Errorf("no value for %q", k)
 								}
-								c.Next()
+								last = append(last[:0], k...)
 								n++
-							}
-							if err := c.Err(); err != nil {
-								t.Errorf("g%d cursor: %v", g, err)
+								return nil, n == 25, nil
+							})
+							if err != nil || n != 25 || string(last) != "key-000524" {
+								t.Errorf("g%d stopped Scan: err=%v n=%d last=%q", g, err, n, last)
 								return
 							}
 						}
@@ -149,9 +148,7 @@ func TestConcurrentReaders(t *testing.T) {
 // shared tracker.
 func TestConcurrentTrackerCountsMatchSequential(t *testing.T) {
 	tree := buildConcurrentTree(t, pager.NewMemFile(0))
-	if err := tree.DropCache(); err != nil {
-		t.Fatal(err)
-	}
+	tree.DropCache()
 	queries := make([]Interval, 0, 16)
 	for i := 0; i < 16; i++ {
 		lo := []byte(fmt.Sprintf("key-%06d", i*180))
@@ -200,9 +197,7 @@ func TestConcurrentTrackerCountsMatchSequential(t *testing.T) {
 // installs the nodes it decoded for every later reader.
 func TestSharedCachePopulation(t *testing.T) {
 	tree := buildConcurrentTree(t, pager.NewMemFile(0))
-	if err := tree.DropCache(); err != nil {
-		t.Fatal(err)
-	}
+	tree.DropCache()
 	if got := tree.NodeCacheStats().Entries; got != 0 {
 		t.Fatalf("cache not empty after DropCache: %d nodes", got)
 	}

@@ -38,9 +38,7 @@ func TestNodeCacheInvariance(t *testing.T) {
 		return tree
 	}
 	cached, plain := build(), withoutNodeCache(build())
-	if err := cached.DropCache(); err != nil {
-		t.Fatal(err)
-	}
+	cached.DropCache()
 
 	// A read runs one query on tree, counted by tr, and returns its answer.
 	type read func(tree *Tree, tr *pager.Tracker) ([]string, error)
@@ -104,6 +102,69 @@ func TestNodeCacheInvariance(t *testing.T) {
 		case "Get-warm", "Scan-repeat":
 			if ctr.CacheMisses() != 0 {
 				t.Fatalf("%s: %d misses after the same read installed its nodes", rd.name, ctr.CacheMisses())
+			}
+		}
+	}
+}
+
+// TestReadVisitsEachPageOnce pins the invariant that lets a read keep no
+// private map of the nodes it has seen: Get, Scan and MultiScan (with skip
+// requests) fetch every page they count exactly once, so the node-cache
+// probes (hits + misses) equal the distinct pages read — on a cached tree
+// and on a cache-off tree alike.
+func TestReadVisitsEachPageOnce(t *testing.T) {
+	build := func() *Tree {
+		tree, err := Create(pager.NewMemFile(0), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3000; i++ {
+			if err := tree.Insert(key(i*7%3000), val(i*7%3000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tree
+	}
+	// skipEvery jumps 50 keys ahead after each match: the skip crosses
+	// leaves and whole subtrees.
+	skipEvery := func(k, _ []byte) ([]byte, bool, error) {
+		var i int
+		if _, err := fmt.Sscanf(string(k), "key-%d", &i); err != nil {
+			return nil, true, err
+		}
+		return key(i + 50), false, nil
+	}
+	all := func(_, _ []byte) ([]byte, bool, error) { return nil, false, nil }
+	reads := []struct {
+		name string
+		fn   func(tree *Tree, tr *pager.Tracker) error
+	}{
+		{"Get", func(tree *Tree, tr *pager.Tracker) error {
+			_, _, err := tree.Get(key(1234), tr)
+			return err
+		}},
+		{"Scan", func(tree *Tree, tr *pager.Tracker) error {
+			return tree.Scan(nil, key(200), key(1700), tr, all)
+		}},
+		{"Scan-all", func(tree *Tree, tr *pager.Tracker) error {
+			return tree.Scan(nil, nil, nil, tr, all)
+		}},
+		{"MultiScan-skip", func(tree *Tree, tr *pager.Tracker) error {
+			ivs := []Interval{{Lo: key(10), Hi: key(400)}, {Lo: key(900), Hi: key(905)}, {Lo: key(1500), Hi: nil}}
+			return tree.MultiScan(nil, ivs, tr, skipEvery)
+		}},
+	}
+	for _, tree := range []*Tree{build(), withoutNodeCache(build())} {
+		tree.DropCache()
+		for _, rd := range reads {
+			for pass := 0; pass < 2; pass++ { // cold, then warm
+				tr := pager.NewTracker()
+				if err := rd.fn(tree, tr); err != nil {
+					t.Fatalf("%s: %v", rd.name, err)
+				}
+				if probes := tr.CacheHits() + tr.CacheMisses(); probes != tr.Reads() || probes == 0 {
+					t.Fatalf("%s pass %d: %d node fetches for %d distinct pages", rd.name, pass, probes, tr.Reads())
+				}
 			}
 		}
 	}
@@ -188,7 +249,7 @@ func TestNodeCacheCoherenceRace(t *testing.T) {
 				snap := cached.Snapshot()
 				type kv struct{ k, v []byte }
 				var got []kv
-				err := snap.Scan(nil, nil, nil, nil, func(k, v []byte) ([]byte, bool, error) {
+				err := snap.MultiScan(nil, []Interval{{}}, nil, func(k, v []byte) ([]byte, bool, error) {
 					got = append(got, kv{append([]byte(nil), k...), append([]byte(nil), v...)})
 					return nil, false, nil
 				})
@@ -275,9 +336,7 @@ func TestNodeCacheExactMatchAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := tree.DropCache(); err != nil {
-			t.Fatal(err)
-		}
+		tree.DropCache()
 		// Warm the shared cache (a no-op on the disabled tree).
 		err = tree.Scan(nil, nil, nil, nil, func(_, _ []byte) ([]byte, bool, error) {
 			return nil, false, nil

@@ -177,11 +177,9 @@ func (s *multiScan) walk(id pager.PageID) (bool, error) {
 	}
 	if n.leaf {
 		// Binary-search the first entry that can match (everything below
-		// the skip bound and the current interval's lower end is dead),
-		// the same way the range scan's leaf path already seeks — a
-		// multi-interval descent lands on leaves where the relevant
-		// cluster starts deep inside the page, and the old linear walk
-		// over the keys below it was pure overhead.
+		// the skip bound and the current interval's lower end is dead):
+		// a descent lands on leaves where the relevant cluster starts
+		// deep inside the page.
 		for i := s.leafStart(n.keys); i < len(n.keys); i++ {
 			key := n.keys[i]
 			if s.skip != nil && bytes.Compare(key, s.skip) < 0 {
@@ -254,220 +252,17 @@ func (s *multiScan) walk(id pager.PageID) (bool, error) {
 
 // Scan is the forward-scanning baseline (Section 3.3 "finding the first
 // relevant index entry using the standard B-tree search, and then scanning
-// the index forwards from that point on"): it visits every entry in [lo, hi)
-// in order, fetching every leaf in the range plus the internal pages that
-// cover it (copy-on-write leaves carry no sibling links, so the walk comes
-// down from the root). The scan runs against the version current when it
-// starts. ctx (which may be nil) is checked once per node visited.
+// the index forwards from that point on"): MultiScan over the one interval
+// [lo, hi). It visits every entry in the range in order, fetching every leaf
+// in the range plus the internal pages that cover it (copy-on-write leaves
+// carry no sibling links, so the walk comes down from the root). The scan
+// runs against the version current when it starts. ctx (which may be nil) is
+// checked once per node visited.
 func (t *Tree) Scan(ctx context.Context, lo, hi []byte, tr *pager.Tracker, fn ScanFunc) error {
-	v, release := t.pin()
-	defer release()
-	return t.scanAt(ctx, v, lo, hi, tr, fn, false)
+	return t.MultiScan(ctx, []Interval{{lo, hi}}, tr, fn)
 }
 
 // ScanKeys is Scan for callers that ignore values; see MultiScanKeys.
 func (t *Tree) ScanKeys(ctx context.Context, lo, hi []byte, tr *pager.Tracker, fn ScanFunc) error {
-	v, release := t.pin()
-	defer release()
-	return t.scanAt(ctx, v, lo, hi, tr, fn, true)
-}
-
-func (t *Tree) scanAt(ctx context.Context, v *version, lo, hi []byte, tr *pager.Tracker, fn ScanFunc, keysOnly bool) error {
-	s := &rangeScan{ctx: ctx, op: &readOp{t: t}, tr: tr, lo: lo, hi: hi, fn: fn, keysOnly: keysOnly}
-	_, err := s.walk(v.root)
-	return err
-}
-
-type rangeScan struct {
-	ctx      context.Context
-	op       *readOp
-	tr       *pager.Tracker
-	lo, hi   []byte
-	fn       ScanFunc
-	keysOnly bool // do not materialize values; fn sees a nil value
-}
-
-// walk visits the subtree in order; it returns stop=true when the range end
-// was reached or the callback stopped the scan.
-func (s *rangeScan) walk(id pager.PageID) (bool, error) {
-	if err := ctxErr(s.ctx); err != nil {
-		return true, err
-	}
-	n, err := s.op.fetch(id, s.tr)
-	if err != nil {
-		return true, err
-	}
-	if n.leaf {
-		i := 0
-		if s.lo != nil {
-			i = sort.Search(len(n.keys), func(j int) bool {
-				return bytes.Compare(n.keys[j], s.lo) >= 0
-			})
-		}
-		for ; i < len(n.keys); i++ {
-			key := n.keys[i]
-			if s.hi != nil && bytes.Compare(key, s.hi) >= 0 {
-				return true, nil
-			}
-			var val []byte
-			if !s.keysOnly {
-				if val, err = s.op.t.loadValue(n.vals[i], s.tr); err != nil {
-					return true, err
-				}
-			}
-			// The forward scan honors stop but not skip: skipping is
-			// what distinguishes the parallel algorithm.
-			_, stop, err := s.fn(key, val)
-			if err != nil || stop {
-				return true, err
-			}
-		}
-		return false, nil
-	}
-	ci := 0
-	if s.lo != nil {
-		ci = findChild(n.keys, s.lo)
-	}
-	for ; ci <= len(n.keys); ci++ {
-		// Child ci starts at keys[ci-1]; past hi, nothing qualifies.
-		if ci > 0 && s.hi != nil && bytes.Compare(n.keys[ci-1], s.hi) >= 0 {
-			return true, nil
-		}
-		stop, err := s.walk(n.children[ci])
-		if err != nil || stop {
-			return stop, err
-		}
-	}
-	return false, nil
-}
-
-// Cursor iterates the tree in ascending key order. A cursor captures the
-// tree version current at Seek time and is only valid while the tree is not
-// mutated; interleaving writes with cursor use is a programming error.
-// Concurrent cursors (each its own Cursor value) are safe: every cursor
-// carries a private readOp and root-to-leaf path.
-type Cursor struct {
-	t     *Tree
-	op    *readOp
-	tr    *pager.Tracker
-	path  []cursorFrame // root first; last frame is the current leaf
-	valid bool
-	err   error
-}
-
-// cursorFrame is one level of the cursor's descent: for the leaf (last
-// frame) idx indexes keys; for internal frames it is the child taken.
-type cursorFrame struct {
-	n   *node
-	idx int
-}
-
-// NewCursor returns an unpositioned cursor; call Seek or First.
-func (t *Tree) NewCursor(tr *pager.Tracker) *Cursor {
-	return &Cursor{t: t, op: &readOp{t: t}, tr: tr}
-}
-
-// Seek positions the cursor at the first key >= key (nil = first key).
-func (c *Cursor) Seek(key []byte) {
-	c.valid, c.err = false, nil
-	c.path = c.path[:0]
-	id := c.t.cur.Load().root
-	for {
-		n, err := c.op.fetch(id, c.tr)
-		if err != nil {
-			c.err = err
-			return
-		}
-		if n.leaf {
-			i := 0
-			if key != nil {
-				i = sort.Search(len(n.keys), func(j int) bool {
-					return bytes.Compare(n.keys[j], key) >= 0
-				})
-			}
-			c.path = append(c.path, cursorFrame{n, i})
-			c.settle()
-			return
-		}
-		ci := 0
-		if key != nil {
-			ci = findChild(n.keys, key)
-		}
-		c.path = append(c.path, cursorFrame{n, ci})
-		id = n.children[ci]
-	}
-}
-
-// First positions the cursor at the smallest key.
-func (c *Cursor) First() { c.Seek(nil) }
-
-// settle walks forward to the next real entry: it pops exhausted frames,
-// advances the parent to its next child, and descends to that subtree's
-// leftmost leaf.
-func (c *Cursor) settle() {
-	for len(c.path) > 0 {
-		top := &c.path[len(c.path)-1]
-		if top.n.leaf {
-			if top.idx < len(top.n.keys) {
-				c.valid = true
-				return
-			}
-			c.path = c.path[:len(c.path)-1]
-			continue
-		}
-		top.idx++
-		if top.idx >= len(top.n.children) {
-			c.path = c.path[:len(c.path)-1]
-			continue
-		}
-		// Descend to the leftmost leaf of the next child.
-		id := top.n.children[top.idx]
-		for {
-			n, err := c.op.fetch(id, c.tr)
-			if err != nil {
-				c.err = err
-				return
-			}
-			c.path = append(c.path, cursorFrame{n, 0})
-			if n.leaf {
-				break
-			}
-			id = n.children[0]
-		}
-	}
-}
-
-// Next advances to the next key.
-func (c *Cursor) Next() {
-	if !c.valid {
-		return
-	}
-	c.valid = false
-	c.path[len(c.path)-1].idx++
-	c.settle()
-}
-
-// Valid reports whether the cursor is positioned on an entry.
-func (c *Cursor) Valid() bool { return c.valid }
-
-// Err returns the first error encountered by the cursor.
-func (c *Cursor) Err() error { return c.err }
-
-// Key returns the current key. The slice is owned by the tree; callers must
-// copy it to retain it.
-func (c *Cursor) Key() []byte {
-	if !c.valid {
-		return nil
-	}
-	leaf := c.path[len(c.path)-1]
-	return leaf.n.keys[leaf.idx]
-}
-
-// Value materializes the current value (following overflow chains).
-func (c *Cursor) Value() ([]byte, error) {
-	if !c.valid {
-		return nil, fmt.Errorf("btree: Value on invalid cursor")
-	}
-	leaf := c.path[len(c.path)-1]
-	return c.t.loadValue(leaf.n.vals[leaf.idx], c.tr)
+	return t.MultiScanKeys(ctx, []Interval{{lo, hi}}, tr, fn)
 }

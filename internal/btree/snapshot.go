@@ -78,19 +78,3 @@ func (s *Snap) MultiScanKeys(ctx context.Context, ivs []Interval, tr *pager.Trac
 	}
 	return s.t.multiScanAt(ctx, s.v, ivs, tr, fn, true)
 }
-
-// Scan runs the forward-scanning baseline against the snapshot.
-func (s *Snap) Scan(ctx context.Context, lo, hi []byte, tr *pager.Tracker, fn ScanFunc) error {
-	if s.released.Load() {
-		return ErrSnapshotReleased
-	}
-	return s.t.scanAt(ctx, s.v, lo, hi, tr, fn, false)
-}
-
-// ScanKeys is Scan without value materialization; fn receives a nil value.
-func (s *Snap) ScanKeys(ctx context.Context, lo, hi []byte, tr *pager.Tracker, fn ScanFunc) error {
-	if s.released.Load() {
-		return ErrSnapshotReleased
-	}
-	return s.t.scanAt(ctx, s.v, lo, hi, tr, fn, true)
-}

@@ -63,7 +63,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	// A snapshot range scan sees exactly the original keys.
 	n := 0
-	err := snap.Scan(nil, nil, nil, nil, func(k, v []byte) ([]byte, bool, error) {
+	err := snap.MultiScan(nil, []Interval{{}}, nil, func(k, v []byte) ([]byte, bool, error) {
 		n++
 		return nil, false, nil
 	})
@@ -95,9 +95,6 @@ func TestSnapshotReleased(t *testing.T) {
 	}
 	if _, _, err := snap.Get([]byte("a"), nil); !errors.Is(err, ErrSnapshotReleased) {
 		t.Fatalf("Get after release = %v, want ErrSnapshotReleased", err)
-	}
-	if err := snap.Scan(nil, nil, nil, nil, func(k, v []byte) ([]byte, bool, error) { return nil, false, nil }); !errors.Is(err, ErrSnapshotReleased) {
-		t.Fatalf("Scan after release = %v, want ErrSnapshotReleased", err)
 	}
 	if err := snap.MultiScan(nil, nil, nil, func(k, v []byte) ([]byte, bool, error) { return nil, false, nil }); !errors.Is(err, ErrSnapshotReleased) {
 		t.Fatalf("MultiScan after release = %v, want ErrSnapshotReleased", err)
@@ -203,7 +200,7 @@ func TestSnapshotConcurrentWithWriter(t *testing.T) {
 				want := snap.Len()
 				got := 0
 				var prev []byte
-				err := snap.Scan(nil, nil, nil, nil, func(key, v []byte) ([]byte, bool, error) {
+				err := snap.MultiScan(nil, []Interval{{}}, nil, func(key, v []byte) ([]byte, bool, error) {
 					if prev != nil && bytes.Compare(prev, key) >= 0 {
 						t.Errorf("out-of-order keys %q >= %q", prev, key)
 						return nil, true, nil

@@ -8,11 +8,12 @@ import (
 	"repro/internal/pager"
 )
 
-// TestBatchRaceOverlappingReaders runs batched and single-page readers over
-// overlapping id windows, a prefetcher, and a writer churning a disjoint
-// page set through Reclaimer frees and re-allocations — so frames are
-// constantly reused between the two populations. Run with -race; the
-// content checks catch any frame that is handed out stale.
+// TestBatchRaceOverlappingReaders runs batched readers (Prefetch of a window,
+// then Read of each page) and single-page readers over overlapping id
+// windows, a prefetcher, and a writer churning a disjoint page set through
+// Reclaimer frees and re-allocations — so frames are constantly reused
+// between the two populations. Run with -race; the content checks catch any
+// frame that is handed out stale.
 func TestBatchRaceOverlappingReaders(t *testing.T) {
 	mf := pager.NewMemFile(0)
 	p, err := New(mf, Config{Pages: 64})
@@ -60,27 +61,24 @@ func TestBatchRaceOverlappingReaders(t *testing.T) {
 		return true
 	}
 
-	for g := 0; g < 2; g++ { // batched readers
+	for g := 0; g < 2; g++ { // batched readers: prefetch a window, then read it
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			rb := make([]byte, p.PageSize())
 			for i := 0; i < iters; i++ {
 				lo := rng.Intn(len(stable) - 8)
 				win := stable[lo : lo+8]
-				bufs, errs := p.PinBatch(win)
-				if errs != nil {
-					errCh <- errs[0]
-					return
-				}
-				for k, id := range win {
-					if !check(id, bufs[k]) {
+				p.Prefetch(win)
+				for _, id := range win {
+					if err := p.Read(id, rb); err != nil {
+						errCh <- err
 						return
 					}
-				}
-				if err := p.UnpinBatch(win, bufs, false); err != nil {
-					errCh <- err
-					return
+					if !check(id, rb) {
+						return
+					}
 				}
 			}
 		}(int64(g))

@@ -44,72 +44,12 @@ func wantPage(t *testing.T, size int, id pager.PageID, got []byte) {
 	}
 }
 
-func TestPinBatchBasic(t *testing.T) {
-	p, _, ids := newBatchPool(t, 64, 40)
-	bufs, errs := p.PinBatch(ids)
-	if errs != nil {
-		t.Fatalf("PinBatch errors: %v", errs)
-	}
-	for i, id := range ids {
-		wantPage(t, p.PageSize(), id, bufs[i])
-	}
-	st := p.PoolStats()
-	if st.Misses != 40 || st.Hits != 0 {
-		t.Fatalf("stats after cold batch: hits=%d misses=%d, want 0/40", st.Hits, st.Misses)
-	}
-	if st.BatchReads == 0 {
-		t.Fatalf("no batched backing reads recorded")
-	}
-	// Second batch over the same pages: all hits, no further physical I/O.
-	phys := st.PhysicalReads
-	bufs2, errs := p.PinBatch(ids)
-	if errs != nil {
-		t.Fatalf("warm PinBatch errors: %v", errs)
-	}
-	st = p.PoolStats()
-	if st.Hits != 40 || st.PhysicalReads != phys {
-		t.Fatalf("warm batch: hits=%d phys=%d, want 40/%d", st.Hits, st.PhysicalReads, phys)
-	}
-	if err := p.UnpinBatch(ids, bufs, false); err != nil {
-		t.Fatalf("unpin 1: %v", err)
-	}
-	if err := p.UnpinBatch(ids, bufs2, false); err != nil {
-		t.Fatalf("unpin 2: %v", err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-}
-
-func TestPinBatchDuplicates(t *testing.T) {
-	p, _, ids := newBatchPool(t, 16, 4)
-	req := []pager.PageID{ids[0], ids[1], ids[0], ids[1], ids[0]}
-	bufs, errs := p.PinBatch(req)
-	if errs != nil {
-		t.Fatalf("PinBatch errors: %v", errs)
-	}
-	for i, id := range req {
-		wantPage(t, p.PageSize(), id, bufs[i])
-	}
-	st := p.PoolStats()
-	if st.Misses != 2 || st.Hits != 3 {
-		t.Fatalf("dup stats: hits=%d misses=%d, want 3/2", st.Hits, st.Misses)
-	}
-	// Each occurrence holds one pin: the page survives 2 unpins and is
-	// freed only after the third.
-	if err := p.UnpinBatch(req, bufs, false); err != nil {
-		t.Fatalf("unpin: %v", err)
-	}
-	if err := p.Unpin(ids[0], false); !errors.Is(err, ErrNotPinned) {
-		t.Fatalf("extra unpin: got %v, want ErrNotPinned", err)
-	}
-}
-
-// TestPinBatchFaultIsolation drives injected sub-read failures through the
-// whole stack: the failed page reports its error, sibling frames are
-// installed with correct contents, and the failed page is NOT left resident
-// (a later read retries and succeeds).
-func TestPinBatchFaultIsolation(t *testing.T) {
+// TestPrefetchFaultIsolation drives an injected sub-read failure through a
+// prefetch: the chunk's other pages are installed with correct contents,
+// and the failed page is NOT left resident — the synchronous Read that
+// follows goes to the file, where a fault surfaces as its error, and a
+// later read retries and succeeds. A closed pool prefetches nothing.
+func TestPrefetchFaultIsolation(t *testing.T) {
 	mf := pager.NewMemFile(0)
 	ids := make([]pager.PageID, 8)
 	buf := make([]byte, mf.PageSize())
@@ -129,43 +69,37 @@ func TestPinBatchFaultIsolation(t *testing.T) {
 		t.Fatalf("pool: %v", err)
 	}
 	ff.FailNth(faultfs.OpRead, 3, nil) // third sub-read of the batch fails
-	bufs, errs := p.PinBatch(ids)
-	if errs == nil {
-		t.Fatalf("expected a per-page error")
+	if n := p.Prefetch(ids); n != len(ids)-1 {
+		t.Fatalf("Prefetch loaded %d, want %d", n, len(ids)-1)
 	}
-	failed := -1
-	for i, e := range errs {
-		if e == nil {
-			continue
-		}
-		if failed != -1 {
-			t.Fatalf("more than one failed position: %d and %d", failed, i)
-		}
-		failed = i
-		if !errors.Is(e, faultfs.ErrInjected) {
-			t.Fatalf("position %d: got %v, want ErrInjected", i, e)
-		}
-		if bufs[i] != nil {
-			t.Fatalf("failed position %d still has a buffer", i)
-		}
-	}
-	if failed != 2 {
-		t.Fatalf("failed position = %d, want 2 (third sub-read)", failed)
-	}
+	const failed = 2
+	physBefore := mf.Stats().Reads
 	for i, id := range ids {
 		if i == failed {
 			continue
 		}
-		wantPage(t, p.PageSize(), id, bufs[i]) // siblings not poisoned
+		if err := p.Read(id, buf); err != nil {
+			t.Fatalf("read %d: %v", id, err)
+		}
+		wantPage(t, p.PageSize(), id, buf) // siblings not poisoned
 	}
-	// The failed page never became resident; a retry succeeds.
-	rbuf := make([]byte, p.PageSize())
-	if err := p.Read(ids[failed], rbuf); err != nil {
+	if got := mf.Stats().Reads - physBefore; got != 0 {
+		t.Fatalf("sibling reads hit the backing file %d times", got)
+	}
+	// The failed page never became resident: its read reaches the file.
+	ff.FailNth(faultfs.OpRead, 1, nil)
+	if err := p.Read(ids[failed], buf); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("read of the failed page: got %v, want ErrInjected", err)
+	}
+	if err := p.Read(ids[failed], buf); err != nil {
 		t.Fatalf("retry read: %v", err)
 	}
-	wantPage(t, p.PageSize(), ids[failed], rbuf)
-	if err := p.UnpinBatch(ids, bufs, false); err != nil {
-		t.Fatalf("unpin: %v", err)
+	wantPage(t, p.PageSize(), ids[failed], buf)
+	if err := p.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if n := p.Prefetch(ids); n != 0 {
+		t.Fatalf("Prefetch on closed pool loaded %d", n)
 	}
 }
 
@@ -269,24 +203,5 @@ func TestResetDropsUnpinnedKeepsPinned(t *testing.T) {
 	wantPage(t, p.PageSize(), ids[0], pinned)
 	if err := p.Unpin(ids[0], false); err != nil {
 		t.Fatalf("unpin: %v", err)
-	}
-}
-
-func TestPinBatchOnClosedPool(t *testing.T) {
-	p, _, ids := newBatchPool(t, 16, 4)
-	if err := p.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	bufs, errs := p.PinBatch(ids)
-	if errs == nil {
-		t.Fatalf("PinBatch on closed pool returned no errors")
-	}
-	for i := range ids {
-		if !errors.Is(errs[i], ErrClosed) || bufs[i] != nil {
-			t.Fatalf("position %d: err=%v buf=%v, want ErrClosed/nil", i, errs[i], bufs[i])
-		}
-	}
-	if n := p.Prefetch(ids); n != 0 {
-		t.Fatalf("Prefetch on closed pool loaded %d", n)
 	}
 }

@@ -66,7 +66,7 @@ type Stats struct {
 	PhysicalReads  int64 // page reads issued to the backing file
 	PhysicalWrites int64 // page writes issued to the backing file
 
-	// Batched-read and prefetch accounting (see PinBatch/Prefetch).
+	// Batched-read and prefetch accounting (see Prefetch).
 	BatchReads     int64 // ReadBatch calls issued to the backing file
 	PrefetchPages  int64 // pages loaded into frames by Prefetch
 	PrefetchHits   int64 // prefetched frames later served to a page request
@@ -507,6 +507,18 @@ func (p *Pool) PoolStats() Stats {
 // flushLocked writes back every dirty frame and syncs the backing file when
 // it supports Sync.
 func (p *Pool) flushLocked() error {
+	if err := p.writeBackLocked(); err != nil {
+		return err
+	}
+	if s, ok := p.inner.(syncer); ok {
+		return s.Sync()
+	}
+	return nil
+}
+
+// writeBackLocked writes every dirty frame back to the backing file, without
+// a sync.
+func (p *Pool) writeBackLocked() error {
 	for fi := range p.frames {
 		f := &p.frames[fi]
 		if !f.dirty {
@@ -524,9 +536,6 @@ func (p *Pool) flushLocked() error {
 		p.stats.flushes.Add(1)
 		p.noteStoreLocked(f.id)
 		f.dirty = false
-	}
-	if s, ok := p.inner.(syncer); ok {
-		return s.Sync()
 	}
 	return nil
 }

@@ -131,7 +131,7 @@ func (c *Tree) PageCount() (int, error) { return c.t.PageCount() }
 func (c *Tree) Height() int { return c.t.Height() }
 
 // DropCache empties the tree's decoded-node cache.
-func (c *Tree) DropCache() error { return c.t.DropCache() }
+func (c *Tree) DropCache() { c.t.DropCache() }
 
 // Result is one matched entry.
 type Result struct {

@@ -193,22 +193,18 @@ func (c *Tree) Len() int { return c.t.Len() }
 // chains (long object-id lists spill out of the leaves; they are part of
 // the structure's footprint).
 func (c *Tree) PageCount() (int, error) {
-	n, err := c.t.PageCount()
+	st, err := c.t.Stats()
 	if err != nil {
 		return 0, err
 	}
-	ov, err := c.t.OverflowPageCount()
-	if err != nil {
-		return 0, err
-	}
-	return n + ov, nil
+	return st.InternalNodes + st.LeafNodes + st.OverflowPages, nil
 }
 
 // Height returns the tree height.
 func (c *Tree) Height() int { return c.t.Height() }
 
 // DropCache empties the tree's decoded-node cache.
-func (c *Tree) DropCache() error { return c.t.DropCache() }
+func (c *Tree) DropCache() { c.t.DropCache() }
 
 // Result is one matched object.
 type Result struct {

@@ -88,9 +88,7 @@ func TestConcurrentReaders(t *testing.T) {
 				f = pool
 			}
 			tree := buildStressTree(t, f)
-			if err := tree.DropCache(); err != nil {
-				t.Fatal(err)
-			}
+			tree.DropCache()
 			queries := chQueries()
 			want := make([][]Result, len(queries))
 			for i, q := range queries {
@@ -141,9 +139,7 @@ func TestConcurrentReaders(t *testing.T) {
 // counts equal a sequential run under one shared tracker.
 func TestConcurrentTrackerInvariance(t *testing.T) {
 	tree := buildStressTree(t, pager.NewMemFile(0))
-	if err := tree.DropCache(); err != nil {
-		t.Fatal(err)
-	}
+	tree.DropCache()
 	queries := chQueries()
 
 	shared := pager.NewTracker()

@@ -351,7 +351,7 @@ func (ix *Index) PageCount() (int, error) { return ix.tree.PageCount() }
 
 // DropCache empties the tree's decoded-node cache (cold-cache
 // measurements); it writes nothing.
-func (ix *Index) DropCache() error { return ix.tree.DropCache() }
+func (ix *Index) DropCache() { ix.tree.DropCache() }
 
 // NodeCacheStats reports the underlying B-tree's shared decoded-node cache
 // counters.

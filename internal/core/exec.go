@@ -19,8 +19,8 @@ const (
 	// parent-node skip.
 	Parallel Algorithm = iota
 	// Forward is the baseline of Section 3.3: find the first relevant
-	// entry with a standard B-tree search, then scan the leaf chain
-	// forward across the whole spanned range, filtering.
+	// entry with a standard B-tree search, then scan forward across the
+	// whole spanned range, filtering, with no skips.
 	Forward
 )
 
@@ -129,7 +129,7 @@ func (ix *Index) runPlan(ctx context.Context, v *btree.Snap, p *plan, alg Algori
 		// irrelevant classes. This is the Section-3.3 baseline the
 		// parallel algorithm is measured against in Table 1.
 		for _, iv := range btree.NormalizeIntervals(p.valueIntervals) {
-			err = v.ScanKeys(ctx, iv.Lo, iv.Hi, tr, func(k, _ []byte) ([]byte, bool, error) {
+			err = v.MultiScanKeys(ctx, []btree.Interval{iv}, tr, func(k, _ []byte) ([]byte, bool, error) {
 				_, err := emit(k)
 				return nil, false, err
 			})

@@ -290,14 +290,10 @@ func (sh *Sharded) Len() int {
 }
 
 // DropCache empties every shard's decoded-node cache.
-func (sh *Sharded) DropCache() error {
-	var first error
+func (sh *Sharded) DropCache() {
 	for _, ix := range sh.shards {
-		if err := ix.DropCache(); err != nil && first == nil {
-			first = err
-		}
+		ix.DropCache()
 	}
-	return first
 }
 
 // NodeCacheStats sums the decoded-node cache counters across shards.

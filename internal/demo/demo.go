@@ -105,12 +105,10 @@ func Build(opts uindex.Options) (*uindex.Database, map[uindex.OID]string, error)
 // ParseDurability maps the -durability flag values to the engine's modes.
 func ParseDurability(s string) (uindex.Durability, error) {
 	switch s {
-	case "none":
-		return uindex.DurabilityNone, nil
 	case "checkpoint":
 		return uindex.DurabilityCheckpoint, nil
 	case "wal":
 		return uindex.DurabilityWAL, nil
 	}
-	return 0, fmt.Errorf("unknown durability %q (want none, checkpoint, or wal)", s)
+	return 0, fmt.Errorf("unknown durability %q (want checkpoint or wal)", s)
 }

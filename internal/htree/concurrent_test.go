@@ -76,9 +76,7 @@ func TestConcurrentReaders(t *testing.T) {
 				f = pool
 			}
 			forest := buildStressForest(t, f)
-			if err := forest.DropCache(); err != nil {
-				t.Fatal(err)
-			}
+			forest.DropCache()
 			queries := hQueries()
 			want := make([][]Result, len(queries))
 			for i, q := range queries {
@@ -129,9 +127,7 @@ func TestConcurrentReaders(t *testing.T) {
 // counts equal a sequential run under one shared tracker.
 func TestConcurrentTrackerInvariance(t *testing.T) {
 	forest := buildStressForest(t, pager.NewMemFile(0))
-	if err := forest.DropCache(); err != nil {
-		t.Fatal(err)
-	}
+	forest.DropCache()
 	queries := hQueries()
 
 	shared := pager.NewTracker()

@@ -163,13 +163,10 @@ func (h *Forest) PageCount() (int, error) {
 }
 
 // DropCache empties every per-set tree's decoded-node cache.
-func (h *Forest) DropCache() error {
+func (h *Forest) DropCache() {
 	for _, t := range h.trees {
-		if err := t.DropCache(); err != nil {
-			return err
-		}
+		t.DropCache()
 	}
-	return nil
 }
 
 // Result is one matched entry.

@@ -287,11 +287,7 @@ func (ix *Index) Len() int { return ix.primary.Len() }
 // PageCount returns the pages of the primary plus auxiliary structures,
 // including the primary's directory overflow chains.
 func (ix *Index) PageCount() (int, error) {
-	p, err := ix.primary.PageCount()
-	if err != nil {
-		return 0, err
-	}
-	ov, err := ix.primary.OverflowPageCount()
+	st, err := ix.primary.Stats()
 	if err != nil {
 		return 0, err
 	}
@@ -299,7 +295,7 @@ func (ix *Index) PageCount() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p + ov + a, nil
+	return st.InternalNodes + st.LeafNodes + st.OverflowPages + a, nil
 }
 
 // Flush persists both structures' tree metadata to the page file.
@@ -311,11 +307,9 @@ func (ix *Index) Flush() error {
 }
 
 // DropCache empties both structures' decoded-node caches.
-func (ix *Index) DropCache() error {
-	if err := ix.primary.DropCache(); err != nil {
-		return err
-	}
-	return ix.aux.DropCache()
+func (ix *Index) DropCache() {
+	ix.primary.DropCache()
+	ix.aux.DropCache()
 }
 
 // collect gathers the oids of a directory belonging to class or any of its

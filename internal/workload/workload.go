@@ -255,17 +255,11 @@ func (db *LargeDB) PoolStats() bufferpool.Stats {
 
 // DropCaches empties all four structures' node caches, so that
 // subsequent traffic reaches the page files (and any pools) again.
-func (db *LargeDB) DropCaches() error {
-	if err := db.UIndex.DropCache(); err != nil {
-		return err
-	}
-	if err := db.CG.DropCache(); err != nil {
-		return err
-	}
-	if err := db.CH.DropCache(); err != nil {
-		return err
-	}
-	return db.H.DropCache()
+func (db *LargeDB) DropCaches() {
+	db.UIndex.DropCache()
+	db.CG.DropCache()
+	db.CH.DropCache()
+	db.H.DropCache()
 }
 
 // Key8 encodes a key value the way every structure in the large experiment

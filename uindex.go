@@ -173,10 +173,6 @@ const (
 	// Checkpoint calls, at CreateIndex (the freshly built index), and at
 	// Close and DropIndex.
 	DurabilityCheckpoint Durability = iota
-	// DurabilityNone checkpoints only at explicit Checkpoint calls and at
-	// CreateIndex; Close and DropIndex discard everything after the last
-	// checkpoint (the file keeps that checkpoint intact).
-	DurabilityNone
 	// DurabilityWAL puts a group-commit write-ahead log in front of the
 	// shadow-paging checkpoints: every write call — Insert, Set, Delete, or
 	// a whole Apply batch — appends one logical record to Dir/wal.log and
@@ -412,13 +408,11 @@ func newDatabase(s *Schema, opts Options) (*Database, error) {
 	}, nil
 }
 
-// Close marks the database closed, checkpoints every disk-backed index
-// (unless Options.Durability is DurabilityNone, which discards work after
-// the last checkpoint), and releases buffer pools and files. It waits for
-// in-flight operations — including queries through open Snapshots, which
-// are released here so no epoch pin survives Close; subsequent operations
-// fail with ErrClosed (snapshot queries with ErrSnapshotReleased). Close is
-// idempotent.
+// Close marks the database closed, checkpoints every disk-backed index, and
+// releases buffer pools and files. It waits for in-flight operations —
+// including queries through open Snapshots, which are released here so no
+// epoch pin survives Close; subsequent operations fail with ErrClosed
+// (snapshot queries with ErrSnapshotReleased). Close is idempotent.
 func (db *Database) Close() error { return db.close(true) }
 
 // close(false) is Close for a database that failed before it was handed to a
@@ -493,37 +487,16 @@ func (g *indexGroup) release(checkpoint bool) error {
 	return first
 }
 
-// DropCaches empties every index's in-memory node cache so subsequent
-// reads go through the page files (and their buffer pools, when
-// configured). Cold-cache measurements call this between the build and
-// measure phases; it takes the catalog write lock, so no catalog changes
-// may race it, and each index's write lock, so no mutations are in flight.
-func (db *Database) DropCaches() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	var first error
-	for _, name := range db.order {
-		g := db.groups[name]
-		g.sharded.LockShards(g.sharded.AllShards())
-		err := g.sharded.DropCache()
-		g.sharded.UnlockShards(g.sharded.AllShards())
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// DropPageCaches is DropCaches plus the page layers below it: every buffer
-// pool is reset (dirty frames flushed, unpinned frames dropped) and every
-// disk-backed page file asks the OS to evict its page-cache contents
-// (posix_fadvise DONTNEED; a no-op on in-memory files and non-Linux
-// systems). After it returns, the next query's reads hit the actual device —
-// this is what the cold-cache benchmark calls between iterations. Locking
-// matches DropCaches: the catalog write lock plus every index's write locks.
+// DropPageCaches empties every cache between a query and the device: each
+// index's decoded-node cache, every buffer pool (dirty frames written back,
+// unpinned frames dropped), and the OS page cache of every disk-backed page
+// file (posix_fadvise DONTNEED; a no-op on in-memory files and non-Linux
+// systems). It publishes nothing: a pool reset writes dirty frames back as
+// eviction does, without a sync, so the checkpoint the manifest records stays
+// readable. After it returns, the next query's reads hit the actual device —
+// this is what the cold-cache benchmark calls between iterations. It takes
+// the catalog write lock, so no catalog changes may race it, and each index's
+// write locks, so no mutations are in flight.
 func (db *Database) DropPageCaches() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -534,9 +507,7 @@ func (db *Database) DropPageCaches() error {
 	for _, name := range db.order {
 		g := db.groups[name]
 		g.sharded.LockShards(g.sharded.AllShards())
-		if err := g.sharded.DropCache(); err != nil && first == nil {
-			first = err
-		}
+		g.sharded.DropCache()
 		for _, pool := range g.pools {
 			if pool == nil {
 				continue
@@ -798,9 +769,8 @@ func (db *Database) Checkpoint() error {
 }
 
 // DropIndex removes an index, closing its buffer pools and disk files if it
-// has them. A disk-backed index is checkpointed first (unless the database
-// runs with DurabilityNone); its files are left on disk and can be
-// re-attached by a later CreateIndex with the same name.
+// has them. A disk-backed index is checkpointed first; its files are left on
+// disk and can be re-attached by a later CreateIndex with the same name.
 func (db *Database) DropIndex(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
