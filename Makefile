@@ -26,8 +26,11 @@ vet:
 
 # Tier-2 durability check, race-enabled and uncached: the crash matrix
 # (power-cut at every I/O op under both power models), torn/short-write
-# header tears, page/file/snapshot corruption sweeps, and the fault-
-# injection propagation tests across pager, bufferpool, and facade.
+# header tears, the bytes each commit record writes, page/file/snapshot
+# corruption sweeps, the fault-injection propagation tests across pager,
+# bufferpool, and facade, and the checkpoint-window crash (writers
+# between a shard's sync and the manifest commit, then a crash image that
+# must reopen: TestWALCheckpointWindowCrash).
 crash:
 	$(GO) test -race -count=1 ./internal/faultfs/
 	$(GO) test -race -count=1 -run 'Corrupt|Crash|Torn|Header|Recover|Orphan|Fault|Fail|Checkpoint|Durab|FlushMeta|FlushReleases' ./internal/pager/ ./internal/bufferpool/ ./internal/btree/ .
@@ -35,7 +38,8 @@ crash:
 # Write-ahead-log check, race-enabled and uncached: the log's unit suite
 # (framing, torn tails, group-commit coalescing, truncation slots), the
 # facade recovery tests (crash images, replay idempotence, writers
-# progressing through an in-flight incremental checkpoint), the WAL crash
+# progressing through an in-flight incremental checkpoint, a crash inside
+# the window between the shard syncs and the manifest commits), the WAL crash
 # matrix (power-cut at every log/data/manifest op under both power
 # models, torn writes), and the /metrics wal_* series.
 wal:

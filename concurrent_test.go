@@ -296,3 +296,46 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestGetSetRace: an object returned by Get is a published value that a
+// concurrent Set of the same object never modifies in place (run under
+// -race).
+func TestGetSetRace(t *testing.T) {
+	db, err := NewDatabaseWith(vehicleSchema(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateIndex(colorSpec); err != nil {
+		t.Fatal(err)
+	}
+	oid := insertVehicles(t, db, []string{"Red"})[0]
+	const n = 20000
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		colors := []string{"White", "Red"}
+		for i := 0; i < n; i++ {
+			if err := db.Set(oid, "Color", colors[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			o, ok := db.Get(oid)
+			if !ok {
+				t.Error("object vanished")
+				return
+			}
+			if v, ok := o.Attr("Color"); !ok || (v != "Red" && v != "White") {
+				t.Errorf("Color = %v, %v", v, ok)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}

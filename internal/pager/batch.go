@@ -149,7 +149,7 @@ func (d *DiskFile) ReadBatch(ids []PageID, bufs [][]byte) []error {
 				// Bulk read failed: retry this page alone so the error
 				// (or a late success) is attributed per sub-read.
 				slot = slot[:d.pageSize+4]
-				if err := readFull(d.b, slot, d.offset(ids[i])); err != nil {
+				if err := ReadFull(d.b, slot, d.offset(ids[i])); err != nil {
 					fail(i, err)
 					continue
 				}
@@ -173,7 +173,7 @@ func (d *DiskFile) ReadBatch(ids []PageID, bufs [][]byte) []error {
 func (d *DiskFile) readRuns(runs []ioRun) []error {
 	errs := make([]error, len(runs))
 	if len(runs) == 1 {
-		errs[0] = readFull(d.b, runs[0].buf, runs[0].off)
+		errs[0] = ReadFull(d.b, runs[0].buf, runs[0].off)
 		return errs
 	}
 	if fd, ok := blockFd(d.b); ok {
@@ -192,7 +192,7 @@ func (d *DiskFile) readRuns(runs []ioRun) []error {
 					if i >= len(runs) {
 						return
 					}
-					errs[i] = readFull(d.b, runs[i].buf, runs[i].off)
+					errs[i] = ReadFull(d.b, runs[i].buf, runs[i].off)
 				}
 			}()
 		}
@@ -200,7 +200,7 @@ func (d *DiskFile) readRuns(runs []ioRun) []error {
 		return errs
 	}
 	for i := range runs {
-		errs[i] = readFull(d.b, runs[i].buf, runs[i].off)
+		errs[i] = ReadFull(d.b, runs[i].buf, runs[i].off)
 	}
 	return errs
 }

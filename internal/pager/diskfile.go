@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 )
 
@@ -25,19 +24,19 @@ import (
 //   - Shadow-paged atomic checkpoints. Write and Alloc never overwrite a
 //     page that is reachable from the last checkpoint (callers — the
 //     copy-on-write B+-tree — write only freshly allocated pages), and
-//     Free only defers a page to an in-memory pending list. Sync (a
+//     Free only lists a page in memory. Sync (a
 //     checkpoint) fsyncs the data, then publishes the new file state by
-//     writing one slot of a double-buffered, generation-numbered,
-//     checksummed header pair and fsyncing again. A crash at any instant
-//     therefore recovers to exactly the previous or the new checkpoint,
-//     never a mix.
+//     committing the next generation of the header pair, a CommitSlots
+//     record. A crash at any instant therefore recovers to exactly the
+//     previous or the new checkpoint, never a mix.
 //
-//   - Recovery on open. OpenDiskFile picks the newest header slot with a
-//     valid checksum, adopts pages past the checkpointed page count
-//     (orphaned shadow pages) into the pending free list, and rebuilds the
-//     allocable free list by walking the on-disk free chain. Structural
-//     damage — short or garbage headers, a page count pointing past EOF, a
-//     broken free chain — reports ErrCorruptFile.
+//   - Recovery on open. OpenDiskFile elects the newest valid header slot
+//     (or a pinned generation; see OpenDiskFileOnAt), adopts pages past
+//     the checkpointed page count (orphaned shadow pages) into the pending
+//     free list, and rebuilds the allocable free list by walking the
+//     on-disk free chain. Structural damage — short or garbage headers, a
+//     page count pointing past EOF, a broken free chain — reports
+//     ErrCorruptFile.
 //
 // The header also carries a small application payload (SetPayload/Payload),
 // published atomically with each checkpoint; the index layers store their
@@ -51,15 +50,21 @@ type DiskFile struct {
 	gen      uint64 // generation of the last published header
 	payload  []byte // application payload for the next checkpoint
 
-	// Free pages fall in two pools. allocable pages were already free at
-	// the last checkpoint and are safe to reuse immediately. pending pages
-	// were freed (or found orphaned) after it; they are still reachable
-	// from the recoverable state, so reusing them before the next
-	// checkpoint would corrupt recovery. Sync chains pending in front of
-	// allocable, publishes the combined list, and only then promotes it.
+	// Free pages fall in three lists. allocable pages are free in the last
+	// two published generations, so reusing one damages neither the newest
+	// checkpoint nor the one a manifest may roll back to (OpenDiskFileOnAt).
+	// pending pages were freed (or found orphaned) since the last Sync and
+	// waiting ones in the interval before it: the newest generation or its
+	// predecessor still references them. Sync publishes the chain allocable,
+	// waiting, pending, then moves waiting into allocable and pending into
+	// waiting — a page freed after Sync g is reused only after Sync g+2.
+	// fresh holds the pages allocated since the last Sync: no published
+	// generation references them, so freeing one makes it allocable at once.
 	allocable []PageID
+	waiting   []PageID
 	pending   []PageID
-	free      map[PageID]struct{} // membership for both pools
+	free      map[PageID]struct{} // membership for all three lists
+	fresh     map[PageID]struct{}
 
 	stats    Stats
 	rbuf     []byte // payload+CRC scratch, guarded by mu
@@ -80,17 +85,6 @@ type BlockFile interface {
 	Close() error
 }
 
-// osBlock adapts *os.File to BlockFile.
-type osBlock struct{ *os.File }
-
-func (b osBlock) Size() (int64, error) {
-	st, err := b.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
 // ErrCorruptFile reports a page file whose structure cannot be trusted:
 // truncated or garbage headers, geometry pointing past EOF, or a broken
 // free-page chain. Errors from OpenDiskFile match it with errors.Is.
@@ -109,9 +103,11 @@ const (
 	diskMagic   = 0x55494458 // "UIDX"
 	diskVersion = 2
 
-	// Each header slot is 64 bytes; the two slots alternate by generation
-	// parity and both fit in page slot 0, so the minimum page size is 128.
+	// Each header slot is 64 bytes, a 60-byte body and its CRC; the two
+	// slots alternate by generation parity and both fit in page slot 0, so
+	// the minimum page size is 128.
 	headerSlotSize = 64
+	headerBodySize = headerSlotSize - 4
 	headerPairSize = 2 * headerSlotSize
 
 	// Per-page sidecar trailer: 4-byte CRC32C of the payload, then TWO
@@ -154,7 +150,7 @@ func linkOff(gen uint64) int64 {
 //	[32:33) payload length
 //	[33:57) payload
 //	[57:60) zero padding
-//	[60:64) CRC32C of bytes [0:60)
+//	[60:64) CRC32C of bytes [0:60), written by CommitSlots
 type diskHeader struct {
 	gen      uint64
 	pageSize int
@@ -164,8 +160,13 @@ type diskHeader struct {
 	payload  []byte
 }
 
-func encodeHeader(h diskHeader) [headerSlotSize]byte {
-	var b [headerSlotSize]byte
+// headerSlots is the header pair of a page file as a commit record.
+func headerSlots(b BlockFile) CommitSlots {
+	return CommitSlots{B: b, Off: 0, Stride: headerSlotSize, GenAt: 8}
+}
+
+func encodeHeader(h diskHeader) []byte {
+	b := make([]byte, headerBodySize, headerSlotSize)
 	binary.BigEndian.PutUint32(b[0:], diskMagic)
 	binary.BigEndian.PutUint32(b[4:], diskVersion)
 	binary.BigEndian.PutUint64(b[8:], h.gen)
@@ -175,23 +176,15 @@ func encodeHeader(h diskHeader) [headerSlotSize]byte {
 	binary.BigEndian.PutUint32(b[28:], uint32(h.numFree))
 	b[32] = byte(len(h.payload))
 	copy(b[33:33+MaxPayload], h.payload)
-	binary.BigEndian.PutUint32(b[60:], crc32.Checksum(b[:60], castagnoli))
 	return b
 }
 
-// decodeHeader parses one header slot, returning ok=false when the slot is
-// not a valid version-2 header (wrong magic or version, bad checksum, or
-// nonsense geometry).
+// decodeHeader parses an elected header body, returning ok=false when it is
+// not a version-2 header (wrong magic or version, or nonsense geometry).
 func decodeHeader(b []byte) (diskHeader, bool) {
 	var h diskHeader
-	if len(b) < headerSlotSize {
-		return h, false
-	}
 	if binary.BigEndian.Uint32(b[0:]) != diskMagic ||
 		binary.BigEndian.Uint32(b[4:]) != diskVersion {
-		return h, false
-	}
-	if binary.BigEndian.Uint32(b[60:]) != crc32.Checksum(b[:60], castagnoli) {
 		return h, false
 	}
 	h.gen = binary.BigEndian.Uint64(b[8:])
@@ -214,17 +207,9 @@ func decodeHeader(b []byte) (diskHeader, bool) {
 // CreateDiskFile creates (or truncates) a page file at path. pageSize <= 0
 // selects DefaultPageSize; the minimum is MinDiskPageSize.
 func CreateDiskFile(path string, pageSize int) (*DiskFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	d, err := CreateDiskFileOn(osBlock{f}, pageSize)
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	return d, nil
+	return OpenPath(path, true, func(b BlockFile) (*DiskFile, error) {
+		return CreateDiskFileOn(b, pageSize)
+	})
 }
 
 // CreateDiskFileOn initialises a page file on an arbitrary BlockFile, which
@@ -246,6 +231,7 @@ func CreateDiskFileOn(b BlockFile, pageSize int) (*DiskFile, error) {
 		slotSize: int64(pageSize) + slotTrailerSize,
 		numPages: 1,
 		free:     make(map[PageID]struct{}),
+		fresh:    make(map[PageID]struct{}),
 		rbuf:     make([]byte, pageSize+4),
 	}
 	// Zero the whole of slot 0 first so the file always spans complete
@@ -262,40 +248,24 @@ func CreateDiskFileOn(b BlockFile, pageSize int) (*DiskFile, error) {
 // OpenDiskFile opens an existing page file created by CreateDiskFile,
 // recovering to its last durable checkpoint.
 func OpenDiskFile(path string) (*DiskFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, err
-	}
-	d, err := OpenDiskFileOn(osBlock{f})
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return d, nil
+	return OpenPath(path, false, OpenDiskFileOn)
 }
 
 // OpenDiskFileAt is OpenDiskFile pinned to an explicit generation; see
 // OpenDiskFileOnAt.
 func OpenDiskFileAt(path string, gen uint64) (*DiskFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, err
-	}
-	d, err := OpenDiskFileOnAt(osBlock{f}, gen)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return d, nil
+	return OpenPath(path, false, func(b BlockFile) (*DiskFile, error) {
+		return OpenDiskFileOnAt(b, gen)
+	})
 }
 
 // OpenDiskFileOn recovers a page file from an arbitrary BlockFile. It
-// selects the newest header slot with a valid checksum, adopts orphaned
-// shadow pages written after that checkpoint into the pending free list,
-// and rebuilds the allocable free list from the on-disk chain. Structural
-// damage returns an error matching ErrCorruptFile.
+// elects the newest valid header slot, adopts orphaned shadow pages written
+// after that checkpoint into the pending free list, and rebuilds the
+// allocable free list from the on-disk chain. Structural damage returns an
+// error matching ErrCorruptFile.
 func OpenDiskFileOn(b BlockFile) (*DiskFile, error) {
-	return openDiskFileOn(b, 0, false)
+	return OpenDiskFileOnAt(b, 0)
 }
 
 // OpenDiskFileOnAt recovers a page file at an explicit header generation
@@ -303,14 +273,11 @@ func OpenDiskFileOn(b BlockFile) (*DiskFile, error) {
 // crash separated a shard's checkpoint from the manifest commit recording
 // it. Opening at generation g is sound while the file's newest generation is
 // at most g+1: Alloc preserves the committed generation's sidecar free
-// links, shadow writes only touch pages free at g, and the next checkpoint
-// from the reopened state publishes g+1 over the orphaned slot. The missing
-// generation reports ErrCorruptFile.
+// links, a page freed after g is not reused before g+2 is published, and
+// the next checkpoint from the reopened state publishes g+1 over the
+// orphaned slot. The missing generation reports ErrCorruptFile. Generation
+// 0 is never committed, so gen 0 opens the newest generation.
 func OpenDiskFileOnAt(b BlockFile, gen uint64) (*DiskFile, error) {
-	return openDiskFileOn(b, gen, true)
-}
-
-func openDiskFileOn(b BlockFile, wantGen uint64, pinned bool) (*DiskFile, error) {
 	size, err := b.Size()
 	if err != nil {
 		return nil, err
@@ -318,34 +285,17 @@ func openDiskFileOn(b BlockFile, wantGen uint64, pinned bool) (*DiskFile, error)
 	if size < headerPairSize {
 		return nil, fmt.Errorf("%w: file too short for header pair (%d bytes)", ErrCorruptFile, size)
 	}
-	var pair [headerPairSize]byte
-	if err := readFull(b, pair[:], 0); err != nil {
-		return nil, fmt.Errorf("%w: reading header pair: %v", ErrCorruptFile, err)
+	body, ok := headerSlots(b).Elect(headerBodySize, gen)
+	if !ok {
+		if gen != 0 {
+			return nil, fmt.Errorf("%w: no valid header for generation %d", ErrCorruptFile, gen)
+		}
+		return nil, fmt.Errorf("%w: no valid header (bad checksum or generation)", ErrCorruptFile)
 	}
-	h0, ok0 := decodeHeader(pair[0:headerSlotSize])
-	h1, ok1 := decodeHeader(pair[headerSlotSize:])
-	var hdr diskHeader
-	switch {
-	case pinned:
-		switch {
-		case ok0 && h0.gen == wantGen:
-			hdr = h0
-		case ok1 && h1.gen == wantGen:
-			hdr = h1
-		default:
-			return nil, fmt.Errorf("%w: no valid header for generation %d", ErrCorruptFile, wantGen)
-		}
-	case ok0 && ok1:
-		hdr = h0
-		if h1.gen > h0.gen {
-			hdr = h1
-		}
-	case ok0:
-		hdr = h0
-	case ok1:
-		hdr = h1
-	default:
-		return nil, fmt.Errorf("%w: no valid header (bad magic, version, or checksum)", ErrCorruptFile)
+	hdr, ok := decodeHeader(body)
+	if !ok {
+		return nil, fmt.Errorf("%w: header generation %d has bad magic, version, or geometry",
+			ErrCorruptFile, binary.BigEndian.Uint64(body[8:]))
 	}
 	d := &DiskFile{
 		b:        b,
@@ -355,6 +305,7 @@ func openDiskFileOn(b BlockFile, wantGen uint64, pinned bool) (*DiskFile, error)
 		gen:      hdr.gen,
 		payload:  hdr.payload,
 		free:     make(map[PageID]struct{}),
+		fresh:    make(map[PageID]struct{}),
 		rbuf:     make([]byte, hdr.pageSize+4),
 	}
 	physPages := int(size / d.slotSize) // a torn tail slot is not a page
@@ -376,7 +327,7 @@ func openDiskFileOn(b BlockFile, wantGen uint64, pinned bool) (*DiskFile, error)
 		d.free[cur] = struct{}{}
 		d.allocable = append(d.allocable, cur)
 		var link [4]byte
-		if err := readFull(b, link[:], d.offset(cur)+int64(d.pageSize)+linkOff(hdr.gen)); err != nil {
+		if err := ReadFull(b, link[:], d.offset(cur)+int64(d.pageSize)+linkOff(hdr.gen)); err != nil {
 			return nil, fmt.Errorf("%w: reading free link of page %d: %v", ErrCorruptFile, cur, err)
 		}
 		cur = PageID(binary.BigEndian.Uint32(link[:]))
@@ -393,18 +344,6 @@ func openDiskFileOn(b BlockFile, wantGen uint64, pinned bool) (*DiskFile, error)
 		d.free[PageID(id)] = struct{}{}
 	}
 	return d, nil
-}
-
-// readFull reads exactly len(buf) bytes at off; a short read is an error.
-func readFull(b io.ReaderAt, buf []byte, off int64) error {
-	n, err := b.ReadAt(buf, off)
-	if n == len(buf) {
-		return nil
-	}
-	if err == nil || err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // PageSize implements File.
@@ -424,9 +363,10 @@ func (d *DiskFile) checkID(id PageID) error {
 	return nil
 }
 
-// Alloc implements File. Only pages that were already free at the last
-// checkpoint are recycled; pages freed since then stay quarantined until
-// the next Sync so that recovery never finds them overwritten.
+// Alloc implements File. Only allocable pages are recycled — free in the
+// last two published generations, or allocated and freed since the last
+// Sync — so that recovery, or a rollback by one generation, never finds
+// them overwritten.
 func (d *DiskFile) Alloc() (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -445,6 +385,7 @@ func (d *DiskFile) Alloc() (PageID, error) {
 		}
 		d.allocable = d.allocable[1:]
 		delete(d.free, id)
+		d.fresh[id] = struct{}{}
 		return id, nil
 	}
 	id := PageID(d.numPages)
@@ -456,6 +397,7 @@ func (d *DiskFile) Alloc() (PageID, error) {
 		return NilPage, err
 	}
 	d.numPages++
+	d.fresh[id] = struct{}{}
 	return id, nil
 }
 
@@ -471,7 +413,7 @@ func (d *DiskFile) Read(id PageID, buf []byte) error {
 		return err
 	}
 	d.stats.Reads++
-	if err := readFull(d.b, d.rbuf, d.offset(id)); err != nil {
+	if err := ReadFull(d.b, d.rbuf, d.offset(id)); err != nil {
 		return fmt.Errorf("pager: reading page %d: %w", id, err)
 	}
 	sum := binary.BigEndian.Uint32(d.rbuf[d.pageSize:])
@@ -500,9 +442,10 @@ func (d *DiskFile) Write(id PageID, buf []byte) error {
 	return err
 }
 
-// Free implements File. The page is only quarantined in memory; nothing is
+// Free implements File. The page is only listed in memory; nothing is
 // written until the next Sync publishes the extended free list, so freeing
-// can never damage the state a crash would recover to.
+// can never damage the state a crash would recover to. A page allocated
+// since the last Sync is allocable again at once; any other waits two Syncs.
 func (d *DiskFile) Free(id PageID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -513,8 +456,13 @@ func (d *DiskFile) Free(id PageID) error {
 		return fmt.Errorf("%w: %d", ErrFreed, id)
 	}
 	d.stats.Frees++
-	d.pending = append(d.pending, id)
 	d.free[id] = struct{}{}
+	if _, ok := d.fresh[id]; ok {
+		delete(d.fresh, id)
+		d.allocable = append(d.allocable, id)
+		return nil
+	}
+	d.pending = append(d.pending, id)
 	return nil
 }
 
@@ -561,10 +509,9 @@ func (d *DiskFile) Generation() uint64 {
 	return d.gen
 }
 
-// Sync checkpoints the file: it links the pending and allocable free pages
-// into one on-disk chain, fsyncs all data written so far, publishes a new
-// header generation (geometry, free list, payload, checksum) into the
-// inactive slot of the header pair, and fsyncs again. After Sync returns
+// Sync checkpoints the file: it links the free pages into one on-disk chain,
+// fsyncs all data written so far, and commits a new header generation
+// (geometry, free list, payload) into the inactive slot of the header pair. After Sync returns
 // nil the current state survives a crash; if it returns an error the
 // previous checkpoint remains intact and recoverable.
 func (d *DiskFile) Sync() error {
@@ -585,15 +532,16 @@ func (d *DiskFile) Checkpoint(payload []byte) error {
 }
 
 func (d *DiskFile) checkpointLocked() error {
-	// The new free chain is pending (not yet reusable) in front of
-	// allocable (already free at the last checkpoint). It is threaded
+	// The new free chain is allocable, then waiting, then pending, so a
+	// reopened file allocates in the order this one will. It is threaded
 	// through the link slots of the NEW generation's parity, leaving the
 	// committed generation's chain untouched on disk — so these writes are
 	// safe at any crash point, even for a page that sat on the committed
 	// chain, was recycled, and was freed again since.
-	chain := make([]PageID, 0, len(d.pending)+len(d.allocable))
-	chain = append(chain, d.pending...)
+	chain := make([]PageID, 0, len(d.allocable)+len(d.waiting)+len(d.pending))
 	chain = append(chain, d.allocable...)
+	chain = append(chain, d.waiting...)
+	chain = append(chain, d.pending...)
 	var link [4]byte
 	for i, id := range chain {
 		next := NilPage
@@ -621,19 +569,18 @@ func (d *DiskFile) checkpointLocked() error {
 	if len(chain) > 0 {
 		hdr.freeHead = chain[0]
 	}
-	buf := encodeHeader(hdr)
-	slot := int64(hdr.gen%2) * headerSlotSize
-	if _, err := d.b.WriteAt(buf[:], slot); err != nil {
-		return fmt.Errorf("pager: writing header: %w", err)
-	}
-	// Second barrier: the new generation is durable. Only now may pages
-	// freed before this checkpoint be recycled.
-	if err := d.b.Sync(); err != nil {
-		return err
+	// Second barrier: the header commit makes the new generation durable.
+	// Only now do the waiting pages become allocable, the pending ones
+	// waiting.
+	if err := headerSlots(d.b).Commit(encodeHeader(hdr)); err != nil {
+		return fmt.Errorf("pager: committing header: %w", err)
 	}
 	d.gen = hdr.gen
-	d.allocable = chain
+	n := len(d.allocable) + len(d.waiting)
+	d.allocable = chain[:n:n]
+	d.waiting = chain[n:]
 	d.pending = nil
+	clear(d.fresh)
 	return nil
 }
 

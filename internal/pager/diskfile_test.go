@@ -298,8 +298,9 @@ func TestHeaderPairFallback(t *testing.T) {
 }
 
 // TestOrphanReclamation: pages allocated after the last checkpoint are
-// adopted into the free list on recovery and reused after the next
-// checkpoint, so an interrupted checkpoint can never leak disk space.
+// adopted into the free list on recovery and, like any page freed after a
+// checkpoint, reused once two more checkpoints are published, so an
+// interrupted checkpoint can never leak disk space.
 func TestOrphanReclamation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "orphan.db")
 	f, err := CreateDiskFile(path, 128)
@@ -336,7 +337,7 @@ func TestOrphanReclamation(t *testing.T) {
 	if n := g.NumPages(); n != 1 {
 		t.Fatalf("NumPages after recovery = %d, want 1", n)
 	}
-	// The orphans are quarantined: not allocable until a checkpoint...
+	// The orphans are quarantined: not allocable until two checkpoints...
 	first, err := g.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -347,8 +348,10 @@ func TestOrphanReclamation(t *testing.T) {
 	if err := g.Free(first); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Sync(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := g.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// ...and recycled afterwards instead of growing the file.
 	got := map[PageID]bool{}
@@ -366,9 +369,11 @@ func TestOrphanReclamation(t *testing.T) {
 	}
 }
 
-// TestPendingFreeQuarantine: a page freed after a checkpoint must not be
-// handed out again before the next checkpoint, because the recoverable
-// state still references it.
+// TestPendingFreeQuarantine: a page freed after checkpoint g must not be
+// handed out again before checkpoint g+2: generation g references it, and a
+// manifest may roll the file back to g until g+1 is recorded. A page
+// allocated and freed between two checkpoints is in no published generation
+// and is handed out again at once.
 func TestPendingFreeQuarantine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pending.db")
 	f, err := CreateDiskFile(path, 128)
@@ -400,8 +405,24 @@ func TestPendingFreeQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id3 != id {
-		t.Fatalf("Alloc after checkpoint = %d, want promoted page %d", id3, id)
+	if id3 == id {
+		t.Fatal("freed page recycled one checkpoint later; the rollback generation is corrupted")
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	id4, err := f.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id4 != id {
+		t.Fatalf("Alloc after two checkpoints = %d, want promoted page %d", id4, id)
+	}
+	if err := f.Free(id4); err != nil {
+		t.Fatal(err)
+	}
+	if id5, err := f.Alloc(); err != nil || id5 != id4 {
+		t.Fatalf("Alloc after freeing a page allocated since the checkpoint = %d, %v; want page %d", id5, err, id4)
 	}
 }
 

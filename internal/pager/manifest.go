@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"sync"
 )
 
@@ -19,22 +18,26 @@ import (
 //     otherwise recover the shards at different logical points.
 //
 //   - After every group of shard checkpoints, Commit writes the vector of
-//     shard generations into the inactive one of two alternating checksummed
-//     slots and fsyncs. Recovery reads the newest valid slot and reopens
-//     every shard file pinned AT its recorded generation
-//     (OpenDiskFileOnAt), rolling back any shard whose checkpoint made it to
-//     disk without the manifest commit that would have published it.
+//     shard generations as the next generation of a CommitSlots record.
+//     Recovery elects the newest valid slot and reopens every shard file
+//     pinned AT its recorded generation (OpenDiskFileOnAt), rolling back any
+//     shard whose checkpoint made it to disk without the manifest commit
+//     that would have published it.
 //
-//   - This is sound because the engine holds every touched shard's writer
-//     lock across checkpoint + Commit: a shard file's newest generation can
-//     lead its manifest-recorded generation by at most one, which is exactly
-//     the rollback window OpenDiskFileOnAt supports.
+//   - This is sound because checkpoints are serialized and each syncs a
+//     shard file at most once before the Commit that records it: a shard
+//     file's newest generation leads its manifest-recorded generation by at
+//     most one, which is exactly the rollback window OpenDiskFileOnAt
+//     supports. Writers may run between a shard's checkpoint and the Commit
+//     (the WAL checkpointer releases each shard's lock in between); they
+//     cannot damage the recorded generation, because a DiskFile reuses a
+//     freed page only once two later generations are published.
 //
 // The file layout is fault-injection friendly (no rename tricks, works on a
 // raw BlockFile): a checksummed preamble at offset 0 carrying the shard
-// count and routing bounds, then two 512-byte-aligned slots at offsets 512
-// and 1024 selected by generation parity. Torn writes hit only the slot
-// being written; the other slot stays valid.
+// count and routing bounds, then the two commit cells at offsets 512 and
+// 1024, selected by generation parity. Torn writes hit only the cell being
+// written; the other cell stays valid.
 type Manifest struct {
 	mu     sync.Mutex
 	b      BlockFile
@@ -61,12 +64,13 @@ const (
 	manifestSlotSize = 512
 )
 
-// slotLen is the byte length of one commit slot: slot generation, checkpoint
-// LSN, one generation per shard, CRC.
-func slotLen(shards int) int { return 8 + 8 + 8*shards + 4 }
+// slotBodyLen is the byte length of one commit slot's body: slot
+// generation, checkpoint LSN, one generation per shard. CommitSlots appends
+// the CRC.
+func slotBodyLen(shards int) int { return 8 + 8 + 8*shards }
 
-func manifestSlotOff(gen uint64) int64 {
-	return manifestSlot0Off + int64(gen%2)*manifestSlotSize
+func manifestSlots(b BlockFile) CommitSlots {
+	return CommitSlots{B: b, Off: manifestSlot0Off, Stride: manifestSlotSize}
 }
 
 // CreateManifestOn initializes a manifest on an empty BlockFile: it writes
@@ -115,9 +119,9 @@ func CreateManifestOn(b BlockFile, bounds [][]byte, gens []uint64) (*Manifest, e
 	return m, nil
 }
 
-// OpenManifestOn recovers a manifest: it validates the preamble and picks
-// the newest of the two slots with a valid checksum. A damaged preamble or
-// no valid slot reports an error matching ErrCorruptFile.
+// OpenManifestOn recovers a manifest: it validates the preamble and elects
+// the newest valid commit slot. A damaged preamble or no valid slot reports
+// an error matching ErrCorruptFile.
 func OpenManifestOn(b BlockFile) (*Manifest, error) {
 	size, err := b.Size()
 	if err != nil {
@@ -127,7 +131,7 @@ func OpenManifestOn(b BlockFile) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: manifest too short (%d bytes)", ErrCorruptFile, size)
 	}
 	var pre [manifestSlot0Off]byte
-	if err := readFull(b, pre[:], 0); err != nil {
+	if err := ReadFull(b, pre[:], 0); err != nil {
 		return nil, fmt.Errorf("%w: reading manifest preamble: %v", ErrCorruptFile, err)
 	}
 	if binary.BigEndian.Uint32(pre[0:]) != manifestMagic {
@@ -162,75 +166,34 @@ func OpenManifestOn(b BlockFile) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: manifest preamble failed checksum verification", ErrCorruptFile)
 	}
 	m := &Manifest{b: b, shards: shards, bounds: bounds}
-	buf := make([]byte, slotLen(shards))
-	for parity := uint64(0); parity < 2; parity++ {
-		if err := readFull(b, buf, manifestSlotOff(parity)); err != nil {
-			continue
-		}
-		gen, walLSN, gens, ok := decodeManifestSlot(buf, shards, parity)
-		if ok && gen > m.gen {
-			m.gen, m.walLSN, m.gens = gen, walLSN, gens
-		}
-	}
-	if m.gen == 0 {
+	body, ok := manifestSlots(b).Elect(slotBodyLen(shards), 0)
+	if !ok {
 		return nil, fmt.Errorf("%w: manifest has no valid commit slot", ErrCorruptFile)
 	}
+	m.gen = binary.BigEndian.Uint64(body)
+	m.walLSN = binary.BigEndian.Uint64(body[8:])
+	m.gens = make([]uint64, shards)
+	for i := range m.gens {
+		m.gens[i] = binary.BigEndian.Uint64(body[16+8*i:])
+	}
 	return m, nil
-}
-
-// decodeManifestSlot validates one slot: checksum, nonzero generation, and
-// generation parity matching the slot's position (a valid-looking slot in
-// the wrong cell is corruption, since commits only ever write a generation
-// to its own parity cell).
-func decodeManifestSlot(buf []byte, shards int, parity uint64) (uint64, uint64, []uint64, bool) {
-	n := slotLen(shards) - 4
-	if binary.BigEndian.Uint32(buf[n:]) != crc32.Checksum(buf[:n], castagnoli) {
-		return 0, 0, nil, false
-	}
-	gen := binary.BigEndian.Uint64(buf)
-	if gen == 0 || gen%2 != parity {
-		return 0, 0, nil, false
-	}
-	walLSN := binary.BigEndian.Uint64(buf[8:])
-	gens := make([]uint64, shards)
-	for i := range gens {
-		gens[i] = binary.BigEndian.Uint64(buf[16+8*i:])
-	}
-	return gen, walLSN, gens, true
 }
 
 // CreateManifestFile creates path (truncating any previous contents) and
 // initializes a manifest on it.
 func CreateManifestFile(path string, bounds [][]byte, gens []uint64) (*Manifest, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	m, err := CreateManifestOn(osBlock{f}, bounds, gens)
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return m, nil
+	return OpenPath(path, true, func(b BlockFile) (*Manifest, error) {
+		return CreateManifestOn(b, bounds, gens)
+	})
 }
 
 // OpenManifestFile opens an existing manifest file.
 func OpenManifestFile(path string) (*Manifest, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, err
-	}
-	m, err := OpenManifestOn(osBlock{f})
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return m, nil
+	return OpenPath(path, false, OpenManifestOn)
 }
 
-// Commit atomically publishes a new shard-generation vector: it writes the
-// inactive slot, fsyncs, and only then advances the in-memory generation.
+// Commit atomically publishes a new shard-generation vector: it commits the
+// next slot generation, and only then advances the in-memory generation.
 // A crash anywhere in between leaves the previous commit intact. The
 // checkpoint LSN carried by the slot is preserved from the last commit.
 func (m *Manifest) Commit(gens []uint64) error {
@@ -254,17 +217,13 @@ func (m *Manifest) commitLocked(gens []uint64, walLSN uint64) error {
 		return fmt.Errorf("pager: manifest commit with %d generations for %d shards", len(gens), m.shards)
 	}
 	next := m.gen + 1
-	buf := make([]byte, 0, slotLen(m.shards))
+	buf := make([]byte, 0, slotBodyLen(m.shards)+4)
 	buf = binary.BigEndian.AppendUint64(buf, next)
 	buf = binary.BigEndian.AppendUint64(buf, walLSN)
 	for _, g := range gens {
 		buf = binary.BigEndian.AppendUint64(buf, g)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	if _, err := m.b.WriteAt(buf, manifestSlotOff(next)); err != nil {
-		return err
-	}
-	if err := m.b.Sync(); err != nil {
+	if err := manifestSlots(m.b).Commit(buf); err != nil {
 		return err
 	}
 	m.gen = next

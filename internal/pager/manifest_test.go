@@ -275,6 +275,17 @@ func TestOpenDiskFileAtRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen3 := f.Generation()
+	// A writer keeps going after gen 3, before any manifest commit. The page
+	// gen 3 freed is still live at gen 2, the generation the manifest would
+	// roll back to, so this allocation must not recycle it.
+	id3, err := f.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(page, "after-generation-three")
+	if err := f.Write(id3, page); err != nil {
+		t.Fatal(err)
+	}
 	// CloseDiscard: a plain Close would checkpoint once more and overwrite
 	// the gen-2 header slot with gen 4.
 	if err := f.CloseDiscard(); err != nil {

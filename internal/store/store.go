@@ -39,7 +39,9 @@ func canonical(v any) any {
 	return v
 }
 
-// Object is one stored object instance.
+// Object is one stored object instance. A published Object is never
+// modified: an update installs a copy, so an Object from Get can be read
+// without locks while writers proceed.
 type Object struct {
 	OID   OID
 	Class string
@@ -225,9 +227,19 @@ func (st *Store) SetAttr(oid OID, name string, v any) (any, error) {
 	}
 	old := o.attrs[name]
 	st.unlinkRefs(oid, name, old)
-	o.attrs[name] = canonical(v)
+	st.objects[oid] = o.with(name, canonical(v))
 	st.linkRefs(oid, name, v)
 	return old, nil
+}
+
+// with returns a copy of o with one attribute set.
+func (o *Object) with(name string, v any) *Object {
+	attrs := make(Attrs, len(o.attrs)+1)
+	for k, x := range o.attrs {
+		attrs[k] = x
+	}
+	attrs[name] = v
+	return &Object{OID: o.OID, Class: o.Class, attrs: attrs}
 }
 
 // Delete removes an object. Objects still referencing it keep their
@@ -287,7 +299,7 @@ func (st *Store) ReplaySet(oid OID, name string, v any) {
 		return
 	}
 	st.unlinkRefs(oid, name, o.attrs[name])
-	o.attrs[name] = v
+	st.objects[oid] = o.with(name, v)
 	st.linkRefs(oid, name, v)
 }
 
@@ -479,11 +491,7 @@ func (st *Store) Snapshot() ([]RestoredObject, OID) {
 	out := make([]RestoredObject, 0, len(oids))
 	for _, oid := range oids {
 		o := st.objects[oid]
-		attrs := make(Attrs, len(o.attrs))
-		for k, v := range o.attrs {
-			attrs[k] = v
-		}
-		out = append(out, RestoredObject{OID: oid, Class: o.Class, Attrs: attrs})
+		out = append(out, RestoredObject{OID: oid, Class: o.Class, Attrs: o.Attrs()})
 	}
 	return out, st.nextOID
 }

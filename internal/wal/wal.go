@@ -10,11 +10,10 @@
 //	[1024,1052) truncation slot, odd generations
 //	[1536, ...) records
 //
-// A truncation slot is [8B slot generation][8B start LSN][8B start offset]
-// [4B CRC32C]; the two slots alternate by generation parity exactly like
-// pager.Manifest commits, so a torn slot write leaves the previous
-// truncation point intact. startLSN is the LSN of the record stored at
-// startOff.
+// The truncation slots are a pager.CommitSlots record whose body is
+// [8B slot generation][8B start LSN][8B start offset], so a torn slot write
+// leaves the previous truncation point intact. startLSN is the LSN of the
+// record stored at startOff.
 //
 // A record is [4B payload length][4B CRC32C over LSN+payload][8B LSN]
 // [payload]. LSNs are assigned densely from 1 and strictly increase over
@@ -36,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,7 +57,7 @@ const (
 
 	slot0Off = 512
 	slotSize = 512
-	slotLen  = 8 + 8 + 8 + 4 // gen, startLSN, startOff, crc
+	slotBody = 8 + 8 + 8 // gen, startLSN, startOff
 
 	// dataStart is the offset of the first record.
 	dataStart = slot0Off + 2*slotSize
@@ -141,46 +139,20 @@ type Log struct {
 	truncSyncs atomic.Uint64
 }
 
-// osFile adapts an *os.File to pager.BlockFile.
-type osFile struct{ *os.File }
-
-func (f osFile) Size() (int64, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
 // Create initializes a new log file at path (truncating any previous
 // contents) and starts its group-commit daemon.
 func Create(path string, opts Options) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	l, err := CreateOn(osFile{f}, opts)
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return l, nil
+	return pager.OpenPath(path, true, func(b pager.BlockFile) (*Log, error) {
+		return CreateOn(b, opts)
+	})
 }
 
 // Open opens an existing log file, truncating any torn tail, and starts its
 // group-commit daemon.
 func Open(path string, opts Options) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, err
-	}
-	l, err := OpenOn(osFile{f}, opts)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return l, nil
+	return pager.OpenPath(path, false, func(b pager.BlockFile) (*Log, error) {
+		return OpenOn(b, opts)
+	})
 }
 
 // CreateOn initializes a log on an empty BlockFile: header, the generation-1
@@ -192,10 +164,7 @@ func CreateOn(b pager.BlockFile, opts Options) (*Log, error) {
 	if _, err := b.WriteAt(hdr, 0); err != nil {
 		return nil, err
 	}
-	if _, err := b.WriteAt(encodeSlot(1, 1, dataStart), slotOff(1)); err != nil {
-		return nil, err
-	}
-	if err := b.Sync(); err != nil {
+	if err := truncSlots(b).Commit(encodeSlot(1, 1, dataStart)); err != nil {
 		return nil, err
 	}
 	l := newLog(b, opts)
@@ -220,7 +189,7 @@ func OpenOn(b pager.BlockFile, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrCorruptLog, size)
 	}
 	var hdr [8]byte
-	if err := readFull(b, hdr[:], 0); err != nil {
+	if err := pager.ReadFull(b, hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("%w: reading header: %v", ErrCorruptLog, err)
 	}
 	if binary.BigEndian.Uint32(hdr[0:]) != logMagic {
@@ -229,20 +198,14 @@ func OpenOn(b pager.BlockFile, opts Options) (*Log, error) {
 	if v := binary.BigEndian.Uint32(hdr[4:]); v != logVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptLog, v)
 	}
-	l := newLog(b, opts)
-	var slot [slotLen]byte
-	for parity := uint64(0); parity < 2; parity++ {
-		if err := readFull(b, slot[:], slotOff(parity)); err != nil {
-			continue
-		}
-		gen, lsn, off, ok := decodeSlot(slot[:], parity)
-		if ok && gen > l.slotGen {
-			l.slotGen, l.startLSN, l.startOff = gen, lsn, off
-		}
-	}
-	if l.slotGen == 0 {
+	slot, ok := truncSlots(b).Elect(slotBody, 0)
+	if !ok {
 		return nil, fmt.Errorf("%w: no valid truncation slot", ErrCorruptLog)
 	}
+	l := newLog(b, opts)
+	l.slotGen = binary.BigEndian.Uint64(slot[0:])
+	l.startLSN = binary.BigEndian.Uint64(slot[8:])
+	l.startOff = int64(binary.BigEndian.Uint64(slot[16:]))
 	if l.startOff < dataStart {
 		return nil, fmt.Errorf("%w: truncation slot points at offset %d inside the header", ErrCorruptLog, l.startOff)
 	}
@@ -271,27 +234,17 @@ func newLog(b pager.BlockFile, opts Options) *Log {
 
 func (l *Log) start() { go l.daemon() }
 
-func slotOff(gen uint64) int64 { return slot0Off + int64(gen%2)*slotSize }
-
-func encodeSlot(gen, lsn uint64, off int64) []byte {
-	buf := make([]byte, 0, slotLen)
-	buf = binary.BigEndian.AppendUint64(buf, gen)
-	buf = binary.BigEndian.AppendUint64(buf, lsn)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(off))
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+// truncSlots is the log's pair of truncation slots.
+func truncSlots(b pager.BlockFile) pager.CommitSlots {
+	return pager.CommitSlots{B: b, Off: slot0Off, Stride: slotSize}
 }
 
-// decodeSlot validates one truncation slot: checksum, nonzero generation,
-// and generation parity matching the cell.
-func decodeSlot(buf []byte, parity uint64) (gen, lsn uint64, off int64, ok bool) {
-	if binary.BigEndian.Uint32(buf[24:]) != crc32.Checksum(buf[:24], castagnoli) {
-		return 0, 0, 0, false
-	}
-	gen = binary.BigEndian.Uint64(buf[0:])
-	if gen == 0 || gen%2 != parity {
-		return 0, 0, 0, false
-	}
-	return gen, binary.BigEndian.Uint64(buf[8:]), int64(binary.BigEndian.Uint64(buf[16:])), true
+// encodeSlot is the body of one truncation slot.
+func encodeSlot(gen, lsn uint64, off int64) []byte {
+	buf := make([]byte, 0, slotBody+4)
+	buf = binary.BigEndian.AppendUint64(buf, gen)
+	buf = binary.BigEndian.AppendUint64(buf, lsn)
+	return binary.BigEndian.AppendUint64(buf, uint64(off))
 }
 
 // scan walks the record chain from (lsn, off), stopping at the first record
@@ -306,7 +259,7 @@ func scan(b pager.BlockFile, lsn uint64, off, size int64, fn func(uint64, []byte
 			break
 		}
 		var hdr [recHeaderLen]byte
-		if err := readFull(b, hdr[:], off); err != nil {
+		if err := pager.ReadFull(b, hdr[:], off); err != nil {
 			break
 		}
 		length := int64(binary.BigEndian.Uint32(hdr[0:]))
@@ -316,7 +269,7 @@ func scan(b pager.BlockFile, lsn uint64, off, size int64, fn func(uint64, []byte
 			break
 		}
 		payload := make([]byte, length)
-		if err := readFull(b, payload, off+recHeaderLen); err != nil {
+		if err := pager.ReadFull(b, payload, off+recHeaderLen); err != nil {
 			break
 		}
 		if crc32.Update(crc32.Checksum(hdr[8:16], castagnoli), castagnoli, payload) != sum {
@@ -551,12 +504,7 @@ func (l *Log) TruncateTo(lsn uint64) error {
 	gen := l.slotGen + 1
 	l.mu.Unlock()
 
-	var err error
-	if _, werr := l.b.WriteAt(encodeSlot(gen, newLSN, newOff), slotOff(gen)); werr != nil {
-		err = werr
-	} else if serr := l.b.Sync(); serr != nil {
-		err = serr
-	}
+	err := truncSlots(l.b).Commit(encodeSlot(gen, newLSN, newOff))
 
 	l.mu.Lock()
 	if err != nil {
@@ -621,17 +569,6 @@ func (l *Log) close(drain bool) error {
 	}
 	if cerr := l.b.Close(); err == nil {
 		err = cerr
-	}
-	return err
-}
-
-func readFull(b pager.BlockFile, buf []byte, off int64) error {
-	n, err := b.ReadAt(buf, off)
-	if n == len(buf) {
-		return nil
-	}
-	if err == nil {
-		err = errors.New("short read")
 	}
 	return err
 }
