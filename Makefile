@@ -39,8 +39,10 @@ crash:
 # (framing, torn tails, group-commit coalescing, truncation slots), the
 # facade recovery tests (crash images, replay idempotence, writers
 # progressing through an in-flight incremental checkpoint, a crash inside
-# the window between the shard syncs and the manifest commits), the WAL crash
-# matrix (power-cut at every log/data/manifest op under both power
+# the window between the shard syncs and the manifest commits, shards and
+# index manifests committed ahead of the store cut, a record holding only
+# its operations, never index keys), the record decoder's fuzz seeds, the
+# WAL crash matrix (power-cut at every log/data/manifest op under both power
 # models, torn writes), and the /metrics wal_* series.
 wal:
 	$(GO) test -race -count=1 ./internal/wal/
@@ -105,9 +107,13 @@ shard:
 # favor of Scan, which is MultiScan over one interval; the pinned batch
 # admission (PinBatch/UnpinBatch), deleted in favor of Prefetch; the second
 # shape walk (OverflowPageCount), folded into Tree.Stats; and DurabilityNone,
-# deleted in favor of the checkpoint and WAL modes.
+# deleted in favor of the checkpoint and WAL modes. And the log record's key
+# edits (walGroupEdit, walAppendEdit, walKeys), deleted in favor of replay
+# re-deriving them through the write path; and the Database's separate
+# stats accessors (db.PoolStats, db.NodeCacheStats), deleted in favor of
+# Metrics.
 apicheck: vet
-	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run|NoPrefetch|AnchorStride|OpenTuned|btree\.Tuning|NodeCacheSize|MaxBatch|\bOp(Insert|Set|Delete)\b|walAppendStoreHalf|snapshot(Writer|Reader)|NewCursor|PinBatch|UnpinBatch|OverflowPageCount|DurabilityNone' . || true); \
+	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run|NoPrefetch|AnchorStride|OpenTuned|btree\.Tuning|NodeCacheSize|MaxBatch|\bOp(Insert|Set|Delete)\b|walAppendStoreHalf|snapshot(Writer|Reader)|NewCursor|PinBatch|UnpinBatch|OverflowPageCount|DurabilityNone|walGroupEdit|walAppendEdit|walKeys|db\.(PoolStats|NodeCacheStats)\(' . || true); \
 	if [ -n "$$deprecated" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$deprecated"; \

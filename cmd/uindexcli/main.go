@@ -125,7 +125,8 @@ Queries: <index> <query>, e.g.
 				fmt.Printf("  checkpointed disk-backed indexes under %s\n", *dir)
 			}
 		case line == ".pool":
-			if st, ok := db.PoolStats(); ok {
+			if m := db.Metrics(); m.PoolEnabled {
+				st := m.Pool
 				fmt.Printf("  hits %d, misses %d (hit ratio %.1f%%), evictions %d, writebacks %d\n",
 					st.Hits, st.Misses, 100*st.HitRate(), st.Evictions, st.Writebacks)
 				fmt.Printf("  physical: %d reads, %d writes\n", st.PhysicalReads, st.PhysicalWrites)

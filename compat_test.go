@@ -159,35 +159,46 @@ func TestParentWALDirectoryOpens(t *testing.T) {
 	}
 }
 
-// TestParentLogRecordRefused: a log record of the format before the codec
-// was shared (kind 4, varint OIDs) is refused as a recovery error, and the
-// failed Open leaves the directory as it found it.
+// TestParentLogRecordRefused: a log record of an earlier format is refused as
+// a recovery error naming its kind, and the failed Open leaves the directory
+// as it found it. Kind 4 wrote OIDs as varints; kind 5 carried each
+// operation's index key edits beside it. Each record deletes OID 1, touching
+// no index.
 func TestParentLogRecordRefused(t *testing.T) {
-	dir := t.TempDir()
-	copyDirTo(t, filepath.Join("testdata", "parent-wal"), dir)
-	log, err := wal.Open(filepath.Join(dir, walLogName), wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Delete OID 1, touching no index: kind 4, op kind, uvarint OID, 0 edits.
-	if err := log.WaitDurable(log.Append([]byte{4, byte(BatchDelete), 1, 0})); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before := readDir(t, dir)
-	_, err = Open(dir, Options{})
-	if !errors.Is(err, ErrRecovery) || !strings.Contains(err.Error(), "unknown record kind 4") {
-		t.Fatalf("Open with a kind-4 record: %v, want ErrRecovery naming the kind", err)
-	}
-	after := readDir(t, dir)
-	if len(after) != len(before) {
-		t.Fatalf("failed Open changed the file set: %d -> %d files", len(before), len(after))
-	}
-	for name, raw := range before {
-		if after[name] != raw {
-			t.Fatalf("failed Open changed %s", name)
-		}
+	for _, tc := range []struct {
+		kind   byte
+		record []byte
+	}{
+		{4, []byte{4, byte(BatchDelete), 1, 0}},          // op kind, uvarint OID, 0 edits
+		{5, []byte{5, byte(BatchDelete), 0, 0, 0, 1, 0}}, // op kind, 4-byte OID, 0 edits
+	} {
+		t.Run(fmt.Sprintf("kind%d", tc.kind), func(t *testing.T) {
+			dir := t.TempDir()
+			copyDirTo(t, filepath.Join("testdata", "parent-wal"), dir)
+			log, err := wal.Open(filepath.Join(dir, walLogName), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := log.WaitDurable(log.Append(tc.record)); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := readDir(t, dir)
+			_, err = Open(dir, Options{})
+			if want := fmt.Sprintf("unknown record kind %d", tc.kind); !errors.Is(err, ErrRecovery) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Open with a kind-%d record: %v, want ErrRecovery naming the kind", tc.kind, err)
+			}
+			after := readDir(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("failed Open changed the file set: %d -> %d files", len(before), len(after))
+			}
+			for name, raw := range before {
+				if after[name] != raw {
+					t.Fatalf("failed Open changed %s", name)
+				}
+			}
+		})
 	}
 }

@@ -168,13 +168,14 @@ func (sh *Sharded) routeKey(k []byte) (*Index, error) {
 }
 
 // DiffKeys reduces an old/new entry-set pair to the deletions and
-// insertions that turn one into the other — the paper's Section 3.5 update,
-// and exactly what a logical log records. With both sides present the
-// intersection is skipped and both outputs come back sorted, which realizes
-// the paper's batch-update observation: all entries of the old and new
-// mid-path object are clustered, so the update touches few pages. With
-// either side empty there is nothing to intersect and the other side passes
-// through in enumeration order.
+// insertions that turn one into the other — the paper's Section 3.5 update.
+// The write-ahead log does not record its output: recovery re-derives it
+// by running each logged operation through the same write step. With both
+// sides present the intersection is skipped and both outputs come back
+// sorted, which realizes the paper's batch-update observation: all entries
+// of the old and new mid-path object are clustered, so the update touches
+// few pages. With either side empty there is nothing to intersect and the
+// other side passes through in enumeration order.
 func DiffKeys(oldKeys, newKeys [][]byte) (dels, ins [][]byte) {
 	if len(oldKeys) == 0 || len(newKeys) == 0 {
 		return oldKeys, newKeys

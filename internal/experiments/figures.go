@@ -173,7 +173,7 @@ func ResetDBCache() {
 
 // runGroup measures one sub-graph.
 func runGroup(cfg GridConfig, sets, keys int, frac float64) (*Group, error) {
-	db, err := cachedDB(workload.LargeConfig{
+	large, err := cachedDB(workload.LargeConfig{
 		Objects: cfg.Objects, Sets: sets, Keys: keys, Seed: cfg.Seed,
 		PoolPages: cfg.PoolPages,
 	})
@@ -181,10 +181,10 @@ func runGroup(cfg GridConfig, sets, keys int, frac float64) (*Group, error) {
 		return nil, err
 	}
 	g := &Group{Sets: sets, Keys: keys, XSets: xAxis(sets)}
-	before := db.PoolStats()
+	before := large.PoolStats()
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(sets)*7 + int64(keys)*13 + int64(frac*1e6)))
 	for _, n := range g.XSets {
-		c, err := measurePoint(db, n, frac, cfg.Reps, cfg.Extended, rng)
+		c, err := measurePoint(large, n, frac, cfg.Reps, cfg.Extended, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +193,7 @@ func runGroup(cfg GridConfig, sets, keys int, frac float64) (*Group, error) {
 	if cfg.PoolPages > 0 {
 		// The cached database's pools accumulate across groups and
 		// figures; report this group's delta.
-		after := db.PoolStats()
+		after := large.PoolStats()
 		after.Sub(before)
 		g.Pool = &after
 	}

@@ -2,11 +2,11 @@ package uindex
 
 import "sync/atomic"
 
-// Metrics is one merged snapshot of every counter the engine maintains:
-// the buffer-pool and decoded-node-cache counters that previously required
-// separate PoolStats/NodeCacheStats calls, plus cumulative query and write
-// counters accumulated by the facade. internal/obs (and any future tool)
-// reads this one struct instead of three ad-hoc accessors.
+// Metrics is one merged snapshot of every counter the engine maintains: the
+// buffer-pool and decoded-node-cache counters, plus cumulative query and
+// write counters accumulated by the facade. It is the database's one stats
+// accessor; internal/obs, uindexcli's .pool and any future tool read this
+// struct.
 //
 // All counters are cumulative over the database's lifetime; Metrics may be
 // called at any time, including concurrently with queries and writers, and
@@ -171,8 +171,8 @@ func (db *Database) Metrics() Metrics {
 		m.WALCheckpoints = w.ckpts.Load()
 		m.WALLagBytes = uint64(max(0, w.log.LiveBytes()))
 	}
-	m.Pool, m.PoolEnabled = db.PoolStats()
-	m.NodeCache = db.NodeCacheStats()
+	m.Pool, m.PoolEnabled = db.poolStats()
+	m.NodeCache = db.nodeCacheStats()
 	db.mu.RLock()
 	m.Indexes = len(db.groups)
 	m.Shards = make(map[string][]ShardStat, len(db.groups))

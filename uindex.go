@@ -191,7 +191,7 @@ type Options struct {
 	// PoolPages, when positive, places a buffer pool of that many frames
 	// (internal/bufferpool) between each index and its page file. The
 	// pool is transparent to query results and to the paper's logical
-	// page-read counts; PoolStats exposes its hit/miss counters. A pool
+	// page-read counts; Metrics exposes its hit/miss counters. A pool
 	// also turns on the Parscan frontier prefetcher — the scan hands its
 	// next-level page frontier to a background goroutine that loads it with
 	// one batched read while the current level is decoded — which is equally
@@ -529,9 +529,10 @@ func (db *Database) DropPageCaches() error {
 	return first
 }
 
-// PoolStats aggregates the buffer-pool counters over every index. ok is
-// false when the database was opened without a pool (Options.PoolPages 0).
-func (db *Database) PoolStats() (BufferPoolStats, bool) {
+// poolStats aggregates the buffer-pool counters over every index for
+// Metrics. ok is false when the database was opened without a pool
+// (Options.PoolPages 0).
+func (db *Database) poolStats() (BufferPoolStats, bool) {
 	if db.opts.PoolPages <= 0 {
 		return BufferPoolStats{}, false
 	}
@@ -548,9 +549,9 @@ func (db *Database) PoolStats() (BufferPoolStats, bool) {
 	return agg, true
 }
 
-// NodeCacheStats aggregates the decoded-node cache counters over every
-// index: cumulative hits and misses, and the nodes currently resident.
-func (db *Database) NodeCacheStats() NodeCacheStats {
+// nodeCacheStats aggregates the decoded-node cache counters over every index
+// for Metrics: cumulative hits and misses, and the nodes currently resident.
+func (db *Database) nodeCacheStats() NodeCacheStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var agg NodeCacheStats

@@ -6,45 +6,46 @@ package uindex
 // Commit path. This is the log step of the write pipeline (write.go): a write
 // call — one mutation or a whole Apply batch — holds the writer locks of the
 // shards it touches plus walState.commitMu in read mode, applies its store
-// and index edits, and appends ONE logical record — per applied operation the
-// store edit plus, per index group, the exact key deletions and insertions it
-// performed — to the log BEFORE releasing those locks. The append only
-// buffers in memory; the call then unlocks and waits for the log's
-// group-commit daemon to fsync its record, sharing that fsync with every
-// concurrent committer.
+// and index edits, and appends ONE logical record — the call's operations,
+// each with the OID it acted on — to the log BEFORE releasing those locks.
+// The append only buffers in memory; the call then unlocks and waits for the
+// log's group-commit daemon to fsync its record, sharing that fsync with
+// every concurrent committer.
 //
 // Checkpoint protocol (walCheckpointLocked). The background checkpointer
 // folds the log into the shadow-paged files without stalling writers:
 //
-//	C := log.LastAppended()            // the cut the manifest will record
+//	commitMu.Lock()
+//	objs := store.Snapshot(); S := log.LastAppended()   // the store cut
+//	commitMu.Unlock()
 //	for each group, each shard:        // one shard at a time, writers
 //	    lock shard; checkpointShard; unlock
-//	commitMu.Lock()
-//	objs := store.Snapshot(); W := log.LastAppended()
-//	commitMu.Unlock()
+//	W := log.LastAppended()
 //	write store.<gen+1>.snap from objs // outside every lock
 //	log.WaitDurable(W)
-//	commit each group manifest; db manifest CommitWAL(gen+1, C)
-//	log.TruncateTo(C)
+//	commit each group manifest; db manifest CommitWAL(gen+1, S)
+//	log.TruncateTo(S)
 //
-// Why this recovers exactly the durable log prefix:
+// Why replaying (S, durable] recovers exactly the durable log prefix:
 //
-//   - Every published state contains every record with LSN <= C: a record
-//     at or below C was appended before C was read, its edits were applied
-//     before the append (same critical section), and the shard locks /
-//     commitMu.Lock make those edits visible to the checkpoint reads.
-//   - No published state contains a record above W: edits land under the
-//     shard lock and commitMu before the append assigns the LSN, so
-//     anything a checkpoint read had an LSN by then, and W was read after
-//     every overlapping critical section ended.
-//   - WaitDurable(W) before the manifest commits means every record
-//     embedded in a published state is also in the durable log; recovery
-//     replaying (C, durable] over those states converges because the
-//     replay operations are idempotent (keyed B-tree edits, tolerant
-//     store ops with fixed OIDs).
+//   - The snapshot is exactly the log prefix <= S: writers edit the store
+//     and append under commitMu.RLock, so every record at or below S has
+//     all of its store edits in the snapshot and no record above S has any.
+//   - Every shard holds at least that prefix and at most W: it is flushed
+//     under its writer lock after S is read, and writers edit a shard and
+//     append under that lock, so the shard holds a prefix of the records
+//     that touch it, and W is read after every flush.
+//   - WaitDurable(W) before the manifest commits means every record a
+//     published shard may hold is also in the durable log, so replay
+//     reaches it.
+//   - Replay runs each record's operations through the live write's
+//     maintenance step (execute) over a store that is exactly at that
+//     record, so it derives the same key deletions and insertions the live
+//     write made. ApplyKeys treats deleting an absent key and inserting a
+//     present one as no-ops, so re-applying edits a shard already holds
+//     changes nothing, and every key ends where its last record left it.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -84,9 +85,9 @@ type walState struct {
 	// commitMu orders mutations against the checkpoint's store cut: every
 	// mutation holds it in read mode from its first store/index edit
 	// through its log append, and the checkpointer holds it in write mode
-	// only around the store snapshot + W read — so writers never stall on
-	// checkpoint I/O, and the snapshot can neither contain an edit whose
-	// LSN is above W nor miss one at or below C.
+	// only around the store snapshot + S read — so writers never stall on
+	// checkpoint I/O, and the snapshot holds exactly the records at or
+	// below S.
 	commitMu sync.RWMutex
 
 	// ckptMu serializes checkpoints (background, explicit Checkpoint,
@@ -277,7 +278,13 @@ func (db *Database) walCheckpointLocked() error {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
 
+	// The store cut: commitMu in write mode excludes only the instant of the
+	// in-memory snapshot + S read; encoding and writing the snapshot file
+	// happen outside every lock.
+	w.commitMu.Lock()
+	objs, next := db.st.Snapshot()
 	cut := w.log.LastAppended()
+	w.commitMu.Unlock()
 	// Publish each shard on its own, holding only that shard's writer
 	// lock: writers to other shards (and readers everywhere) proceed.
 	for _, name := range db.order {
@@ -291,19 +298,13 @@ func (db *Database) walCheckpointLocked() error {
 			}
 		}
 	}
-	// The store cut: commitMu in write mode excludes only the instant of
-	// the in-memory snapshot + W read; encoding and writing the snapshot
-	// file happen outside every lock.
-	w.commitMu.Lock()
-	objs, next := db.st.Snapshot()
 	watermark := w.log.LastAppended()
-	w.commitMu.Unlock()
 	newGen := w.storeGen + 1
 	snapPath := filepath.Join(db.opts.Dir, storeSnapName(newGen))
 	if err := db.saveStoreSnapshot(snapPath, objs, next); err != nil {
 		return fmt.Errorf("uindex: writing store snapshot: %w", err)
 	}
-	// Nothing a published state may contain can be missing from the log.
+	// Nothing a published shard may hold can be missing from the log.
 	if err := w.log.WaitDurable(watermark); err != nil {
 		return err
 	}
@@ -349,117 +350,63 @@ func (db *Database) saveStoreSnapshot(path string, objs []store.RestoredObject, 
 // --- record encoding --------------------------------------------------------
 //
 // One record is one write call (write.go): the record-kind byte, then the
-// call's applied operations back to back until the payload ends. Each
-// operation is the store codec's op (internal/store/codec.go: kind, OID — an
-// insert's assigned id — and body, the same bytes the wire carries) followed
-// by, per covering index group, the exact key deletions and insertions it
-// performed. Records are physiological: replay re-applies the recorded key
-// lists through the shard router rather than re-deriving them from the store,
-// so a record replays identically whatever the surrounding state.
+// call's operations back to back until the payload ends, each the store
+// codec's op (internal/store/codec.go: kind, OID — an insert's assigned id —
+// and body, the same bytes the wire carries). A record holds no index keys:
+// replay re-derives every key edit through the write path's own maintenance
+// step (execute), from a store that is exactly at the record.
 
-// walRecCommit is the record kind. Kinds 1-3 were per-operation records and
-// kind 4 wrote OIDs as varints, before the log shared the store codec;
-// recovery refuses them (a cleanly closed database has an empty log, so there
-// is nothing to migrate).
-const walRecCommit = 5
+// walRecCommit is the record kind. Kinds 1-3 were per-operation records, kind
+// 4 wrote OIDs as varints, and kind 5 carried each operation's index key
+// edits beside it; recovery refuses them all. A kind-5 directory's store
+// snapshot may be ahead of its replay start, so its operations cannot be
+// replayed by derivation — and a cleanly closed database has an empty log,
+// so there is nothing to migrate.
+const walRecCommit = 6
 
-// walGroupEdit is the per-index part of a logged operation: the key
-// deletions and insertions it performed on one group.
-type walGroupEdit struct {
-	name string
-	dels [][]byte
-	ins  [][]byte
-}
-
-// loggedOp is one decoded operation of a record. OID is set for every kind.
-type loggedOp struct {
-	BatchOp
-	edits []walGroupEdit
-}
-
-// walAppendOp starts one operation of a record: kind, OID, the body encoded
-// at plan time, and the number of group edits that follow.
-func walAppendOp(b []byte, kind BatchOpKind, oid OID, body []byte, edits int) []byte {
-	b = store.AppendOID(append(b, byte(kind)), oid)
-	b = append(b, body...)
-	return binary.AppendUvarint(b, uint64(edits))
-}
-
-// walAppendEdit appends one group's key edits to the current operation.
-func walAppendEdit(b []byte, name string, dels, ins [][]byte) []byte {
-	b = store.AppendString(b, name)
-	b = binary.AppendUvarint(b, uint64(len(dels)))
-	for _, k := range dels {
-		b = store.AppendBytes(b, k)
-	}
-	b = binary.AppendUvarint(b, uint64(len(ins)))
-	for _, k := range ins {
-		b = store.AppendBytes(b, k)
-	}
-	return b
-}
-
-// walKeys decodes one key list, copying each key out of the record.
-func walKeys(d *store.Decoder) [][]byte {
-	n := d.Count()
-	out := make([][]byte, 0, min(n, store.Prealloc))
-	for i := 0; i < n && d.Err() == nil; i++ {
-		out = append(out, append([]byte(nil), d.Bytes()...))
-	}
-	return out
+// walAppendOp appends one operation of a record: kind, OID, and the body
+// encoded at plan time.
+func walAppendOp(b []byte, kind BatchOpKind, oid OID, body []byte) []byte {
+	return append(store.AppendOID(append(b, byte(kind)), oid), body...)
 }
 
 // decodeWALRecord is the pure half of replay: payload bytes to operations,
 // touching no database state. Anything but a well-formed walRecCommit record
 // — including the record kinds of earlier formats — is an error.
-func decodeWALRecord(payload []byte) ([]loggedOp, error) {
+func decodeWALRecord(payload []byte) ([]BatchOp, error) {
 	d := store.NewDecoder(payload)
 	if kind := d.Byte(); d.Err() == nil && kind != walRecCommit {
 		return nil, fmt.Errorf("unknown record kind %d", kind)
 	}
-	var ops []loggedOp
+	var ops []BatchOp
 	for d.Err() == nil && d.Len() > 0 {
-		op := loggedOp{BatchOp: d.Op()}
-		n := d.Count()
-		op.edits = make([]walGroupEdit, 0, min(n, store.Prealloc))
-		for i := 0; i < n && d.Err() == nil; i++ {
-			op.edits = append(op.edits, walGroupEdit{name: d.Str(), dels: walKeys(&d), ins: walKeys(&d)})
-		}
-		ops = append(ops, op)
+		ops = append(ops, d.Op())
 	}
 	return ops, d.Err()
 }
 
-// walReplayRecord re-applies one log record during recovery: decode it whole,
-// then per operation the store edit — through the tolerant Replay* methods
-// (fixed OIDs, no reference validation: a later record may delete a
-// referenced object) — and the recorded key edits, re-routed to their shards.
-// Replay runs before the Database is published, so no locks are needed.
-// Edits naming a since-dropped index are skipped.
+// walReplayRecord re-applies one log record during recovery: decode it
+// whole, then run each operation through execute with the tolerant Replay*
+// store edits (fixed OIDs, no reference validation), which derives and
+// applies its index key edits exactly as the live write did. Replay runs
+// before the Database is published, so no locks are needed; the index set
+// is the one the log was written under, because CreateIndex and DropIndex
+// checkpoint.
 func (db *Database) walReplayRecord(payload []byte) error {
 	ops, err := decodeWALRecord(payload)
 	if err != nil {
 		return err
 	}
-	for _, op := range ops {
-		switch op.Kind {
-		case BatchInsert:
-			if err := db.st.ReplayInsert(op.OID, op.Class, op.Attrs); err != nil {
-				return err
-			}
-		case BatchSet:
-			db.st.ReplaySet(op.OID, op.Attr, op.Value)
-		case BatchDelete:
-			db.st.ReplayDelete(op.OID)
+	groups := db.groupWrites()
+	for i := range ops {
+		// An insert names its class; a set or delete resolves it through the
+		// store, and one naming an absent object covers no index.
+		class := ops[i].Class
+		if o, ok := db.st.Get(ops[i].OID); ok && ops[i].Kind != BatchInsert {
+			class = o.Class
 		}
-		for _, e := range op.edits {
-			g, ok := db.groups[e.name]
-			if !ok {
-				continue
-			}
-			if err := g.sharded.ApplyKeys(e.dels, e.ins); err != nil {
-				return fmt.Errorf("index %q: %w", e.name, err)
-			}
+		if _, err := db.execute(&ops[i], class, groups, true); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -912,17 +912,14 @@ func TestWALBatchCrashAtomic(t *testing.T) {
 
 // encodeLoggedOps is the inverse of decodeWALRecord, assembled from the same
 // pieces the write pipeline uses.
-func encodeLoggedOps(ops []loggedOp) ([]byte, error) {
+func encodeLoggedOps(ops []BatchOp) ([]byte, error) {
 	rec := []byte{walRecCommit}
 	for i := range ops {
-		body, err := store.AppendOpBody(nil, &ops[i].BatchOp)
+		body, err := store.AppendOpBody(nil, &ops[i])
 		if err != nil {
 			return nil, err
 		}
-		rec = walAppendOp(rec, ops[i].Kind, ops[i].OID, body, len(ops[i].edits))
-		for _, e := range ops[i].edits {
-			rec = walAppendEdit(rec, e.name, e.dels, e.ins)
-		}
+		rec = walAppendOp(rec, ops[i].Kind, ops[i].OID, body)
 	}
 	return rec, nil
 }
@@ -932,21 +929,20 @@ func encodeLoggedOps(ops []loggedOp) ([]byte, error) {
 // checked against the bytes left before anything is sized from it), and
 // whatever it accepts survives an encode -> decode round trip.
 func FuzzWALRecord(f *testing.F) {
-	seed, err := encodeLoggedOps([]loggedOp{
-		{BatchOp: BatchOp{Kind: BatchInsert, OID: 7, Class: "Automobile", Attrs: Attrs{
+	seed, err := encodeLoggedOps([]BatchOp{
+		{Kind: BatchInsert, OID: 7, Class: "Automobile", Attrs: Attrs{
 			"Color": "Red", "Age": uint64(3), "N": 4, "I": int64(-5), "F": 1.5, "Ref": OID(2), "Refs": []OID{1, 2}}},
-			edits: []walGroupEdit{{name: "color", ins: [][]byte{[]byte("k1"), []byte("k2")}}}},
-		{BatchOp: BatchOp{Kind: BatchSet, OID: 7, Attr: "Color", Value: "Blue"},
-			edits: []walGroupEdit{{name: "color", dels: [][]byte{[]byte("k1")}, ins: [][]byte{[]byte("k3")}}, {name: "age"}}},
-		{BatchOp: BatchOp{Kind: BatchDelete, OID: 7}},
+		{Kind: BatchSet, OID: 7, Attr: "Color", Value: "Blue"},
+		{Kind: BatchSet, OID: 7, Attr: "Refs", Value: []OID{3, 4, 5}},
+		{Kind: BatchDelete, OID: 7},
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
 	f.Add([]byte{})
-	f.Add([]byte{1, 7, 0})                                                             // a record kind of an earlier format
-	f.Add([]byte{walRecCommit, byte(BatchDelete), 0, 0, 0, 1, 0xff, 0xff, 0xff, 0x7f}) // absurd edit count
+	f.Add([]byte{5, byte(BatchDelete), 0, 0, 0, 1, 0})                                   // a record kind of an earlier format
+	f.Add([]byte{walRecCommit, byte(BatchInsert), 0, 0, 0, 1, 1, 'A', 0xff, 0xff, 0x7f}) // absurd attribute count
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, err := decodeWALRecord(data)
 		if err != nil {
@@ -954,12 +950,9 @@ func FuzzWALRecord(f *testing.F) {
 		}
 		elems := len(ops)
 		for _, op := range ops {
-			elems += len(op.Attrs) + len(op.edits)
+			elems += len(op.Attrs)
 			if oids, ok := op.Value.([]OID); ok {
 				elems += len(oids)
-			}
-			for _, e := range op.edits {
-				elems += len(e.dels) + len(e.ins)
 			}
 		}
 		if elems > len(data) {
@@ -973,8 +966,8 @@ func FuzzWALRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoding re-encoded record: %v", err)
 		}
-		// NaN != NaN: compare the printed forms, which render values and
-		// key bytes alike on both sides.
+		// NaN != NaN: compare the printed forms, which render values alike
+		// on both sides.
 		if fmt.Sprintf("%#v", again) != fmt.Sprintf("%#v", ops) {
 			t.Fatalf("round trip changed the record:\n got %#v\nwant %#v", again, ops)
 		}
@@ -1044,5 +1037,171 @@ func TestWALCheckpointWindowCrash(t *testing.T) {
 				t.Errorf("recovered index has %d keys, live index %d; contents differ", len(got), len(want))
 			}
 		})
+	}
+}
+
+// companyFleetDB builds the path schema's Figure-1 shape under the WAL, with
+// the color and age indexes over 4 shards: two employees (OIDs 1, 2), then
+// one company per fleet size, each presided over by employee 1 and
+// manufacturing that many vehicles. It returns the companies' OIDs.
+func companyFleetDB(t *testing.T, dir string, fleets ...int) (*Database, []OID) {
+	t.Helper()
+	opts := walOpts(dir)
+	opts.Shards = 4
+	db, err := NewDatabaseWith(pathSchema(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []IndexSpec{colorSpec, ageSpec} {
+		if err := db.CreateIndex(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	colors := []string{"Red", "White", "Blue", "Green"}
+	var setup Batch
+	setup.Insert("Employee", Attrs{"Age": 31}).Insert("Employee", Attrs{"Age": 52})
+	var companies []OID
+	next := OID(3)
+	for _, n := range fleets {
+		setup.Insert("Company", Attrs{"President": OID(1)})
+		companies = append(companies, next)
+		for i := 0; i < n; i++ {
+			setup.Insert("Automobile", Attrs{"Color": colors[i%len(colors)], "ManufacturedBy": next})
+		}
+		next += OID(n) + 1
+	}
+	if _, err := db.Apply(context.Background(), &setup); err != nil {
+		t.Fatal(err)
+	}
+	return db, companies
+}
+
+// TestWALRecordHoldsNoKeys: a log record is the write call's operations and
+// nothing else. A President switch rewrites the age entry of every vehicle
+// the company makes, yet its record must not grow with the fleet.
+func TestWALRecordHoldsNoKeys(t *testing.T) {
+	db, companies := companyFleetDB(t, t.TempDir(), 1, 40)
+	defer db.Close()
+	grow := func(company OID) int64 {
+		t.Helper()
+		before := db.wal.log.LiveBytes()
+		if err := db.Set(company, "President", OID(2)); err != nil {
+			t.Fatal(err)
+		}
+		return db.wal.log.LiveBytes() - before
+	}
+	small, large := grow(companies[0]), grow(companies[1])
+	if small != large {
+		t.Fatalf("Set President logged %d bytes for a 1-vehicle company, %d for a 40-vehicle one", small, large)
+	}
+}
+
+// TestWALShardsAheadOfStoreCut: a checkpoint cuts the store first and flushes
+// the shards after, so a crash between the index manifest commits and the db
+// manifest commit leaves every shard holding writes the store snapshot does
+// not. Replay re-derives the key edits of those writes from the older store
+// and must land every index, and the store, exactly where the live database
+// is.
+func TestWALShardsAheadOfStoreCut(t *testing.T) {
+	dir := t.TempDir()
+	db, companies := companyFleetDB(t, dir, 40, 40)
+	defer db.Close()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	colors := []string{"Black", "Red", "Blue", "White"}
+	recolor := func(company OID, shift int) {
+		t.Helper()
+		var b Batch
+		for i := 0; i < 16; i++ {
+			b.Set(company+1+OID(i), "Color", colors[(i+shift)%len(colors)])
+		}
+		if _, err := db.Apply(context.Background(), &b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The window: writes the shards will hold but the db manifest not.
+	if err := db.Set(companies[0], "President", OID(2)); err != nil {
+		t.Fatal(err)
+	}
+	recolor(companies[0], 0)
+	if _, err := db.Insert("Vehicle", Attrs{"Color": "Red", "ManufacturedBy": companies[1]}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range db.order {
+		g := db.groups[name]
+		for i := range g.files {
+			g.sharded.LockShards(1 << i)
+			err := g.checkpointShard(i)
+			g.sharded.UnlockShards(1 << i)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.commitManifest(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// After the window: writes only the log holds.
+	if err := db.Set(companies[0], "President", OID(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Set(companies[1], "President", OID(2)); err != nil {
+		t.Fatal(err)
+	}
+	recolor(companies[1], 1)
+	if err := db.Delete(companies[0] + 1); err != nil {
+		t.Fatal(err)
+	}
+
+	img := crashImage(t, dir)
+	want := dumpState(t, db)
+	rec, err := Open(img, Options{PoolPages: 16, WALCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	for _, name := range []string{"color", "age"} {
+		if got, live := dumpIndexKeys(t, rec, name), dumpIndexKeys(t, db, name); strings.Join(got, ",") != strings.Join(live, ",") {
+			t.Errorf("recovered index %q has %d keys, live %d; contents differ", name, len(got), len(live))
+		}
+	}
+	if got := dumpState(t, rec); got != want {
+		t.Errorf("recovered state differs from the live one:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestWALFailedOpStaysOutOfLog: an op whose index maintenance fails after
+// its store edit (here a key longer than a page allows) fails the call and
+// is not logged. Replay would re-derive the same failing edit, so logging it
+// would leave a directory no Open can recover.
+func TestWALFailedOpStaysOutOfLog(t *testing.T) {
+	dir := t.TempDir()
+	db, err := NewDatabaseWith(vehicleSchema(t), walOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateIndex(colorSpec); err != nil {
+		t.Fatal(err)
+	}
+	insertVehicles(t, db, testColors)
+	if _, err := db.Insert("Vehicle", Attrs{"Color": strings.Repeat("x", 4000)}); err == nil {
+		t.Fatal("Insert with a 4000-byte key succeeded")
+	}
+	insertVehicles(t, db, []string{"Red"})
+
+	rec, err := Open(crashImage(t, dir), Options{PoolPages: 16, WALCheckpointBytes: -1})
+	if err != nil {
+		t.Fatalf("Open after a failed write: %v", err)
+	}
+	defer rec.Close()
+	if got, want := rec.Store().Len(), len(testColors)+1; got != want {
+		t.Errorf("recovered %d objects, want the %d successful inserts", got, want)
+	}
+	if got, live := dumpIndexKeys(t, rec, "color"), dumpIndexKeys(t, db, "color"); strings.Join(got, ",") != strings.Join(live, ",") {
+		t.Errorf("recovered index has %d keys, live %d; contents differ", len(got), len(live))
 	}
 }

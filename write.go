@@ -12,11 +12,12 @@ package uindex
 //	         A failure here has touched nothing.
 //	lock     group creation order, shard index ascending — the single global
 //	         order that keeps multi-index writers deadlock-free
-//	execute  per op, in order: the store edit, then per covering group
-//	         EntriesFor → DiffKeys → ApplyKeys. The first failing op stops
-//	         the call; earlier ops stay applied (not a transaction in memory).
-//	log      with a WAL: ONE record carrying every applied op and the key
-//	         edits it made, appended before the locks drop (see wal.go)
+//	execute  per op, in order: per covering group EntriesFor, the store
+//	         edit, EntriesFor again, DiffKeys → ApplyKeys. The first failing
+//	         op stops the call; earlier ops stay applied (not a transaction
+//	         in memory). Recovery replays a logged op through this same step.
+//	log      with a WAL: ONE record carrying every applied op, appended
+//	         before the locks drop (see wal.go)
 //	unlock
 //	wait     with a WAL: the group-commit fsync of that one record
 //
@@ -27,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -193,6 +193,16 @@ type groupWrite struct {
 	olds   [][]byte
 }
 
+// groupWrites returns one groupWrite per index group, in creation order,
+// with no locks.
+func (db *Database) groupWrites() []groupWrite {
+	groups := make([]groupWrite, len(db.order))
+	for gi, name := range db.order {
+		groups[gi].g = db.groups[name]
+	}
+	return groups
+}
+
 // write runs mutations through the pipeline described at the top of this
 // file. It returns the index of the operation an error belongs to, or -1 for
 // an error of the call as a whole (closed database, failed log fsync);
@@ -238,10 +248,9 @@ func (db *Database) write(ctx context.Context, ops []BatchOp, res *BatchResult) 
 			planned[i].bodyEnd = len(bodies)
 		}
 	}
-	groups := make([]groupWrite, len(db.order))
-	for gi, name := range db.order {
+	groups := db.groupWrites()
+	for gi := range groups {
 		gw := &groups[gi]
-		gw.g = db.groups[name]
 		for i := range planned {
 			if gw.g.sharded.Covers(planned[i].class) {
 				gw.locks |= gw.g.sharded.WriteShards(planned[i].class)
@@ -260,18 +269,32 @@ func (db *Database) write(ctx context.Context, ops []BatchOp, res *BatchResult) 
 	var rec []byte
 	if db.wal != nil {
 		db.wal.commitMu.RLock()
-		rec = append(make([]byte, 0, 2*len(bodies)+64), walRecCommit)
+		// The kind byte, then per op its kind, 4-byte OID and body.
+		rec = append(make([]byte, 0, 1+5*len(ops)+len(bodies)), walRecCommit)
 	}
 	bodyStart := 0
 	for i := range ops {
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		body := bodies[bodyStart:planned[i].bodyEnd]
-		if rec, err = db.execute(&ops[i], planned[i].class, body, groups, rec, res); err != nil {
+		op := &ops[i]
+		var oid OID
+		if oid, err = db.execute(op, planned[i].class, groups, false); err != nil {
 			break
 		}
+		if db.wal != nil {
+			rec = walAppendOp(rec, op.Kind, oid, bodies[bodyStart:planned[i].bodyEnd])
+		}
 		bodyStart = planned[i].bodyEnd
+		switch op.Kind {
+		case BatchInsert:
+			res.OIDs = append(res.OIDs, oid)
+			db.ctrs.inserts.Add(1)
+		case BatchSet:
+			db.ctrs.sets.Add(1)
+		case BatchDelete:
+			db.ctrs.deletes.Add(1)
+		}
 		res.Applied++
 	}
 	var lsn uint64
@@ -302,50 +325,41 @@ func (db *Database) write(ctx context.Context, ops []BatchOp, res *BatchResult) 
 	return at, err
 }
 
-// execute applies one planned operation under the call's locks: the store
-// edit between the before- and after-enumeration of the object's entry keys
-// in every covering group, each group moved by exactly the difference. With a
-// WAL it appends the operation and those key edits to rec; on error rec comes
-// back as it was.
-func (db *Database) execute(op *BatchOp, class string, body []byte, groups []groupWrite, rec []byte, res *BatchResult) ([]byte, error) {
-	mark := len(rec)
-	oid := op.OID
-	covering := 0
+// execute is the one index-maintenance step, shared by live writes and
+// recovery: per covering group the object's entry keys before the store
+// edit, the edit, the keys after, and ApplyKeys of exactly their difference
+// (core.DiffKeys). A live write runs it under the call's locks with the
+// store's Insert/SetAttr/Delete; replay runs it before the Database is
+// published with the tolerant Replay* edits at the logged OID. It returns the
+// operation's OID — an insert's assigned one.
+func (db *Database) execute(op *BatchOp, class string, groups []groupWrite, replay bool) (oid OID, err error) {
+	oid = op.OID
 	for i := range groups {
 		gw := &groups[i]
 		gw.olds = nil
-		gw.covers = gw.locks != 0 && gw.g.sharded.Covers(class)
-		if !gw.covers {
-			continue
-		}
-		covering++
-		if op.Kind != BatchInsert { // an insert has no before-image
-			var err error
+		gw.covers = gw.g.sharded.Covers(class)
+		if gw.covers && op.Kind != BatchInsert { // an insert has no before-image
 			if gw.olds, err = gw.g.sharded.EntriesFor(oid); err != nil {
-				return rec, fmt.Errorf("uindex: maintaining index %q: %w", gw.g.name, err)
+				return oid, fmt.Errorf("uindex: maintaining index %q: %w", gw.g.name, err)
 			}
 		}
 	}
-	var (
-		err     error
-		counter *atomic.Uint64
-	)
-	switch op.Kind {
-	case BatchInsert:
+	switch {
+	case op.Kind == BatchInsert && replay:
+		err = db.st.ReplayInsert(oid, op.Class, op.Attrs)
+	case op.Kind == BatchInsert:
 		oid, err = db.st.Insert(op.Class, op.Attrs)
-		counter = &db.ctrs.inserts
-	case BatchSet:
+	case op.Kind == BatchSet && replay:
+		db.st.ReplaySet(oid, op.Attr, op.Value)
+	case op.Kind == BatchSet:
 		_, err = db.st.SetAttr(oid, op.Attr, op.Value)
-		counter = &db.ctrs.sets
-	case BatchDelete:
+	case op.Kind == BatchDelete && replay:
+		db.st.ReplayDelete(oid)
+	case op.Kind == BatchDelete:
 		err = db.st.Delete(oid)
-		counter = &db.ctrs.deletes
 	}
 	if err != nil {
-		return rec, err
-	}
-	if db.wal != nil {
-		rec = walAppendOp(rec, op.Kind, oid, body, covering)
+		return oid, err
 	}
 	for i := range groups {
 		gw := &groups[i]
@@ -355,20 +369,13 @@ func (db *Database) execute(op *BatchOp, class string, body []byte, groups []gro
 		var news [][]byte
 		if op.Kind != BatchDelete { // a delete has no after-image
 			if news, err = gw.g.sharded.EntriesFor(oid); err != nil {
-				return rec[:mark], fmt.Errorf("uindex: maintaining index %q: %w", gw.g.name, err)
+				return oid, fmt.Errorf("uindex: maintaining index %q: %w", gw.g.name, err)
 			}
 		}
 		dels, ins := core.DiffKeys(gw.olds, news)
 		if err = gw.g.sharded.ApplyKeys(dels, ins); err != nil {
-			return rec[:mark], fmt.Errorf("uindex: maintaining index %q: %w", gw.g.name, err)
-		}
-		if db.wal != nil {
-			rec = walAppendEdit(rec, gw.g.name, dels, ins)
+			return oid, fmt.Errorf("uindex: maintaining index %q: %w", gw.g.name, err)
 		}
 	}
-	if op.Kind == BatchInsert {
-		res.OIDs = append(res.OIDs, oid)
-	}
-	counter.Add(1)
-	return rec, nil
+	return oid, nil
 }
