@@ -30,7 +30,10 @@ vet:
 # corruption sweeps, the fault-injection propagation tests across pager,
 # bufferpool, and facade, and the checkpoint-window crash (writers
 # between a shard's sync and the manifest commit, then a crash image that
-# must reopen: TestWALCheckpointWindowCrash).
+# must reopen: TestWALCheckpointWindowCrash), and the write call's
+# all-or-nothing page-write step across shards — shard 2 refusing its page
+# writes leaves no shard published and every page the call allocated free
+# (TestShardPageWriteFailAllOrNothing; TestTxWriteFailureAborts for one tree).
 crash:
 	$(GO) test -race -count=1 ./internal/faultfs/
 	$(GO) test -race -count=1 -run 'Corrupt|Crash|Torn|Header|Recover|Orphan|Fault|Fail|Checkpoint|Durab|FlushMeta|FlushReleases' ./internal/pager/ ./internal/bufferpool/ ./internal/btree/ .
@@ -41,7 +44,13 @@ crash:
 # progressing through an in-flight incremental checkpoint, a crash inside
 # the window between the shard syncs and the manifest commits, shards and
 # index manifests committed ahead of the store cut, a record holding only
-# its operations, never index keys), the record decoder's fuzz seeds, the
+# its operations, never index keys, a failed call that leaves the store, the
+# indexes, the counters and the log as they were, in memory and under the
+# log — TestWALFailedBatchLeavesNothing, TestWALFailedOpStaysOutOfLog, and
+# with a concurrent writer on a class no index covers,
+# TestWALUncoveredWritersFailAlone — and one published tree version per
+# shard per call,
+# TestWALCallPublishesOneVersionPerShard), the record decoder's fuzz seeds, the
 # WAL crash matrix (power-cut at every log/data/manifest op under both power
 # models, torn writes), and the /metrics wal_* series.
 wal:
@@ -111,9 +120,10 @@ shard:
 # edits (walGroupEdit, walAppendEdit, walKeys), deleted in favor of replay
 # re-deriving them through the write path; and the Database's separate
 # stats accessors (db.PoolStats, db.NodeCacheStats), deleted in favor of
-# Metrics.
+# Metrics. And a batch result's applied count (BatchResult.Applied), deleted
+# because a write call applies whole or not at all.
 apicheck: vet
-	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run|NoPrefetch|AnchorStride|OpenTuned|btree\.Tuning|NodeCacheSize|MaxBatch|\bOp(Insert|Set|Delete)\b|walAppendStoreHalf|snapshot(Writer|Reader)|NewCursor|PinBatch|UnpinBatch|OverflowPageCount|DurabilityNone|walGroupEdit|walAppendEdit|walKeys|db\.(PoolStats|NodeCacheStats)\(' . || true); \
+	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run|NoPrefetch|AnchorStride|OpenTuned|btree\.Tuning|NodeCacheSize|MaxBatch|\bOp(Insert|Set|Delete)\b|walAppendStoreHalf|snapshot(Writer|Reader)|NewCursor|PinBatch|UnpinBatch|OverflowPageCount|DurabilityNone|walGroupEdit|walAppendEdit|walKeys|db\.(PoolStats|NodeCacheStats)\(|\.Applied\b' . || true); \
 	if [ -n "$$deprecated" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$deprecated"; \

@@ -554,7 +554,11 @@ func BenchmarkBulkLoadVsInsert(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := ix.ApplyKeys(nil, keys); err != nil {
+				txs := ix.Begin(ix.AllShards()) // one shard: one transaction per vehicle
+				if err := ix.ApplyKeys(txs, nil, keys); err != nil {
+					b.Fatal(err)
+				}
+				if err := txs[0].Commit(); err != nil {
 					b.Fatal(err)
 				}
 			}

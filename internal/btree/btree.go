@@ -56,8 +56,9 @@ type version struct {
 }
 
 // Tree is a multi-version B+-tree. Writers never block readers: mutations
-// (Insert, Delete, BulkLoad) are serialized by a per-tree writer mutex and
-// commit by publishing a new immutable version via an atomic pointer, while
+// (a Tx of Insert and Delete edits, BulkLoad) are serialized by a per-tree
+// writer mutex and commit by publishing a new immutable version via an
+// atomic pointer, while
 // read operations pin the current version (a cheap epoch registration in the
 // bufferpool.Reclaimer), traverse it without any tree-level lock, and unpin.
 // Superseded pages are retired to the Reclaimer and freed once no snapshot
@@ -289,7 +290,7 @@ func (t *Tree) Len() int { return t.cur.Load().count }
 func (t *Tree) Height() int { return t.cur.Load().hgt }
 
 // Epoch returns the epoch of the current published version; it advances by
-// one per committed mutation.
+// one per published transaction.
 func (t *Tree) Epoch() uint64 { return t.cur.Load().epoch }
 
 // Flush persists the tree metadata to the page file. Node pages are written

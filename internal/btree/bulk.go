@@ -35,18 +35,15 @@ const bulkFillFraction = 0.90
 // BulkLoad builds the tree bottom-up from a sorted entry stream. It is far
 // faster than repeated Insert for large builds (the 150,000-object databases
 // of the paper's Section 5 experiments) and produces near-optimally packed
-// pages. The tree must be empty. The build is one mutation: nodes are
+// pages. The tree must be empty. The build is one transaction: nodes are
 // allocated, encoded, and written as they seal (never held in memory beyond
 // the level being packed), and the finished tree is published as one new
 // version at the end — a concurrent reader sees the empty tree until then.
 func (t *Tree) BulkLoad(src EntrySource) error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	v := t.cur.Load()
-	if v.count != 0 {
-		return fmt.Errorf("btree: BulkLoad requires an empty tree")
+	w := t.Begin()
+	if w.count != 0 {
+		return w.Abort(fmt.Errorf("btree: BulkLoad requires an empty tree"))
 	}
-	w := t.newWriteOp()
 
 	limit := int(float64(t.f.PageSize()) * bulkFillFraction)
 	maxEntries := t.cfg.MaxEntries
@@ -90,20 +87,20 @@ func (t *Tree) BulkLoad(src EntrySource) error {
 	for {
 		key, val, ok, err := src()
 		if err != nil {
-			return w.abort(err)
+			return w.Abort(err)
 		}
 		if !ok {
 			break
 		}
 		if len(key) == 0 || len(key) > t.maxKeySize() {
-			return w.abort(fmt.Errorf("btree: BulkLoad key of %d bytes invalid", len(key)))
+			return w.Abort(fmt.Errorf("btree: BulkLoad key of %d bytes invalid", len(key)))
 		}
 		if prevKey != nil && bytes.Compare(prevKey, key) >= 0 {
-			return w.abort(fmt.Errorf("btree: BulkLoad keys not strictly ascending at %q", key))
+			return w.Abort(fmt.Errorf("btree: BulkLoad keys not strictly ascending at %q", key))
 		}
 		stored, err := w.storeValue(val)
 		if err != nil {
-			return w.abort(err)
+			return w.Abort(err)
 		}
 		kcopy := append([]byte(nil), key...)
 		cur.keys = append(cur.keys, kcopy)
@@ -121,7 +118,7 @@ func (t *Tree) BulkLoad(src EntrySource) error {
 			cur.keys = cur.keys[:last:last]
 			cur.vals = cur.vals[:last:last]
 			if err := sealLeaf(); err != nil {
-				return w.abort(err)
+				return w.Abort(err)
 			}
 			cur.keys = append(cur.keys, k)
 			cur.vals = append(cur.vals, vv)
@@ -133,18 +130,18 @@ func (t *Tree) BulkLoad(src EntrySource) error {
 		}
 		if full {
 			if err := sealLeaf(); err != nil {
-				return w.abort(err)
+				return w.Abort(err)
 			}
 		}
 	}
 	if len(cur.keys) > 0 {
 		if err := sealLeaf(); err != nil {
-			return w.abort(err)
+			return w.Abort(err)
 		}
 	}
 	if len(level) == 0 {
 		// Empty input: keep the published empty tree as is.
-		return nil
+		return w.Abort(nil)
 	}
 
 	// Separator between adjacent leaves i-1 and i: the shortest key above
@@ -177,7 +174,7 @@ func (t *Tree) BulkLoad(src EntrySource) error {
 				nd.children = nd.children[:len(nd.children)-1]
 				id, err := seal(nd)
 				if err != nil {
-					return w.abort(err)
+					return w.Abort(err)
 				}
 				nextLevel = append(nextLevel, built{id, nil, nil})
 				promoted = append(promoted, sep)
@@ -187,7 +184,7 @@ func (t *Tree) BulkLoad(src EntrySource) error {
 		}
 		id, err := seal(nd)
 		if err != nil {
-			return w.abort(err)
+			return w.Abort(err)
 		}
 		nextLevel = append(nextLevel, built{id, nil, nil})
 		// promoted[j] separates nextLevel[j] | nextLevel[j+1]; realign
@@ -198,6 +195,7 @@ func (t *Tree) BulkLoad(src EntrySource) error {
 		height++
 	}
 	// The pre-allocated empty root is superseded by the built tree.
-	w.retired = append(w.retired, v.root)
-	return w.commit(level[0].id, height, count)
+	w.retired = append(w.retired, w.root)
+	w.root, w.hgt, w.count = level[0].id, height, count
+	return w.Commit()
 }

@@ -6,15 +6,19 @@ import (
 	"repro/internal/pager"
 )
 
-// writeOp is one copy-on-write mutation in flight, always under the tree's
-// writer mutex. Committed nodes are immutable: the op shadows every node on
-// the changed path into a fresh page, mutates the private copies, and at
-// commit writes them out, publishes the new version, and hands the
-// superseded pages to the epoch reclaimer. Until commit nothing the op did
-// is visible, so an error aborts by freeing the op's own pages and leaving
-// the published version untouched.
-type writeOp struct {
+// Tx is one copy-on-write mutation in flight, holding the tree's writer
+// mutex from Begin to Publish or Abort. Committed nodes are immutable: its
+// Insert and Delete edits shadow each node on a changed path into a fresh
+// page once, however many edits pass through it, and carry the root, height
+// and count they add up to. Commit is Write, which puts every fresh page in
+// the page file, then Publish, which makes the new version current and hands
+// the superseded pages to the epoch reclaimer. Until Publish nothing is
+// visible, so Abort, the way out after any error, just frees the op's pages.
+type Tx struct {
 	t         *Tree
+	root      pager.PageID
+	hgt       int
+	count     int
 	fresh     map[pager.PageID]*node // pages this op created, by id
 	allocated []pager.PageID         // every page this op allocated (nodes + overflow)
 	retired   []pager.PageID         // committed pages this op superseded
@@ -22,12 +26,15 @@ type writeOp struct {
 	pbuf      []byte                 // page image scratch for load
 }
 
-func (t *Tree) newWriteOp() *writeOp {
-	return &writeOp{t: t, fresh: make(map[pager.PageID]*node)}
+// Begin opens a transaction on the published version.
+func (t *Tree) Begin() *Tx {
+	t.wmu.Lock()
+	v := t.cur.Load()
+	return &Tx{t: t, root: v.root, hgt: v.hgt, count: v.count, fresh: make(map[pager.PageID]*node)}
 }
 
 // alloc allocates a page and records it for the abort path.
-func (w *writeOp) alloc() (pager.PageID, error) {
+func (w *Tx) alloc() (pager.PageID, error) {
 	id, err := w.t.f.Alloc()
 	if err != nil {
 		return pager.NilPage, err
@@ -37,7 +44,7 @@ func (w *writeOp) alloc() (pager.PageID, error) {
 }
 
 // allocNode creates a fresh private node on a newly allocated page.
-func (w *writeOp) allocNode(leaf bool) (*node, error) {
+func (w *Tx) allocNode(leaf bool) (*node, error) {
 	id, err := w.alloc()
 	if err != nil {
 		return nil, err
@@ -50,7 +57,7 @@ func (w *writeOp) allocNode(leaf bool) (*node, error) {
 // fetch returns the node for a page: the op's own fresh copy, else the
 // committed node through load (the decoded form of a committed page serves
 // readers just as well as the writer). Writes are not tracked.
-func (w *writeOp) fetch(id pager.PageID) (*node, error) {
+func (w *Tx) fetch(id pager.PageID) (*node, error) {
 	if n, ok := w.fresh[id]; ok {
 		return n, nil
 	}
@@ -62,7 +69,7 @@ func (w *writeOp) fetch(id pager.PageID) (*node, error) {
 // in-place edits of the shadow never reach the committed node; the key and
 // value byte slices themselves are shared — they are never mutated, only
 // replaced. Shadowing a node the op already owns returns it unchanged.
-func (w *writeOp) shadow(n *node) (*node, error) {
+func (w *Tx) shadow(n *node) (*node, error) {
 	if _, ok := w.fresh[n.id]; ok {
 		return n, nil
 	}
@@ -85,7 +92,7 @@ func (w *writeOp) shadow(n *node) (*node, error) {
 // freeNode releases a node the mutation no longer needs: a committed node is
 // retired (older snapshots may still read it), a fresh one is discarded (it
 // was never visible and its page is freed at commit).
-func (w *writeOp) freeNode(n *node) {
+func (w *Tx) freeNode(n *node) {
 	if _, ok := w.fresh[n.id]; ok {
 		delete(w.fresh, n.id)
 		w.discarded = append(w.discarded, n.id)
@@ -94,24 +101,31 @@ func (w *writeOp) freeNode(n *node) {
 	w.retired = append(w.retired, n.id)
 }
 
-// commit makes the mutation visible: every fresh node is encoded and written
-// to the page file first, then the new version is published atomically and
-// the superseded pages are retired under the reclaimer's lock — a reader
-// that loads the new version finds all its pages on disk, and a reader
-// pinned to an older epoch keeps the pages it can reach until it releases.
-func (w *writeOp) commit(root pager.PageID, hgt, count int) error {
-	t := w.t
-	buf := make([]byte, t.f.PageSize())
+// Write, the first commit step, encodes every fresh node into its page.
+func (w *Tx) Write() error {
+	buf := make([]byte, w.t.f.PageSize())
 	for _, n := range w.fresh {
-		if err := n.encode(buf, t.noCompress); err != nil {
-			return w.abort(err)
+		if err := n.encode(buf, w.t.noCompress); err != nil {
+			return err
 		}
-		if err := t.f.Write(n.id, buf); err != nil {
-			return w.abort(err)
+		if err := w.t.f.Write(n.id, buf); err != nil {
+			return err
 		}
 	}
-	old := t.cur.Load()
-	nv := &version{root: root, hgt: hgt, count: count, epoch: old.epoch + 1}
+	return nil
+}
+
+// Publish, the second, makes the new version current and retires the
+// superseded pages to the reclaimer, which frees them once no pinned reader
+// can reach them. A Tx that changed nothing publishes nothing. An error is a
+// page the file refused to free, after the version is current.
+func (w *Tx) Publish() error {
+	t := w.t
+	defer t.wmu.Unlock()
+	if len(w.allocated) == 0 && len(w.retired) == 0 {
+		return nil
+	}
+	nv := &version{root: w.root, hgt: w.hgt, count: w.count, epoch: t.cur.Load().epoch + 1}
 	// Install the committed nodes in the shared cache (their pages are on
 	// disk already, and their ids are unreachable until publish) and drop
 	// the retired ids. A pinned reader may legitimately re-decode and
@@ -134,18 +148,27 @@ func (w *writeOp) commit(root pager.PageID, hgt, count int) error {
 	return err
 }
 
-// abort undoes the op: every page it allocated is freed and the published
+// Commit is Write then Publish, aborting when a page write fails.
+func (w *Tx) Commit() error {
+	if err := w.Write(); err != nil {
+		return w.Abort(err)
+	}
+	return w.Publish()
+}
+
+// Abort undoes the op: every page it allocated is freed and the published
 // version is left exactly as it was. The op's ids are dropped from the
-// shared cache defensively — commit only installs nodes after every page
+// shared cache defensively — Publish only installs nodes after every page
 // write succeeded, so nothing should be there, but a freed id must never
 // linger in the cache once the allocator can reuse it. It returns cause for
 // convenience.
-func (w *writeOp) abort(cause error) error {
+func (w *Tx) Abort(cause error) error {
 	for _, id := range w.allocated {
 		w.t.ncache.invalidate(id)
 		_ = w.t.f.Free(id)
 	}
 	w.allocated = nil
+	w.t.wmu.Unlock()
 	return cause
 }
 
@@ -154,52 +177,54 @@ type splitResult struct {
 	right pager.PageID
 }
 
-// Insert stores val under key, replacing any existing value. Keys and
-// values are copied; the caller keeps ownership of its slices. The mutation
-// commits a new tree version; concurrent readers keep seeing the version
-// they pinned.
+// Insert stores val under key in a transaction of its own.
 func (t *Tree) Insert(key, val []byte) error {
+	tx := t.Begin()
+	if err := tx.Insert(key, val); err != nil {
+		return tx.Abort(err)
+	}
+	return tx.Commit()
+}
+
+// Insert stores val under key, replacing any existing value. Keys and
+// values are copied; the caller keeps ownership of its slices.
+func (tx *Tx) Insert(key, val []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("btree: empty key")
 	}
-	if len(key) > t.maxKeySize() {
-		return fmt.Errorf("btree: key of %d bytes exceeds maximum %d", len(key), t.maxKeySize())
+	if len(key) > tx.t.maxKeySize() {
+		return fmt.Errorf("btree: key of %d bytes exceeds maximum %d", len(key), tx.t.maxKeySize())
 	}
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	v := t.cur.Load()
-	w := t.newWriteOp()
-	stored, err := w.storeValue(val)
+	stored, err := tx.storeValue(val)
 	if err != nil {
-		return w.abort(err)
+		return err
 	}
-	newRoot, split, added, err := w.insertRec(v.root, key, stored)
+	newRoot, split, added, err := tx.insertRec(tx.root, key, stored)
 	if err != nil {
-		return w.abort(err)
+		return err
 	}
-	hgt := v.hgt
 	if split != nil {
 		// Grow a new root.
-		nr, err := w.allocNode(false)
+		nr, err := tx.allocNode(false)
 		if err != nil {
-			return w.abort(err)
+			return err
 		}
 		nr.keys = [][]byte{split.sep}
 		nr.children = []pager.PageID{newRoot, split.right}
 		newRoot = nr.id
-		hgt++
+		tx.hgt++
 	}
-	count := v.count
+	tx.root = newRoot
 	if added {
-		count++
+		tx.count++
 	}
-	return w.commit(newRoot, hgt, count)
+	return nil
 }
 
 // insertRec inserts into the subtree rooted at id and returns the id of the
 // (always shadowed) replacement subtree root, plus a pending split if the
 // replacement overflowed.
-func (w *writeOp) insertRec(id pager.PageID, key, stored []byte) (pager.PageID, *splitResult, bool, error) {
+func (w *Tx) insertRec(id pager.PageID, key, stored []byte) (pager.PageID, *splitResult, bool, error) {
 	n, err := w.fetch(id)
 	if err != nil {
 		return pager.NilPage, nil, false, err
@@ -255,7 +280,7 @@ func (w *writeOp) insertRec(id pager.PageID, key, stored []byte) (pager.PageID, 
 
 // splitLeaf moves the upper half of a (fresh) leaf into a new right sibling
 // and returns the separator to push up.
-func (w *writeOp) splitLeaf(n *node) (*splitResult, error) {
+func (w *Tx) splitLeaf(n *node) (*splitResult, error) {
 	at := w.t.splitPoint(n)
 	right, err := w.allocNode(true)
 	if err != nil {
@@ -271,7 +296,7 @@ func (w *writeOp) splitLeaf(n *node) (*splitResult, error) {
 
 // splitInternal promotes the middle key of a (fresh) internal node and moves
 // the upper half into a new right sibling.
-func (w *writeOp) splitInternal(n *node) (*splitResult, error) {
+func (w *Tx) splitInternal(n *node) (*splitResult, error) {
 	at := w.t.splitPoint(n)
 	if at == len(n.keys) {
 		at--
@@ -342,15 +367,21 @@ func (t *Tree) splitPoint(n *node) int {
 	return best
 }
 
-// Delete removes key from the tree. It reports whether the key was present.
+// Delete removes key from the tree in a transaction of its own. It reports
+// whether the key was present.
 func (t *Tree) Delete(key []byte) (bool, error) {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	v := t.cur.Load()
-	w := t.newWriteOp()
+	tx := t.Begin()
+	found, err := tx.Delete(key)
+	if err != nil {
+		return false, tx.Abort(err)
+	}
+	return found, tx.Commit()
+}
 
-	// Probe the committed tree first: a miss must not churn any pages.
-	id := v.root
+// Delete removes key. It reports whether the key was present.
+func (w *Tx) Delete(key []byte) (bool, error) {
+	// Probe first: a miss must not churn any pages.
+	id := w.root
 	for {
 		n, err := w.fetch(id)
 		if err != nil {
@@ -371,24 +402,24 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 		ci int // child index taken from this node
 	}
 	var path []frame
-	root, err := w.fetch(v.root)
+	root, err := w.fetch(w.root)
 	if err != nil {
 		return false, err
 	}
 	cur, err := w.shadow(root)
 	if err != nil {
-		return false, w.abort(err)
+		return false, err
 	}
 	newRoot := cur.id
 	for !cur.leaf {
 		ci := findChild(cur.keys, key)
 		child, err := w.fetch(cur.children[ci])
 		if err != nil {
-			return false, w.abort(err)
+			return false, err
 		}
 		sc, err := w.shadow(child)
 		if err != nil {
-			return false, w.abort(err)
+			return false, err
 		}
 		cur.children[ci] = sc.id
 		path = append(path, frame{cur, ci})
@@ -396,11 +427,10 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 	}
 	i, ok := findKey(cur.keys, key)
 	if !ok {
-		// Unreachable after the probe; abort defensively.
-		return false, w.abort(nil)
+		return false, fmt.Errorf("btree: key vanished between probe and delete")
 	}
 	if err := w.retireValue(cur.vals[i]); err != nil {
-		return false, w.abort(err)
+		return false, err
 	}
 	cur.removeAt(i)
 
@@ -412,27 +442,25 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 			break
 		}
 		if err := w.rebalance(parent, ci); err != nil {
-			return false, w.abort(err)
+			return false, err
 		}
 		child = parent
 	}
 	// Collapse the root while it is an internal node with a single child.
-	hgt := v.hgt
 	for {
 		r, err := w.fetch(newRoot)
 		if err != nil {
-			return false, w.abort(err)
+			return false, err
 		}
 		if r.leaf || len(r.keys) > 0 {
 			break
 		}
 		newRoot = r.children[0]
-		hgt--
+		w.hgt--
 		w.freeNode(r)
 	}
-	if err := w.commit(newRoot, hgt, v.count-1); err != nil {
-		return false, err
-	}
+	w.root = newRoot
+	w.count--
 	return true, nil
 }
 
@@ -441,7 +469,7 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 // incompatible sizes) the node is left underfull, which affects space
 // utilization but never correctness. parent and its ci-th child are already
 // fresh; siblings are shadowed lazily, only when actually modified.
-func (w *writeOp) rebalance(parent *node, ci int) error {
+func (w *Tx) rebalance(parent *node, ci int) error {
 	child, err := w.fetch(parent.children[ci])
 	if err != nil {
 		return err
@@ -598,7 +626,7 @@ func rotateRight(parent *node, si int, left, right *node) {
 // merge folds right into left (left must be fresh) and removes the separator
 // at parent.keys[si]. right is released: retired when committed, discarded
 // when it was created by this op.
-func (w *writeOp) merge(parent *node, si int, left, right *node) {
+func (w *Tx) merge(parent *node, si int, left, right *node) {
 	if left.leaf {
 		left.keys = append(left.keys, right.keys...)
 		left.vals = append(left.vals, right.vals...)

@@ -56,7 +56,7 @@ const (
 // node is the in-memory form of a page. Keys are held fully decompressed;
 // compression is applied on encode and undone on decode. A decoded node is
 // immutable once committed — mutations operate on private shadow copies
-// (writeOp.shadow) and commit them as new pages.
+// (Tx.shadow) and commit them as new pages.
 type node struct {
 	id       pager.PageID
 	leaf     bool

@@ -33,7 +33,7 @@ type CacheStats struct {
 // beyond the map itself. Coherence is maintained by invalidation at the two
 // points where a page id's content can change hands:
 //
-//   - writeOp.commit installs the freshly committed nodes and drops the ids
+//   - Tx.Publish installs the freshly committed nodes and drops the ids
 //     it retired (their content is still valid for pinned snapshots, but the
 //     entry will be refreshed at latest when the page id is reused);
 //   - the bufferpool.Reclaimer's release hook drops a page id the moment the

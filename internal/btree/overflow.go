@@ -3,6 +3,7 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/pager"
 )
@@ -30,10 +31,10 @@ func (t *Tree) overflowThreshold() int {
 }
 
 // storeValue converts a logical value into its stored form, spilling to an
-// overflow chain when large. Chain pages are allocated through the writeOp,
-// so an aborted mutation frees them and nothing leaks; they are written
+// overflow chain when large. Chain pages are allocated through the Tx, so an
+// aborted mutation frees them and nothing leaks; they are written
 // immediately but stay unreachable until the op commits.
-func (w *writeOp) storeValue(val []byte) ([]byte, error) {
+func (w *Tx) storeValue(val []byte) ([]byte, error) {
 	t := w.t
 	if len(val) <= t.overflowThreshold() {
 		return append([]byte{valInline}, val...), nil
@@ -109,10 +110,11 @@ func (t *Tree) loadValue(stored []byte, tr *pager.Tracker) ([]byte, error) {
 	return nil, fmt.Errorf("btree: unknown value tag 0x%02x", stored[0])
 }
 
-// retireValue hands the overflow chain of a stored value (if any) to the
-// op's retired set: the pages stay readable for pinned snapshots and are
-// freed by the reclaimer once unreachable.
-func (w *writeOp) retireValue(stored []byte) error {
+// retireValue releases the overflow chain of a stored value (if any): a
+// committed chain goes to the op's retired set, where its pages stay
+// readable for pinned snapshots until the reclaimer frees them; a chain this
+// op allocated was never visible and is discarded.
+func (w *Tx) retireValue(stored []byte) error {
 	if len(stored) == 0 || stored[0] != valOverflow {
 		return nil
 	}
@@ -125,7 +127,11 @@ func (w *writeOp) retireValue(stored []byte) error {
 		if err := w.t.f.Read(id, buf); err != nil {
 			return err
 		}
-		w.retired = append(w.retired, id)
+		if slices.Contains(w.allocated, id) {
+			w.discarded = append(w.discarded, id)
+		} else {
+			w.retired = append(w.retired, id)
+		}
 		id = pager.PageID(binary.BigEndian.Uint32(buf[:4]))
 	}
 	return nil

@@ -116,7 +116,8 @@ func (f *fixture) ageIndex(t *testing.T) *Sharded {
 }
 
 // update moves the group's entries of oid from olds to its current entries
-// — EntriesFor → DiffKeys → ApplyKeys, the engine's index-maintenance step.
+// — EntriesFor → DiffKeys → ApplyKeys into one transaction per shard, then
+// commit, the engine's index-maintenance step.
 // olds is nil for an object just stored; delete the object from the store
 // after an update with gone set, which drops its entries.
 func update(t *testing.T, sh *Sharded, oid store.OID, olds [][]byte, gone bool) {
@@ -128,9 +129,27 @@ func update(t *testing.T, sh *Sharded, oid store.OID, olds [][]byte, gone bool) 
 			t.Fatal(err)
 		}
 	}
-	if err := sh.ApplyKeys(DiffKeys(olds, news)); err != nil {
+	if err := commitKeys(sh, sh.AllShards(), olds, news); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// commitKeys applies the DiffKeys of olds and news into one transaction on
+// each shard of the mask and commits them, aborting all on an error.
+func commitKeys(sh *Sharded, mask uint64, olds, news [][]byte) error {
+	txs := sh.Begin(mask)
+	dels, ins := DiffKeys(olds, news)
+	err := sh.ApplyKeys(txs, dels, ins)
+	for _, tx := range txs {
+		switch {
+		case tx == nil:
+		case err != nil:
+			tx.Abort(nil)
+		default:
+			err = tx.Commit()
+		}
+	}
+	return err
 }
 
 // entries is EntriesFor failing the test on error.

@@ -158,15 +158,6 @@ func (sh *Sharded) EntriesFor(oid store.OID) ([][]byte, error) {
 	return sh.shards[0].EntriesFor(oid)
 }
 
-// routeKey returns the shard a key belongs to.
-func (sh *Sharded) routeKey(k []byte) (*Index, error) {
-	i, err := sh.smap.ShardOfKey(sh.shards[0].attrType, k)
-	if err != nil {
-		return nil, err
-	}
-	return sh.shards[i], nil
-}
-
 // DiffKeys reduces an old/new entry-set pair to the deletions and
 // insertions that turn one into the other — the paper's Section 3.5 update.
 // The write-ahead log does not record its output: recovery re-derives it
@@ -205,28 +196,38 @@ func keySet(keys [][]byte) map[string][]byte {
 	return m
 }
 
-// ApplyKeys applies pre-computed key edits — deletions first, then
-// insertions — each routed to its shard. Deleting an absent key and
-// re-inserting a present one are both no-ops at the B-tree layer, which
-// makes replaying the same edits a second time idempotent. The caller holds
-// the WriteShards locks of every touched shard.
-func (sh *Sharded) ApplyKeys(dels, ins [][]byte) error {
-	for _, k := range dels {
-		ix, err := sh.routeKey(k)
-		if err != nil {
-			return err
-		}
-		if _, err := ix.tree.Delete(k); err != nil {
-			return err
-		}
+// Begin opens a transaction on every shard in the mask, whose writer locks
+// the caller holds; txs[i] is shard i's, nil outside the mask.
+func (sh *Sharded) Begin(mask uint64) []*btree.Tx {
+	txs := make([]*btree.Tx, len(sh.shards))
+	for ; mask != 0; mask &= mask - 1 {
+		i := bits.TrailingZeros64(mask)
+		txs[i] = sh.shards[i].tree.Begin()
 	}
-	for _, k := range ins {
-		ix, err := sh.routeKey(k)
-		if err != nil {
-			return err
-		}
-		if err := ix.tree.Insert(k, nil); err != nil {
-			return err
+	return txs
+}
+
+// ApplyKeys routes pre-computed key edits — deletions first, then
+// insertions — each into txs's transaction for its shard (Begin); it commits
+// nothing. Deleting an absent key and re-inserting a present one are both
+// no-ops at the B-tree layer, which makes replaying the same edits a second
+// time idempotent.
+func (sh *Sharded) ApplyKeys(txs []*btree.Tx, dels, ins [][]byte) error {
+	for pass, keys := range [2][][]byte{dels, ins} {
+		for _, k := range keys {
+			i, err := sh.smap.ShardOfKey(sh.shards[0].attrType, k)
+			switch {
+			case err != nil:
+			case txs[i] == nil:
+				err = fmt.Errorf("core: key routes to shard %d, which the call did not lock", i)
+			case pass == 0:
+				_, err = txs[i].Delete(k)
+			default:
+				err = txs[i].Insert(k, nil)
+			}
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -212,12 +212,13 @@ func TestShardedSinglePageCountInvariance(t *testing.T) {
 }
 
 // applyLocked routes one old→new entry-set change through the group under
-// the given shard locks — EntriesFor + DiffKeys + ApplyKeys, the facade's
-// whole index-maintenance step.
+// the given shard locks — EntriesFor + DiffKeys + ApplyKeys into one
+// transaction per locked shard, then commit, the facade's whole
+// index-maintenance step.
 func applyLocked(sh *Sharded, mask uint64, olds, news [][]byte) error {
 	sh.LockShards(mask)
 	defer sh.UnlockShards(mask)
-	return sh.ApplyKeys(DiffKeys(olds, news))
+	return commitKeys(sh, mask, olds, news)
 }
 
 // TestShardedMutationRouting: incremental insert/diff/remove edits through

@@ -81,7 +81,16 @@ func RunUpdateCost(seed int64, reps int) (*UpdateCostResult, error) {
 
 	// The U-index is updated the way the engine's write path does it: the
 	// object's entries before the store edit, its entries after it, and
-	// ApplyKeys of their DiffKeys (EntriesFor → DiffKeys → ApplyKeys).
+	// ApplyKeys of their DiffKeys into one transaction, committed once
+	// (EntriesFor → DiffKeys → ApplyKeys → Commit).
+	update := func(olds, news [][]byte) error {
+		txs := uIx.Begin(uIx.AllShards()) // the one shard's
+		dels, ins := core.DiffKeys(olds, news)
+		if err := uIx.ApplyKeys(txs, dels, ins); err != nil {
+			return txs[0].Abort(err)
+		}
+		return txs[0].Commit()
+	}
 	company := db.Companies[0]
 	// End-of-path insert + delete (one vehicle round trip).
 	if err := measure("vehicle insert+delete", "U-index", uFile, uIx.Shard(0).Flush, func() error {
@@ -94,7 +103,7 @@ func RunUpdateCost(seed int64, reps int) (*UpdateCostResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := uIx.ApplyKeys(core.DiffKeys(nil, news)); err != nil {
+		if err := update(nil, news); err != nil {
 			return err
 		}
 		olds, err := uIx.EntriesFor(oid)
@@ -104,7 +113,7 @@ func RunUpdateCost(seed int64, reps int) (*UpdateCostResult, error) {
 		if err := db.Store.Delete(oid); err != nil {
 			return err
 		}
-		return uIx.ApplyKeys(core.DiffKeys(olds, nil))
+		return update(olds, nil)
 	}); err != nil {
 		return nil, err
 	}
@@ -154,7 +163,7 @@ func RunUpdateCost(seed int64, reps int) (*UpdateCostResult, error) {
 		if err != nil {
 			return err
 		}
-		return uIx.ApplyKeys(core.DiffKeys(old, newKeys))
+		return update(old, newKeys)
 	}); err != nil {
 		return nil, err
 	}

@@ -235,11 +235,10 @@ func (c *Client) Delete(ctx context.Context, oid uindex.OID) error {
 
 // ApplyBatch executes a batch of mutations in one round trip with the
 // semantics of Database.Apply: one writer-lock acquisition per index shard,
-// operations applied in order, first failure stops the batch (earlier
-// operations stay applied — the error response carries no per-op result, so
-// re-derive state with a query if that matters). The session snapshot is
-// refreshed afterwards. Batches larger than the frame limit must be chunked
-// by the caller.
+// operations applied in order, and the batch applied whole or not at all — a
+// failed batch changed nothing. The session snapshot is refreshed
+// afterwards. Batches larger than the frame limit must be chunked by the
+// caller.
 func (c *Client) ApplyBatch(ctx context.Context, b *uindex.Batch) (uindex.BatchResult, error) {
 	if b == nil || b.Len() == 0 {
 		return uindex.BatchResult{}, nil

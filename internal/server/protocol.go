@@ -39,8 +39,9 @@ import (
 
 // protocolVersion is negotiated by the handshake; mismatches are rejected.
 // Version 2 moved values onto the store codec and retired the single-op
-// write opcodes 3–5.
-const protocolVersion = 2
+// write opcodes 3–5; version 3 dropped the applied count from a batch
+// result, since a batch applies whole or not at all.
+const protocolVersion = 3
 
 // handshakeMagic opens every connection, in both directions.
 var handshakeMagic = [4]byte{'u', 'i', 'x', '1'}
@@ -57,7 +58,7 @@ const (
 	OpQuery      Op = 2 // body: flags(1) ‖ index ‖ query-text → stats ‖ matches
 	OpCheckpoint Op = 6 // body: empty → empty
 	OpRefresh    Op = 7 // body: empty → empty; re-pins the session snapshot
-	OpBatch      Op = 8 // body: nops ‖ op* → applied ‖ noids ‖ oid(4)*
+	OpBatch      Op = 8 // body: nops ‖ op* → noids ‖ oid(4)*
 	// 3–5 were protocol version 1's single-op writes; never reuse them.
 )
 
@@ -330,10 +331,9 @@ func readMatches(b []byte) ([]uindex.Match, []byte, error) {
 	return ms, d.Rest(), nil
 }
 
-// appendBatchResult encodes an Apply result: the applied-operation count,
-// then the OIDs assigned to the batch's inserts in operation order.
+// appendBatchResult encodes an Apply result: the OIDs assigned to the
+// batch's inserts in operation order.
 func appendBatchResult(b []byte, res uindex.BatchResult) []byte {
-	b = binary.AppendUvarint(b, uint64(res.Applied))
 	b = binary.AppendUvarint(b, uint64(len(res.OIDs)))
 	for _, oid := range res.OIDs {
 		b = store.AppendOID(b, oid)
@@ -343,7 +343,7 @@ func appendBatchResult(b []byte, res uindex.BatchResult) []byte {
 
 func readBatchResult(b []byte) (uindex.BatchResult, []byte, error) {
 	d := store.NewDecoder(b)
-	res := uindex.BatchResult{Applied: int(d.Uvarint())}
+	var res uindex.BatchResult
 	n := d.Count()
 	for i := 0; i < n && d.Err() == nil; i++ { // grown per element: n is untrusted
 		res.OIDs = append(res.OIDs, d.OID())

@@ -482,12 +482,6 @@ func (c *conn) execute(ctx context.Context, req request) (shape string, payload 
 	case OpBatch:
 		res, err := apply(ctx, db, req.ops)
 		if err != nil {
-			// Applied operations stay applied (Apply is not a transaction),
-			// but the error response carries no result body; refresh anyway
-			// so the session observes the partial batch.
-			if res.Applied > 0 {
-				c.refreshSession()
-			}
 			return "write", nil, err
 		}
 		if err := c.refreshSession(); err != nil {
@@ -529,11 +523,7 @@ func apply(ctx context.Context, db *uindex.Database, ops []uindex.BatchOp) (uind
 		case uindex.BatchDelete:
 			err = db.Delete(op.OID)
 		}
-		if err != nil {
-			return res, err
-		}
-		res.Applied = 1
-		return res, nil
+		return res, err
 	}
 	var b uindex.Batch
 	for _, op := range ops {

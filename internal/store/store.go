@@ -8,6 +8,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -75,7 +76,7 @@ type Store struct {
 	mu      sync.RWMutex
 	schema  *schema.Schema
 	objects map[OID]*Object
-	extents map[string][]OID // per exact class, insertion order
+	extents map[string][]OID // per exact class, OID order
 	reverse map[refKey][]OID // referencing objects, insertion order
 	nextOID OID
 }
@@ -118,11 +119,20 @@ func (st *Store) Insert(class string, attrs Attrs) (OID, error) {
 	o := &Object{OID: oid, Class: class, attrs: make(Attrs, len(attrs))}
 	for k, v := range attrs {
 		o.attrs[k] = canonical(v)
-		st.linkRefs(oid, k, v)
 	}
-	st.objects[oid] = o
-	st.extents[class] = append(st.extents[class], oid)
+	st.putLocked(o)
 	return oid, nil
+}
+
+// putLocked installs an object: the object, its reverse-reference links, and
+// its place in its class extent, which is in OID order. Caller holds st.mu.
+func (st *Store) putLocked(o *Object) {
+	for name, v := range o.attrs {
+		st.linkRefs(o.OID, name, v)
+	}
+	st.objects[o.OID] = o
+	i, _ := slices.BinarySearch(st.extents[o.Class], o.OID)
+	st.extents[o.Class] = slices.Insert(st.extents[o.Class], i, o.OID)
 }
 
 // checkValue validates one attribute value against the schema. Reference
@@ -168,15 +178,21 @@ func (st *Store) checkValue(class, name string, v any) error {
 	return fmt.Errorf("store: %s.%s: reference value must be OID or []OID, got %T", class, name, v)
 }
 
+// linkRefs records src's references through attr. nextOID stays above every
+// referenced OID, so no insert reuses an id that a replayed reference or an
+// undone insert's referer still names.
 func (st *Store) linkRefs(src OID, attr string, v any) {
+	link := func(t OID) {
+		k := refKey{attr, t}
+		st.reverse[k] = append(st.reverse[k], src)
+		st.nextOID = max(st.nextOID, t+1)
+	}
 	switch x := v.(type) {
 	case OID:
-		k := refKey{attr, x}
-		st.reverse[k] = append(st.reverse[k], src)
+		link(x)
 	case []OID:
 		for _, t := range x {
-			k := refKey{attr, t}
-			st.reverse[k] = append(st.reverse[k], src)
+			link(t)
 		}
 	}
 }
@@ -257,12 +273,39 @@ func (st *Store) Delete(oid OID) error {
 	return nil
 }
 
+// Reinstall takes back one edit of a failed write call where oid still maps
+// to cur, the object the call installed (nil: none): prev, the object before
+// (nil: none), returns to its place, and an undone insert gives its OID back
+// unless a later insert took one or another object references it.
+func (st *Store) Reinstall(oid OID, cur, prev *Object) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.objects[oid] != cur {
+		return
+	}
+	if cur != nil {
+		st.dropLocked(oid, cur)
+	}
+	if prev != nil {
+		st.putLocked(prev)
+		return
+	}
+	for _, e := range st.schema.RefEdges() {
+		if len(st.reverse[refKey{e.Attr, oid}]) > 0 {
+			return
+		}
+	}
+	if cur != nil && st.nextOID == oid+1 {
+		st.nextOID = oid
+	}
+}
+
 // ReplayInsert re-applies a logged insert during recovery: the OID is fixed
 // (taken from the log record, not allocated), an existing object under that
-// OID is replaced, and reference targets are not validated — a later record
-// in the log may delete the target, so mid-replay states can dangle in ways
-// a live Insert never would. nextOID advances past the replayed OID so
-// post-recovery inserts never reuse it.
+// OID is replaced, and reference targets are not validated: both serve
+// re-replaying a log suffix the store already holds, where the object may
+// exist and a target a later record deletes may be gone. nextOID advances
+// past the replayed OID so post-recovery inserts never reuse it.
 func (st *Store) ReplayInsert(oid OID, class string, attrs Attrs) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -278,10 +321,8 @@ func (st *Store) ReplayInsert(oid OID, class string, attrs Attrs) error {
 	o := &Object{OID: oid, Class: class, attrs: make(Attrs, len(attrs))}
 	for k, v := range attrs {
 		o.attrs[k] = v
-		st.linkRefs(oid, k, v)
 	}
-	st.objects[oid] = o
-	st.extents[class] = append(st.extents[class], oid)
+	st.putLocked(o)
 	if oid >= st.nextOID {
 		st.nextOID = oid + 1
 	}
@@ -289,7 +330,7 @@ func (st *Store) ReplayInsert(oid OID, class string, attrs Attrs) error {
 }
 
 // ReplaySet re-applies a logged attribute update during recovery. A missing
-// object is a no-op (its delete was also logged and replays later), and the
+// object is a no-op (a re-replayed suffix holds its later delete), and the
 // value is installed without reference-target validation.
 func (st *Store) ReplaySet(oid OID, name string, v any) {
 	st.mu.Lock()
@@ -329,8 +370,7 @@ func (st *Store) dropLocked(oid OID, o *Object) {
 	}
 }
 
-// Extent returns the OIDs of the exact class (no subclasses), in insertion
-// order.
+// Extent returns the OIDs of the exact class (no subclasses), in OID order.
 func (st *Store) Extent(class string) []OID {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -471,6 +511,9 @@ func (st *Store) Restore(objs []RestoredObject, nextOID OID) error {
 				}
 			}
 		}
+	}
+	for _, ext := range extents {
+		slices.Sort(ext) // extents are in OID order, whatever the input's
 	}
 	st.extents = extents
 	st.reverse = reverse

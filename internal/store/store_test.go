@@ -312,3 +312,60 @@ func TestRestoreForwardReferences(t *testing.T) {
 		t.Fatalf("Deref after restore = %v, %v", got, ok)
 	}
 }
+
+// TestReinstall: undoing edits restores each prior object into its OID-ordered
+// extent place, and an undone insert gives its OID back only when no object
+// references it and no later insert took one. A replayed reference keeps
+// nextOID above the OID it names.
+func TestReinstall(t *testing.T) {
+	st := New(testSchema(t))
+	e1, _ := st.Insert("Employee", Attrs{"Age": 30})
+	e2, _ := st.Insert("Employee", Attrs{"Age": 40})
+	c, _ := st.Insert("Company", Attrs{"President": e1})
+
+	// An undone delete of e1 puts it back ahead of e2 in the extent.
+	prev, _ := st.Get(e1)
+	if err := st.Delete(e1); err != nil {
+		t.Fatal(err)
+	}
+	st.Reinstall(e1, nil, prev)
+	if got := st.Extent("Employee"); len(got) != 2 || got[0] != e1 || got[1] != e2 {
+		t.Fatalf("Extent(Employee) after an undone delete = %v", got)
+	}
+	if got := st.Referencing("President", e1); len(got) != 1 || got[0] != c {
+		t.Fatalf("Referencing(President, e1) = %v", got)
+	}
+
+	// An unreferenced undone insert gives its OID back.
+	e3, _ := st.Insert("Employee", Attrs{"Age": 50})
+	cur, _ := st.Get(e3)
+	st.Reinstall(e3, cur, nil)
+	if _, next := st.Snapshot(); next != e3 {
+		t.Fatalf("next OID after an undone insert = %d, want %d", next, e3)
+	}
+
+	// A referenced one does not: the next insert must not inherit the
+	// reference.
+	e3, _ = st.Insert("Employee", Attrs{"Age": 50})
+	cur, _ = st.Get(e3)
+	if _, err := st.SetAttr(c, "President", e3); err != nil {
+		t.Fatal(err)
+	}
+	st.Reinstall(e3, cur, nil)
+	if _, next := st.Snapshot(); next != e3+1 {
+		t.Fatalf("next OID after an undone referenced insert = %d, want %d", next, e3+1)
+	}
+
+	// A reinstall where the store no longer holds the call's object is a
+	// no-op.
+	st.Reinstall(e2, cur, nil)
+	if _, ok := st.Get(e2); !ok {
+		t.Fatal("Reinstall dropped an object the call did not install")
+	}
+
+	// Replay installs references unvalidated; nextOID moves past them.
+	st.ReplaySet(c, "President", OID(100))
+	if _, next := st.Snapshot(); next != 101 {
+		t.Fatalf("next OID after a replayed reference to 100 = %d, want 101", next)
+	}
+}

@@ -15,6 +15,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/faultfs"
+	"repro/internal/pager"
 )
 
 // queryAll runs the stress workload under both algorithms and returns every
@@ -261,17 +265,18 @@ func TestStaleSingleFileIgnored(t *testing.T) {
 
 // TestApplyBatch exercises the batched write surface directly: semantics
 // identical to individual mutations, one result row per insert, planning
-// errors reject the whole batch, execution errors stop it mid-way.
+// errors reject the whole batch, and an execution error mid-way takes back
+// the operations before it.
 func TestApplyBatch(t *testing.T) {
 	db, ids := paperDB(t)
 	defer db.Close()
 	ctx := context.Background()
 
 	// Empty and nil batches are free no-ops.
-	if res, err := db.Apply(ctx, nil); err != nil || res.Applied != 0 {
+	if res, err := db.Apply(ctx, nil); err != nil {
 		t.Fatalf("nil batch: %+v, %v", res, err)
 	}
-	if res, err := db.Apply(ctx, &Batch{}); err != nil || res.Applied != 0 {
+	if res, err := db.Apply(ctx, &Batch{}); err != nil {
 		t.Fatalf("empty batch: %+v, %v", res, err)
 	}
 
@@ -284,7 +289,7 @@ func TestApplyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Applied != 4 || len(res.OIDs) != 2 {
+	if len(res.OIDs) != 2 {
 		t.Fatalf("batch result = %+v", res)
 	}
 	ms, _, err := db.Query(ctx, "color", Query{Value: Exact("Teal"), Positions: []Position{On("Vehicle")}})
@@ -312,7 +317,7 @@ func TestApplyBatch(t *testing.T) {
 		"unknown kind": {ops: []BatchOp{{Kind: BatchOpKind(9)}}},
 	} {
 		res, err := db.Apply(ctx, bad)
-		if err == nil || res.Applied != 0 {
+		if err == nil {
 			t.Fatalf("%s: Apply = %+v, %v; want planning error with nothing applied", name, res, err)
 		}
 	}
@@ -323,8 +328,8 @@ func TestApplyBatch(t *testing.T) {
 		t.Fatalf("unknown-class batch error = %v, want ErrUnknownClass", err)
 	}
 
-	// An execution failure mid-batch stops it, leaving earlier operations
-	// applied; Applied is the index of the failing op.
+	// An execution failure mid-batch fails it whole: the operation before
+	// the failing one is taken back too, and no OID is reported.
 	b.Reset()
 	b.Insert("Truck", Attrs{"Name": "T2", "Color": "Olive"}).
 		Insert("Truck", Attrs{"NoSuchAttr": 1}).
@@ -333,11 +338,11 @@ func TestApplyBatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("batch with invalid attribute succeeded")
 	}
-	if res.Applied != 1 || len(res.OIDs) != 1 {
-		t.Fatalf("partial batch result = %+v, want 1 applied", res)
+	if len(res.OIDs) != 0 {
+		t.Fatalf("failed batch result = %+v, want no OIDs", res)
 	}
-	if ms, _, _ := db.Query(ctx, "color", Query{Value: Exact("Olive")}); len(ms) != 1 {
-		t.Fatalf("olive trucks = %d, want 1 (only the op before the failure)", len(ms))
+	if ms, _, _ := db.Query(ctx, "color", Query{Value: Exact("Olive")}); len(ms) != 0 {
+		t.Fatalf("olive trucks = %d, want 0 (a failed batch applies nothing)", len(ms))
 	}
 
 	// A canceled context stops the batch at the next boundary.
@@ -373,7 +378,7 @@ func TestApplyBatchSharded(t *testing.T) {
 		b.Insert(classes[i%len(classes)], Attrs{"Color": "Crimson"})
 	}
 	res, err := db.Apply(ctx, &b)
-	if err != nil || res.Applied != 40 {
+	if err != nil {
 		t.Fatalf("sharded batch: %+v, %v", res, err)
 	}
 	var flatOIDs []OID
@@ -543,5 +548,86 @@ func TestConcurrentShardWriters(t *testing.T) {
 	}
 	if lockAcquisitions == 0 {
 		t.Fatal("no shard write traffic recorded")
+	}
+}
+
+// TestShardPageWriteFailAllOrNothing: a call's page-write step is
+// all-or-nothing across shards. Every shard of the color group sits on its
+// DiskFile, shard 2's behind a faultfs wrapper that fails its next page
+// write; a batch inserting one vehicle of each class edits all four shards.
+// The call returns the injected error after shards 0 and 1 wrote their
+// pages, and yet no shard of either index publishes a version, every page
+// the call allocated is free again, and the store and the log are as before.
+func TestShardPageWriteFailAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	opts := walOpts(dir)
+	opts.PoolPages, opts.Shards = 0, 4 // tree pages go straight to the files
+	db := stressDBWith(t, opts)
+	defer db.Close()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	g := db.groups["color"]
+	spec := g.sharded.Prototype().Spec()
+	codes, err := core.ShardCodes(db.st, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make([]pager.File, len(g.files))
+	metas := make([]pager.PageID, len(g.files))
+	for i, df := range g.files {
+		files[i], metas[i] = df, g.sharded.Shard(i).MetaPage()
+	}
+	faulty := faultfs.Wrap(g.files[2])
+	files[2] = faulty
+	if g.sharded, err = core.NewSharded(db.st, spec, core.NewShardMap(codes, len(files)), files, metas); err != nil {
+		t.Fatal(err)
+	}
+
+	var b Batch
+	for _, class := range []string{"Vehicle", "Automobile", "Truck", "CompactAutomobile"} {
+		b.Insert(class, Attrs{"Color": "Umber", "ManufacturedBy": OID(61)})
+	}
+	state := func() string {
+		objs, next := db.Store().Snapshot()
+		s := fmt.Sprintf("next=%d objects=%d log=%d epochs=%v\n", next, len(objs), db.wal.log.LiveBytes(), shardEpochs(db))
+		for _, name := range db.Indexes() {
+			s += fmt.Sprintf("%s %v\n", name, dumpIndexKeys(t, db, name))
+		}
+		return s
+	}
+	before := state()
+	stats := func() []pager.Stats {
+		out := make([]pager.Stats, len(g.files))
+		for i, df := range g.files {
+			out[i] = df.Stats()
+		}
+		return out
+	}
+	pages := make([]int, len(g.files))
+	for i, df := range g.files {
+		pages[i] = df.NumPages()
+	}
+	s0 := stats()
+	faulty.FailNth(faultfs.OpWrite, 1, nil)
+	if _, err := db.Apply(context.Background(), &b); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("Apply = %v, want the injected page-write failure", err)
+	}
+	s1 := stats()
+	for i, df := range g.files {
+		allocs, frees := s1[i].Allocs-s0[i].Allocs, s1[i].Frees-s0[i].Frees
+		if allocs == 0 || frees != allocs || df.NumPages() != pages[i] {
+			t.Errorf("shard %d: the call allocated %d pages and freed %d; %d pages in use, want %d",
+				i, allocs, frees, df.NumPages(), pages[i])
+		}
+	}
+	if after := state(); after != before {
+		t.Fatalf("failed page writes changed the database:\nbefore %s\nafter  %s", before, after)
+	}
+	if _, err := db.Apply(context.Background(), &b); err != nil {
+		t.Fatalf("Apply after the fault: %v", err)
+	}
+	if ms, _, err := db.Query(context.Background(), "color", Query{Value: Exact("Umber")}); err != nil || len(ms) != 4 {
+		t.Fatalf("umber vehicles = %d, %v; want 4", len(ms), err)
 	}
 }

@@ -265,6 +265,9 @@ type Database struct {
 	snaps  map[*Snapshot]struct{}
 	// ctrs are the cumulative counters behind Metrics().
 	ctrs counters
+	// uncoveredMu serializes the write calls that edit objects of a class no
+	// index covers; shard locks serialize the others (write.go).
+	uncoveredMu sync.Mutex
 
 	// wal is the group-commit machinery of DurabilityWAL: the log, the
 	// database commit manifest, and the background checkpointer. Nil in

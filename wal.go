@@ -6,8 +6,10 @@ package uindex
 // Commit path. This is the log step of the write pipeline (write.go): a write
 // call — one mutation or a whole Apply batch — holds the writer locks of the
 // shards it touches plus walState.commitMu in read mode, applies its store
-// and index edits, and appends ONE logical record — the call's operations,
-// each with the OID it acted on — to the log BEFORE releasing those locks.
+// and index edits and publishes its tree transactions, and appends ONE
+// logical record — the call's operations, each with the OID it acted on — to
+// the log BEFORE releasing those locks. A call that fails has undone its
+// edits and appends nothing.
 // The append only buffers in memory; the call then unlocks and waits for the
 // log's group-commit daemon to fsync its record, sharing that fsync with
 // every concurrent committer.
@@ -38,14 +40,16 @@ package uindex
 //   - WaitDurable(W) before the manifest commits means every record a
 //     published shard may hold is also in the durable log, so replay
 //     reaches it.
-//   - Replay runs each record's operations through the live write's
-//     maintenance step (execute) over a store that is exactly at that
-//     record, so it derives the same key deletions and insertions the live
-//     write made. ApplyKeys treats deleting an absent key and inserting a
-//     present one as no-ops, so re-applying edits a shard already holds
-//     changes nothing, and every key ends where its last record left it.
+//   - Replay runs each record through the live write's commit (execute
+//     into one transaction per shard, then publish) over a store that is
+//     exactly at that record, so it derives the same key deletions and
+//     insertions the live write made. ApplyKeys treats deleting an absent
+//     key and inserting a present one as no-ops, so re-applying edits a
+//     shard already holds changes nothing, and every key ends where its
+//     last record left it.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -353,8 +357,8 @@ func (db *Database) saveStoreSnapshot(path string, objs []store.RestoredObject, 
 // call's operations back to back until the payload ends, each the store
 // codec's op (internal/store/codec.go: kind, OID — an insert's assigned id —
 // and body, the same bytes the wire carries). A record holds no index keys:
-// replay re-derives every key edit through the write path's own maintenance
-// step (execute), from a store that is exactly at the record.
+// replay re-derives every key edit through the write path's own commit, from
+// a store that is exactly at the record.
 
 // walRecCommit is the record kind. Kinds 1-3 were per-operation records, kind
 // 4 wrote OIDs as varints, and kind 5 carried each operation's index key
@@ -364,10 +368,17 @@ func (db *Database) saveStoreSnapshot(path string, objs []store.RestoredObject, 
 // so there is nothing to migrate.
 const walRecCommit = 6
 
-// walAppendOp appends one operation of a record: kind, OID, and the body
-// encoded at plan time.
-func walAppendOp(b []byte, kind BatchOpKind, oid OID, body []byte) []byte {
-	return append(store.AppendOID(append(b, byte(kind)), oid), body...)
+// walRecord encodes a write call's record: the kind byte, then per operation
+// its kind, its OID and its body, bodies[ends[i-1]:ends[i]], encoded at plan
+// time.
+func walRecord(ops []BatchOp, oids []OID, bodies []byte, ends []int) []byte {
+	rec := append(make([]byte, 0, 1+5*len(ops)+len(bodies)), walRecCommit)
+	start := 0
+	for i := range ops {
+		rec = append(store.AppendOID(append(rec, byte(ops[i].Kind)), oids[i]), bodies[start:ends[i]]...)
+		start = ends[i]
+	}
+	return rec
 }
 
 // decodeWALRecord is the pure half of replay: payload bytes to operations,
@@ -386,28 +397,21 @@ func decodeWALRecord(payload []byte) ([]BatchOp, error) {
 }
 
 // walReplayRecord re-applies one log record during recovery: decode it
-// whole, then run each operation through execute with the tolerant Replay*
-// store edits (fixed OIDs, no reference validation), which derives and
-// applies its index key edits exactly as the live write did. Replay runs
-// before the Database is published, so no locks are needed; the index set
-// is the one the log was written under, because CreateIndex and DropIndex
-// checkpoint.
+// whole, then run its operations through the live write's commit with the
+// tolerant Replay* store edits (fixed OIDs, no reference validation), which
+// derives and applies their index key edits exactly as the live write did —
+// one transaction per shard, published once. Replay runs before the Database
+// is published, so no locks are needed; the index set is the one the log was
+// written under, because CreateIndex and DropIndex checkpoint.
 func (db *Database) walReplayRecord(payload []byte) error {
 	ops, err := decodeWALRecord(payload)
 	if err != nil {
 		return err
 	}
 	groups := db.groupWrites()
-	for i := range ops {
-		// An insert names its class; a set or delete resolves it through the
-		// store, and one naming an absent object covers no index.
-		class := ops[i].Class
-		if o, ok := db.st.Get(ops[i].OID); ok && ops[i].Kind != BatchInsert {
-			class = o.Class
-		}
-		if _, err := db.execute(&ops[i], class, groups, true); err != nil {
-			return err
-		}
+	for i := range groups {
+		groups[i].locks = groups[i].g.sharded.AllShards()
 	}
-	return nil
+	_, _, err = db.commit(context.Background(), ops, groups, true)
+	return err
 }

@@ -866,7 +866,7 @@ func TestWALBatchCrashAtomic(t *testing.T) {
 		t.Fatalf("batch has %d operations, want 16", b.Len())
 	}
 	appends := db.Metrics().WALAppends
-	if res, err := db.Apply(ctx, &b); err != nil || res.Applied != 16 {
+	if res, err := db.Apply(ctx, &b); err != nil {
 		t.Fatalf("Apply = %+v, %v", res, err)
 	}
 	if got := db.Metrics().WALAppends - appends; got != 1 {
@@ -913,15 +913,16 @@ func TestWALBatchCrashAtomic(t *testing.T) {
 // encodeLoggedOps is the inverse of decodeWALRecord, assembled from the same
 // pieces the write pipeline uses.
 func encodeLoggedOps(ops []BatchOp) ([]byte, error) {
-	rec := []byte{walRecCommit}
+	var bodies []byte
+	ends, oids := make([]int, len(ops)), make([]OID, len(ops))
 	for i := range ops {
-		body, err := store.AppendOpBody(nil, &ops[i])
-		if err != nil {
+		var err error
+		if bodies, err = store.AppendOpBody(bodies, &ops[i]); err != nil {
 			return nil, err
 		}
-		rec = walAppendOp(rec, ops[i].Kind, ops[i].OID, body)
+		ends[i], oids[i] = len(bodies), ops[i].OID
 	}
-	return rec, nil
+	return walRecord(ops, oids, bodies, ends), nil
 }
 
 // FuzzWALRecord: the record decoder takes arbitrary bytes without panicking
@@ -1040,13 +1041,17 @@ func TestWALCheckpointWindowCrash(t *testing.T) {
 	}
 }
 
-// companyFleetDB builds the path schema's Figure-1 shape under the WAL, with
-// the color and age indexes over 4 shards: two employees (OIDs 1, 2), then
-// one company per fleet size, each presided over by employee 1 and
-// manufacturing that many vehicles. It returns the companies' OIDs.
+// companyFleetDB builds the path schema's Figure-1 shape under the WAL (in
+// memory when dir is empty), with the color and age indexes over 4 shards:
+// two employees (OIDs 1, 2), then one company per fleet size, each presided
+// over by employee 1 and manufacturing that many vehicles. It returns the
+// companies' OIDs.
 func companyFleetDB(t *testing.T, dir string, fleets ...int) (*Database, []OID) {
 	t.Helper()
-	opts := walOpts(dir)
+	opts := Options{}
+	if dir != "" {
+		opts = walOpts(dir)
+	}
 	opts.Shards = 4
 	db, err := NewDatabaseWith(pathSchema(t), opts)
 	if err != nil {
@@ -1192,6 +1197,9 @@ func TestWALFailedOpStaysOutOfLog(t *testing.T) {
 		t.Fatal("Insert with a 4000-byte key succeeded")
 	}
 	insertVehicles(t, db, []string{"Red"})
+	if got, want := db.Store().Len(), len(testColors)+1; got != want {
+		t.Errorf("live store holds %d objects, want the %d successful inserts", got, want)
+	}
 
 	rec, err := Open(crashImage(t, dir), Options{PoolPages: 16, WALCheckpointBytes: -1})
 	if err != nil {
@@ -1203,5 +1211,212 @@ func TestWALFailedOpStaysOutOfLog(t *testing.T) {
 	}
 	if got, live := dumpIndexKeys(t, rec, "color"), dumpIndexKeys(t, db, "color"); strings.Join(got, ",") != strings.Join(live, ",") {
 		t.Errorf("recovered index has %d keys, live %d; contents differ", len(got), len(live))
+	}
+}
+
+// TestWALUncoveredWritersFailAlone: objects of a class no index covers take
+// no shard locks. Two writers edit one such object while every call of one
+// of them fails at its last op; the failed calls must leave no trace — not
+// their Set, not their insert's OID — and the log must recover exactly the
+// live state.
+func TestWALUncoveredWritersFailAlone(t *testing.T) {
+	s := NewSchema()
+	if err := s.AddClass("Note", "", Attr{Name: "A", Type: Uint64}, Attr{Name: "B", Type: Uint64}, Attr{Name: "Next", Ref: "Note"}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	db, err := NewDatabaseWith(s, walOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	x, err := db.Insert("Note", Attrs{"A": uint64(0), "B": uint64(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= n; i++ {
+			var b Batch
+			b.Set(x, "A", uint64(i)).Insert("Note", Attrs{"A": uint64(i), "Next": x}).Set(x, "Next", OID(1<<30))
+			if _, err := db.Apply(context.Background(), &b); err == nil || !strings.Contains(err.Error(), "batch op 2 ") {
+				t.Errorf("Apply = %v, want an error naming op 2", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= n; i++ {
+			if err := db.Set(x, "B", uint64(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := db.Insert("Note", Attrs{"Next": x}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	o, _ := db.Store().Get(x)
+	if a, _ := o.Attr("A"); a != uint64(0) {
+		t.Errorf("x.A = %v after only failed calls set it, want 0", a)
+	}
+	if got, want := db.Store().Len(), n+1; got != want {
+		t.Errorf("live store holds %d objects, want %d", got, want)
+	}
+	rec, err := Open(crashImage(t, dir), Options{PoolPages: 16, WALCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if got, want := dumpState(t, rec), dumpState(t, db); got != want {
+		t.Fatalf("recovered state differs from the live one:\n got %s\nwant %s", got, want)
+	}
+}
+
+// shardEpochs returns every shard's published tree epoch, per index.
+func shardEpochs(db *Database) map[string][]uint64 {
+	out := make(map[string][]uint64)
+	for _, name := range db.Indexes() {
+		sh := db.groups[name].sharded
+		for i := 0; i < sh.NumShards(); i++ {
+			out[name] = append(out[name], sh.Shard(i).Tree().Epoch())
+		}
+	}
+	return out
+}
+
+// shardKeys returns every shard's keys, per index and shard.
+func shardKeys(t *testing.T, db *Database) map[string][]string {
+	t.Helper()
+	out := make(map[string][]string)
+	for _, name := range db.Indexes() {
+		for _, k := range dumpIndexKeys(t, db, name) {
+			shard, _, _ := strings.Cut(k, "/")
+			out[name+"/"+shard] = append(out[name+"/"+shard], k)
+		}
+	}
+	return out
+}
+
+// TestWALCallPublishesOneVersionPerShard: a write call is one transaction
+// per shard it locks, so it publishes at most one tree version per shard —
+// exactly one on a shard whose keys it changed, none on any other — however
+// many keys it edits. A President switch rewrites the age key of each of the
+// company's 40 vehicles, which per-key commits would publish as 80 versions.
+func TestWALCallPublishesOneVersionPerShard(t *testing.T) {
+	db, companies := companyFleetDB(t, t.TempDir(), 40)
+	defer db.Close()
+	check := func(what string, write func() error) {
+		t.Helper()
+		epochs, keys := shardEpochs(db), shardKeys(t, db)
+		if err := write(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		after, afterKeys := shardEpochs(db), shardKeys(t, db)
+		changed := 0
+		for name, es := range after {
+			for i, e := range es {
+				key := fmt.Sprintf("%s/%d", name, i)
+				want := uint64(0)
+				if strings.Join(keys[key], ",") != strings.Join(afterKeys[key], ",") {
+					want = 1
+					changed++
+				}
+				if got := e - epochs[name][i]; got != want {
+					t.Errorf("%s: index %q shard %d published %d versions, want %d", what, name, i, got, want)
+				}
+			}
+		}
+		if changed == 0 {
+			t.Fatalf("%s changed no shard", what)
+		}
+	}
+	check("Set President", func() error { return db.Set(companies[0], "President", OID(2)) })
+	var b Batch
+	for i := 0; i < 16; i++ {
+		b.Set(companies[0]+1+OID(i), "Color", []string{"Black", "Teal"}[i%2])
+	}
+	check("16-op colour Apply", func() error { _, err := db.Apply(context.Background(), &b); return err })
+}
+
+// TestWALFailedBatchLeavesNothing: a batch whose op k fails (a 4000-byte
+// colour, longer than a key may be) fails naming op k and leaves the store,
+// every index, the write counters and the log exactly as before the call —
+// whether the failing op is the first, in the middle, or the last, after a
+// President switch, sets, a delete and inserts already executed — in memory
+// and under the WAL, where a crash image then recovers the live state.
+func TestWALFailedBatchLeavesNothing(t *testing.T) {
+	long := strings.Repeat("x", 4000)
+	for _, mode := range []string{"memory", "wal"} {
+		for _, k := range []int{0, 7, 15} {
+			t.Run(fmt.Sprintf("%s/op%d", mode, k), func(t *testing.T) {
+				dir := ""
+				if mode == "wal" {
+					dir = t.TempDir()
+				}
+				db, companies := companyFleetDB(t, dir, 40)
+				defer db.Close()
+				co := companies[0]
+				var b Batch
+				for i := 0; i < 16; i++ {
+					switch {
+					case i == k && k == 7:
+						b.Set(co+1+OID(i), "Color", long)
+					case i == k:
+						b.Insert("Automobile", Attrs{"Color": long, "ManufacturedBy": co})
+					case i == 3:
+						b.Set(co, "President", OID(2))
+					case i == 5:
+						b.Delete(co + 40)
+					case i%2 == 0:
+						b.Insert("Automobile", Attrs{"Color": "Olive", "ManufacturedBy": co})
+					default:
+						b.Set(co+1+OID(i), "Color", "Teal")
+					}
+				}
+				state := func() string {
+					objs, next := db.Store().Snapshot()
+					m := db.Metrics()
+					s := fmt.Sprintf("next=%d objs=%v\ninserts=%d sets=%d deletes=%d\n", next, objs, m.Inserts, m.Sets, m.Deletes)
+					for _, name := range db.Indexes() {
+						s += fmt.Sprintf("%s %v\n", name, dumpIndexKeys(t, db, name))
+					}
+					if db.wal != nil {
+						s += fmt.Sprintf("live log bytes %d\n", db.wal.log.LiveBytes())
+					}
+					return s
+				}
+				before := state()
+				_, err := db.Apply(context.Background(), &b)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("batch op %d ", k)) {
+					t.Fatalf("Apply = %v, want an error naming op %d", err, k)
+				}
+				if after := state(); after != before {
+					t.Fatalf("failed batch changed the database:\nbefore %s\nafter  %s", before, after)
+				}
+				// The database stays writable, and under the WAL its log
+				// recovers exactly the live state.
+				if _, err := db.Insert("Automobile", Attrs{"Color": "Red", "ManufacturedBy": co}); err != nil {
+					t.Fatal(err)
+				}
+				if dir == "" {
+					return
+				}
+				rec, err := Open(crashImage(t, dir), Options{PoolPages: 16, WALCheckpointBytes: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rec.Close()
+				if got, want := dumpState(t, rec), dumpState(t, db); got != want {
+					t.Fatalf("recovered state differs from the live one:\n got %s\nwant %s", got, want)
+				}
+			})
+		}
 	}
 }

@@ -8,27 +8,30 @@ package uindex
 //	plan     resolve each op's class, rejecting unknown classes and OIDs;
 //	         with a WAL, encode each op's body with the store codec (so an
 //	         unloggable value fails here); union the shard locks every
-//	         covering group needs.
-//	         A failure here has touched nothing.
-//	lock     group creation order, shard index ascending — the single global
-//	         order that keeps multi-index writers deadlock-free
-//	execute  per op, in order: per covering group EntriesFor, the store
-//	         edit, EntriesFor again, DiffKeys → ApplyKeys. The first failing
-//	         op stops the call; earlier ops stay applied (not a transaction
-//	         in memory). Recovery replays a logged op through this same step.
-//	log      with a WAL: ONE record carrying every applied op, appended
+//	         covering group needs. A failure here has touched nothing.
+//	lock     group creation order, shard index ascending, then the uncovered
+//	         lock if an op's class no index covers — the single global order
+//	         that keeps multi-index writers deadlock-free. Every call that
+//	         edits an object holds a lock every other call editing it takes,
+//	         so an undo never meets another call's edit.
+//	execute  open one tree transaction per locked shard; per op, in order:
+//	         per covering group EntriesFor, the store edit, EntriesFor
+//	         again, DiffKeys → ApplyKeys into those transactions
+//	commit   write the pages of every transaction, then publish them all.
+//	         A failure in execute or commit aborts every transaction and
+//	         undoes the store edits: the call happened whole or not at all.
+//	         Recovery replays a logged call through these two steps.
+//	log      with a WAL: ONE record carrying the call's ops, appended
 //	         before the locks drop (see wal.go)
 //	unlock
 //	wait     with a WAL: the group-commit fsync of that one record
-//
-// Because a call is one CRC-framed log record, recovery replays all of its
-// applied ops or none of them: Apply is atomic across a crash.
 
 import (
 	"context"
 	"fmt"
 	"math/bits"
 
+	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/store"
 )
@@ -93,31 +96,27 @@ type BatchResult struct {
 	// OIDs are the ids assigned to the batch's BatchInsert operations, in
 	// operation order.
 	OIDs []OID
-	// Applied is the number of operations that executed; on error it is
-	// the index of the failing operation.
-	Applied int
 }
 
 // Apply executes a batch of mutations through one pass of the write pipeline:
 // the union of the shard locks its operations need is taken once, every
-// operation is applied in order, and — under DurabilityWAL — the whole batch
-// is one log record and one group-commit wait, so a crash recovers either all
-// of its applied operations or none. Batching is the write-path analogue of
-// the paper's buffered experiment model: per-call overheads (lock handshakes,
-// log appends, fsync waits) amortize over the batch.
+// operation is applied in order into one transaction per locked shard, each
+// of which commits once, and — under DurabilityWAL — the whole batch is one
+// log record and one group-commit wait. Batching is the write-path analogue
+// of the paper's buffered experiment model: per-call overheads (lock
+// handshakes, tree commits, log appends, fsync waits) amortize over the
+// batch.
 //
-// Semantics are identical to issuing the operations individually, with two
-// planning rules: Set and Delete operations must reference objects that
-// exist when Apply begins (an OID inserted earlier in the same batch cannot
-// be referenced later in it — its covering shards are unknown at planning
-// time), and the batch is not a transaction in memory — operations apply in
-// order, and the first failure stops the batch, leaving earlier operations
-// applied (and, with a WAL, logged together). ctx is consulted between
-// operations; a canceled context stops the batch at the next operation
-// boundary.
+// A batch is a transaction: it applies whole or not at all. An error from an
+// operation (wrapped with its index and kind) leaves the store, every index
+// and the log as they were before the call. Set and Delete operations must
+// reference objects that exist when Apply begins (an OID inserted earlier in
+// the same batch cannot be referenced later in it — its covering shards are
+// unknown at planning time). ctx is consulted between operations; a canceled
+// context fails the batch.
 //
 // Queries never block on an in-flight batch: they read the pinned tree
-// versions from before or after each shard's commits.
+// versions from before or after each shard's commit.
 func (db *Database) Apply(ctx context.Context, b *Batch) (BatchResult, error) {
 	var res BatchResult
 	if b == nil || len(b.ops) == 0 {
@@ -131,15 +130,15 @@ func (db *Database) Apply(ctx context.Context, b *Batch) (BatchResult, error) {
 		return res, err
 	}
 	db.ctrs.batches.Add(1)
-	db.ctrs.batchOps.Add(uint64(res.Applied))
+	db.ctrs.batchOps.Add(uint64(len(b.ops)))
 	return res, nil
 }
 
 // Insert stores a new object and adds its entries to every index that can
 // cover its class. Inserts of objects with disjoint index coverage run in
-// parallel; only writers to the same index shard serialize. Queries are never
-// blocked — they read the pinned tree version from before or after each
-// index commit.
+// parallel; only writers to the same index shard, or to classes no index
+// covers, serialize. Queries are never blocked — they read the pinned tree
+// version from before or after each index commit.
 func (db *Database) Insert(class string, attrs Attrs) (OID, error) {
 	res, err := db.writeOne(BatchOp{Kind: BatchInsert, Class: class, Attrs: attrs})
 	if err != nil {
@@ -176,21 +175,23 @@ func (db *Database) writeOne(op BatchOp) (BatchResult, error) {
 	return res, err
 }
 
-// plannedOp is what planning resolved for one operation.
-type plannedOp struct {
-	class   string // the object's class: decides covering groups and shards
-	bodyEnd int    // end of the op's encoded body in the plan buffer
-}
-
 // groupWrite is one index group's share of a write call: the union of the
-// shard locks the call's operations need on it and, while one operation
-// executes, whether the group covers it and its entry keys before the store
-// edit.
+// shard locks the call's operations need on it, the transactions open on
+// those shards, and, while one operation executes, whether the group covers
+// it and its entry keys before the store edit.
 type groupWrite struct {
 	g      *indexGroup
 	locks  uint64
+	txs    []*btree.Tx
 	covers bool
 	olds   [][]byte
+}
+
+// undoOp takes one executed operation back: the object it installed (nil
+// after a delete) and the one it replaced (nil before an insert).
+type undoOp struct {
+	oid       OID
+	cur, prev *store.Object
 }
 
 // groupWrites returns one groupWrite per index group, in creation order,
@@ -205,9 +206,9 @@ func (db *Database) groupWrites() []groupWrite {
 
 // write runs mutations through the pipeline described at the top of this
 // file. It returns the index of the operation an error belongs to, or -1 for
-// an error of the call as a whole (closed database, failed log fsync);
-// res.Applied counts the operations that executed. Every failing call counts
-// one write error; every applied operation counts under its kind.
+// an error of the call as a whole (closed database, page writes, failed log
+// fsync). Every failing call counts one write error; every operation of a
+// call that applied counts under its kind.
 func (db *Database) write(ctx context.Context, ops []BatchOp, res *BatchResult) (at int, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -222,39 +223,40 @@ func (db *Database) write(ctx context.Context, ops []BatchOp, res *BatchResult) 
 
 	// Plan. Set and Delete resolve their class through the store, so the
 	// objects they name must exist before the call.
-	planned := make([]plannedOp, len(ops))
+	groups := db.groupWrites()
+	uncovered := false
+	bodyEnds := make([]int, len(ops)) // where each op's body ends in bodies
 	var bodies []byte
 	for i := range ops {
 		op := &ops[i]
+		class := op.Class
 		switch op.Kind {
 		case BatchInsert:
 			if _, ok := db.sch.Class(op.Class); !ok {
 				return i, fmt.Errorf("%w %q", ErrUnknownClass, op.Class)
 			}
-			planned[i].class = op.Class
 		case BatchSet, BatchDelete:
 			o, ok := db.st.Get(op.OID)
 			if !ok {
 				return i, fmt.Errorf("store: no object %d", op.OID)
 			}
-			planned[i].class = o.Class
+			class = o.Class
 		default:
 			return i, fmt.Errorf("uindex: unknown mutation kind %d", uint8(op.Kind))
 		}
+		covered := false
+		for gi := range groups {
+			if sh := groups[gi].g.sharded; sh.Covers(class) {
+				groups[gi].locks |= sh.WriteShards(class)
+				covered = true
+			}
+		}
+		uncovered = uncovered || !covered
 		if db.wal != nil {
 			if bodies, err = store.AppendOpBody(bodies, op); err != nil {
 				return i, err
 			}
-			planned[i].bodyEnd = len(bodies)
-		}
-	}
-	groups := db.groupWrites()
-	for gi := range groups {
-		gw := &groups[gi]
-		for i := range planned {
-			if gw.g.sharded.Covers(planned[i].class) {
-				gw.locks |= gw.g.sharded.WriteShards(planned[i].class)
-			}
+			bodyEnds[i] = len(bodies)
 		}
 	}
 
@@ -262,61 +264,52 @@ func (db *Database) write(ctx context.Context, ops []BatchOp, res *BatchResult) 
 	for i := range groups {
 		groups[i].g.sharded.LockShards(groups[i].locks)
 	}
+	if uncovered {
+		db.uncoveredMu.Lock()
+	}
 
-	// Execute, then log: the edits and the append share one commitMu
-	// critical section, which is what lets a checkpoint cut the store
-	// between two records and never inside one.
-	var rec []byte
+	// Execute and commit, then log: the edits and the append share one
+	// commitMu critical section, which is what lets a checkpoint cut the
+	// store between two records and never inside one.
 	if db.wal != nil {
 		db.wal.commitMu.RLock()
-		// The kind byte, then per op its kind, 4-byte OID and body.
-		rec = append(make([]byte, 0, 1+5*len(ops)+len(bodies)), walRecCommit)
 	}
-	bodyStart := 0
-	for i := range ops {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		op := &ops[i]
-		var oid OID
-		if oid, err = db.execute(op, planned[i].class, groups, false); err != nil {
-			break
+	oids, at, err := db.commit(ctx, ops, groups, false)
+	var lsn uint64
+	if oids != nil {
+		for i := range ops {
+			switch ops[i].Kind {
+			case BatchInsert:
+				res.OIDs = append(res.OIDs, oids[i])
+				db.ctrs.inserts.Add(1)
+			case BatchSet:
+				db.ctrs.sets.Add(1)
+			case BatchDelete:
+				db.ctrs.deletes.Add(1)
+			}
 		}
 		if db.wal != nil {
-			rec = walAppendOp(rec, op.Kind, oid, bodies[bodyStart:planned[i].bodyEnd])
+			lsn = db.wal.log.Append(walRecord(ops, oids, bodies, bodyEnds))
 		}
-		bodyStart = planned[i].bodyEnd
-		switch op.Kind {
-		case BatchInsert:
-			res.OIDs = append(res.OIDs, oid)
-			db.ctrs.inserts.Add(1)
-		case BatchSet:
-			db.ctrs.sets.Add(1)
-		case BatchDelete:
-			db.ctrs.deletes.Add(1)
-		}
-		res.Applied++
 	}
-	var lsn uint64
 	if db.wal != nil {
-		if res.Applied > 0 {
-			lsn = db.wal.log.Append(rec)
-		}
 		db.wal.commitMu.RUnlock()
 	}
 
-	// Unlock; a complete call counts once against every shard it locked.
+	// Unlock; a call that applied counts once against every shard it locked.
 	for i := range groups {
 		gw := &groups[i]
-		for m := gw.locks; err == nil && m != 0; m &= m - 1 {
+		for m := gw.locks; oids != nil && m != 0; m &= m - 1 {
 			gw.g.shardWrites[bits.TrailingZeros64(m)].Add(1)
 		}
 		gw.g.sharded.UnlockShards(gw.locks)
 	}
+	if uncovered {
+		db.uncoveredMu.Unlock()
+	}
 
 	// Wait, after the locks drop, so concurrent committers queue only on
-	// the shared fsync. A stopped call still waits for what it applied.
-	at = res.Applied
+	// the shared fsync.
 	if lsn != 0 {
 		if werr := db.wal.log.WaitDurable(lsn); werr != nil && err == nil {
 			at, err = -1, werr
@@ -325,15 +318,68 @@ func (db *Database) write(ctx context.Context, ops []BatchOp, res *BatchResult) 
 	return at, err
 }
 
-// execute is the one index-maintenance step, shared by live writes and
-// recovery: per covering group the object's entry keys before the store
-// edit, the edit, the keys after, and ApplyKeys of exactly their difference
-// (core.DiffKeys). A live write runs it under the call's locks with the
-// store's Insert/SetAttr/Delete; replay runs it before the Database is
-// published with the tolerant Replay* edits at the logged OID. It returns the
-// operation's OID — an insert's assigned one.
-func (db *Database) execute(op *BatchOp, class string, groups []groupWrite, replay bool) (oid OID, err error) {
+// commit is what live writes and recovery share: every operation executes
+// into one transaction per shard of the groups' lock masks, every transaction
+// writes its pages, and only then does each publish. A failure aborts them
+// all and reinstalls, newest first, the objects the operations replaced. It
+// returns each operation's OID (nil when nothing applied) and for an error
+// its operation's index or -1; with OIDs, the error is a page not freed.
+func (db *Database) commit(ctx context.Context, ops []BatchOp, groups []groupWrite, replay bool) (oids []OID, at int, err error) {
+	var txs []*btree.Tx // every open transaction; groups[i].txs by shard
+	for i := range groups {
+		groups[i].txs = groups[i].g.sharded.Begin(groups[i].locks)
+		for _, tx := range groups[i].txs {
+			if tx != nil {
+				txs = append(txs, tx)
+			}
+		}
+	}
+	var undo []undoOp
+	oids, at = make([]OID, len(ops)), -1
+	for i := range ops {
+		if err = ctx.Err(); err == nil {
+			oids[i], err = db.execute(&ops[i], groups, replay, &undo)
+		}
+		if err != nil {
+			at = i
+			break
+		}
+	}
+	for _, tx := range txs {
+		if err == nil {
+			err = tx.Write()
+		}
+	}
+	if err != nil {
+		for _, tx := range txs {
+			tx.Abort(nil)
+		}
+		for i := len(undo) - 1; i >= 0; i-- {
+			db.st.Reinstall(undo[i].oid, undo[i].cur, undo[i].prev)
+		}
+		return nil, at, err
+	}
+	for _, tx := range txs {
+		if perr := tx.Publish(); perr != nil && err == nil {
+			err = perr
+		}
+	}
+	return oids, -1, err
+}
+
+// execute is the one index-maintenance step: per covering group the object's
+// entry keys before the store edit, the edit, the keys after, and ApplyKeys
+// of exactly their difference (core.DiffKeys) into the group's transactions.
+// A live write runs it with the store's Insert/SetAttr/Delete, replay with
+// the tolerant Replay* edits. Once the store edit is made it appends what
+// undoes it to undo. It returns the operation's OID, an insert's new one.
+func (db *Database) execute(op *BatchOp, groups []groupWrite, replay bool, undo *[]undoOp) (oid OID, err error) {
 	oid = op.OID
+	prev, _ := db.st.Get(oid)
+	class := op.Class // an insert names its class, a set or delete finds it
+	if prev != nil && op.Kind != BatchInsert {
+		class = prev.Class
+	}
 	for i := range groups {
 		gw := &groups[i]
 		gw.olds = nil
@@ -361,6 +407,8 @@ func (db *Database) execute(op *BatchOp, class string, groups []groupWrite, repl
 	if err != nil {
 		return oid, err
 	}
+	cur, _ := db.st.Get(oid)
+	*undo = append(*undo, undoOp{oid, cur, prev})
 	for i := range groups {
 		gw := &groups[i]
 		if !gw.covers {
@@ -373,7 +421,7 @@ func (db *Database) execute(op *BatchOp, class string, groups []groupWrite, repl
 			}
 		}
 		dels, ins := core.DiffKeys(gw.olds, news)
-		if err = gw.g.sharded.ApplyKeys(dels, ins); err != nil {
+		if err = gw.g.sharded.ApplyKeys(gw.txs, dels, ins); err != nil {
 			return oid, fmt.Errorf("uindex: maintaining index %q: %w", gw.g.name, err)
 		}
 	}
