@@ -34,13 +34,20 @@ vet:
 # all-or-nothing page-write step across shards — shard 2 refusing its page
 # writes leaves no shard published and every page the call allocated free
 # (TestShardPageWriteFailAllOrNothing; TestTxWriteFailureAborts for one tree).
+# Also a crash after a checkpoint started its log segment but before it
+# committed (TestWALOpenChainsInterruptedCheckpoint) and the snapshots and
+# segments such crashes leave behind (TestWALCheckpointRemovesOrphans).
 crash:
 	$(GO) test -race -count=1 ./internal/faultfs/
 	$(GO) test -race -count=1 -run 'Corrupt|Crash|Torn|Header|Recover|Orphan|Fault|Fail|Checkpoint|Durab|FlushMeta|FlushReleases' ./internal/pager/ ./internal/bufferpool/ ./internal/btree/ .
 
 # Write-ahead-log check, race-enabled and uncached: the log's unit suite
-# (framing, torn tails, group-commit coalescing, truncation slots), the
-# facade recovery tests (crash images, replay idempotence, writers
+# (framing, torn tails, group-commit coalescing, and segment rotation: records
+# split at the seal, no record above it acknowledged before the old segment's
+# tail is durable, a chain of segments reopening, an unchained later segment
+# ignored — TestLogRotateSplitsAtSeal, TestLogRotateAcksAfterOldTail,
+# TestLogChainReopens, TestLogUnchainedSegmentIgnored), the facade recovery
+# tests (crash images, replay idempotence, writers
 # progressing through an in-flight incremental checkpoint, a crash inside
 # the window between the shard syncs and the manifest commits, shards and
 # index manifests committed ahead of the store cut, a record holding only
@@ -50,9 +57,12 @@ crash:
 # with a concurrent writer on a class no index covers,
 # TestWALUncoveredWritersFailAlone — and one published tree version per
 # shard per call,
-# TestWALCallPublishesOneVersionPerShard), the record decoder's fuzz seeds, the
-# WAL crash matrix (power-cut at every log/data/manifest op under both power
-# models, torn writes), and the /metrics wal_* series.
+# TestWALCallPublishesOneVersionPerShard), the log's files staying within
+# twice the checkpoint trigger and a previous build's wal.log retired by the
+# next checkpoint (TestWALLogBounded, TestParentWALDirectoryRetiresLog), the
+# record decoder's fuzz seeds, the WAL crash matrix (power-cut at every op of
+# the data file, the manifest and every log segment under both power models,
+# torn writes), and the /metrics wal_* series.
 wal:
 	$(GO) test -race -count=1 ./internal/wal/
 	$(GO) test -race -count=1 -run 'WAL' . ./internal/faultfs/ ./internal/server/
@@ -121,9 +131,11 @@ shard:
 # re-deriving them through the write path; and the Database's separate
 # stats accessors (db.PoolStats, db.NodeCacheStats), deleted in favor of
 # Metrics. And a batch result's applied count (BatchResult.Applied), deleted
-# because a write call applies whole or not at all.
+# because a write call applies whole or not at all. And the log's in-place
+# truncation (TruncateTo) and its slot-sync counter (TruncSyncs), deleted in
+# favor of one segment per checkpoint generation, retired by deleting it.
 apicheck: vet
-	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run|NoPrefetch|AnchorStride|OpenTuned|btree\.Tuning|NodeCacheSize|MaxBatch|\bOp(Insert|Set|Delete)\b|walAppendStoreHalf|snapshot(Writer|Reader)|NewCursor|PinBatch|UnpinBatch|OverflowPageCount|DurabilityNone|walGroupEdit|walAppendEdit|walKeys|db\.(PoolStats|NodeCacheStats)\(|\.Applied\b' . || true); \
+	@deprecated=$$(grep -rnE --include='*.go' '\.(QueryWith|QueryString)\(|DurabilitySync|openSingleFileGroup|QueryParallel|QueryJob|ApplyDiff|ExecuteFunc\(|PoolPolicy|PolicyLRU|querylang\.Run|NoPrefetch|AnchorStride|OpenTuned|btree\.Tuning|NodeCacheSize|MaxBatch|\bOp(Insert|Set|Delete)\b|walAppendStoreHalf|snapshot(Writer|Reader)|NewCursor|PinBatch|UnpinBatch|OverflowPageCount|DurabilityNone|walGroupEdit|walAppendEdit|walKeys|db\.(PoolStats|NodeCacheStats)\(|\.Applied\b|TruncateTo|TruncSyncs' . || true); \
 	if [ -n "$$deprecated" ]; then \
 		echo "removed API referenced:"; \
 		echo "$$deprecated"; \

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -200,5 +201,35 @@ func TestParentLogRecordRefused(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParentWALDirectoryRetiresLog: the log file of a directory written
+// before the log had segments is read until the next checkpoint, which
+// starts a segment and removes the old file; the database reopens intact.
+func TestParentWALDirectoryRetiresLog(t *testing.T) {
+	want := typedState(t, codecFixtureDB(t, Options{}))
+	dir := t.TempDir()
+	copyDirTo(t, filepath.Join("testdata", "parent-wal"), dir)
+	db, err := Open(dir, Options{WALCheckpointBytes: -1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, walLogName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("%s after a checkpoint and Close: %v, want removed", walLogName, err)
+	}
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := typedState(t, re); got != want {
+		t.Fatalf("reopened as\n%s\nwant\n%s", got, want)
 	}
 }

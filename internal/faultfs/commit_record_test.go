@@ -9,8 +9,8 @@ import (
 )
 
 // TestCommitRecordBytes pins what the three durable roots write: the page
-// file's header pair, the manifest's preamble and commit slots, and the log's
-// header and truncation slots, each after one commit past creation. The
+// file's header pair and the manifest's preamble and commit slots, each after
+// one commit past creation, and a log segment's header and first record. The
 // fixtures under testdata prove that old files still read; this proves new
 // files are still written in that format.
 func TestCommitRecordBytes(t *testing.T) {
@@ -76,16 +76,13 @@ func TestCommitRecordBytes(t *testing.T) {
 					return err
 				}
 				defer l.Close()
-				lsn := l.Append([]byte("record"))
-				if err := l.WaitDurable(lsn); err != nil {
-					return err
-				}
-				return l.TruncateTo(lsn)
+				return l.WaitDurable(l.Append([]byte("record")))
 			},
+			// The segment header (magic, version 2, first LSN 1), then the
+			// record's frame: length, CRC32C, LSN, payload.
 			cells: []cell{
-				{0, 16, "5557414c000000010000000000000000"},
-				{512, 28, "000000000000000200000000000000020000000000000600bf6cdf03"},
-				{1024, 28, "00000000000000010000000000000001000000000000060046eeb7cb"},
+				{0, 16, "5557414c000000020000000000000001"},
+				{16, 22, "0000000630d4cb670000000000000001" + hex.EncodeToString([]byte("record"))},
 			},
 		},
 	}

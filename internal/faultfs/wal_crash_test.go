@@ -2,14 +2,15 @@ package faultfs
 
 // The WAL crash matrix: a write-ahead log, a shadow-paged data file, and the
 // manifest that carries the checkpoint LSN, crashed at every media operation
-// on each of the three devices under both power models and with torn
-// variants of the crashing write. The invariant is the recovery contract of
-// the uindex WAL protocol: the recovered state — the data file pinned at the
-// manifest's generation plus the log records replayed above the manifest's
-// checkpoint LSN — is EXACTLY the committed record prefix 1..D, where D is
-// the last record whose group-commit fsync completed before the crash (one
-// in-flight record may additionally survive a crash on the log device under
-// the keep-unsynced power model).
+// on each device — the data file, the manifest, and every log segment, each
+// checkpoint rotating the log to a fresh one — under both power models and
+// with torn variants of the crashing write. The invariant is the recovery
+// contract of the uindex WAL protocol: the recovered state — the data file
+// pinned at the manifest's generation plus the log records replayed above the
+// manifest's checkpoint LSN — is EXACTLY the committed record prefix 1..D,
+// where D is the last record whose group-commit fsync completed before the
+// crash (one in-flight record may additionally survive a crash on the log
+// device under the keep-unsynced power model).
 
 import (
 	"bytes"
@@ -26,7 +27,20 @@ const (
 	walCrashPageSize  = 256
 	walCrashRecords   = 9
 	walCrashCkptEvery = 3
+	// walCrashSegments is the log segments a run writes: the first, and one
+	// per checkpoint.
+	walCrashSegments = 1 + walCrashRecords/walCrashCkptEvery
 )
+
+// newWALCrashMedias returns the devices of one run: the data file, the
+// manifest, then one per log segment.
+func newWALCrashMedias() []*Media {
+	ms := make([]*Media, 2+walCrashSegments)
+	for i := range ms {
+		ms[i] = NewMedia()
+	}
+	return ms
+}
 
 // walRecPayload is the stamped content of record lsn.
 func walRecPayload(lsn uint64) []byte {
@@ -42,24 +56,30 @@ func walTreePage(cut uint64) []byte {
 
 // walCommit marks one record's commit point: WaitDurable returned, so the
 // record is on durable media. end holds each media's op count at that
-// moment (log, tree, manifest).
+// moment.
 type walCommit struct {
 	lsn uint64
-	end [3]int
+	end []int
 }
 
 // runWALCrashWorkload drives the facade's WAL protocol in lock step: append
-// one record, wait for its group-commit fsync, and every walCrashCkptEvery
-// records run the checkpoint sequence — publish the data page, commit the
-// manifest with the checkpoint LSN, truncate the log — in exactly the order
-// wal.go documents (checkpoint the file, THEN the manifest, THEN the log).
-// It returns every record commit that completed; err is non-nil when an
-// injected crash interrupted the run.
-func runWALCrashWorkload(mL, mT, mM *Media) ([]walCommit, error) {
+// one record and wait for its group-commit fsync; every walCrashCkptEvery
+// records seal the log at the cut and rotate it to the next segment's media,
+// let one more record land in that segment, then publish the data page and
+// commit the manifest with the cut — in the order wal.go documents (seal,
+// rotate, checkpoint the file, THEN the manifest). It returns every record
+// commit that completed; err is non-nil when an injected crash interrupted
+// the run.
+func runWALCrashWorkload(ms []*Media) ([]walCommit, error) {
+	mT, mM, segs := ms[0], ms[1], ms[2:]
 	record := func(lsn uint64) walCommit {
-		return walCommit{lsn: lsn, end: [3]int{mL.Ops(), mT.Ops(), mM.Ops()}}
+		c := walCommit{lsn: lsn, end: make([]int, len(ms))}
+		for i, m := range ms {
+			c.end[i] = m.Ops()
+		}
+		return c
 	}
-	log, err := wal.CreateOn(mL, wal.Options{})
+	log, err := wal.CreateOn(segs[0], wal.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -79,6 +99,30 @@ func runWALCrashWorkload(mL, mT, mM *Media) ([]walCommit, error) {
 
 	var cur pager.PageID
 	have := false
+	publish := func(cut uint64) error {
+		id, err := df.Alloc()
+		if err != nil {
+			return err
+		}
+		if err := df.Write(id, walTreePage(cut)); err != nil {
+			return err
+		}
+		if have {
+			if err := df.Free(cur); err != nil {
+				return err
+			}
+		}
+		var pl [12]byte
+		binary.BigEndian.PutUint64(pl[0:], cut)
+		binary.BigEndian.PutUint32(pl[8:], uint32(id))
+		if err := df.Checkpoint(pl[:]); err != nil {
+			return err
+		}
+		cur, have = id, true
+		return man.CommitWAL([]uint64{df.Generation()}, cut)
+	}
+	var cut uint64
+	pending := false
 	for r := uint64(1); r <= walCrashRecords; r++ {
 		lsn := log.Append(walRecPayload(r))
 		if lsn != r {
@@ -88,33 +132,24 @@ func runWALCrashWorkload(mL, mT, mM *Media) ([]walCommit, error) {
 			return commits, err
 		}
 		commits = append(commits, record(lsn))
+		if pending {
+			if err := publish(cut); err != nil {
+				return commits, err
+			}
+			pending = false
+		}
 		if r%walCrashCkptEvery != 0 {
 			continue
 		}
-		cut := log.LastAppended()
-		id, err := df.Alloc()
-		if err != nil {
+		cut = log.Seal()
+		next := segs[r/walCrashCkptEvery]
+		if err := log.Rotate(func() (pager.BlockFile, error) { return next, nil }); err != nil {
 			return commits, err
 		}
-		if err := df.Write(id, walTreePage(cut)); err != nil {
-			return commits, err
-		}
-		if have {
-			if err := df.Free(cur); err != nil {
-				return commits, err
-			}
-		}
-		var pl [12]byte
-		binary.BigEndian.PutUint64(pl[0:], cut)
-		binary.BigEndian.PutUint32(pl[8:], uint32(id))
-		if err := df.Checkpoint(pl[:]); err != nil {
-			return commits, err
-		}
-		cur, have = id, true
-		if err := man.CommitWAL([]uint64{df.Generation()}, cut); err != nil {
-			return commits, err
-		}
-		if err := log.TruncateTo(cut); err != nil {
+		pending = true
+	}
+	if pending {
+		if err := publish(cut); err != nil {
 			return commits, err
 		}
 	}
@@ -143,7 +178,7 @@ func walValidCuts() map[uint64]bool {
 // verifyWALRecovery recovers the crashed medias exactly as uindex.Open does
 // — manifest first, data file pinned at the manifest's generation, then log
 // replay above the manifest's cut — and checks the recovered prefix.
-func verifyWALRecovery(t *testing.T, mL, mT, mM *Media, commits []walCommit, crashMedia, crashOp int, desc string) {
+func verifyWALRecovery(t *testing.T, ms []*Media, commits []walCommit, crashMedia, crashOp int, desc string) {
 	t.Helper()
 	// Record j certainly committed iff WaitDurable returned before the
 	// crashed media reached the crashing op.
@@ -158,13 +193,13 @@ func verifyWALRecovery(t *testing.T, mL, mT, mM *Media, commits []walCommit, cra
 		base = commits[lastDone].lsn
 	}
 	allowedMax := map[uint64]bool{base: true}
-	if crashMedia == 0 && lastDone+1 < len(commits) {
+	if crashMedia >= 2 && lastDone+1 < len(commits) {
 		// A crash on the log device may leave the next record's buffered
 		// write on media under the keep-unsynced power model.
 		allowedMax[commits[lastDone+1].lsn] = true
 	}
 
-	man, err := pager.OpenManifestOn(mM)
+	man, err := pager.OpenManifestOn(ms[1])
 	if err != nil {
 		if lastDone < 0 && errors.Is(err, pager.ErrCorruptFile) {
 			return // crash predates the first durable manifest state
@@ -178,7 +213,7 @@ func verifyWALRecovery(t *testing.T, mL, mT, mM *Media, commits []walCommit, cra
 	}
 	gens := man.Gens()
 
-	df, err := pager.OpenDiskFileOnAt(mT, gens[0])
+	df, err := pager.OpenDiskFileOnAt(ms[0], gens[0])
 	if err != nil {
 		if lastDone < 0 && errors.Is(err, pager.ErrCorruptFile) {
 			return // crash predates the data file's first durable state
@@ -211,7 +246,14 @@ func verifyWALRecovery(t *testing.T, mL, mT, mM *Media, commits []walCommit, cra
 		t.Fatalf("%s: data file close: %v", desc, err)
 	}
 
-	lg, err := wal.OpenOn(mL, wal.Options{})
+	// The segment the checkpoint at cut started, then every later one that
+	// chains.
+	var later []pager.BlockFile
+	first := 2 + cut/walCrashCkptEvery
+	for _, m := range ms[first+1:] {
+		later = append(later, m)
+	}
+	lg, err := wal.OpenOn(ms[first], wal.Options{}, later...)
 	if err != nil {
 		if lastDone < 0 && errors.Is(err, wal.ErrCorruptLog) {
 			return // crash predates the log preamble's first durable state
@@ -243,32 +285,39 @@ func verifyWALRecovery(t *testing.T, mL, mT, mM *Media, commits []walCommit, cra
 }
 
 // TestWALCrashMatrix crashes the WAL protocol at every media operation on
-// each of the three devices, under both power models, with short/torn
-// variants of the crashing write, and asserts recovery restores exactly the
-// committed record prefix.
+// each device — every log segment's included — under both power models,
+// with short/torn variants of the crashing write, and asserts recovery
+// restores exactly the committed record prefix.
 func TestWALCrashMatrix(t *testing.T) {
 	// A clean run fixes the op schedules and the commit history.
-	cL, cT, cM := NewMedia(), NewMedia(), NewMedia()
-	commits, err := runWALCrashWorkload(cL, cT, cM)
+	clean := newWALCrashMedias()
+	commits, err := runWALCrashWorkload(clean)
 	if err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
 	if got := commits[len(commits)-1].lsn; got != walCrashRecords {
 		t.Fatalf("clean run committed %d records, want %d", got, walCrashRecords)
 	}
-	cL.Crash(false)
-	cT.Crash(false)
-	cM.Crash(false)
-	verifyWALRecovery(t, cL, cT, cM, commits, 2, cM.Ops(), "clean run")
+	for _, m := range clean {
+		m.Crash(false)
+	}
+	verifyWALRecovery(t, clean, commits, 1, clean[1].Ops(), "clean run")
 
-	logs := [][]MediaOp{cL.Log(), cT.Log(), cM.Log()}
-	names := []string{"wal-log", "data", "manifest"}
-	t.Logf("matrix: %d wal-log + %d data + %d manifest ops", len(logs[0]), len(logs[1]), len(logs[2]))
+	names := []string{"data", "manifest"}
+	for i := 0; i < walCrashSegments; i++ {
+		names = append(names, fmt.Sprintf("wal-segment-%d", i))
+	}
+	total := 0
+	for _, m := range clean {
+		total += len(m.Log())
+	}
+	t.Logf("matrix: %d ops over %d devices", total, len(clean))
 	stride := 1
 	if testing.Short() {
 		stride = 5
 	}
-	for mediaIdx, log := range logs {
+	for mediaIdx, m := range clean {
+		log := m.Log()
 		for k := 0; k < len(log); k += stride {
 			partials := []int{0}
 			if log[k].Kind == "write" {
@@ -283,9 +332,9 @@ func TestWALCrashMatrix(t *testing.T) {
 				for _, keep := range []bool{false, true} {
 					desc := fmt.Sprintf("crash on %s at op %d/%d (%s len %d, partial %d, keep=%v)",
 						names[mediaIdx], k, len(log), log[k].Kind, log[k].Len, partial, keep)
-					medias := []*Media{NewMedia(), NewMedia(), NewMedia()}
+					medias := newWALCrashMedias()
 					medias[mediaIdx].SetCrash(k, partial)
-					if _, err := runWALCrashWorkload(medias[0], medias[1], medias[2]); err == nil {
+					if _, err := runWALCrashWorkload(medias); err == nil {
 						t.Fatalf("%s: workload completed despite scripted crash", desc)
 					}
 					// The power loss is machine-wide: every device loses (or
@@ -293,7 +342,7 @@ func TestWALCrashMatrix(t *testing.T) {
 					for _, m := range medias {
 						m.Crash(keep)
 					}
-					verifyWALRecovery(t, medias[0], medias[1], medias[2], commits, mediaIdx, k, desc)
+					verifyWALRecovery(t, medias, commits, mediaIdx, k, desc)
 				}
 			}
 		}
@@ -301,15 +350,14 @@ func TestWALCrashMatrix(t *testing.T) {
 }
 
 // TestWALCrashMatrixDeterministic guards the matrix itself: two clean runs
-// must produce identical op schedules on all three medias — the group-commit
+// must produce identical op schedules on every media — the group-commit
 // daemon, driven in lock step, must not introduce scheduling noise.
 func TestWALCrashMatrixDeterministic(t *testing.T) {
-	a := []*Media{NewMedia(), NewMedia(), NewMedia()}
-	b := []*Media{NewMedia(), NewMedia(), NewMedia()}
-	if _, err := runWALCrashWorkload(a[0], a[1], a[2]); err != nil {
+	a, b := newWALCrashMedias(), newWALCrashMedias()
+	if _, err := runWALCrashWorkload(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runWALCrashWorkload(b[0], b[1], b[2]); err != nil {
+	if _, err := runWALCrashWorkload(b); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a {

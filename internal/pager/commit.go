@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // CommitSlots is the one commit record of the engine: two cells of a
@@ -13,9 +14,10 @@ import (
 // body followed by its CRC32C into cell g%2 and syncs, so a torn or lost
 // write can only damage the cell being written and the previous commit stays
 // readable. Elect recovers the newest valid cell, or the one at a pinned
-// generation. The page file's header pair, the manifest's commit slots and
-// the write-ahead log's truncation slots are all CommitSlots; each keeps its
-// own body layout, with the generation as a big-endian uint64 at GenAt.
+// generation. The page file's header pair and the manifest's commit slots
+// are CommitSlots, and so were the truncation slots of the single-file log
+// earlier builds wrote, which are still read; each keeps its own body layout,
+// with the generation as a big-endian uint64 at GenAt.
 type CommitSlots struct {
 	B      BlockFile
 	Off    int64 // offset of cell 0
@@ -85,7 +87,9 @@ func (b osBlock) Size() (int64, error) {
 
 // OpenPath is the one way a durable file is opened by path: it opens path —
 // created, or truncated, when create is set — and hands it to open as a
-// BlockFile. An error from opening the path is returned as is (so
+// BlockFile. A created file's directory entry is synced after open returns,
+// so a commit that names the file cannot reach the disk before the file
+// does. An error from opening the path is returned as is (so
 // errors.Is(err, fs.ErrNotExist) works); when open fails the file is closed,
 // a created one removed, and the error names path.
 func OpenPath[T any](path string, create bool, open func(BlockFile) (T, error)) (T, error) {
@@ -99,6 +103,9 @@ func OpenPath[T any](path string, create bool, open func(BlockFile) (T, error)) 
 		return zero, err
 	}
 	v, err := open(osBlock{f})
+	if err == nil && create {
+		err = SyncDir(path)
+	}
 	if err != nil {
 		f.Close()
 		if create {
@@ -107,4 +114,24 @@ func OpenPath[T any](path string, create bool, open func(BlockFile) (T, error)) 
 		return v, fmt.Errorf("%s: %w", path, err)
 	}
 	return v, nil
+}
+
+// OpenBlock opens path as a BlockFile, created or truncated when create is
+// set; see OpenPath.
+func OpenBlock(path string, create bool) (BlockFile, error) {
+	return OpenPath(path, create, func(b BlockFile) (BlockFile, error) { return b, nil })
+}
+
+// SyncDir fsyncs the directory holding path, making the file's directory
+// entry durable: fsync(2) of a file alone does not.
+func SyncDir(path string) error {
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

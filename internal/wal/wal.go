@@ -1,33 +1,32 @@
 // Package wal implements the write-ahead commit log that sits in front of
 // the shadow-paging checkpoints: an append-only record log with per-record
 // CRC32C + length framing, a group-commit daemon that coalesces concurrent
-// committers into one fsync, and a checkpoint-driven truncation protocol.
+// committers into one fsync, and one segment file per checkpoint generation.
 //
-// Layout on the BlockFile:
+// A segment is a 16-byte header — magic, version 2, the first record's LSN
+// — followed by records, each [4B payload length][4B CRC32C over
+// LSN+payload][8B LSN][payload]. LSNs are dense from 1 and strictly increase
+// across the chain of segments: each segment's first LSN continues the one
+// before it. A segment is never rewritten; log bytes are retired by deleting
+// whole segments.
 //
-//	[0,   16)   magic, version (and zero padding to the first slot)
-//	[512, 540)  truncation slot, even generations
-//	[1024,1052) truncation slot, odd generations
-//	[1536, ...) records
+// Rotation: a checkpoint's Seal marks its cut S, and Rotate starts the next
+// segment. The group-commit daemon writes the records at or below S to the
+// current segment and holds later ones in memory; it moves to the next
+// segment, whose header is already durable, only once every record up to S
+// is durable.
 //
-// The truncation slots are a pager.CommitSlots record whose body is
-// [8B slot generation][8B start LSN][8B start offset], so a torn slot write
-// leaves the previous truncation point intact. startLSN is the LSN of the
-// record stored at startOff.
-//
-// A record is [4B payload length][4B CRC32C over LSN+payload][8B LSN]
-// [payload]. LSNs are assigned densely from 1 and strictly increase over
-// the whole life of the file — even across truncation resets that rewind
-// the write offset — which is what makes tail scanning sound: a stale
-// record left over from an earlier pass always carries an LSN smaller than
-// the one expected at its offset, so it terminates the scan instead of
-// replaying.
+// Version 1 is the single-file log of earlier builds: a header, two
+// truncation slots at 512 and 1024 (a pager.CommitSlots pair whose body is
+// [8B slot generation][8B start LSN][8B start offset]), then records. It is
+// still read as the first segment of a chain and appended to until the next
+// rotation.
 //
 // Concurrency contract: Append never blocks on I/O (records buffer in
 // memory and the group-commit daemon writes them); WaitDurable blocks the
-// caller until its record's batch is fsynced. Any number of goroutines may
-// Append/WaitDurable concurrently; TruncateTo is called by one checkpointer
-// at a time.
+// caller until its record and every lower LSN are fsynced. Any number of
+// goroutines may Append/WaitDurable concurrently; one checkpointer at a time
+// calls Seal, then Rotate.
 package wal
 
 import (
@@ -42,25 +41,27 @@ import (
 	"repro/internal/pager"
 )
 
-// ErrCorruptLog reports a structurally damaged log: bad magic or version,
-// or no valid truncation slot. A torn record tail is not corruption — it is
-// the expected shape of a crash and is silently truncated.
+// ErrCorruptLog reports a structurally damaged first segment: bad magic or
+// version, or no valid truncation slot in a version-1 log. A torn record tail
+// is not corruption — it is the expected shape of a crash and is silently
+// truncated.
 var ErrCorruptLog = errors.New("wal: corrupt log")
 
 // ErrClosed is returned by WaitDurable when the log is closed before the
 // record became durable.
 var ErrClosed = errors.New("wal: log closed")
 
+// HeaderLen is the size of a segment header: a segment holding no records.
+const HeaderLen = 16
+
 const (
 	logMagic   = 0x5557414c // "UWAL"
-	logVersion = 1
+	logVersion = 2
 
-	slot0Off = 512
-	slotSize = 512
-	slotBody = 8 + 8 + 8 // gen, startLSN, startOff
-
-	// dataStart is the offset of the first record.
-	dataStart = slot0Off + 2*slotSize
+	// The version-1 log's truncation slots, then its records.
+	v1SlotOff   = 512
+	v1SlotSize  = 512
+	v1DataStart = v1SlotOff + 2*v1SlotSize
 
 	recHeaderLen = 4 + 4 + 8 // length, crc, lsn
 
@@ -84,146 +85,189 @@ type Options struct {
 type Stats struct {
 	// Appends counts records ever appended.
 	Appends uint64
-	// Fsyncs counts Sync calls issued to the backing file by group commit
-	// (truncation-slot syncs are counted separately in TruncSyncs).
+	// Fsyncs counts Sync calls issued to the log by group commit.
 	Fsyncs uint64
 	// Batches counts group-commit flushes; BatchRecords sums the records
 	// they carried, so BatchRecords/Batches is the mean group size.
 	Batches      uint64
 	BatchRecords uint64
-	// TruncSyncs counts truncation-slot commits.
-	TruncSyncs uint64
 }
 
-// mark remembers the file offset of the first record of one flushed batch;
-// TruncateTo discards whole batches using these.
-type mark struct {
-	lsn uint64
-	off int64
+// segment is one file of the chain: its records are [start, end), the first
+// of them carrying LSN first.
+type segment struct {
+	b          pager.BlockFile
+	first      uint64
+	start, end int64
 }
 
-// Log is one write-ahead log on a BlockFile.
+// Log is one write-ahead log over a chain of segments.
 type Log struct {
-	b    pager.BlockFile
 	opts Options
 
 	mu   sync.Mutex
-	cond *sync.Cond // broadcast when durable/failed/closed changes
+	cond *sync.Cond // broadcast when durable/failed/closed/segs changes
 
-	nextLSN  uint64 // next LSN to assign
-	durable  uint64 // highest fsynced LSN
-	buf      []byte // encoded frames awaiting flush
-	bufRecs  int
-	writeOff int64 // file offset of the next flush
-	marks    []mark
+	// segs are the open segments: appends go to the last one; earlier ones
+	// are read by Replay after an Open that chained several. A rotation
+	// closes all but the new segment.
+	segs []segment
+	// next is the segment Rotate attached; the daemon moves to it once
+	// every record up to seal is durable.
+	next pager.BlockFile
+	// sealed holds records above seal back from the current segment;
+	// sealLen and sealRecs are the bytes and records of buf at or below it.
+	sealed            bool
+	seal              uint64
+	sealLen, sealRecs int
 
-	startLSN uint64 // first LSN at startOff, per the durable slot
-	startOff int64
-	slotGen  uint64
+	nextLSN uint64 // next LSN to assign
+	durable uint64 // every LSN up to it is fsynced
+	buf     []byte // encoded frames awaiting flush
+	bufRecs int
 
-	// truncating pauses flushes while a truncation reset rewinds writeOff:
-	// no record may land at the recycled offset before the new slot is
-	// durable.
-	truncating bool
-	failed     error // sticky first I/O error
-	closed     bool
+	halted bool  // flush does nothing: the log was abandoned
+	failed error // sticky first I/O error
+	closed bool
 
 	kick  chan struct{} // wakes the daemon
 	stopc chan struct{}
 	done  chan struct{}
 
-	appends    atomic.Uint64
-	fsyncs     atomic.Uint64
-	batches    atomic.Uint64
-	batchRecs  atomic.Uint64
-	truncSyncs atomic.Uint64
+	appends   atomic.Uint64
+	fsyncs    atomic.Uint64
+	batches   atomic.Uint64
+	batchRecs atomic.Uint64
 }
 
 // Create initializes a new log file at path (truncating any previous
-// contents) and starts its group-commit daemon.
+// contents) holding records from LSN 1, and starts its group-commit daemon.
 func Create(path string, opts Options) (*Log, error) {
 	return pager.OpenPath(path, true, func(b pager.BlockFile) (*Log, error) {
 		return CreateOn(b, opts)
 	})
 }
 
-// Open opens an existing log file, truncating any torn tail, and starts its
-// group-commit daemon.
-func Open(path string, opts Options) (*Log, error) {
+// CreateOn initializes a log on an empty BlockFile: one segment holding
+// records from LSN 1, its header synced.
+func CreateOn(b pager.BlockFile, opts Options) (*Log, error) {
+	if err := writeHeader(b, 1); err != nil {
+		return nil, err
+	}
+	return OpenOn(b, opts)
+}
+
+// writeHeader writes and syncs a segment header for records from first.
+func writeHeader(b pager.BlockFile, first uint64) error {
+	var hdr [HeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[0:], logMagic)
+	binary.BigEndian.PutUint32(hdr[4:], logVersion)
+	binary.BigEndian.PutUint64(hdr[8:], first)
+	if _, err := b.WriteAt(hdr[:], 0); err != nil {
+		return err
+	}
+	return b.Sync()
+}
+
+// Open opens the log segment at path followed by the later segments, in
+// order, and starts the group-commit daemon; see OpenOn. A later path that
+// cannot be opened ends the chain like one that does not chain; the files of
+// the segments that do not chain are closed.
+func Open(path string, opts Options, later ...string) (*Log, error) {
 	return pager.OpenPath(path, false, func(b pager.BlockFile) (*Log, error) {
-		return OpenOn(b, opts)
+		var bs []pager.BlockFile
+		for _, p := range later {
+			lb, err := pager.OpenBlock(p, false)
+			if err != nil {
+				break
+			}
+			bs = append(bs, lb)
+		}
+		l, err := OpenOn(b, opts, bs...)
+		chained := 0
+		if err == nil {
+			chained = l.Segments() - 1
+		}
+		for _, lb := range bs[chained:] {
+			lb.Close()
+		}
+		return l, err
 	})
 }
 
-// CreateOn initializes a log on an empty BlockFile: header, the generation-1
-// truncation slot (start LSN 1 at dataStart), one sync.
-func CreateOn(b pager.BlockFile, opts Options) (*Log, error) {
-	hdr := make([]byte, dataStart)
-	binary.BigEndian.PutUint32(hdr[0:], logMagic)
-	binary.BigEndian.PutUint32(hdr[4:], logVersion)
-	if _, err := b.WriteAt(hdr, 0); err != nil {
-		return nil, err
-	}
-	if err := truncSlots(b).Commit(encodeSlot(1, 1, dataStart)); err != nil {
-		return nil, err
-	}
-	l := newLog(b, opts)
-	l.nextLSN, l.durable = 1, 0
-	l.startLSN, l.startOff, l.slotGen = 1, dataStart, 1
-	l.writeOff = dataStart
-	l.start()
-	return l, nil
-}
-
-// OpenOn recovers a log from a BlockFile: it elects the newest valid
-// truncation slot, scans the records from its start point, and truncates
-// the tail at the first record that fails its length, checksum, or LSN
-// check. Structural damage (header or both slots) reports an error matching
+// OpenOn recovers a log from its first segment and the later ones that
+// follow it. Each segment is scanned up to its first record that fails its
+// length, checksum, or LSN check — the torn tail. A later segment chains
+// only if its header is whole and its first LSN continues the segment before
+// it; the chain ends at the first that does not, and Segments reports how
+// many did. Appends resume at the end of the last segment that chains.
+// Structural damage to the first segment reports an error matching
 // ErrCorruptLog; a torn tail does not.
-func OpenOn(b pager.BlockFile, opts Options) (*Log, error) {
-	size, err := b.Size()
+func OpenOn(b pager.BlockFile, opts Options, later ...pager.BlockFile) (*Log, error) {
+	seg, err := readHeader(b, true)
 	if err != nil {
 		return nil, err
 	}
-	if size < dataStart {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrCorruptLog, size)
-	}
-	var hdr [8]byte
-	if err := pager.ReadFull(b, hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("%w: reading header: %v", ErrCorruptLog, err)
-	}
-	if binary.BigEndian.Uint32(hdr[0:]) != logMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorruptLog)
-	}
-	if v := binary.BigEndian.Uint32(hdr[4:]); v != logVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptLog, v)
-	}
-	slot, ok := truncSlots(b).Elect(slotBody, 0)
-	if !ok {
-		return nil, fmt.Errorf("%w: no valid truncation slot", ErrCorruptLog)
-	}
-	l := newLog(b, opts)
-	l.slotGen = binary.BigEndian.Uint64(slot[0:])
-	l.startLSN = binary.BigEndian.Uint64(slot[8:])
-	l.startOff = int64(binary.BigEndian.Uint64(slot[16:]))
-	if l.startOff < dataStart {
-		return nil, fmt.Errorf("%w: truncation slot points at offset %d inside the header", ErrCorruptLog, l.startOff)
-	}
-	end, last, marks, err := scan(b, l.startLSN, l.startOff, size, nil)
-	if err != nil {
-		return nil, err
+	l := newLog(opts, seg)
+	var last uint64
+	for i := 0; ; i++ {
+		s := &l.segs[i]
+		s.end, last, _ = scan(s.b, s.first, s.start, s.end, nil)
+		if i == len(later) {
+			break
+		}
+		next, err := readHeader(later[i], false)
+		if err != nil || next.first != last+1 {
+			break
+		}
+		l.segs = append(l.segs, next)
 	}
 	l.nextLSN, l.durable = last+1, last
-	l.writeOff = end
-	l.marks = marks
-	l.start()
+	go l.daemon()
 	return l, nil
 }
 
-func newLog(b pager.BlockFile, opts Options) *Log {
+// readHeader reads a segment's header into the segment, whose end is the
+// file size until scanned. Only the first segment of a chain may be a
+// version-1 log.
+func readHeader(b pager.BlockFile, first bool) (segment, error) {
+	size, err := b.Size()
+	if err != nil {
+		return segment{}, err
+	}
+	var hdr [HeaderLen]byte
+	if size < HeaderLen || pager.ReadFull(b, hdr[:], 0) != nil {
+		return segment{}, fmt.Errorf("%w: %d bytes is shorter than the header", ErrCorruptLog, size)
+	}
+	if binary.BigEndian.Uint32(hdr[0:]) != logMagic {
+		return segment{}, fmt.Errorf("%w: bad magic", ErrCorruptLog)
+	}
+	seg := segment{b: b, first: binary.BigEndian.Uint64(hdr[8:]), start: HeaderLen, end: size}
+	switch v := binary.BigEndian.Uint32(hdr[4:]); {
+	case v == logVersion && seg.first == 0:
+		return segment{}, fmt.Errorf("%w: first LSN 0", ErrCorruptLog)
+	case v == logVersion:
+		return seg, nil
+	case v == 1 && first:
+		// A slot body is the slot generation, the start LSN and the start offset.
+		slot, ok := pager.CommitSlots{B: b, Off: v1SlotOff, Stride: v1SlotSize}.Elect(24, 0)
+		if !ok {
+			return segment{}, fmt.Errorf("%w: no valid truncation slot", ErrCorruptLog)
+		}
+		seg.first, seg.start = binary.BigEndian.Uint64(slot[8:]), int64(binary.BigEndian.Uint64(slot[16:]))
+		if seg.start < v1DataStart {
+			return segment{}, fmt.Errorf("%w: truncation slot points at offset %d inside the header", ErrCorruptLog, seg.start)
+		}
+		return seg, nil
+	default:
+		return segment{}, fmt.Errorf("%w: unsupported version %d", ErrCorruptLog, v)
+	}
+}
+
+func newLog(opts Options, seg segment) *Log {
 	l := &Log{
-		b:     b,
 		opts:  opts,
+		segs:  []segment{seg},
 		kick:  make(chan struct{}, 1),
 		stopc: make(chan struct{}),
 		done:  make(chan struct{}),
@@ -232,27 +276,11 @@ func newLog(b pager.BlockFile, opts Options) *Log {
 	return l
 }
 
-func (l *Log) start() { go l.daemon() }
-
-// truncSlots is the log's pair of truncation slots.
-func truncSlots(b pager.BlockFile) pager.CommitSlots {
-	return pager.CommitSlots{B: b, Off: slot0Off, Stride: slotSize}
-}
-
-// encodeSlot is the body of one truncation slot.
-func encodeSlot(gen, lsn uint64, off int64) []byte {
-	buf := make([]byte, 0, slotBody+4)
-	buf = binary.BigEndian.AppendUint64(buf, gen)
-	buf = binary.BigEndian.AppendUint64(buf, lsn)
-	return binary.BigEndian.AppendUint64(buf, uint64(off))
-}
-
 // scan walks the record chain from (lsn, off), stopping at the first record
-// that fails validation — the torn tail. It returns the end offset, the
-// last valid LSN (lsn-1 when the region is empty), and a mark per record.
-// fn, when non-nil, is called with each valid record's LSN and payload.
-func scan(b pager.BlockFile, lsn uint64, off, size int64, fn func(uint64, []byte) error) (int64, uint64, []mark, error) {
-	var marks []mark
+// that fails validation — the torn tail. It returns the end offset and the
+// last valid LSN (lsn-1 when the region is empty). fn, when non-nil, is
+// called with each valid record's LSN and payload.
+func scan(b pager.BlockFile, lsn uint64, off, size int64, fn func(uint64, []byte) error) (int64, uint64, error) {
 	expect := lsn
 	for {
 		if off+recHeaderLen > size {
@@ -280,14 +308,13 @@ func scan(b pager.BlockFile, lsn uint64, off, size int64, fn func(uint64, []byte
 		}
 		if fn != nil {
 			if err := fn(got, payload); err != nil {
-				return 0, 0, nil, err
+				return 0, 0, err
 			}
 		}
-		marks = append(marks, mark{lsn: expect, off: off})
 		expect++
 		off += recHeaderLen + length
 	}
-	return off, expect - 1, marks, nil
+	return off, expect - 1, nil
 }
 
 // Append assigns the next LSN to payload and buffers its frame for the
@@ -310,9 +337,9 @@ func (l *Log) Append(payload []byte) uint64 {
 	return lsn
 }
 
-// WaitDurable blocks until the record with the given LSN is fsynced,
-// kicking the group-commit daemon. Concurrent waiters coalesce: one flush
-// satisfies every LSN it covers.
+// WaitDurable blocks until the record with the given LSN and every lower one
+// are fsynced, kicking the group-commit daemon. Concurrent waiters coalesce:
+// one flush satisfies every LSN it covers.
 func (l *Log) WaitDurable(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -337,8 +364,9 @@ func signal(c chan struct{}) {
 	}
 }
 
-// daemon is the group-commit loop: woken by the first waiter, it optionally lingers MaxDelay to let more committers join, then
-// writes and fsyncs everything pending in one batch.
+// daemon is the group-commit loop: woken by the first waiter, it optionally
+// lingers MaxDelay to let more committers join, then writes and fsyncs
+// everything pending.
 func (l *Log) daemon() {
 	defer close(l.done)
 	for {
@@ -359,49 +387,131 @@ func (l *Log) daemon() {
 			}
 		}
 		l.flush()
-		l.mu.Lock()
-		l.cond.Broadcast()
-		l.mu.Unlock()
 	}
 }
 
-// flush writes and fsyncs every pending record as one batch. Only the
-// daemon calls it, so batches hit the file in LSN order.
+// flush writes and fsyncs every pending record as one batch. Only the daemon
+// calls it, so batches hit the files in LSN order, and no write is in flight
+// at the top of its loop: once a sealed segment has no record left to take,
+// every record up to the seal is durable and the attached next segment takes
+// over. A batch that ends at the seal loops to that switch and the records
+// after it.
 func (l *Log) flush() {
-	l.mu.Lock()
-	if len(l.buf) == 0 || l.failed != nil || l.truncating {
+	for {
+		l.mu.Lock()
+		var retired []segment
+		if l.sealed && l.sealLen == 0 && l.next != nil && l.failed == nil {
+			retired = l.segs
+			l.segs = []segment{{b: l.next, first: l.seal + 1, start: HeaderLen, end: HeaderLen}}
+			l.next, l.sealed = nil, false
+			l.cond.Broadcast()
+		}
+		n, recs := len(l.buf), l.bufRecs
+		if l.sealed {
+			n, recs = l.sealLen, l.sealRecs
+		}
+		if n == 0 || l.failed != nil || l.halted {
+			l.mu.Unlock()
+			closeSegments(retired)
+			return
+		}
+		tail := l.sealed
+		data := l.buf[:n]
+		if l.buf = l.buf[n:]; len(l.buf) == 0 {
+			l.buf = nil
+		}
+		l.bufRecs -= recs
+		l.sealLen, l.sealRecs = 0, 0
+		last := l.nextLSN - 1 - uint64(l.bufRecs)
+		seg := &l.segs[len(l.segs)-1]
+		b, off := seg.b, seg.end
+		seg.end += int64(n)
 		l.mu.Unlock()
-		return
-	}
-	data, recs := l.buf, l.bufRecs
-	l.buf, l.bufRecs = nil, 0
-	first := l.nextLSN - uint64(recs)
-	last := l.nextLSN - 1
-	off := l.writeOff
-	l.writeOff += int64(len(data))
-	l.marks = append(l.marks, mark{lsn: first, off: off})
-	l.mu.Unlock()
+		closeSegments(retired)
 
-	var err error
-	if _, werr := l.b.WriteAt(data, off); werr != nil {
-		err = werr
-	} else if serr := l.b.Sync(); serr != nil {
-		err = serr
-	}
+		_, err := b.WriteAt(data, off)
+		if err == nil {
+			err = b.Sync()
+		}
 
+		l.mu.Lock()
+		if err != nil {
+			if l.failed == nil {
+				l.failed = err
+			}
+		} else {
+			l.durable = last
+			l.fsyncs.Add(1)
+			l.batches.Add(1)
+			l.batchRecs.Add(uint64(recs))
+		}
+		l.cond.Broadcast()
+		l.mu.Unlock()
+		if !tail {
+			return
+		}
+	}
+}
+
+// closeSegments closes retired segment files; their records are durable.
+func closeSegments(segs []segment) {
+	for _, s := range segs {
+		s.b.Close()
+	}
+}
+
+// Seal marks a checkpoint cut: it returns S, the highest LSN appended so
+// far, and holds every later record back from the current segment until
+// Rotate attaches the next one. It performs no I/O, so a checkpoint can call
+// it while writers are excluded. Every Seal must be followed by a Rotate.
+func (l *Log) Seal() uint64 {
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sealed, l.seal = true, l.nextLSN-1
+	l.sealLen, l.sealRecs = len(l.buf), l.bufRecs
+	return l.seal
+}
+
+// Rotate starts the segment for the records above the seal on the empty
+// file open returns and waits until appends go to it: its header is synced,
+// like the directory entry a created file gets from pager.OpenPath, before
+// any record is written into it. The daemon closes the segments before it;
+// deleting their files is the caller's step, after the commit that no
+// longer needs them. A segment that cannot be made fails the log as any log
+// I/O error does, so no later segment ever holds a record.
+func (l *Log) Rotate(open func() (pager.BlockFile, error)) error {
+	l.mu.Lock()
+	first := l.seal + 1
+	l.mu.Unlock()
+	b, err := open()
+	if err == nil {
+		if err = writeHeader(b, first); err != nil {
+			b.Close()
+		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if err != nil {
 		if l.failed == nil {
 			l.failed = err
 		}
-	} else {
-		l.durable = last
-		l.fsyncs.Add(1)
-		l.batches.Add(1)
-		l.batchRecs.Add(uint64(recs))
+		l.cond.Broadcast()
+		return err
 	}
-	l.cond.Broadcast()
-	l.mu.Unlock()
+	l.next = b
+	signal(l.kick)
+	for l.next != nil && l.failed == nil && !l.closed {
+		l.cond.Wait()
+	}
+	if l.next == nil {
+		return nil
+	}
+	l.next = nil
+	b.Close()
+	if l.failed != nil {
+		return l.failed
+	}
+	return ErrClosed
 }
 
 // LastAppended returns the highest LSN ever assigned (0 when none).
@@ -418,12 +528,24 @@ func (l *Log) Durable() uint64 {
 	return l.durable
 }
 
-// LiveBytes returns the bytes between the truncation point and the append
-// head, including buffered unflushed records — the checkpoint-lag measure.
+// LiveBytes returns the record bytes of the open segments plus buffered
+// unflushed records — the checkpoint-lag measure.
 func (l *Log) LiveBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.writeOff - l.startOff + int64(len(l.buf))
+	n := int64(len(l.buf))
+	for _, s := range l.segs {
+		n += s.end - s.start
+	}
+	return n
+}
+
+// Segments returns how many segment files the log has open: after Open,
+// the segments that chained; after a rotation, one.
+func (l *Log) Segments() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.segs)
 }
 
 // Stats snapshots the cumulative counters.
@@ -433,114 +555,40 @@ func (l *Log) Stats() Stats {
 		Fsyncs:       l.fsyncs.Load(),
 		Batches:      l.batches.Load(),
 		BatchRecords: l.batchRecs.Load(),
-		TruncSyncs:   l.truncSyncs.Load(),
 	}
 }
 
-// Replay re-reads the durable log and calls fn for every record with
-// LSN > from, in LSN order. It scans only what was on disk when the log
-// was opened plus completed flushes; call it during recovery, before
-// concurrent appends begin.
+// Replay re-reads the open segments and calls fn for every record with
+// LSN > from, in LSN order. It scans only what was on disk when the log was
+// opened plus completed flushes; call it during recovery, before concurrent
+// appends begin.
 func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) error {
 	l.mu.Lock()
-	lsn, off, end := l.startLSN, l.startOff, l.writeOff
+	segs := append([]segment(nil), l.segs...)
 	l.mu.Unlock()
-	_, _, _, err := scan(l.b, lsn, off, end, func(got uint64, payload []byte) error {
-		if got <= from {
-			return nil
-		}
-		return fn(got, payload)
-	})
-	return err
-}
-
-// TruncateTo logically discards every record with LSN <= lsn by committing
-// a new truncation slot. Physical space is reclaimed at flushed-batch
-// granularity, and fully — rewinding the write offset to the start of the
-// file — once every appended record is both durable and covered by lsn.
-// The caller must have made lsn durable in the state it is truncating
-// toward (the checkpoint-LSN handshake): TruncateTo itself only ever runs
-// after the manifest commit that published lsn.
-func (l *Log) TruncateTo(lsn uint64) error {
-	l.mu.Lock()
-	if l.failed != nil {
-		err := l.failed
-		l.mu.Unlock()
-		return err
-	}
-	if lsn < l.startLSN {
-		l.mu.Unlock()
-		return nil
-	}
-	reset := len(l.buf) == 0 && l.durable == l.nextLSN-1 && lsn == l.durable
-	var newLSN uint64
-	var newOff int64
-	if reset {
-		// Pause flushes: nothing may land at the recycled offsets until
-		// the new slot is durable, or a crash would recover the old slot
-		// and lose fsynced records written over the old region.
-		l.truncating = true
-		newLSN, newOff = l.nextLSN, dataStart
-	} else {
-		// Keep the latest batch whose first record is still needed.
-		idx := -1
-		for i, m := range l.marks {
-			if m.lsn <= lsn+1 {
-				idx = i
-			} else {
-				break
+	for _, s := range segs {
+		_, _, err := scan(s.b, s.first, s.start, s.end, func(got uint64, payload []byte) error {
+			if got <= from {
+				return nil
 			}
-		}
-		if idx < 0 {
-			l.mu.Unlock()
-			return nil
-		}
-		newLSN, newOff = l.marks[idx].lsn, l.marks[idx].off
-		if newLSN == l.startLSN {
-			l.mu.Unlock()
-			return nil
+			return fn(got, payload)
+		})
+		if err != nil {
+			return err
 		}
 	}
-	gen := l.slotGen + 1
-	l.mu.Unlock()
-
-	err := truncSlots(l.b).Commit(encodeSlot(gen, newLSN, newOff))
-
-	l.mu.Lock()
-	if err != nil {
-		if l.failed == nil {
-			l.failed = err
-		}
-		l.truncating = false
-		l.cond.Broadcast()
-		l.mu.Unlock()
-		return err
-	}
-	l.truncSyncs.Add(1)
-	l.slotGen, l.startLSN, l.startOff = gen, newLSN, newOff
-	if reset {
-		l.writeOff = dataStart
-		l.marks = l.marks[:0]
-		l.truncating = false
-	} else {
-		for len(l.marks) > 0 && l.marks[0].lsn < newLSN {
-			l.marks = l.marks[1:]
-		}
-	}
-	l.mu.Unlock()
-	signal(l.kick) // appends may have queued behind the pause
 	return nil
 }
 
 // Close flushes pending records, stops the group-commit daemon, and closes
-// the backing file. Waiters still blocked are released with ErrClosed.
+// the segment files. Waiters still blocked are released with ErrClosed.
 func (l *Log) Close() error {
 	return l.close(true)
 }
 
 // Abandon stops the daemon without any further I/O and without closing the
-// backing file — the crash-simulation teardown: the file is left exactly as
-// the last completed operation left it.
+// segment files — the crash-simulation teardown: each file is left exactly
+// as the last completed operation left it.
 func (l *Log) Abandon() {
 	l.close(false)
 }
@@ -553,22 +601,22 @@ func (l *Log) close(drain bool) error {
 		return nil
 	}
 	l.closed = true
-	if !drain {
-		// Make flush a no-op for the daemon's shutdown pass.
-		l.truncating = true
-	}
+	l.halted = !drain
 	l.mu.Unlock()
 	close(l.stopc)
 	<-l.done
 	l.mu.Lock()
 	err := l.failed
 	l.cond.Broadcast()
+	segs := l.segs
 	l.mu.Unlock()
 	if !drain {
 		return err
 	}
-	if cerr := l.b.Close(); err == nil {
-		err = cerr
+	for _, s := range segs {
+		if cerr := s.b.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }

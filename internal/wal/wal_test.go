@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/pager"
 )
 
 // memBlock is a minimal in-memory BlockFile for the unit tests; the
@@ -196,95 +198,181 @@ func TestLogGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-func TestLogTruncatePartialAndReset(t *testing.T) {
-	m := &memBlock{}
-	l, err := CreateOn(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendSync(t, l, 8)
-	live := l.LiveBytes()
-
-	// Partial truncation reclaims whole batches below the cut.
-	if err := l.TruncateTo(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.LiveBytes(); got >= live {
-		t.Fatalf("LiveBytes after partial truncate = %d, want < %d", got, live)
-	}
-	if got := collect(t, l, 5); len(got) != 3 {
-		t.Fatalf("replay(5) after truncate = %v, want records 6..8", got)
-	}
-
-	// Full truncation rewinds the write offset to the start of the file.
-	if err := l.TruncateTo(8); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.LiveBytes(); got != 0 {
-		t.Fatalf("LiveBytes after full truncate = %d, want 0", got)
-	}
-	// New records land over the recycled region but keep increasing LSNs.
-	if lsn := l.Append(payloadFor(9)); lsn != 9 {
-		t.Fatalf("post-reset Append assigned %d, want 9", lsn)
-	}
-	if err := l.WaitDurable(9); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.close(true); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: the reset slot plus the one new record.
-	l, err = OpenOn(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Durable(); got != 9 {
-		t.Fatalf("Durable after reopen = %d, want 9", got)
-	}
-	got := collect(t, l, 0)
-	if len(got) != 1 || got[9] != string(payloadFor(9)) {
-		t.Fatalf("replay after reset reopen = %v, want only record 9", got)
-	}
-	l.Abandon()
+// onto is a Rotate opener handing over b.
+func onto(b pager.BlockFile) func() (pager.BlockFile, error) {
+	return func() (pager.BlockFile, error) { return b, nil }
 }
 
-func TestLogStaleRecordAfterResetIgnored(t *testing.T) {
-	m := &memBlock{}
-	l, err := CreateOn(m, Options{})
+// rotate seals the log and starts the next segment on an empty memBlock.
+func rotate(t *testing.T, l *Log) (*memBlock, uint64) {
+	t.Helper()
+	cut := l.Seal()
+	next := &memBlock{}
+	if err := l.Rotate(onto(next)); err != nil {
+		t.Fatalf("Rotate: %v", err)
+	}
+	return next, cut
+}
+
+func TestLogRotateSplitsAtSeal(t *testing.T) {
+	old := &memBlock{}
+	l, err := CreateOn(old, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two records of different sizes so the stale second record starts
-	// inside the region a single new record does not fully overwrite.
-	for lsn := uint64(1); lsn <= 2; lsn++ {
-		l.Append(payloadFor(lsn))
+	appendSync(t, l, 2)
+	l.Append(payloadFor(3)) // buffered, not yet written: still at or below the seal
+	cut := l.Seal()
+	if cut != 3 {
+		t.Fatalf("Seal = %d, want 3", cut)
 	}
-	if err := l.WaitDurable(2); err != nil {
+	l.Append(payloadFor(4)) // above the seal
+	next := &memBlock{}
+	if err := l.Rotate(onto(next)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.TruncateTo(2); err != nil {
-		t.Fatal(err)
-	}
-	// One short new record: the bytes of stale record 2 still sit beyond
-	// it on disk, CRC-valid, but with a smaller-than-expected LSN.
-	l.Append([]byte("x"))
-	if err := l.WaitDurable(3); err != nil {
-		t.Fatal(err)
-	}
+	appendSync(t, l, 1)
 	if err := l.close(true); err != nil {
 		t.Fatal(err)
 	}
 
-	l, err = OpenOn(m, Options{})
+	for _, tc := range []struct {
+		name     string
+		b        *memBlock
+		from, to uint64
+	}{{"old", old, 1, 3}, {"next", next, 4, 5}} {
+		seg, err := OpenOn(tc.b, Options{})
+		if err != nil {
+			t.Fatalf("%s segment: %v", tc.name, err)
+		}
+		got := collect(t, seg, 0)
+		if len(got) != int(tc.to-tc.from+1) || got[tc.from] == "" || got[tc.to] == "" {
+			t.Fatalf("%s segment holds %v, want records %d..%d", tc.name, got, tc.from, tc.to)
+		}
+		seg.Abandon()
+	}
+}
+
+// slowSync is a memBlock whose Sync waits while hold is locked.
+type slowSync struct {
+	memBlock
+	hold sync.Mutex
+}
+
+func (s *slowSync) Sync() error {
+	s.hold.Lock()
+	defer s.hold.Unlock()
+	return nil
+}
+
+func TestLogRotateAcksAfterOldTail(t *testing.T) {
+	old := &slowSync{}
+	l, err := CreateOn(old, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, l, 0)
-	if len(got) != 1 || got[3] != "x" {
-		t.Fatalf("stale record leaked into replay: %v", got)
+	defer l.Abandon()
+	old.hold.Lock()
+	l.Append(payloadFor(1))
+	l.Seal()
+	above := l.Append(payloadFor(2))
+	next := &memBlock{}
+	// Rotate first, with record 1 still buffered: the daemon must write it to
+	// the old segment and wait for its sync before moving on.
+	rotated := make(chan error, 1)
+	go func() { rotated <- l.Rotate(onto(next)) }()
+	time.Sleep(20 * time.Millisecond)
+	acked := make(chan error, 1)
+	go func() { acked <- l.WaitDurable(above) }()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-acked:
+		t.Fatalf("record above the seal acknowledged (%v) while the old segment's tail was not durable", err)
+	case err := <-rotated:
+		t.Fatalf("Rotate returned (%v) while the old segment's tail was not durable", err)
+	default:
+	}
+	if size, _ := next.Size(); size != HeaderLen {
+		t.Fatalf("next segment is %d bytes before the old tail is durable, want only its header", size)
+	}
+	old.hold.Unlock()
+	if err := <-rotated; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-acked; err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Durable(); got != 2 {
+		t.Fatalf("Durable = %d, want 2", got)
+	}
+}
+
+func TestLogChainReopens(t *testing.T) {
+	first := &memBlock{}
+	l, err := CreateOn(first, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSync(t, l, 3)
+	second, _ := rotate(t, l)
+	appendSync(t, l, 2)
+	third, _ := rotate(t, l) // empty: the chain may end in a segment with no records
+	if err := l.close(true); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err = OpenOn(first, Options{}, second, third)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Segments(); got != 3 {
+		t.Fatalf("Segments = %d, want 3", got)
+	}
+	if got := collect(t, l, 1); len(got) != 4 || got[2] != string(payloadFor(2)) || got[5] != string(payloadFor(5)) {
+		t.Fatalf("replay(1) over the chain = %v, want records 2..5", got)
+	}
+	if lsn := l.Append(payloadFor(6)); lsn != 6 {
+		t.Fatalf("Append after reopening the chain assigned %d, want 6", lsn)
+	}
+	if err := l.WaitDurable(6); err != nil {
+		t.Fatal(err)
 	}
 	l.Abandon()
+	if size, _ := third.Size(); size <= HeaderLen {
+		t.Fatalf("record 6 did not go to the last segment (%d bytes)", size)
+	}
+}
+
+func TestLogUnchainedSegmentIgnored(t *testing.T) {
+	first := &memBlock{}
+	l, err := CreateOn(first, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSync(t, l, 3)
+	if err := l.close(true); err != nil {
+		t.Fatal(err)
+	}
+	skips := &memBlock{} // a whole header whose first LSN skips record 4
+	if err := writeHeader(skips, 5); err != nil {
+		t.Fatal(err)
+	}
+	torn := &memBlock{} // a header cut short by a crash
+	torn.WriteAt([]byte{0x55, 0x57, 0x41}, 0)
+
+	for name, later := range map[string]*memBlock{"skips": skips, "torn": torn} {
+		l, err := OpenOn(first, Options{}, later)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := l.Segments(); got != 1 {
+			t.Fatalf("%s: Segments = %d, want 1", name, got)
+		}
+		if got := collect(t, l, 0); len(got) != 3 {
+			t.Fatalf("%s: replay = %v, want records 1..3", name, got)
+		}
+		l.Abandon()
+	}
 }
 
 func TestLogCorruptHeader(t *testing.T) {

@@ -175,14 +175,15 @@ const (
 	DurabilityCheckpoint Durability = iota
 	// DurabilityWAL puts a group-commit write-ahead log in front of the
 	// shadow-paging checkpoints: every write call — Insert, Set, Delete, or
-	// a whole Apply batch — appends one logical record to Dir/wal.log and
-	// returns once that record is fsynced; concurrent committers share one
-	// fsync, and a batch, being one record, is atomic across a crash. This
-	// is the mode for per-mutation durability. A background checkpointer
-	// folds the log into the shadow-paged files incrementally, without
-	// stalling writers, and truncates the replayed prefix. Databases in this
-	// mode must be reopened with Open, which replays the committed log
-	// suffix on top of the last checkpoint.
+	// a whole Apply batch — appends one logical record to the log segment
+	// Dir/wal.<g>.log and returns once that record is fsynced; concurrent
+	// committers share one fsync, and a batch, being one record, is atomic
+	// across a crash. This is the mode for per-mutation durability. A
+	// background checkpointer folds the log into the shadow-paged files
+	// incrementally, without stalling writers; each checkpoint starts a new
+	// segment at its cut and, once committed, deletes the one before.
+	// Databases in this mode must be reopened with Open, which replays the
+	// committed log suffix on top of the last checkpoint.
 	DurabilityWAL
 )
 
@@ -786,10 +787,10 @@ func (db *Database) DropIndex(name string) error {
 		return fmt.Errorf("uindex: no index %q: %w", name, ErrIndexNotFound)
 	}
 	if db.wal != nil {
-		// The log is truncated right after this drop, so the orphaned files
-		// must carry their own final checkpoint — holding only records the
-		// log has made durable, or a crash before the truncation would
-		// recover an index ahead of the replayable store.
+		// The checkpoint right after this drop retires the log, so the
+		// orphaned files must carry their own final checkpoint — holding
+		// only records the log has made durable, or a crash before that
+		// checkpoint would recover an index ahead of the replayable store.
 		err := db.wal.log.WaitDurable(db.wal.log.LastAppended())
 		if err == nil {
 			err = g.checkpoint()

@@ -15,24 +15,32 @@ package uindex
 // every concurrent committer.
 //
 // Checkpoint protocol (walCheckpointLocked). The background checkpointer
-// folds the log into the shadow-paged files without stalling writers:
+// folds the log into the shadow-paged files without stalling writers. Each
+// checkpoint is one generation g: it writes store.<g>.snap and starts the log
+// segment wal.<g>.log, which holds exactly the records above the cut that
+// db.manifest records with g.
 //
 //	commitMu.Lock()
-//	objs := store.Snapshot(); S := log.LastAppended()   // the store cut
+//	objs := store.Snapshot(); S := log.Seal()          // the store cut
 //	commitMu.Unlock()
+//	log.Rotate(wal.<g>.log)            // outside every lock; records > S go there
 //	for each group, each shard:        // one shard at a time, writers
 //	    lock shard; checkpointShard; unlock
 //	W := log.LastAppended()
-//	write store.<gen+1>.snap from objs // outside every lock
+//	write store.<g>.snap from objs     // outside every lock
 //	log.WaitDurable(W)
-//	commit each group manifest; db manifest CommitWAL(gen+1, S)
-//	log.TruncateTo(S)
+//	commit each group manifest; db manifest CommitWAL(g, S)
+//	remove every store.<k>.snap and wal.<k>.log with k < g
 //
-// Why replaying (S, durable] recovers exactly the durable log prefix:
+// Why replaying from S recovers exactly the durable log prefix:
 //
 //   - The snapshot is exactly the log prefix <= S: writers edit the store
 //     and append under commitMu.RLock, so every record at or below S has
 //     all of its store edits in the snapshot and no record above S has any.
+//   - The segments from the manifest's generation on hold every record above
+//     S: wal.<g>.log starts at S+1, and its header and directory entry are
+//     durable before any record is written into it. Until g commits, Open
+//     replays the previous generation's segment and chains into wal.<g>.log.
 //   - Every shard holds at least that prefix and at most W: it is flushed
 //     under its writer lock after S is read, and writers edit a shard and
 //     append under that lock, so the shard holds a prefix of the records
@@ -47,6 +55,8 @@ package uindex
 //     key and inserting a present one as no-ops, so re-applying edits a
 //     shard already holds changes nothing, and every key ends where its
 //     last record left it.
+//   - Only files of generations below the committed one are removed, and a
+//     segment is never rewritten, so no byte replay may need is ever gone.
 
 import (
 	"context"
@@ -67,7 +77,9 @@ const (
 	// walManifestName is the database commit manifest: one "shard" slot
 	// carrying the store snapshot generation, plus the checkpoint LSN.
 	walManifestName = "db.manifest"
-	// walLogName is the write-ahead log file.
+	// walLogName is the single log file of earlier builds. Open reads it as
+	// the manifest generation's segment when that segment is absent; the next
+	// checkpoint removes it.
 	walLogName = "wal.log"
 
 	// walDefaultCheckpointBytes is the live-log size that triggers a
@@ -80,6 +92,35 @@ const (
 
 // storeSnapName is the store snapshot file of one checkpoint generation.
 func storeSnapName(gen uint64) string { return fmt.Sprintf("store.%d.snap", gen) }
+
+// walSegName is the log segment of one checkpoint generation: the records
+// above that generation's cut.
+func walSegName(gen uint64) string { return fmt.Sprintf("wal.%d.log", gen) }
+
+// removeGenerations removes every store snapshot and log segment of dir
+// whose generation drop selects.
+func removeGenerations(dir string, drop func(gen uint64) bool) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		// A generation's file is named exactly as its number formats.
+		var gen uint64
+		name := e.Name()
+		if fmt.Sscanf(name, "store.%d.snap", &gen); name != storeSnapName(gen) {
+			if fmt.Sscanf(name, "wal.%d.log", &gen); name != walSegName(gen) {
+				continue
+			}
+		}
+		if drop(gen) {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // walState is the DurabilityWAL machinery of one Database.
 type walState struct {
@@ -97,9 +138,11 @@ type walState struct {
 	// ckptMu serializes checkpoints (background, explicit Checkpoint,
 	// catalog changes, Close).
 	ckptMu sync.Mutex
-	// storeGen is the generation of the current store snapshot file;
-	// guarded by ckptMu.
-	storeGen uint64
+	// gen is the newest generation with files on disk, the one the live
+	// log segment belongs to: the manifest's after a commit, later after a
+	// checkpoint that failed past its rotation or an Open that chained into
+	// an interrupted one. The next checkpoint is gen+1. Guarded by ckptMu.
+	gen uint64
 
 	replayed  atomic.Uint64 // records replayed by Open
 	ckpts     atomic.Uint64 // completed WAL checkpoints
@@ -118,7 +161,7 @@ func (w *walState) stopCheckpointer() {
 	<-w.done
 }
 
-func newWALState(log *wal.Log, manifest *pager.Manifest, storeGen uint64, opts Options) *walState {
+func newWALState(log *wal.Log, manifest *pager.Manifest, gen uint64, opts Options) *walState {
 	ckptBytes := opts.WALCheckpointBytes
 	if ckptBytes == 0 {
 		ckptBytes = walDefaultCheckpointBytes
@@ -126,7 +169,7 @@ func newWALState(log *wal.Log, manifest *pager.Manifest, storeGen uint64, opts O
 	return &walState{
 		log:       log,
 		manifest:  manifest,
-		storeGen:  storeGen,
+		gen:       gen,
 		ckptBytes: ckptBytes,
 		stopc:     make(chan struct{}),
 		done:      make(chan struct{}),
@@ -134,9 +177,10 @@ func newWALState(log *wal.Log, manifest *pager.Manifest, storeGen uint64, opts O
 }
 
 // bootstrapWAL initializes a fresh DurabilityWAL database directory: the
-// generation-1 store snapshot, the database manifest, and an empty log. A
-// directory that already holds a WAL database is refused — its log tail
-// must be replayed, which is Open's job, not NewDatabaseWith's.
+// generation-1 store snapshot and log segment, then the database manifest
+// that names them. A directory that already holds a WAL database is refused
+// — its log tail must be replayed, which is Open's job, not
+// NewDatabaseWith's.
 func (db *Database) bootstrapWAL() error {
 	manifestPath := filepath.Join(db.opts.Dir, walManifestName)
 	if _, err := os.Stat(manifestPath); err == nil {
@@ -148,13 +192,13 @@ func (db *Database) bootstrapWAL() error {
 	if err := db.saveStoreSnapshot(filepath.Join(db.opts.Dir, storeSnapName(1)), objs, next); err != nil {
 		return fmt.Errorf("uindex: writing initial store snapshot: %w", err)
 	}
-	manifest, err := pager.CreateManifestFile(manifestPath, nil, []uint64{1})
+	log, err := wal.Create(filepath.Join(db.opts.Dir, walSegName(1)), wal.Options{MaxDelay: db.opts.WALMaxDelay})
 	if err != nil {
 		return err
 	}
-	log, err := wal.Create(filepath.Join(db.opts.Dir, walLogName), wal.Options{MaxDelay: db.opts.WALMaxDelay})
+	manifest, err := pager.CreateManifestFile(manifestPath, nil, []uint64{1})
 	if err != nil {
-		manifest.Close()
+		log.Close()
 		return err
 	}
 	db.wal = newWALState(log, manifest, 1, db.opts)
@@ -173,13 +217,17 @@ func recoveryError(what string, err error) error {
 }
 
 // Open recovers a DurabilityWAL database from its directory: it reads the
-// database manifest for the last checkpoint (store snapshot generation +
-// checkpoint LSN), decodes that store snapshot into a fresh database — which
+// database manifest for the last checkpoint (generation + checkpoint LSN),
+// decodes that generation's store snapshot into a fresh database — which
 // reopens every index from its manifest, each shard file at the generation the
-// last commit published — and replays the committed log suffix on top. Torn
-// or partially-synced log tails are detected by the log's per-record framing
-// and truncated, never replayed. Every recovery failure matches ErrRecovery,
-// and a failed Open leaves every file of the directory as it found it.
+// last commit published — and replays the log on top: the generation's
+// segment from the checkpoint LSN, then each later segment an interrupted
+// checkpoint started, as long as it chains. Torn or partially-synced log tails
+// are detected by the log's per-record framing and truncated, never replayed.
+// Every recovery failure matches ErrRecovery, and a failed Open leaves every
+// file of the directory as it found it; a successful one removes the files of
+// generations past the last segment that chained, which hold nothing
+// committed or acknowledged.
 //
 // opts.Dir and opts.Durability are overridden by dir and DurabilityWAL;
 // the remaining options (pools, caches, WAL knobs) apply as in
@@ -208,9 +256,9 @@ func Open(dir string, opts Options) (_ *Database, err error) {
 			manifest.Close()
 		}
 	}()
-	storeGen := manifest.Gens()[0]
+	gen := manifest.Gens()[0]
 	var snap *snapshotData
-	data, err := os.ReadFile(filepath.Join(dir, storeSnapName(storeGen)))
+	data, err := os.ReadFile(filepath.Join(dir, storeSnapName(gen)))
 	if err == nil {
 		snap, err = decodeSnapshot(data)
 	}
@@ -224,11 +272,24 @@ func Open(dir string, opts Options) (_ *Database, err error) {
 	if err != nil {
 		return nil, recoveryError("loading store snapshot", err)
 	}
-	log, err = wal.Open(filepath.Join(dir, walLogName), wal.Options{MaxDelay: opts.WALMaxDelay})
+	first := filepath.Join(dir, walSegName(gen))
+	if _, serr := os.Stat(first); serr != nil {
+		first = filepath.Join(dir, walLogName) // an earlier build's log, or none
+	}
+	var later []string
+	for k := gen + 1; ; k++ {
+		p := filepath.Join(dir, walSegName(k))
+		if _, serr := os.Stat(p); serr != nil {
+			break
+		}
+		later = append(later, p)
+	}
+	log, err = wal.Open(first, wal.Options{MaxDelay: opts.WALMaxDelay}, later...)
 	if err != nil {
 		return nil, recoveryError("opening write-ahead log", err)
 	}
-	w := newWALState(log, manifest, storeGen, opts)
+	// Appends resume in the last segment that chains.
+	w := newWALState(log, manifest, gen+uint64(log.Segments())-1, opts)
 	err = log.Replay(manifest.WALLSN(), func(lsn uint64, payload []byte) error {
 		if rerr := db.walReplayRecord(payload); rerr != nil {
 			return fmt.Errorf("record %d: %w", lsn, rerr)
@@ -238,6 +299,12 @@ func Open(dir string, opts Options) (_ *Database, err error) {
 	})
 	if err != nil {
 		return nil, recoveryError("replaying log", err)
+	}
+	// A file of a later generation holds no acknowledged record and no
+	// committed snapshot; removing it keeps the next checkpoint's segment
+	// chained to the live one.
+	if err = removeGenerations(dir, func(k uint64) bool { return k > w.gen }); err != nil {
+		return nil, recoveryError("removing an unchained generation", err)
 	}
 	db.wal = w
 	go db.walCheckpointer()
@@ -283,12 +350,19 @@ func (db *Database) walCheckpointLocked() error {
 	defer w.ckptMu.Unlock()
 
 	// The store cut: commitMu in write mode excludes only the instant of the
-	// in-memory snapshot + S read; encoding and writing the snapshot file
-	// happen outside every lock.
+	// in-memory snapshot + seal; encoding and writing the snapshot file and
+	// starting the next segment happen outside every lock.
 	w.commitMu.Lock()
 	objs, next := db.st.Snapshot()
-	cut := w.log.LastAppended()
+	cut := w.log.Seal()
 	w.commitMu.Unlock()
+	w.gen++
+	gen := w.gen
+	// Records above the cut wait in memory until their segment is durable.
+	segPath := filepath.Join(db.opts.Dir, walSegName(gen))
+	if err := w.log.Rotate(func() (pager.BlockFile, error) { return pager.OpenBlock(segPath, true) }); err != nil {
+		return fmt.Errorf("uindex: starting log segment: %w", err)
+	}
 	// Publish each shard on its own, holding only that shard's writer
 	// lock: writers to other shards (and readers everywhere) proceed.
 	for _, name := range db.order {
@@ -303,9 +377,7 @@ func (db *Database) walCheckpointLocked() error {
 		}
 	}
 	watermark := w.log.LastAppended()
-	newGen := w.storeGen + 1
-	snapPath := filepath.Join(db.opts.Dir, storeSnapName(newGen))
-	if err := db.saveStoreSnapshot(snapPath, objs, next); err != nil {
+	if err := db.saveStoreSnapshot(filepath.Join(db.opts.Dir, storeSnapName(gen)), objs, next); err != nil {
 		return fmt.Errorf("uindex: writing store snapshot: %w", err)
 	}
 	// Nothing a published shard may hold can be missing from the log.
@@ -318,23 +390,22 @@ func (db *Database) walCheckpointLocked() error {
 			return fmt.Errorf("uindex: committing index %q manifest: %w", name, err)
 		}
 	}
-	if err := w.manifest.CommitWAL([]uint64{newGen}, cut); err != nil {
+	if err := w.manifest.CommitWAL([]uint64{gen}, cut); err != nil {
 		return fmt.Errorf("uindex: committing database manifest: %w", err)
 	}
-	// The previous snapshot is now unreferenced; removal is best-effort
-	// (a leftover file is orphaned, never read).
-	os.Remove(filepath.Join(db.opts.Dir, storeSnapName(w.storeGen)))
-	w.storeGen = newGen
-	if err := w.log.TruncateTo(cut); err != nil {
-		return err
-	}
+	// Every older generation is unreferenced now, and so is an earlier
+	// build's log. Removal is best-effort: what a failure or a crash leaves
+	// behind, the next checkpoint removes.
+	_ = removeGenerations(db.opts.Dir, func(k uint64) bool { return k < gen })
+	_ = os.Remove(filepath.Join(db.opts.Dir, walLogName))
 	w.ckpts.Add(1)
 	db.ctrs.checkpoints.Add(1)
 	return nil
 }
 
-// saveStoreSnapshot writes one store snapshot file and fsyncs it — the
-// manifest commit that references it must never win the race to disk.
+// saveStoreSnapshot writes one store snapshot file and fsyncs it and its
+// directory entry — the manifest commit that references it must never win
+// the race to disk.
 func (db *Database) saveStoreSnapshot(path string, objs []store.RestoredObject, next OID) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -348,7 +419,10 @@ func (db *Database) saveStoreSnapshot(path string, objs []store.RestoredObject, 
 		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return pager.SyncDir(path)
 }
 
 // --- record encoding --------------------------------------------------------

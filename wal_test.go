@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pager"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -54,6 +55,16 @@ func copyDirTo(t *testing.T, src, dst string) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// liveSegment names the one log segment of a database directory.
+func liveSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal.*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("log segments in %s: %v, %v; want one", dir, segs, err)
+	}
+	return filepath.Base(segs[0])
 }
 
 // crashImage copies the live directory into a fresh TempDir.
@@ -356,7 +367,7 @@ func TestWALRecoveryErrors(t *testing.T) {
 		wantRecovery(t, corrupt(t, "db.manifest", func(raw []byte) []byte { return raw[:16] }))
 	})
 	t.Run("log", func(t *testing.T) {
-		wantRecovery(t, corrupt(t, "wal.log", func(raw []byte) []byte {
+		wantRecovery(t, corrupt(t, liveSegment(t, img), func(raw []byte) []byte {
 			raw[0] ^= 0xFF // break the magic
 			return raw
 		}))
@@ -391,7 +402,7 @@ func TestWALRecoveryErrors(t *testing.T) {
 		// applies the insert in memory, then fails — and publishes nothing.
 		d := t.TempDir()
 		copyDirTo(t, img, d)
-		log, err := wal.Open(filepath.Join(d, walLogName), wal.Options{})
+		log, err := wal.Open(filepath.Join(d, liveSegment(t, d)), wal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +417,7 @@ func TestWALRecoveryErrors(t *testing.T) {
 	t.Run("missing log", func(t *testing.T) {
 		d := t.TempDir()
 		copyDirTo(t, img, d)
-		if err := os.Remove(filepath.Join(d, "wal.log")); err != nil {
+		if err := os.Remove(filepath.Join(d, liveSegment(t, d))); err != nil {
 			t.Fatal(err)
 		}
 		wantRecovery(t, d)
@@ -842,7 +853,7 @@ func TestWALBatchCrashAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := dumpState(t, db)
-	preLog, err := os.ReadFile(filepath.Join(dir, walLogName))
+	preLog, err := os.ReadFile(filepath.Join(dir, liveSegment(t, dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -877,7 +888,7 @@ func TestWALBatchCrashAtomic(t *testing.T) {
 		t.Fatal("batch changed nothing")
 	}
 	img := crashImage(t, dir)
-	postLog, err := os.ReadFile(filepath.Join(img, walLogName))
+	postLog, err := os.ReadFile(filepath.Join(img, liveSegment(t, img)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -890,7 +901,7 @@ func TestWALBatchCrashAtomic(t *testing.T) {
 	for n := len(preLog); n <= len(postLog); n++ {
 		d := t.TempDir()
 		copyDirTo(t, img, d)
-		if err := os.WriteFile(filepath.Join(d, walLogName), postLog[:n], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(d, liveSegment(t, d)), postLog[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		rec, err := Open(d, Options{PoolPages: 16, WALCheckpointBytes: -1})
@@ -1418,5 +1429,177 @@ func TestWALFailedBatchLeavesNothing(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// segmentBytes sums the sizes of a directory's log files: its segments, and
+// the single log file of an earlier build.
+func segmentBytes(t *testing.T, dir string) (total int64, largest int64) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range segs {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += st.Size()
+		largest = max(largest, st.Size())
+	}
+	return total, largest
+}
+
+// TestWALLogBounded: a log segment holds only the records since its
+// checkpoint's cut, and a checkpoint deletes the segments before it, so under
+// steady writes the log's files stay within twice the checkpoint trigger,
+// and a cleanly closed directory keeps one empty segment and no wal.log.
+func TestWALLogBounded(t *testing.T) {
+	const trigger = 32 << 10
+	dir := t.TempDir()
+	opts := walOpts(dir)
+	opts.WALCheckpointBytes = trigger
+	db, err := NewDatabaseWith(vehicleSchema(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex(colorSpec); err != nil {
+		t.Fatal(err)
+	}
+	color := strings.Repeat("c", 200)
+	for round := 0; round < 40; round++ {
+		for written := 0; written <= trigger; written += 16 * len(color) {
+			var b Batch
+			for i := 0; i < 16; i++ {
+				b.Insert("Automobile", Attrs{"Color": color})
+			}
+			if _, err := db.Apply(context.Background(), &b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if total, _ := segmentBytes(t, dir); total > 2*trigger+wal.HeaderLen {
+			t.Fatalf("round %d: log segments total %d bytes, want at most %d", round, total, 2*trigger+wal.HeaderLen)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal.log")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("wal.log after Close: %v, want none", err)
+	}
+	if _, largest := segmentBytes(t, dir); largest > wal.HeaderLen {
+		t.Fatalf("a segment holds %d bytes after Close, want at most a %d-byte header", largest, wal.HeaderLen)
+	}
+}
+
+// TestWALCheckpointRemovesOrphans: a crash between a manifest commit and the
+// removal of the files it retired leaves an older generation's snapshot or
+// segment behind. The next checkpoint removes every file of a generation
+// below its own, not only its predecessor's.
+func TestWALCheckpointRemovesOrphans(t *testing.T) {
+	dir := t.TempDir()
+	db, err := NewDatabaseWith(vehicleSchema(t), walOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateIndex(colorSpec); err != nil { // generation 2
+		t.Fatal(err)
+	}
+	insertVehicles(t, db, testColors)
+	if err := db.Checkpoint(); err != nil { // generation 3
+		t.Fatal(err)
+	}
+	orphans := []string{"store.1.snap", "wal.1.log"}
+	for _, name := range orphans {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("orphan"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range orphans {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s after a checkpoint past its generation: %v, want removed", name, err)
+		}
+	}
+}
+
+// TestWALOpenChainsInterruptedCheckpoint: a crash after a checkpoint started
+// its log segment but before it committed leaves the records in two
+// segments. Open replays both and resumes in the later one; it removes the
+// files of a generation past it (a torn segment header, a partial snapshot),
+// and the next checkpoint takes the generation after the live segment's.
+func TestWALOpenChainsInterruptedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db, err := NewDatabaseWith(vehicleSchema(t), walOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateIndex(colorSpec); err != nil {
+		t.Fatal(err)
+	}
+	insertVehicles(t, db, testColors)
+	// The checkpoint's first steps: the cut, then the next segment, which
+	// takes every later write.
+	w := db.wal
+	w.ckptMu.Lock()
+	w.commitMu.Lock()
+	w.log.Seal()
+	w.commitMu.Unlock()
+	w.gen++
+	gen := w.gen
+	err = w.log.Rotate(func() (pager.BlockFile, error) { return pager.OpenBlock(filepath.Join(dir, walSegName(gen)), true) })
+	w.ckptMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertVehicles(t, db, []string{"Red", "Blue"})
+	want := dumpState(t, db)
+
+	img := crashImage(t, dir)
+	leftovers := map[string]string{walSegName(gen + 1): "UWA", storeSnapName(gen + 1): "partial"}
+	for name, raw := range leftovers {
+		if err := os.WriteFile(filepath.Join(img, name), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := Open(img, Options{PoolPages: 16, WALCheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if got := dumpState(t, rec); got != want {
+		t.Fatalf("recovered\n%s\nwant\n%s", got, want)
+	}
+	if got, want := rec.Metrics().WALRecoveryReplayed, uint64(len(testColors)+2); got != want {
+		t.Fatalf("replayed %d records over two segments, want %d", got, want)
+	}
+	for name := range leftovers {
+		if _, err := os.Stat(filepath.Join(img, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s after Open: %v, want removed", name, err)
+		}
+	}
+	if err := rec.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, pattern := range []string{"store.*.snap", "wal.*.log"} {
+		names, err := filepath.Glob(filepath.Join(img, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			files = append(files, filepath.Base(name))
+		}
+	}
+	if want := []string{storeSnapName(gen + 1), walSegName(gen + 1)}; fmt.Sprint(files) != fmt.Sprint(want) {
+		t.Fatalf("generation files after the next checkpoint = %v, want %v", files, want)
 	}
 }
