@@ -45,8 +45,11 @@ crash:
 # (framing, torn tails, group-commit coalescing, and segment rotation: records
 # split at the seal, no record above it acknowledged before the old segment's
 # tail is durable, a chain of segments reopening, an unchained later segment
-# ignored — TestLogRotateSplitsAtSeal, TestLogRotateAcksAfterOldTail,
-# TestLogChainReopens, TestLogUnchainedSegmentIgnored), the facade recovery
+# ignored while one that cannot be read fails the open, and a failed log
+# creating no segment — TestLogRotateSplitsAtSeal,
+# TestLogRotateAcksAfterOldTail, TestLogChainReopens,
+# TestLogUnchainedSegmentIgnored, TestLogUnreadableSegmentFails,
+# TestLogRotateFailedLogOpensNothing), the facade recovery
 # tests (crash images, replay idempotence, writers
 # progressing through an in-flight incremental checkpoint, a crash inside
 # the window between the shard syncs and the manifest commits, shards and

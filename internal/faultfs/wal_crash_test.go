@@ -253,7 +253,7 @@ func verifyWALRecovery(t *testing.T, ms []*Media, commits []walCommit, crashMedi
 	for _, m := range ms[first+1:] {
 		later = append(later, m)
 	}
-	lg, err := wal.OpenOn(ms[first], wal.Options{}, later...)
+	lg, _, err := wal.OpenOn(ms[first], wal.Options{}, later...)
 	if err != nil {
 		if lastDone < 0 && errors.Is(err, wal.ErrCorruptLog) {
 			return // crash predates the log preamble's first durable state

@@ -87,24 +87,26 @@ func (b osBlock) Size() (int64, error) {
 
 // OpenPath is the one way a durable file is opened by path: it opens path —
 // created, or truncated, when create is set — and hands it to open as a
-// BlockFile. A created file's directory entry is synced after open returns,
-// so a commit that names the file cannot reach the disk before the file
-// does. An error from opening the path is returned as is (so
-// errors.Is(err, fs.ErrNotExist) works); when open fails the file is closed,
-// a created one removed, and the error names path.
+// BlockFile. A created file's directory entry is synced before open writes
+// into it, so a commit that names the file cannot reach the disk before the
+// file does. An error from opening the path is returned as is (so
+// errors.Is(err, fs.ErrNotExist) works); when syncing the directory or open
+// fails the file is closed, a created one removed, and the error names path.
 func OpenPath[T any](path string, create bool, open func(BlockFile) (T, error)) (T, error) {
+	var v T
 	flag := os.O_RDWR
 	if create {
 		flag |= os.O_CREATE | os.O_TRUNC
 	}
 	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
-		var zero T
-		return zero, err
+		return v, err
 	}
-	v, err := open(osBlock{f})
-	if err == nil && create {
+	if create {
 		err = SyncDir(path)
+	}
+	if err == nil {
+		v, err = open(osBlock{f})
 	}
 	if err != nil {
 		f.Close()

@@ -154,7 +154,8 @@ func CreateOn(b pager.BlockFile, opts Options) (*Log, error) {
 	if err := writeHeader(b, 1); err != nil {
 		return nil, err
 	}
-	return OpenOn(b, opts)
+	l, _, err := OpenOn(b, opts)
+	return l, err
 }
 
 // writeHeader writes and syncs a segment header for records from first.
@@ -169,28 +170,11 @@ func writeHeader(b pager.BlockFile, first uint64) error {
 	return b.Sync()
 }
 
-// Open opens the log segment at path followed by the later segments, in
-// order, and starts the group-commit daemon; see OpenOn. A later path that
-// cannot be opened ends the chain like one that does not chain; the files of
-// the segments that do not chain are closed.
-func Open(path string, opts Options, later ...string) (*Log, error) {
+// Open opens the log file at path as a one-segment chain and starts its
+// group-commit daemon; see OpenOn.
+func Open(path string, opts Options) (*Log, error) {
 	return pager.OpenPath(path, false, func(b pager.BlockFile) (*Log, error) {
-		var bs []pager.BlockFile
-		for _, p := range later {
-			lb, err := pager.OpenBlock(p, false)
-			if err != nil {
-				break
-			}
-			bs = append(bs, lb)
-		}
-		l, err := OpenOn(b, opts, bs...)
-		chained := 0
-		if err == nil {
-			chained = l.Segments() - 1
-		}
-		for _, lb := range bs[chained:] {
-			lb.Close()
-		}
+		l, _, err := OpenOn(b, opts)
 		return l, err
 	})
 }
@@ -199,24 +183,31 @@ func Open(path string, opts Options, later ...string) (*Log, error) {
 // follow it. Each segment is scanned up to its first record that fails its
 // length, checksum, or LSN check — the torn tail. A later segment chains
 // only if its header is whole and its first LSN continues the segment before
-// it; the chain ends at the first that does not, and Segments reports how
-// many did. Appends resume at the end of the last segment that chains.
-// Structural damage to the first segment reports an error matching
-// ErrCorruptLog; a torn tail does not.
-func OpenOn(b pager.BlockFile, opts Options, later ...pager.BlockFile) (*Log, error) {
+// it; the chain ends at the first that does not. OpenOn returns how many of
+// the later segments chained: the log owns their files and b, and the caller
+// closes the rest. Appends resume at the end of the last segment that
+// chains. Structural damage to the first segment reports an error matching
+// ErrCorruptLog; a torn tail does not. An I/O error is returned as is: it
+// shows nothing about where the chain ends.
+func OpenOn(b pager.BlockFile, opts Options, later ...pager.BlockFile) (*Log, int, error) {
 	seg, err := readHeader(b, true)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	l := newLog(opts, seg)
 	var last uint64
 	for i := 0; ; i++ {
 		s := &l.segs[i]
-		s.end, last, _ = scan(s.b, s.first, s.start, s.end, nil)
+		if s.end, last, err = scan(s.b, s.first, s.start, s.end, nil); err != nil {
+			return nil, 0, err
+		}
 		if i == len(later) {
 			break
 		}
 		next, err := readHeader(later[i], false)
+		if err != nil && !errors.Is(err, ErrCorruptLog) {
+			return nil, 0, err
+		}
 		if err != nil || next.first != last+1 {
 			break
 		}
@@ -224,7 +215,7 @@ func OpenOn(b pager.BlockFile, opts Options, later ...pager.BlockFile) (*Log, er
 	}
 	l.nextLSN, l.durable = last+1, last
 	go l.daemon()
-	return l, nil
+	return l, len(l.segs) - 1, nil
 }
 
 // readHeader reads a segment's header into the segment, whose end is the
@@ -235,9 +226,12 @@ func readHeader(b pager.BlockFile, first bool) (segment, error) {
 	if err != nil {
 		return segment{}, err
 	}
-	var hdr [HeaderLen]byte
-	if size < HeaderLen || pager.ReadFull(b, hdr[:], 0) != nil {
+	if size < HeaderLen {
 		return segment{}, fmt.Errorf("%w: %d bytes is shorter than the header", ErrCorruptLog, size)
+	}
+	var hdr [HeaderLen]byte
+	if err := pager.ReadFull(b, hdr[:], 0); err != nil {
+		return segment{}, err
 	}
 	if binary.BigEndian.Uint32(hdr[0:]) != logMagic {
 		return segment{}, fmt.Errorf("%w: bad magic", ErrCorruptLog)
@@ -279,7 +273,8 @@ func newLog(opts Options, seg segment) *Log {
 // scan walks the record chain from (lsn, off), stopping at the first record
 // that fails validation — the torn tail. It returns the end offset and the
 // last valid LSN (lsn-1 when the region is empty). fn, when non-nil, is
-// called with each valid record's LSN and payload.
+// called with each valid record's LSN and payload. A read that fails inside
+// size is an I/O error, returned as is, not a torn tail.
 func scan(b pager.BlockFile, lsn uint64, off, size int64, fn func(uint64, []byte) error) (int64, uint64, error) {
 	expect := lsn
 	for {
@@ -288,7 +283,7 @@ func scan(b pager.BlockFile, lsn uint64, off, size int64, fn func(uint64, []byte
 		}
 		var hdr [recHeaderLen]byte
 		if err := pager.ReadFull(b, hdr[:], off); err != nil {
-			break
+			return 0, 0, err
 		}
 		length := int64(binary.BigEndian.Uint32(hdr[0:]))
 		sum := binary.BigEndian.Uint32(hdr[4:])
@@ -298,7 +293,7 @@ func scan(b pager.BlockFile, lsn uint64, off, size int64, fn func(uint64, []byte
 		}
 		payload := make([]byte, length)
 		if err := pager.ReadFull(b, payload, off+recHeaderLen); err != nil {
-			break
+			return 0, 0, err
 		}
 		if crc32.Update(crc32.Checksum(hdr[8:16], castagnoli), castagnoli, payload) != sum {
 			break
@@ -477,12 +472,19 @@ func (l *Log) Seal() uint64 {
 // like the directory entry a created file gets from pager.OpenPath, before
 // any record is written into it. The daemon closes the segments before it;
 // deleting their files is the caller's step, after the commit that no
-// longer needs them. A segment that cannot be made fails the log as any log
+// longer needs them. A failed or closed log returns its error without
+// calling open, and a segment that cannot be made fails the log as any log
 // I/O error does, so no later segment ever holds a record.
 func (l *Log) Rotate(open func() (pager.BlockFile, error)) error {
 	l.mu.Lock()
-	first := l.seal + 1
+	first, err := l.seal+1, l.failed
+	if err == nil && l.closed {
+		err = ErrClosed
+	}
 	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	b, err := open()
 	if err == nil {
 		if err = writeHeader(b, first); err != nil {
@@ -538,14 +540,6 @@ func (l *Log) LiveBytes() int64 {
 		n += s.end - s.start
 	}
 	return n
-}
-
-// Segments returns how many segment files the log has open: after Open,
-// the segments that chained; after a rotation, one.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segs)
 }
 
 // Stats snapshots the cumulative counters.

@@ -141,7 +141,7 @@ func TestLogTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l, err = OpenOn(m, Options{})
+	l, _, err = OpenOn(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestLogRotateSplitsAtSeal(t *testing.T) {
 		b        *memBlock
 		from, to uint64
 	}{{"old", old, 1, 3}, {"next", next, 4, 5}} {
-		seg, err := OpenOn(tc.b, Options{})
+		seg, _, err := OpenOn(tc.b, Options{})
 		if err != nil {
 			t.Fatalf("%s segment: %v", tc.name, err)
 		}
@@ -321,12 +321,12 @@ func TestLogChainReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l, err = OpenOn(first, Options{}, second, third)
+	l, chained, err := OpenOn(first, Options{}, second, third)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Segments(); got != 3 {
-		t.Fatalf("Segments = %d, want 3", got)
+	if chained != 2 {
+		t.Fatalf("%d later segments chained, want 2", chained)
 	}
 	if got := collect(t, l, 1); len(got) != 4 || got[2] != string(payloadFor(2)) || got[5] != string(payloadFor(5)) {
 		t.Fatalf("replay(1) over the chain = %v, want records 2..5", got)
@@ -361,17 +361,109 @@ func TestLogUnchainedSegmentIgnored(t *testing.T) {
 	torn.WriteAt([]byte{0x55, 0x57, 0x41}, 0)
 
 	for name, later := range map[string]*memBlock{"skips": skips, "torn": torn} {
-		l, err := OpenOn(first, Options{}, later)
+		l, chained, err := OpenOn(first, Options{}, later)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := l.Segments(); got != 1 {
-			t.Fatalf("%s: Segments = %d, want 1", name, got)
+		if chained != 0 {
+			t.Fatalf("%s: %d later segments chained, want 0", name, chained)
 		}
 		if got := collect(t, l, 0); len(got) != 3 {
 			t.Fatalf("%s: replay = %v, want records 1..3", name, got)
 		}
 		l.Abandon()
+	}
+}
+
+// errIO is the injected I/O error of faulty.
+var errIO = errors.New("injected I/O error")
+
+// faulty is a memBlock whose Size, reads, or Sync fail with errIO as set.
+type faulty struct {
+	*memBlock
+	failSize, failSync bool
+	failRead           func(off int64) bool
+}
+
+func (f *faulty) Size() (int64, error) {
+	if f.failSize {
+		return 0, errIO
+	}
+	return f.memBlock.Size()
+}
+
+func (f *faulty) ReadAt(p []byte, off int64) (int, error) {
+	if f.failRead != nil && f.failRead(off) {
+		return 0, errIO
+	}
+	return f.memBlock.ReadAt(p, off)
+}
+
+func (f *faulty) Sync() error {
+	if f.failSync {
+		return errIO
+	}
+	return f.memBlock.Sync()
+}
+
+// TestLogUnreadableSegmentFails: an I/O error is not the end of the chain. A
+// segment that cannot be sized or read may hold acknowledged records, so
+// OpenOn fails rather than resuming before it.
+func TestLogUnreadableSegmentFails(t *testing.T) {
+	first := &memBlock{}
+	l, err := CreateOn(first, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSync(t, l, 3)
+	second, _ := rotate(t, l)
+	appendSync(t, l, 2)
+	if err := l.close(true); err != nil {
+		t.Fatal(err)
+	}
+	always := func(int64) bool { return true }
+	records := func(off int64) bool { return off >= HeaderLen }
+	for _, tc := range []struct {
+		name  string
+		first pager.BlockFile
+		later *faulty
+	}{
+		{"later size", first, &faulty{memBlock: second, failSize: true}},
+		{"later header read", first, &faulty{memBlock: second, failRead: always}},
+		{"later record read", first, &faulty{memBlock: second, failRead: records}},
+		{"first record read", &faulty{memBlock: first, failRead: records}, &faulty{memBlock: second}},
+	} {
+		if l, _, err := OpenOn(tc.first, Options{}, tc.later); !errors.Is(err, errIO) {
+			if l != nil {
+				l.Abandon()
+			}
+			t.Errorf("%s: OpenOn = %v, want the I/O error", tc.name, err)
+		}
+	}
+}
+
+// TestLogRotateFailedLogOpensNothing: once a flush has failed the log, Rotate
+// returns that error before it makes a segment, so a checkpoint retried
+// against a failed log creates no file.
+func TestLogRotateFailedLogOpensNothing(t *testing.T) {
+	f := &faulty{memBlock: &memBlock{}}
+	l, err := CreateOn(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Abandon()
+	f.failSync = true
+	if err := l.WaitDurable(l.Append(payloadFor(1))); !errors.Is(err, errIO) {
+		t.Fatalf("WaitDurable over a failing sync = %v, want the I/O error", err)
+	}
+	l.Seal()
+	opened := false
+	err = l.Rotate(func() (pager.BlockFile, error) {
+		opened = true
+		return &memBlock{}, nil
+	})
+	if !errors.Is(err, errIO) || opened {
+		t.Fatalf("Rotate on a failed log = %v (open called: %v), want the I/O error and no open", err, opened)
 	}
 }
 
@@ -390,7 +482,7 @@ func TestLogCorruptHeader(t *testing.T) {
 	if _, err := m.WriteAt(bad[:], 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenOn(m, Options{}); !errors.Is(err, ErrCorruptLog) {
+	if _, _, err := OpenOn(m, Options{}); !errors.Is(err, ErrCorruptLog) {
 		t.Fatalf("OpenOn with bad magic = %v, want ErrCorruptLog", err)
 	}
 }

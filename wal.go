@@ -62,6 +62,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -272,24 +273,37 @@ func Open(dir string, opts Options) (_ *Database, err error) {
 	if err != nil {
 		return nil, recoveryError("loading store snapshot", err)
 	}
-	first := filepath.Join(dir, walSegName(gen))
-	if _, serr := os.Stat(first); serr != nil {
-		first = filepath.Join(dir, walLogName) // an earlier build's log, or none
-	}
-	var later []string
-	for k := gen + 1; ; k++ {
-		p := filepath.Join(dir, walSegName(k))
-		if _, serr := os.Stat(p); serr != nil {
+	// The log is the manifest generation's segment, or an earlier build's
+	// log in its place, then every later segment on disk.
+	var segs []pager.BlockFile
+	for k := gen; ; k++ {
+		b, oerr := pager.OpenBlock(filepath.Join(dir, walSegName(k)), false)
+		if k == gen && errors.Is(oerr, fs.ErrNotExist) {
+			b, oerr = pager.OpenBlock(filepath.Join(dir, walLogName), false)
+		} else if errors.Is(oerr, fs.ErrNotExist) {
 			break
 		}
-		later = append(later, p)
+		if oerr != nil {
+			err = oerr
+			break
+		}
+		segs = append(segs, b)
 	}
-	log, err = wal.Open(first, wal.Options{MaxDelay: opts.WALMaxDelay}, later...)
+	chained := 0
+	if err == nil {
+		log, chained, err = wal.OpenOn(segs[0], wal.Options{MaxDelay: opts.WALMaxDelay}, segs[1:]...)
+	}
+	if err == nil {
+		segs = segs[1+chained:] // the log owns the segments that chained
+	}
+	for _, b := range segs {
+		b.Close()
+	}
 	if err != nil {
 		return nil, recoveryError("opening write-ahead log", err)
 	}
 	// Appends resume in the last segment that chains.
-	w := newWALState(log, manifest, gen+uint64(log.Segments())-1, opts)
+	w := newWALState(log, manifest, gen+uint64(chained), opts)
 	err = log.Replay(manifest.WALLSN(), func(lsn uint64, payload []byte) error {
 		if rerr := db.walReplayRecord(payload); rerr != nil {
 			return fmt.Errorf("record %d: %w", lsn, rerr)
@@ -356,13 +370,15 @@ func (db *Database) walCheckpointLocked() error {
 	objs, next := db.st.Snapshot()
 	cut := w.log.Seal()
 	w.commitMu.Unlock()
-	w.gen++
-	gen := w.gen
 	// Records above the cut wait in memory until their segment is durable.
+	// The generation moves only once its segment is attached: a failed
+	// rotation fails the log, and Rotate on a failed log creates no file.
+	gen := w.gen + 1
 	segPath := filepath.Join(db.opts.Dir, walSegName(gen))
 	if err := w.log.Rotate(func() (pager.BlockFile, error) { return pager.OpenBlock(segPath, true) }); err != nil {
 		return fmt.Errorf("uindex: starting log segment: %w", err)
 	}
+	w.gen = gen
 	// Publish each shard on its own, holding only that shard's writer
 	// lock: writers to other shards (and readers everywhere) proceed.
 	for _, name := range db.order {

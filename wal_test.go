@@ -1534,7 +1534,8 @@ func TestWALCheckpointRemovesOrphans(t *testing.T) {
 // its log segment but before it committed leaves the records in two
 // segments. Open replays both and resumes in the later one; it removes the
 // files of a generation past it (a torn segment header, a partial snapshot),
-// and the next checkpoint takes the generation after the live segment's.
+// and the next checkpoint takes the generation after the live segment's. A
+// later segment Open cannot read fails it instead.
 func TestWALOpenChainsInterruptedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	db, err := NewDatabaseWith(vehicleSchema(t), walOpts(dir))
@@ -1553,15 +1554,37 @@ func TestWALOpenChainsInterruptedCheckpoint(t *testing.T) {
 	w.commitMu.Lock()
 	w.log.Seal()
 	w.commitMu.Unlock()
-	w.gen++
-	gen := w.gen
+	gen := w.gen + 1
 	err = w.log.Rotate(func() (pager.BlockFile, error) { return pager.OpenBlock(filepath.Join(dir, walSegName(gen)), true) })
+	if err == nil {
+		w.gen = gen
+	}
 	w.ckptMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 	insertVehicles(t, db, []string{"Red", "Blue"})
 	want := dumpState(t, db)
+
+	// A later segment that cannot be opened is not the end of the chain: it
+	// may hold acknowledged records, so Open fails and removes nothing.
+	unreadable := crashImage(t, dir)
+	if err := os.Mkdir(filepath.Join(unreadable, walSegName(gen+1)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := readDir(t, unreadable)
+	if rec, err := Open(unreadable, Options{WALCheckpointBytes: -1}); !errors.Is(err, ErrRecovery) {
+		if err == nil {
+			rec.Close()
+		}
+		t.Fatalf("Open with an unreadable later segment = %v, want ErrRecovery", err)
+	}
+	if _, err := os.Stat(filepath.Join(unreadable, walSegName(gen+1))); err != nil {
+		t.Fatalf("unreadable segment after a failed Open: %v", err)
+	}
+	if after := readDir(t, unreadable); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatal("a failed Open changed the directory")
+	}
 
 	img := crashImage(t, dir)
 	leftovers := map[string]string{walSegName(gen + 1): "UWA", storeSnapName(gen + 1): "partial"}
