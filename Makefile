@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet stress crash wal serve shard apicheck bench bench-short bench-smoke nouring ci
+.PHONY: build test race vet stress crash wal serve shard apicheck bench bench-short bench-smoke benchcmp nouring ci
 
 build:
 	$(GO) build ./...
@@ -17,7 +17,9 @@ race:
 # The concurrency stress suite alone, race-enabled and without cached
 # results: engine-level mixed workloads, snapshot isolation under
 # committing writers, per-tree reader storms, and the tracker-merge
-# accounting invariance.
+# accounting invariance — and kept query results staying intact while
+# concurrent Distinct, Forward and cancelled queries reuse the pooled
+# per-query working memory (TestConcurrentQueriesKeepResults).
 stress:
 	$(GO) test -race -count=1 -run 'Concurrent|Parallel|Race|Stats|Snapshot|Stress|Writer' ./...
 
@@ -72,7 +74,10 @@ wal:
 
 # Read-path micro-benchmarks (go test): node decode, point lookup, the four
 # facade query shapes. The engine's end-to-end benchmark is `bash
-# bench/run.sh` (BENCHMARK.json, bench/README.md).
+# bench/run.sh` (BENCHMARK.json, bench/README.md). The allocation counts they
+# report are gated by `go test` itself: TestRangeScanAllocsScaleWithMatches
+# and TestRangeScanAllocsFlatInSize (a warm 4-shard range query allocates the
+# same over n and 4n objects).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery(Exact|Range|Subtree|Parscan)' -benchmem .
 	$(GO) test -run '^$$' -bench 'DecodeNode|TreeGet' -benchmem ./internal/btree/
@@ -81,6 +86,11 @@ bench:
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery(Exact|Range|Subtree|Parscan)' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'DecodeNode|TreeGet' -benchtime 1x -benchmem ./internal/btree/
+
+# Compare two result files of the engine benchmark metric by metric:
+# make benchcmp OLD=a.json NEW=b.json (files written by bench/run.sh -out).
+benchcmp:
+	bash bench/run.sh -compare $(OLD) $(NEW)
 
 # The benchmark harness is its own module (bench/go.mod), so the root
 # `go test ./...` never reaches it: CI runs its tests here, which also keeps

@@ -2,8 +2,11 @@ package uindex
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -338,4 +341,158 @@ func TestGetSetRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestConcurrentQueriesKeepResults: a query's working memory is pooled and
+// reused by later queries, but the result it returns owns its own storage.
+// Results of several 4-shard queries are kept; then many queries run
+// concurrently — Distinct ones, Forward ones, and ones cancelled mid-scan —
+// drawing on the same pools. Every kept result must still equal both the
+// copy taken when it was returned and a brute-force answer over the objects.
+func TestConcurrentQueriesKeepResults(t *testing.T) {
+	s := NewSchema()
+	if err := s.AddClass("Vehicle", "", Attr{Name: "Color", Type: String}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range [][2]string{{"Automobile", "Vehicle"}, {"Truck", "Vehicle"}, {"Bus", "Vehicle"}, {"Compact", "Automobile"}} {
+		if err := s.AddClass(c[0], c[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := NewDatabaseWith(s, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateIndex(IndexSpec{Name: "color", Root: "Vehicle", Attr: "Color"}); err != nil {
+		t.Fatal(err)
+	}
+	type object struct {
+		oid          OID
+		class, color string
+	}
+	rng := rand.New(rand.NewSource(7))
+	classes := []string{"Vehicle", "Automobile", "Truck", "Bus", "Compact"}
+	colors := []string{"Red", "Blue", "White", "Green", "Black", "Silver"}
+	var objs []object
+	for i := 0; i < 1500; i++ {
+		o := object{class: classes[rng.Intn(len(classes))], color: colors[rng.Intn(len(colors))]}
+		if o.oid, err = db.Insert(o.class, Attrs{"Color": o.color}); err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, o)
+	}
+	if stats, _ := db.ShardStats("color"); len(stats) != 4 {
+		t.Fatalf("color index has %d shards, want 4", len(stats))
+	}
+
+	// brute answers a query from the object list, in key order: value,
+	// then class code, then OID.
+	brute := func(keep func(class, color string) bool) []Match {
+		var out []Match
+		for _, o := range objs {
+			if keep(o.class, o.color) {
+				code, _ := db.Coding().Code(o.class)
+				out = append(out, Match{Value: o.color, Path: []PathEntry{{Code: code, OID: o.oid}}})
+			}
+		}
+		sort.Slice(out, func(i, j int) bool {
+			a, b := out[i], out[j]
+			if a.Value != b.Value {
+				return a.Value.(string) < b.Value.(string)
+			}
+			if a.Path[0].Code != b.Path[0].Code {
+				return a.Path[0].Code < b.Path[0].Code
+			}
+			return a.Path[0].OID < b.Path[0].OID
+		})
+		return out
+	}
+	automobile := func(c string) bool { return c == "Automobile" || c == "Compact" }
+	cases := []struct {
+		q    Query
+		keep func(class, color string) bool
+	}{
+		{Query{Value: Range("Black", "Red"), Positions: []Position{On("Vehicle")}},
+			func(_, color string) bool { return color >= "Black" && color <= "Red" }},
+		{Query{Value: OneOf("White", "Silver"), Positions: []Position{On("Automobile")}},
+			func(class, color string) bool { return automobile(class) && (color == "White" || color == "Silver") }},
+		{Query{Value: Exact("Blue"), Positions: []Position{OnExact("Truck")}},
+			func(class, color string) bool { return class == "Truck" && color == "Blue" }},
+		{Query{Value: Range("Green", "White")},
+			func(_, color string) bool { return color >= "Green" && color <= "White" }},
+	}
+	ctx := context.Background()
+	var kept, copies, wants [][]Match
+	for _, c := range cases {
+		ms, _, err := db.Query(ctx, "color", c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := make([]Match, len(ms))
+		for i, m := range ms {
+			cp[i] = Match{Value: m.Value, Path: append([]PathEntry(nil), m.Path...)}
+		}
+		want := brute(c.keep)
+		if len(want) < 20 || !reflect.DeepEqual(ms, want) {
+			t.Fatalf("%+v: %d matches, brute force %d (or a weak fixture)", c.q, len(ms), len(want))
+		}
+		kept, copies, wants = append(kept, ms), append(copies, cp), append(wants, want)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 60; i++ {
+				c := cases[r.Intn(len(cases))]
+				q, qctx, opts := c.q, context.Context(ctx), []QueryOption(nil)
+				switch i % 4 {
+				case 1:
+					q.Distinct = 1
+				case 2:
+					opts = append(opts, WithAlgorithm(Forward))
+				case 3:
+					qctx = &cancelAfter{Context: ctx, left: int64(r.Intn(4))}
+				}
+				ms, _, err := db.Query(qctx, "color", q, opts...)
+				switch {
+				case i%4 == 3 && err != nil:
+					if !errors.Is(err, context.Canceled) || ms != nil {
+						t.Errorf("cancelled query: %d matches, err %v", len(ms), err)
+					}
+				case err != nil:
+					t.Error(err)
+				case i%4 != 1 && !reflect.DeepEqual(ms, brute(c.keep)):
+					t.Errorf("%+v (%d): %d matches differ from brute force", q, i%4, len(ms))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := range kept {
+		if !reflect.DeepEqual(kept[i], copies[i]) || !reflect.DeepEqual(kept[i], wants[i]) {
+			t.Errorf("%+v: a kept result changed after later queries reused the pools", cases[i].q)
+		}
+	}
+}
+
+// cancelAfter is a context whose Err reports cancellation once it has been
+// asked more than left times: a scan checks it at every page visit, so the
+// query is cancelled partway through.
+type cancelAfter struct {
+	context.Context
+	mu   sync.Mutex
+	left int64
+}
+
+func (c *cancelAfter) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
 }

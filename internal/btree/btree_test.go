@@ -367,6 +367,31 @@ func TestNormalizeIntervals(t *testing.T) {
 	}
 }
 
+// TestNormalizeIntervalsCanonicalInput: intervals already in canonical form
+// come back as the same slice without an allocation; touching, unsorted,
+// empty or open-ended-inside inputs still take the merging path.
+func TestNormalizeIntervalsCanonicalInput(t *testing.T) {
+	b := func(s string) []byte { return []byte(s) }
+	canon := []Interval{{nil, b("b")}, {b("c"), b("e")}, {b("m"), nil}}
+	var got []Interval
+	if allocs := testing.AllocsPerRun(10, func() { got = NormalizeIntervals(canon) }); allocs != 0 {
+		t.Errorf("canonical input allocated %.0f times", allocs)
+	}
+	if &got[0] != &canon[0] || len(got) != len(canon) {
+		t.Fatalf("canonical input not returned as is: %+v", got)
+	}
+	for _, ivs := range [][]Interval{
+		{{b("a"), b("c")}, {b("c"), b("e")}}, // touching
+		{{b("m"), b("p")}, {b("a"), b("c")}}, // unsorted
+		{{b("a"), b("c")}, {b("x"), b("x")}}, // empty
+		{{b("a"), nil}, {b("m"), b("p")}},    // open end before the last
+	} {
+		if got := NormalizeIntervals(ivs); !normalized(got) || &got[0] == &ivs[0] {
+			t.Errorf("%q: not normalized into a new slice: %q", ivs, got)
+		}
+	}
+}
+
 func TestMultiScan(t *testing.T) {
 	tr := newTree(t, 256, Config{})
 	const n = 1000

@@ -30,7 +30,12 @@ func (iv Interval) empty() bool {
 
 // NormalizeIntervals sorts intervals and merges the ones that overlap or
 // touch, producing the canonical disjoint ascending form MultiScan expects.
+// Intervals already in that form — non-empty, ascending, and each ending
+// below the next one's start — come back as ivs itself, with no allocation.
 func NormalizeIntervals(ivs []Interval) []Interval {
+	if normalized(ivs) {
+		return ivs
+	}
 	out := make([]Interval, 0, len(ivs))
 	for _, iv := range ivs {
 		if !iv.empty() {
@@ -66,6 +71,22 @@ func NormalizeIntervals(ivs []Interval) []Interval {
 		merged = append(merged, iv)
 	}
 	return merged
+}
+
+// normalized reports whether ivs is already in NormalizeIntervals' form.
+func normalized(ivs []Interval) bool {
+	for i, iv := range ivs {
+		if iv.empty() {
+			return false
+		}
+		if i > 0 {
+			prev := ivs[i-1].Hi
+			if prev == nil || iv.Lo == nil || bytes.Compare(iv.Lo, prev) <= 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ScanFunc receives each matching key/value pair in ascending key order.

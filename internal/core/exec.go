@@ -60,22 +60,24 @@ type Stats struct {
 
 // ExecContext is the mutable per-query execution state: the page tracker,
 // the algorithm choice, and the accumulated cost counters. Every query that
-// is not handed one explicitly gets a fresh ExecContext, so two concurrent
-// Parscan descents never share mutable state — this is the unit the
-// engine's "any number of readers" contract is built from. An ExecContext
-// must not be shared between goroutines; combine per-goroutine contexts
-// afterwards with Tracker.Merge (the distinct-page union is identical to a
-// sequential run under one shared tracker).
+// is not handed one explicitly gets a fresh ExecContext and a private
+// tracker, so two concurrent Parscan descents never share mutable state —
+// this is the unit the engine's "any number of readers" contract is built
+// from. An ExecContext must not be shared between goroutines; combine
+// per-goroutine contexts afterwards with Tracker.Merge (the distinct-page
+// union is identical to a sequential run under one shared tracker).
 //
-// Reusing one ExecContext (or one Tracker) across several sequential
-// queries reproduces the paper's buffered experiment model: the tracker
+// Reusing one ExecContext with a Tracker (or one Tracker) across several
+// sequential queries reproduces the paper's buffered experiment model: the tracker
 // deduplicates pages across the whole sequence, Stats.PagesRead reports
 // cumulative distinct pages, and the scan counters accumulate. Shard files
 // have independent page-id spaces, so each shard is accounted on its own
 // child of the tracker (Tracker.Child) and PagesRead sums them.
 type ExecContext struct {
-	// Tracker deduplicates page reads. NewExecContext allocates one; a
-	// zero-value ExecContext lazily gets one on first use.
+	// Tracker deduplicates page reads. NewExecContext allocates one. With a
+	// nil Tracker each query is accounted on its own pooled tracker, which
+	// the call returns to the pool, and Stats' page counters add the
+	// queries' counts up.
 	Tracker *pager.Tracker
 	// Algorithm is the retrieval strategy for queries run under this
 	// context.
@@ -90,17 +92,16 @@ func NewExecContext(alg Algorithm) *ExecContext {
 }
 
 // runPlan executes a compiled plan against one pinned shard version under
-// the shard's tracker and collects every match into out — within one shard
-// the scan visits keys ascending, so out holds them in key order. The plan
-// may have been compiled by another shard of the same group; shards share
-// spec, coding, and store, so plans are interchangeable. It returns the
-// number of entries the scan inspected; page counts stay on tr.
+// the shard's tracker and collects every match into out, whose scratch it
+// parses keys into — within one shard the scan visits keys ascending, so out
+// holds them in key order. The plan may have been compiled by another shard
+// of the same group; shards share spec, coding, and store, so plans are
+// interchangeable. It returns the number of entries the scan inspected; page
+// counts stay on tr.
 func (ix *Index) runPlan(ctx context.Context, v *btree.Snap, p *plan, alg Algorithm, tr *pager.Tracker, out *shardResult) (scanned int, err error) {
-	var lastDistinct []byte // forward-scan duplicate suppression for Distinct
-	var sc matchScratch     // per-entry parse state, reused across the scan
 	emit := func(key []byte) (skipTo []byte, err error) {
 		scanned++
-		attr, path, ok, skip, err := p.matchKey(ix, key, &sc)
+		attr, path, ok, skip, err := p.matchKey(ix, key, &out.sc)
 		if err != nil || !ok {
 			return skip, err
 		}
@@ -109,10 +110,10 @@ func (ix *Index) runPlan(ctx context.Context, v *btree.Snap, p *plan, alg Algori
 			// parallel algorithm jumps past the cluster so this
 			// never repeats; the forward scan visits every entry
 			// and must suppress the repeats itself.
-			if bytes.Equal(skip, lastDistinct) {
+			if bytes.Equal(skip, out.last) {
 				return skip, nil
 			}
-			lastDistinct = append(lastDistinct[:0], skip...)
+			out.last = append(out.last[:0], skip...)
 		}
 		return skip, out.add(ix.attrType, key, attr, path)
 	}

@@ -127,7 +127,7 @@ type Query struct {
 // Match is one query result.
 //
 // The matches of one result share storage: every Path is a capped window of
-// one of a few backing arrays (an append to a Path copies, it never
+// the result's one backing array (an append to a Path copies, it never
 // overwrites the next match's entries), and consecutive matches with one
 // attribute value share one Value. A caller that edits a Path's entries in
 // place edits only that match.
@@ -320,7 +320,8 @@ func (ix *Index) compile(q Query) (*plan, error) {
 // path and offset slices, the class-code intern table, and the buffers skip
 // keys are built in. One scan reuses it for every entry inspected, so the
 // per-entry parse and the skip computation allocate nothing in steady state.
-// A scratch belongs to one execution goroutine — runPlan owns one per call.
+// A scratch belongs to one execution goroutine at a time — each shard's
+// pooled shardResult carries one, and its intern table across queries.
 type matchScratch struct {
 	path  []encoding.PathEntry
 	offs  []int

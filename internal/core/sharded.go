@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"unsafe"
 
 	"repro/internal/btree"
 	"repro/internal/encoding"
@@ -355,7 +356,8 @@ func (sh *Sharded) relevantShards(p *plan) []int {
 //
 // The returned Stats are this query's own counters, with the page counters
 // read from ec.Tracker — cumulative over every query that shared it, summed
-// over its per-shard children. ec.Stats additionally accumulates the scan
+// over its per-shard children — or, when ec.Tracker is nil, from a pooled
+// tracker private to this query. ec.Stats additionally accumulates the scan
 // counters. ExecuteCtx is safe to call concurrently as long as each
 // goroutine uses its own ExecContext.
 func (sh *Sharded) ExecuteCtx(ctx context.Context, q Query, ec *ExecContext) ([]Match, Stats, error) {
@@ -366,8 +368,8 @@ func (sh *Sharded) ExecuteCtx(ctx context.Context, q Query, ec *ExecContext) ([]
 }
 
 // Execute runs a query across the shards. ec may be nil, which runs the
-// query under a fresh context; pass one to share page accounting across
-// several queries.
+// query under a fresh context; pass one with a Tracker to share page
+// accounting across several queries.
 func (sh *Sharded) Execute(q Query, alg Algorithm, ec *ExecContext) ([]Match, Stats, error) {
 	if ec == nil {
 		ec = &ExecContext{}
@@ -376,31 +378,61 @@ func (sh *Sharded) Execute(q Query, alg Algorithm, ec *ExecContext) ([]Match, St
 	return sh.ExecuteCtx(context.Background(), q, ec)
 }
 
-// shardResult is one shard's part of a query result, collected without a
-// heap object per match. The path entries of its matches go to an arena,
-// plen entries each, in scan order. The arena is a list of blocks, each twice
-// the size of the one before, that are filled and never moved: N entries
-// allocate at most about 2N and copy nothing, where one slice grown by append
-// would allocate and copy several times N. The matches' values go to runs of
-// consecutive matches with equal attribute bytes — keys are value-first, so
-// runs are long and a value is decoded once per run. Only when several shards
-// must be merged are the raw keys kept too, concatenated in keys with ends
-// marking where each one stops.
+// shardResult is one shard's working memory for one query: the matches it
+// collects, without a heap object per match, and the scratch its scan parses
+// keys into. Each match's path entries go to paths, plen entries each, in
+// scan order. Its value goes to runs of consecutive matches with equal
+// attribute bytes — keys are value-first, so runs are long and a value is
+// decoded once per run. Only when several shards must be merged are the raw
+// keys kept too, concatenated in keys with ends marking where each one
+// stops. gather copies every path into the result's own array, so a result
+// never aliases a shardResult, and the buffer goes back to shardPool when
+// the query ends: in steady state a query grows none of these slices.
 type shardResult struct {
 	plen    int
 	merge   bool
-	n       int                    // matches collected
-	paths   [][]encoding.PathEntry // the arena's blocks
+	n       int                  // matches collected
+	paths   []encoding.PathEntry // staging: plen entries per match
 	runs    []valueRun
 	attr    []byte // encoded value of the last run
 	keys    []byte
 	ends    []int
-	scanned int   // entries the scan inspected
-	err     error // the scan's error
-	next    int   // gather cursor: the next match to emit
-	run     int   // the run holding match next
-	blk     int   // the block holding match next's path
-	off     int   // where in that block it starts
+	sc      matchScratch // per-entry parse state of the shard's scan
+	last    []byte       // the last Distinct cluster the forward scan emitted
+	scanned int          // entries the scan inspected
+	err     error        // the scan's error
+	next    int          // gather cursor: the next match to emit
+	run     int          // the run holding match next
+}
+
+// shardPool recycles shardResults across queries, and trackerPool the
+// trackers of queries that bring none.
+var (
+	shardPool   = sync.Pool{New: func() any { return new(shardResult) }}
+	trackerPool = sync.Pool{New: func() any { return pager.NewTracker() }}
+)
+
+// maxPooledBytes bounds the memory a pooled shardResult or tracker may hold
+// on to: one that grew past it during a huge scan is dropped instead of
+// pooled, so the scan's memory is not kept.
+const maxPooledBytes = 4 << 20
+
+// putShardResult empties r and returns it to the pool unless it grew past
+// maxPooledBytes. The run values are cleared, so a pooled buffer keeps no
+// result's values alive.
+func putShardResult(r *shardResult) {
+	size := cap(r.paths)*int(unsafe.Sizeof(encoding.PathEntry{})) +
+		cap(r.runs)*int(unsafe.Sizeof(valueRun{})) +
+		cap(r.keys) + cap(r.ends)*int(unsafe.Sizeof(0))
+	if size > maxPooledBytes {
+		return
+	}
+	clear(r.runs)
+	*r = shardResult{
+		paths: r.paths[:0], runs: r.runs[:0], attr: r.attr[:0],
+		keys: r.keys[:0], ends: r.ends[:0], sc: r.sc, last: r.last[:0],
+	}
+	shardPool.Put(r)
 }
 
 // valueRun is a run of consecutive matches sharing one decoded value: those
@@ -424,16 +456,7 @@ func (r *shardResult) add(t encoding.AttrType, key, attr []byte, path []encoding
 		r.runs = append(r.runs, valueRun{value: v})
 		r.attr = append(r.attr[:0], attr...)
 	}
-	last := len(r.paths) - 1
-	if last < 0 || cap(r.paths[last])-len(r.paths[last]) < r.plen {
-		size := 16 * r.plen
-		if last >= 0 {
-			size = 2 * cap(r.paths[last])
-		}
-		r.paths = append(r.paths, make([]encoding.PathEntry, 0, size))
-		last++
-	}
-	r.paths[last] = append(r.paths[last], path...)
+	r.paths = append(r.paths, path...)
 	r.n++
 	r.runs[len(r.runs)-1].end = r.n
 	if r.merge {
@@ -452,40 +475,41 @@ func (r *shardResult) key() []byte {
 	return r.keys[lo:r.ends[r.next]]
 }
 
-// pop returns the next match to emit and advances the cursor. Its Path is
-// capped at its own entries, so an append to it copies.
-func (r *shardResult) pop() Match {
+// pop copies the next match's path into dst, which has room for exactly
+// plen entries, and returns the match with dst as its Path.
+func (r *shardResult) pop(dst []encoding.PathEntry) Match {
 	for r.runs[r.run].end <= r.next {
 		r.run++
 	}
+	copy(dst, r.paths[r.next*r.plen:])
 	r.next++
-	if r.off == len(r.paths[r.blk]) {
-		r.blk, r.off = r.blk+1, 0
-	}
-	lo, hi := r.off, r.off+r.plen
-	r.off = hi
-	return Match{Value: r.runs[r.run].value, Path: r.paths[r.blk][lo:hi:hi]}
+	return Match{Value: r.runs[r.run].value, Path: dst}
 }
 
-// gather builds a query's result from its shards' collections: one
-// exact-size slice, filled by a k-way merge on the buffered keys. nil when
-// nothing matched.
-func gather(rs []shardResult) []Match {
+// gather builds a query's result from its shards' collections by a k-way
+// merge on the buffered keys: one exact-size []Match and one exact-size path
+// array, of which each Path is a capped window. nil when nothing matched.
+func gather(rs []*shardResult) []Match {
 	total := 0
-	for i := range rs {
-		total += rs[i].n
+	for _, r := range rs {
+		total += r.n
 	}
 	if total == 0 {
 		return nil
 	}
+	plen := rs[0].plen
 	out := make([]Match, 0, total)
+	paths := make([]encoding.PathEntry, total*plen)
+	pop := func(r *shardResult) {
+		lo := len(out) * plen
+		out = append(out, r.pop(paths[lo:lo+plen:lo+plen]))
+	}
 	for len(out) < total {
 		// best has the smallest next key and runner the next smallest;
 		// best emits up to runner's next key before the heads are compared
 		// again. A lone non-empty shard has no runner and never compares.
 		var best, runner *shardResult
-		for i := range rs {
-			r := &rs[i]
+		for _, r := range rs {
 			switch {
 			case r.next == r.n:
 			case best == nil:
@@ -496,9 +520,9 @@ func gather(rs []shardResult) []Match {
 				runner = r
 			}
 		}
-		out = append(out, best.pop())
+		pop(best)
 		for best.next < best.n && (runner == nil || bytes.Compare(best.key(), runner.key()) < 0) {
-			out = append(out, best.pop())
+			pop(best)
 		}
 	}
 	return out
@@ -511,8 +535,17 @@ func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, snapOf
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if ec.Tracker == nil {
-		ec.Tracker = pager.NewTracker()
+	tr := ec.Tracker
+	if tr == nil {
+		// A query without a tracker of its caller's is accounted on a
+		// pooled one, which never escapes this call.
+		tr = trackerPool.Get().(*pager.Tracker)
+		defer func() {
+			if tr.Reads()*int(unsafe.Sizeof(pager.PageID(0))) <= maxPooledBytes {
+				tr.Reset()
+				trackerPool.Put(tr)
+			}
+		}()
 	}
 	rel := sh.relevantShards(p)
 	stats := Stats{Algorithm: ec.Algorithm, Intervals: len(p.intervals)}
@@ -521,19 +554,27 @@ func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, snapOf
 		plen = q.Distinct
 	}
 
-	// Scatter: each relevant shard collects its matches under its own
-	// child tracker, concurrently when there are several. The children are
-	// materialized up front — Child grows the shared tracker and must not
-	// race; afterwards the scans' Child calls only read it.
-	for _, i := range rel {
-		ec.Tracker.Child(i, n)
-	}
-	results := make([]shardResult, len(rel))
-	scan := func(ri int) {
-		r := &results[ri]
+	// Scatter: each relevant shard collects its matches into a pooled
+	// buffer under its own child tracker, concurrently when there are
+	// several. The children are materialized up front — Child grows the
+	// shared tracker and must not race; afterwards the scans' Child calls
+	// only read it.
+	results := make([]*shardResult, len(rel))
+	for ri, i := range rel {
+		tr.Child(i, n)
+		r := shardPool.Get().(*shardResult)
 		r.plen, r.merge = plen, len(rel) > 1
+		results[ri] = r
+	}
+	defer func() {
+		for _, r := range results {
+			putShardResult(r)
+		}
+	}()
+	scan := func(ri int) {
+		r := results[ri]
 		v, release := snapOf(rel[ri])
-		r.scanned, r.err = proto.runPlan(ctx, v, p, ec.Algorithm, ec.Tracker.Child(rel[ri], n), r)
+		r.scanned, r.err = proto.runPlan(ctx, v, p, ec.Algorithm, tr.Child(rel[ri], n), r)
 		if rerr := release(); rerr != nil && r.err == nil {
 			r.err = rerr
 		}
@@ -551,10 +592,10 @@ func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, snapOf
 		}
 		wg.Wait()
 	}
-	for i := range results {
-		stats.EntriesScanned += results[i].scanned
+	for _, r := range results {
+		stats.EntriesScanned += r.scanned
 		if err == nil {
-			err = results[i].err
+			err = r.err
 		}
 	}
 	var out []Match
@@ -562,29 +603,34 @@ func (sh *Sharded) execute(ctx context.Context, q Query, ec *ExecContext, snapOf
 		out = gather(results)
 		stats.Matches = len(out)
 	}
-	stats, err = finish(ec, stats, err)
+	stats, err = finish(ec, tr, stats, err)
 	return out, stats, err
 }
 
-// finish reads a query's page counters off the context's tracker and folds
-// its scan counters into the context: per-query counters add up, page
-// counters are the tracker's cumulative distinct counts.
-func finish(ec *ExecContext, stats Stats, err error) (Stats, error) {
-	tr := ec.Tracker
+// finish reads a query's page counters off its tracker tr and folds its
+// scan counters into the context. Per-query counters add up. The page
+// counters are tr's cumulative distinct counts when tr is the context's own;
+// a pooled tracker counted this query alone, so its counts add to the
+// context's earlier ones.
+func finish(ec *ExecContext, tr *pager.Tracker, stats Stats, err error) (Stats, error) {
 	stats.PagesRead = tr.Reads()
 	stats.NodeCacheHits = tr.CacheHits()
 	stats.NodeCacheMisses = tr.CacheMisses()
 	stats.BytesDecoded = tr.BytesDecoded()
 	stats.PrefetchIssued = tr.PrefetchIssued()
+	var base Stats
+	if tr != ec.Tracker {
+		base = ec.Stats
+	}
 	ec.Stats.Algorithm = ec.Algorithm
 	ec.Stats.Intervals += stats.Intervals
 	ec.Stats.EntriesScanned += stats.EntriesScanned
 	ec.Stats.Matches += stats.Matches
-	ec.Stats.PagesRead = stats.PagesRead
-	ec.Stats.NodeCacheHits = stats.NodeCacheHits
-	ec.Stats.NodeCacheMisses = stats.NodeCacheMisses
-	ec.Stats.BytesDecoded = stats.BytesDecoded
-	ec.Stats.PrefetchIssued = stats.PrefetchIssued
+	ec.Stats.PagesRead = base.PagesRead + stats.PagesRead
+	ec.Stats.NodeCacheHits = base.NodeCacheHits + stats.NodeCacheHits
+	ec.Stats.NodeCacheMisses = base.NodeCacheMisses + stats.NodeCacheMisses
+	ec.Stats.BytesDecoded = base.BytesDecoded + stats.BytesDecoded
+	ec.Stats.PrefetchIssued = base.PrefetchIssued + stats.PrefetchIssued
 	return stats, err
 }
 

@@ -370,3 +370,21 @@ func TestShardedSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShardPoolBounds: a buffer going back to the pool keeps no result's
+// values alive, and one that grew past maxPooledBytes is dropped, so the
+// pool never hands it out again.
+func TestShardPoolBounds(t *testing.T) {
+	small := &shardResult{runs: []valueRun{{end: 1, value: "Red"}}}
+	putShardResult(small)
+	if v := small.runs[:1][0].value; v != nil {
+		t.Fatalf("pooled buffer keeps run value %v", v)
+	}
+	huge := &shardResult{keys: make([]byte, 0, maxPooledBytes+1)}
+	putShardResult(huge)
+	for i := 0; i < 8; i++ {
+		if shardPool.Get().(*shardResult) == huge {
+			t.Fatal("a buffer above maxPooledBytes came back from the pool")
+		}
+	}
+}

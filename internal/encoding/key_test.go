@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -340,4 +341,54 @@ func TestQuickKeyRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzAppendSplitPath feeds arbitrary bytes through one long-lived
+// CodeInterner, as a scan's pooled scratch keeps one across queries. A split
+// never panics, agrees with the interner-free split, and re-encodes to its
+// input when it succeeds; and whatever garbage the interner has seen, it
+// interns a code exactly as ParseCode parses it — the same Code for valid
+// input, an error for invalid.
+func FuzzAppendSplitPath(f *testing.F) {
+	var ci CodeInterner
+	for _, seed := range [][]byte{
+		BuildKey(nil, []PathEntry{{Code: "C1", OID: 1}}),
+		BuildKey(nil, []PathEntry{{Code: "C1.B", OID: 7}, {Code: "C2", OID: 0xFFFFFFFF}}),
+		nil,
+		[]byte("$"),
+		[]byte("C1$\x00\x00\x00"),
+		[]byte("C1.$\x00\x00\x00\x01"),
+		[]byte("C10$\x00\x00\x00\x01"),
+		[]byte("C1..B$\x00\x00\x00\x01"),
+		[]byte("\xff$\x00\x00\x00\x00"),
+		[]byte("C1.B"),
+	} {
+		f.Add(seed)
+	}
+	intern := func(t *testing.T, raw []byte) {
+		got, gerr := ci.Intern(raw)
+		want, werr := ParseCode(string(raw))
+		if (gerr == nil) != (werr == nil) || got != want {
+			t.Fatalf("Intern(%q) = %q, %v; ParseCode = %q, %v", raw, got, gerr, want, werr)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path, err := AppendSplitPath(nil, data, &ci)
+		plain, perr := AppendSplitPath(nil, data, nil)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("%q: interned split err %v, plain split err %v", data, err, perr)
+		}
+		if err == nil {
+			if !slices.Equal(path, plain) {
+				t.Fatalf("%q: interned split %v, plain split %v", data, path, plain)
+			}
+			if got := AppendKey(nil, nil, path); !bytes.Equal(got, data) {
+				t.Fatalf("%q split to %v, which re-encodes to %q", data, path, got)
+			}
+		}
+		intern(t, data)
+		for _, raw := range bytes.Split(data, []byte{SepByte}) {
+			intern(t, raw)
+		}
+	})
 }

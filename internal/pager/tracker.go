@@ -12,8 +12,9 @@ package pager
 // do not care about accounting can pass nil.
 //
 // A Tracker is NOT safe for concurrent use: it is per-query state. The
-// concurrency contract of the engine is one Tracker per goroutine (the core
-// package's ExecContext creates one per query); per-goroutine trackers are
+// concurrency contract of the engine is one Tracker per goroutine (a core
+// query without a caller's tracker takes one from a pool and Resets it
+// afterwards); per-goroutine trackers are
 // combined afterwards with Merge, which deduplicates pages the goroutines
 // touched in common, so experiment-level "distinct pages read" totals are
 // identical whether the queries ran sequentially under one shared tracker

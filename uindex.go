@@ -883,7 +883,7 @@ func WithSnapshot(s *Snapshot) QueryOption {
 // number of Query calls run in parallel.
 //
 // The matches of one result share storage: their Paths are capped windows of
-// a few backing arrays (an append to a Path copies), and consecutive matches
+// one backing array (an append to a Path copies), and consecutive matches
 // with one attribute value share one Value.
 func (db *Database) Query(ctx context.Context, index string, q Query, opts ...QueryOption) ([]Match, Stats, error) {
 	var cfg queryConfig
