@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet stress crash wal serve shard apicheck bench bench-short bench-smoke benchcmp nouring ci
+.PHONY: build test race vet stress crash wal serve shard apicheck bench bench-short bench-smoke benchcmp nouring fuzz ci
 
 build:
 	$(GO) build ./...
@@ -77,7 +77,9 @@ wal:
 # bench/run.sh` (BENCHMARK.json, bench/README.md). The allocation counts they
 # report are gated by `go test` itself: TestRangeScanAllocsScaleWithMatches
 # and TestRangeScanAllocsFlatInSize (a warm 4-shard range query allocates the
-# same over n and 4n objects).
+# same over n and 4n objects), and on the cold read path TestDecodeNodeAllocs
+# (a full page decodes in 3 allocations as a leaf, 4 as an internal node) and
+# TestReadBatchScratchAllocs (a warmed DiskFile.ReadBatch allocates nothing).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery(Exact|Range|Subtree|Parscan)' -benchmem .
 	$(GO) test -run '^$$' -bench 'DecodeNode|TreeGet' -benchmem ./internal/btree/
@@ -156,4 +158,16 @@ apicheck: vet
 	fi
 	@echo "apicheck: ok"
 
-ci: build apicheck test race stress crash wal serve shard nouring bench-short bench-smoke
+# Decoder fuzzing: every Fuzz* target runs 2000 generated inputs past its
+# seed corpus — log records, snapshots, wire frames, query text, keys, store
+# ops and B+-tree pages. `go test -fuzz` takes one target per call.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 2000x .
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 2000x .
+	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 2000x ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 2000x ./internal/querylang/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendSplitPath$$' -fuzztime 2000x ./internal/encoding/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 2000x ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime 2000x ./internal/btree/
+
+ci: build apicheck test race stress crash wal serve shard nouring fuzz bench-short bench-smoke

@@ -7,9 +7,11 @@ import (
 	"repro/internal/pager"
 )
 
-// BenchmarkDecodeNode measures the full arena decode of one leaf page at a
+// BenchmarkDecodeNode measures the full decode of one leaf page at a
 // realistic ~75% fill (split pages settle near that): the cost every
-// node-cache miss pays.
+// node-cache miss pays. The decode is two passes over the page and three
+// allocations — the node, one key/value header array and one exact-size
+// byte arena (TestDecodeNodeAllocs pins the count).
 func BenchmarkDecodeNode(b *testing.B) {
 	n := &node{leaf: true}
 	for i := 0; ; i++ {

@@ -157,81 +157,104 @@ func (n *node) encode(buf []byte, noCompress bool) error {
 	return nil
 }
 
-// decode deserializes a page into a node. Key and value bytes are packed
-// into two shared arenas (one allocation each instead of one per entry);
-// the arenas may grow while decoding, which is safe because slices handed
-// out before a growth keep their old backing array and the arena is only
-// ever appended to.
+// decodeNode deserializes a page into a node. A first pass walks the
+// entries, validates every length against the page and sums the bytes the
+// expanded keys and the values need; a second pass copies them into one
+// byte arena of exactly that size. A leaf's keys and values share one header
+// array (keys first, then values), an internal node gets its keys and
+// children at their exact sizes: a decode costs three allocations for a leaf
+// and four for an internal node, however far the keys re-expand. Every key
+// and value is a capped window of the arena, so an append to one never
+// reaches its neighbour; decoded nodes are never edited in place (Tx.shadow
+// copies the headers before an edit).
 func decodeNode(id pager.PageID, buf []byte) (*node, error) {
 	if len(buf) < headerSize {
 		return nil, fmt.Errorf("btree: page %d too short", id)
 	}
 	n := &node{id: id, leaf: buf[0]&flagLeaf != 0}
 	count := int(binary.BigEndian.Uint16(buf[1:]))
-	n.keys = make([][]byte, 0, count)
-	// Uncompressed keys can exceed the page size (prefix re-expansion), so
-	// the key arena starts at twice the page and grows when needed; values
-	// are stored verbatim and always fit one page.
-	karena := make([]byte, 0, 2*len(buf))
-	var varena []byte
-	if n.leaf {
-		n.vals = make([][]byte, 0, count)
-		varena = make([]byte, 0, len(buf))
-	} else {
-		n.children = make([]pager.PageID, 0, count+1)
-		n.children = append(n.children, pager.PageID(binary.BigEndian.Uint32(buf[3:])))
+	size, err := n.decodeEntries(buf, count, nil)
+	if err != nil {
+		return nil, err
 	}
+	if n.leaf {
+		hdr := make([][]byte, 2*count)
+		n.keys, n.vals = hdr[:count:count], hdr[count:]
+	} else {
+		n.keys = make([][]byte, count)
+		n.children = make([]pager.PageID, count+1)
+		n.children[0] = pager.PageID(binary.BigEndian.Uint32(buf[3:]))
+	}
+	_, err = n.decodeEntries(buf, count, make([]byte, size))
+	return n, err
+}
+
+// decodeEntries walks the count entries of page image buf. With a nil arena
+// it only validates them and returns the arena size the node needs; with an
+// arena of that size it fills n's keys, values and children from it. It sets
+// n.decodedBytes either way.
+func (n *node) decodeEntries(buf []byte, count int, arena []byte) (int, error) {
 	off := headerSize
-	var prev []byte
 	readUvarint := func() (uint64, error) {
 		v, sz := binary.Uvarint(buf[off:])
 		if sz <= 0 {
-			return 0, fmt.Errorf("btree: page %d corrupt at offset %d", id, off)
+			return 0, fmt.Errorf("btree: page %d corrupt at offset %d", n.id, off)
 		}
 		off += sz
 		return v, nil
 	}
+	size := 0
+	var prev []byte // the previous key, filled in only with an arena
+	prevLen := 0
 	for i := 0; i < count; i++ {
 		p, err := readUvarint()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		s, err := readUvarint()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		if int(p) > len(prev) || off+int(s) > len(buf) {
-			return nil, fmt.Errorf("btree: page %d corrupt entry %d", id, i)
+		if p > uint64(prevLen) || s > uint64(len(buf)-off) {
+			return 0, fmt.Errorf("btree: page %d corrupt entry %d", n.id, i)
 		}
-		start := len(karena)
-		karena = append(karena, prev[:p]...)
-		karena = append(karena, buf[off:off+int(s)]...)
-		key := karena[start:len(karena):len(karena)]
+		klen := int(p) + int(s)
+		if arena != nil {
+			key := arena[size : size+klen : size+klen]
+			copy(key, prev[:p])
+			copy(key[p:], buf[off:off+int(s)])
+			n.keys[i] = key
+			prev = key
+		}
+		size += klen
+		prevLen = klen
 		off += int(s)
-		n.keys = append(n.keys, key)
 		if n.leaf {
 			vl, err := readUvarint()
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			if off+int(vl) > len(buf) {
-				return nil, fmt.Errorf("btree: page %d corrupt value %d", id, i)
+			if vl > uint64(len(buf)-off) {
+				return 0, fmt.Errorf("btree: page %d corrupt value %d", n.id, i)
 			}
-			vstart := len(varena)
-			varena = append(varena, buf[off:off+int(vl)]...)
-			n.vals = append(n.vals, varena[vstart:len(varena):len(varena)])
+			if arena != nil {
+				n.vals[i] = arena[size : size+int(vl) : size+int(vl)]
+				copy(n.vals[i], buf[off:off+int(vl)])
+			}
+			size += int(vl)
 			off += int(vl)
 		} else {
 			if off+4 > len(buf) {
-				return nil, fmt.Errorf("btree: page %d corrupt child %d", id, i)
+				return 0, fmt.Errorf("btree: page %d corrupt child %d", n.id, i)
 			}
-			n.children = append(n.children, pager.PageID(binary.BigEndian.Uint32(buf[off:])))
+			if arena != nil {
+				n.children[i+1] = pager.PageID(binary.BigEndian.Uint32(buf[off:]))
+			}
 			off += 4
 		}
-		prev = key
 	}
 	n.decodedBytes = off - headerSize
-	return n, nil
+	return size, nil
 }
 
 // insertAt inserts key (and, for leaves, val) at index i.

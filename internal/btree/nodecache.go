@@ -85,18 +85,19 @@ func (c *nodeCache) get(id pager.PageID) (*node, bool) {
 	return n, ok
 }
 
-// contains reports residency without touching the hit/miss counters. The
-// scan prefetcher uses it to drop already-decoded children from a frontier
-// batch; those probes are not fetches and must not distort cache stats.
-func (c *nodeCache) contains(id pager.PageID) bool {
+// peek returns the cached node for id without touching the hit/miss
+// counters. The scan prefetcher uses it to drop already-decoded children
+// from a frontier batch and to reuse the internal nodes it looks through;
+// those probes are not fetches and must not distort cache stats.
+func (c *nodeCache) peek(id pager.PageID) (*node, bool) {
 	if c == nil {
-		return false
+		return nil, false
 	}
 	s := c.shard(id)
 	s.mu.RLock()
-	_, ok := s.m[id]
+	n, ok := s.m[id]
 	s.mu.RUnlock()
-	return ok
+	return n, ok
 }
 
 // put caches a decoded node. The node must be immutable from this point on

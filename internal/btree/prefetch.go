@@ -18,9 +18,10 @@ import (
 // read per child at the moment each is visited.
 //
 // The prefetcher then goes one level further: it decodes the internal nodes
-// it just fetched and pushes the union of their own frontiers as a second
-// batch. The per-node frontiers of a Parscan descent are small (a dispersed
-// interval set selects only a few children per node), but their union across
+// it just fetched, installs them in the node cache for the walk, and pushes
+// the union of their own frontiers as a second batch. The per-node
+// frontiers of a Parscan descent are small (a dispersed interval set
+// selects only a few children per node), but their union across
 // the level is large, and batched-read throughput improves steeply with
 // batch size — the union reaches queue depths no single node's frontier
 // could. Each level of look-ahead is issued before the walk needs it, so a
@@ -81,22 +82,34 @@ func (s *multiScan) stopPrefetcher() {
 	<-s.pfDone
 }
 
-// deepPrefetch extends a just-fetched frontier one level down: it decodes
-// each internal node of the batch (now pool-resident, so the reads are
-// copies, not I/O) and issues the union of their relevant children as one
-// batch. Every error aborts silently — read-ahead is best-effort.
+// deepPrefetch extends a just-fetched frontier one level down: it takes
+// each internal node of the batch from the node cache, or decodes it (the
+// page is pool-resident now, so the read is a copy, not I/O) and installs
+// it there for the walk, which visits it next; then it issues the union of
+// their relevant children as one batch. Leaf pages are recognised by their
+// flag and never decoded. Every error aborts silently — read-ahead is
+// best-effort. The logical counts do not move: the walk's fetch counts a
+// page before it looks in the cache.
 func (s *multiScan) deepPrefetch(pool prefetchPool, b pfBatch, buf []byte) {
+	t := s.op.t
 	var union []pager.PageID
 	for i, id := range b.ids {
-		if err := s.op.t.f.Read(id, buf); err != nil {
-			return
+		n, ok := t.ncache.peek(id)
+		if !ok {
+			if err := t.f.Read(id, buf); err != nil {
+				return
+			}
+			if buf[0]&flagLeaf != 0 {
+				continue // the frontier is the leaf level; nothing below it
+			}
+			var err error
+			if n, err = decodeNode(id, buf); err != nil {
+				return
+			}
+			t.ncache.put(n)
 		}
-		if buf[0]&flagLeaf != 0 {
-			continue // the frontier is the leaf level; nothing below it
-		}
-		n, err := decodeNode(id, buf)
-		if err != nil {
-			return
+		if n.leaf {
+			continue
 		}
 		ids, _ := s.frontierAt(n, b.ivs[i], b.skip)
 		union = append(union, ids...)
@@ -170,8 +183,12 @@ func (s *multiScan) frontierAt(n *node, iv int, skip []byte) (ids []pager.PageID
 				continue
 			}
 		}
-		if s.op.t.ncache.contains(n.children[ci]) {
+		if _, ok := s.op.t.ncache.peek(n.children[ci]); ok {
 			continue
+		}
+		if ids == nil { // first uncached child: size for the rest of the node
+			ids = make([]pager.PageID, 0, len(n.children)-ci)
+			ivAt = make([]int, 0, len(n.children)-ci)
 		}
 		ids = append(ids, n.children[ci])
 		ivAt = append(ivAt, iv)

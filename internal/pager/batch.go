@@ -1,9 +1,10 @@
 package pager
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -69,6 +70,8 @@ func (f *MemFile) ReadBatch(ids []PageID, bufs [][]byte) []error {
 type ioRun struct {
 	off int64
 	buf []byte
+	pos []int // caller positions of the run's pages, in slot order
+	err error // the bulk read's error, set by readRuns
 }
 
 // batchRunPages caps the length of one coalesced run so scratch stays
@@ -81,7 +84,9 @@ const batchRunPages = 64
 // goroutine pool otherwise — and every page is then CRC-verified
 // individually, so a torn or corrupt slot fails only its own sub-read. A run
 // whose bulk read fails is retried page by page to isolate the failing
-// sub-read from its siblings.
+// sub-read from its siblings. The sort order, the runs and the slot bytes
+// live in scratch on d, reused under d.mu, so a batch that fails nowhere
+// allocates nothing once the scratch has grown to its size.
 func (d *DiskFile) ReadBatch(ids []PageID, bufs [][]byte) []error {
 	if len(ids) != len(bufs) {
 		panic("pager: ReadBatch ids/bufs length mismatch")
@@ -98,7 +103,7 @@ func (d *DiskFile) ReadBatch(ids []PageID, bufs [][]byte) []error {
 		}
 		errs[i] = err
 	}
-	valid := make([]int, 0, len(ids))
+	valid := d.bvalid[:0]
 	for i, id := range ids {
 		if len(bufs[i]) != d.pageSize {
 			fail(i, ErrPageSize)
@@ -111,10 +116,11 @@ func (d *DiskFile) ReadBatch(ids []PageID, bufs [][]byte) []error {
 		d.stats.Reads++
 		valid = append(valid, i)
 	}
+	d.bvalid = valid
 	if len(valid) == 0 {
 		return errs
 	}
-	sort.Slice(valid, func(a, b int) bool { return ids[valid[a]] < ids[valid[b]] })
+	slices.SortFunc(valid, func(a, b int) int { return cmp.Compare(ids[a], ids[b]) })
 
 	need := len(valid) * int(d.slotSize)
 	if cap(d.batchBuf) < need {
@@ -124,8 +130,7 @@ func (d *DiskFile) ReadBatch(ids []PageID, bufs [][]byte) []error {
 
 	// Coalesce sorted pages into runs of contiguous slots. A duplicate id
 	// is not prev+1, so it simply starts its own single-page run.
-	var runs []ioRun
-	var runIdx [][]int
+	runs := d.bruns[:0]
 	for k := 0; k < len(valid); {
 		start := k
 		for k++; k < len(valid) &&
@@ -137,15 +142,16 @@ func (d *DiskFile) ReadBatch(ids []PageID, bufs [][]byte) []error {
 		runs = append(runs, ioRun{
 			off: d.offset(ids[valid[start]]),
 			buf: scratch[off : off+int64(n)*d.slotSize],
+			pos: valid[start:k],
 		})
-		runIdx = append(runIdx, valid[start:k])
 	}
+	d.bruns = runs
 
-	runErrs := d.readRuns(runs)
-	for r, posns := range runIdx {
-		for k, i := range posns {
-			slot := runs[r].buf[int64(k)*d.slotSize:]
-			if runErrs[r] != nil {
+	d.readRuns(runs)
+	for _, run := range runs {
+		for k, i := range run.pos {
+			slot := run.buf[int64(k)*d.slotSize:]
+			if run.err != nil {
 				// Bulk read failed: retry this page alone so the error
 				// (or a late success) is attributed per sub-read.
 				slot = slot[:d.pageSize+4]
@@ -165,20 +171,19 @@ func (d *DiskFile) ReadBatch(ids []PageID, bufs [][]byte) []error {
 	return errs
 }
 
-// readRuns reads every run, returning a per-run error slice. Multiple runs
-// on an fd-backed device are submitted concurrently: io_uring when the ring
-// is available, otherwise a bounded pool of goroutines whose blocking preads
+// readRuns reads every run, setting each run's err. Multiple runs on an
+// fd-backed device are submitted concurrently: io_uring when the ring is
+// available, otherwise a bounded pool of goroutines whose blocking preads
 // overlap in the kernel. Other devices (the fault-injection media) are read
 // sequentially so their op schedules stay deterministic.
-func (d *DiskFile) readRuns(runs []ioRun) []error {
-	errs := make([]error, len(runs))
+func (d *DiskFile) readRuns(runs []ioRun) {
 	if len(runs) == 1 {
-		errs[0] = ReadFull(d.b, runs[0].buf, runs[0].off)
-		return errs
+		runs[0].err = ReadFull(d.b, runs[0].buf, runs[0].off)
+		return
 	}
 	if fd, ok := blockFd(d.b); ok {
-		if uringReadRuns(fd, runs, errs) {
-			return errs
+		if uringReadRuns(fd, runs) {
+			return
 		}
 		workers := min(4, len(runs))
 		var next atomic.Int32
@@ -192,17 +197,16 @@ func (d *DiskFile) readRuns(runs []ioRun) []error {
 					if i >= len(runs) {
 						return
 					}
-					errs[i] = ReadFull(d.b, runs[i].buf, runs[i].off)
+					runs[i].err = ReadFull(d.b, runs[i].buf, runs[i].off)
 				}
 			}()
 		}
 		wg.Wait()
-		return errs
+		return
 	}
 	for i := range runs {
-		errs[i] = ReadFull(d.b, runs[i].buf, runs[i].off)
+		runs[i].err = ReadFull(d.b, runs[i].buf, runs[i].off)
 	}
-	return errs
 }
 
 // blockFd reports the OS file descriptor behind a BlockFile, when it has

@@ -281,3 +281,107 @@ func BenchmarkReadBatchDisk(b *testing.B) {
 		})
 	}
 }
+
+// TestReadBatchScratchAllocs pins that a batch reads through scratch kept on
+// the DiskFile: once a first call has grown it, a batch that fails nowhere
+// allocates nothing. The portable multi-run path starts worker goroutines,
+// which allocate, so only io_uring builds check that case.
+func TestReadBatchScratchAllocs(t *testing.T) {
+	d, err := CreateDiskFile(filepath.Join(t.TempDir(), "allocs.uidx"), 0)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	defer d.Close()
+	ids := newBatchFile(t, d, 64)
+	for _, tc := range []struct {
+		name     string
+		req      []PageID
+		needRing bool
+	}{
+		{"one-run", []PageID{ids[12], ids[10], ids[13], ids[11]}, false},
+		{"multi-run", []PageID{ids[40], ids[3], ids[4], ids[22], ids[5], ids[41], ids[9], ids[60]}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.needRing && !UringAvailable() {
+				t.Skip("portable multi-run reads start goroutines")
+			}
+			bufs := make([][]byte, len(tc.req))
+			for i := range bufs {
+				bufs[i] = make([]byte, d.PageSize())
+			}
+			read := func() {
+				if errs := d.ReadBatch(tc.req, bufs); errs != nil {
+					t.Fatalf("ReadBatch: %v", errs)
+				}
+			}
+			read() // grows the scratch
+			if got := testing.AllocsPerRun(20, read); got != 0 {
+				t.Fatalf("ReadBatch of %d pages allocates %v objects, want 0", len(tc.req), got)
+			}
+		})
+	}
+}
+
+// TestReadBatchScratchNoLeak alternates large and small batches on one
+// DiskFile — with duplicate ids, an id past the end and a corrupt page — and
+// checks every position of every call against Read: nothing of an earlier,
+// larger call's runs, run errors or sort order may reach a later one.
+func TestReadBatchScratchNoLeak(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "leak.uidx")
+	d, err := CreateDiskFile(path, 0)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	defer d.Close()
+	ids := newBatchFile(t, d, 120)
+	if err := d.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	victim := ids[33]
+	raw, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatalf("open raw: %v", err)
+	}
+	off := int64(victim)*(int64(d.PageSize())+slotTrailerSize) + 5
+	if _, err := raw.WriteAt([]byte{0xA5}, off); err != nil {
+		t.Fatalf("corrupt: %v", err)
+	}
+	if err := raw.Close(); err != nil {
+		t.Fatalf("close raw: %v", err)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	want := make([]byte, d.PageSize())
+	for round := 0; round < 12; round++ {
+		var req []PageID
+		if round%2 == 0 {
+			req = append(req, ids[20:90]...) // one corrupt page among long runs
+			req = append(req, ids[5], ids[5], PageID(1<<20), ids[100])
+		} else {
+			req = append(req, ids[rng.Intn(len(ids))], ids[110], ids[110])
+		}
+		rng.Shuffle(len(req), func(i, j int) { req[i], req[j] = req[j], req[i] })
+		bufs := make([][]byte, len(req))
+		for i := range bufs {
+			bufs[i] = make([]byte, d.PageSize())
+		}
+		errs := d.ReadBatch(req, bufs)
+		for i, id := range req {
+			var got error
+			if errs != nil {
+				got = errs[i]
+			}
+			rerr := d.Read(id, want)
+			switch {
+			case rerr != nil:
+				if got == nil || got.Error() != rerr.Error() {
+					t.Fatalf("round %d position %d (id %d): batch error %v, Read error %v", round, i, id, got, rerr)
+				}
+			case got != nil:
+				t.Fatalf("round %d position %d (id %d): batch error %v, Read succeeds", round, i, id, got)
+			case string(bufs[i]) != string(want):
+				t.Fatalf("round %d position %d (id %d): batch contents differ from Read", round, i, id)
+			}
+		}
+	}
+}

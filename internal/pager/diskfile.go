@@ -66,9 +66,14 @@ type DiskFile struct {
 	free      map[PageID]struct{} // membership for all three lists
 	fresh     map[PageID]struct{}
 
-	stats    Stats
-	rbuf     []byte // payload+CRC scratch, guarded by mu
-	batchBuf []byte // ReadBatch slot scratch, guarded by mu
+	stats Stats
+	rbuf  []byte // payload+CRC scratch, guarded by mu
+
+	// ReadBatch scratch, guarded by mu: the slot bytes, the caller
+	// positions sorted by id and the coalesced runs.
+	batchBuf []byte
+	bvalid   []int
+	bruns    []ioRun
 }
 
 // BlockFile is the byte-addressed device a DiskFile stores its page slots

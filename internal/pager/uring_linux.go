@@ -185,13 +185,13 @@ func uringEnter(fd int, toSubmit, minComplete uint32, flags uintptr) (int, sysca
 }
 
 // reap consumes exactly want completions from the CQ ring, recording
-// per-run errors through the CQE userData (a global index into runs/errs).
+// per-run errors through the CQE userData (a global index into runs).
 // It never returns with completions outstanding: an in-flight read owns its
 // scratch buffer, and returning early would let the kernel write into
 // memory the next batch (or the GC) reuses. If the blocking wait itself
 // fails, the loop degrades to polling the ring — the reads are already
 // submitted I/O and complete on their own.
-func (r *uring) reap(want int, runs []ioRun, errs []error) {
+func (r *uring) reap(want int, runs []ioRun) {
 	for reaped := 0; reaped < want; {
 		head := atomic.LoadUint32(r.cqHead)
 		cqTail := atomic.LoadUint32(r.cqTail)
@@ -200,9 +200,9 @@ func (r *uring) reap(want int, runs []ioRun, errs []error) {
 			i := int(cqe.userData)
 			switch {
 			case cqe.res < 0:
-				errs[i] = syscall.Errno(-cqe.res)
+				runs[i].err = syscall.Errno(-cqe.res)
 			case int(cqe.res) != len(runs[i].buf):
-				errs[i] = io.ErrUnexpectedEOF
+				runs[i].err = io.ErrUnexpectedEOF
 			}
 			head++
 			reaped++
@@ -216,13 +216,13 @@ func (r *uring) reap(want int, runs []ioRun, errs []error) {
 	}
 }
 
-// uringReadRuns reads every run through the shared ring, filling errs per
-// run, and reports false (leaving errs untouched) when the ring is
+// uringReadRuns reads every run through the shared ring, setting each run's
+// err, and reports false (leaving the runs untouched) when the ring is
 // unavailable so the caller can fall back to the portable path. On every
 // path the ring is left quiescent: all submitted reads are reaped before
 // returning, and unconsumed SQEs are rewound so a later call can never
 // resubmit entries whose buffers died with this one.
-func uringReadRuns(fd uintptr, runs []ioRun, errs []error) bool {
+func uringReadRuns(fd uintptr, runs []ioRun) bool {
 	if !UringAvailable() {
 		return false
 	}
@@ -256,24 +256,24 @@ func uringReadRuns(fd uintptr, runs []ioRun, errs []error) bool {
 			// sees those stale entries, and fail the unsubmitted runs.
 			consumed := int(atomic.LoadUint32(r.sqHead) - tail)
 			if consumed > 0 {
-				r.reap(consumed, runs, errs)
+				r.reap(consumed, runs)
 			}
 			atomic.StoreUint32(r.sqTail, atomic.LoadUint32(r.sqHead))
 			for i := submitted + consumed; i < len(runs); i++ {
-				errs[i] = errno
+				runs[i].err = errno
 			}
 			return true
 		}
 		// The wait half of enter can be cut short by a signal even when
 		// submission succeeded (the syscall then reports the submit count);
 		// reap blocks until every accepted read has actually completed.
-		r.reap(accepted, runs, errs)
+		r.reap(accepted, runs)
 		if accepted < n {
 			// Short submit: rewind the tail over the unconsumed SQEs and
 			// fail their runs — the caller's per-page retry recovers them.
 			atomic.StoreUint32(r.sqTail, atomic.LoadUint32(r.sqHead))
 			for i := submitted + accepted; i < len(runs); i++ {
-				errs[i] = io.ErrShortBuffer
+				runs[i].err = io.ErrShortBuffer
 			}
 			return true
 		}

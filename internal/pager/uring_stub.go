@@ -8,4 +8,4 @@ package pager
 func UringAvailable() bool { return false }
 
 // uringReadRuns reports false so readRuns takes the portable path.
-func uringReadRuns(fd uintptr, runs []ioRun, errs []error) bool { return false }
+func uringReadRuns(fd uintptr, runs []ioRun) bool { return false }
